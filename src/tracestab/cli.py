@@ -242,11 +242,21 @@ def _descriptor_from_obj(obj, models_by_id) -> EndoscopicDescriptor:
     )
 
 
+def _thread_count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
+    return value
+
+
 def parse_args(argv) -> RunConfig:
     parser = argparse.ArgumentParser(prog="tracestab",
                                      description="Exact spectral coefficients and "
                                                  "stabilization identity checks.")
-    parser.add_argument("--threads", type=int, default=None,
+    parser.add_argument("--threads", type=_thread_count, default=None,
                         help="parallelism for enumeration internals")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
@@ -290,7 +300,10 @@ def parse_args(argv) -> RunConfig:
     threads = ns.threads
     env_threads = os.environ.get("LTS_THREADS")
     if env_threads is not None:
-        threads = int(env_threads)
+        try:
+            threads = _thread_count(env_threads)
+        except argparse.ArgumentTypeError as exc:
+            parser.error(f"LTS_THREADS: {exc}")
     if threads is None:
         threads = 1
     return RunConfig(

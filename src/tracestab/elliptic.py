@@ -25,6 +25,7 @@ from .linalg import (
     IntMat,
     IntVec,
     QVec,
+    clear_denominators,
     coords_in_rows,
     det,
     dot,
@@ -37,7 +38,7 @@ from .linalg import (
     mat_vec,
     normalize_mod1,
 )
-from .rootdata import RootDatum, build_root_datum, weyl_group
+from .rootdata import RootDatum, build_root_datum, classical_weyl_order, weyl_group
 from .weylcoset import TwistedComponent
 
 
@@ -68,13 +69,6 @@ def _require_untwisted(c: TwistedComponent, operation: str):
         raise TwistedUnsupported(f"{operation} needs the untwisted component")
 
 
-def _reflection_in(d: RootDatum, root: IntVec) -> IntMat:
-    coroot = d.coroot_of(root)
-    n = d.rank
-    return tuple(tuple((1 if r == c else 0) - root[c] * coroot[r] for c in range(n))
-                 for r in range(n))
-
-
 def integral_root_subset(d: RootDatum, t: QVec) -> tuple[IntVec, ...]:
     return tuple(alpha for alpha in d.roots if dot(alpha, t) % 1 == 0)
 
@@ -96,31 +90,16 @@ def sub_datum(d: RootDatum, roots) -> RootDatum:
                             tuple(d.coroot_of(a) for a in simples))
 
 
-def _orbit_canonical(w_matrices, t: QVec) -> QVec:
-    return min(normalize_mod1(mat_vec(m, t)) for m in w_matrices)
+# Torsion points t = a/n travel through the Weyl loops as (a, n), with a an
+# integer vector reduced mod n and n the order of t.
+
+def _orbit_canonical(w_matrices, a: IntVec, n: int) -> IntVec:
+    """Numerators of the least point of the Weyl orbit of a/n."""
+    return min(tuple(dot(row, a) % n for row in m) for m in w_matrices)
 
 
-def _stabilizer_order(w_matrices, t: QVec) -> int:
-    return sum(1 for m in w_matrices if normalize_mod1(mat_vec(m, t)) == t)
-
-
-def _reflection_subgroup_order(d: RootDatum, roots) -> int:
-    gens = {_reflection_in(d, r) for r in roots}
-    if not gens:
-        return 1
-    ident = identity_matrix(d.rank)
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        new_frontier = []
-        for m in frontier:
-            for g in gens:
-                prod = mat_mul(m, g)
-                if prod not in seen:
-                    seen.add(prod)
-                    new_frontier.append(prod)
-        frontier = new_frontier
-    return len(seen)
+def _stabilizer_order(w_matrices, a: IntVec, n: int) -> int:
+    return sum(1 for m in w_matrices if tuple(dot(row, a) % n for row in m) == a)
 
 
 def centralizer(c: TwistedComponent, t: TorusPoint) -> tuple[RootDatum, int]:
@@ -130,7 +109,8 @@ def centralizer(c: TwistedComponent, t: TorusPoint) -> tuple[RootDatum, int]:
     roots_t = integral_root_subset(d, t.coords)
     datum = sub_datum(d, roots_t)
     w_matrices = [w.matrix for w in weyl_group(d)]
-    pi0 = _stabilizer_order(w_matrices, t.coords) // _reflection_subgroup_order(d, roots_t)
+    a, n = clear_denominators(t.coords)
+    pi0 = _stabilizer_order(w_matrices, a, n) // classical_weyl_order(datum)
     return datum, pi0
 
 
@@ -218,11 +198,13 @@ def full_rank_subsystems(d: RootDatum, threads: int = 1) -> list[tuple[IntVec, .
     """
     if not d.is_semisimple() or d.rank == 0:
         return [] if not d.is_semisimple() else [()]
-    w_actions = [_x_action(w.matrix) for w in weyl_group(d)]
+    index = {r: k for k, r in enumerate(d.roots)}
+    perms = [tuple(index[mat_vec(w.x_matrix, r)] for r in d.roots) for w in weyl_group(d)]
 
-    def canon(roots: tuple[IntVec, ...]) -> tuple[IntVec, ...]:
-        return min(tuple(sorted(tuple(int(x) for x in mat_vec(a, r)) for r in roots))
-                   for a in w_actions)
+    def canon(roots: tuple[IntVec, ...]) -> int:
+        """Least W-image of the subsystem, as a bitmask over root indices."""
+        ids = [index[r] for r in roots]
+        return min(sum(1 << p[k] for k in ids) for p in perms)
 
     full = tuple(sorted(d.roots))
     seen = {canon(full): full}
@@ -242,12 +224,6 @@ def full_rank_subsystems(d: RootDatum, threads: int = 1) -> list[tuple[IntVec, .
                     new_frontier.append(child)
         frontier = new_frontier
     return sorted(seen.values())
-
-
-def _x_action(matrix_on_coweights: IntMat) -> IntMat:
-    from .rootdata import contragredient
-
-    return contragredient(matrix_on_coweights)
 
 
 def _closure_under_reflections(d: RootDatum, seeds) -> tuple[IntVec, ...]:
@@ -367,12 +343,12 @@ def _elliptic_classes_untwisted(c: TwistedComponent, threads: int = 1) -> tuple[
     reps = set()
     for plist in point_lists:
         for t in plist:
-            reps.add(_orbit_canonical(w_matrices, t))
+            a, n = clear_denominators(t)
+            reps.add((_orbit_canonical(w_matrices, a, n), n))
     classes = []
-    for t in sorted(reps):
-        roots_t = integral_root_subset(d, t)
-        datum = sub_datum(d, roots_t)
-        pi0 = _stabilizer_order(w_matrices, t) // _reflection_subgroup_order(d, roots_t)
+    for t, a, n in sorted((tuple(Fraction(x, n) for x in a), a, n) for a, n in reps):
+        datum = sub_datum(d, integral_root_subset(d, t))
+        pi0 = _stabilizer_order(w_matrices, a, n) // classical_weyl_order(datum)
         classes.append(SemisimpleClass(torus_point(t), datum, pi0, True, c.tag))
     return tuple(classes)
 

@@ -33,6 +33,10 @@ class RecursionCycle(TraceStabError):
     """A non-central class reported a centralizer equal to its parent."""
 
 
+class InconsistentClasses(TraceStabError):
+    """An elliptic class list breaks an invariant the σ recursion relies on."""
+
+
 class MismatchedModel(TraceStabError):
     """A character triple or component label does not belong to the model."""
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from operator import mul
 from typing import Iterable, Sequence
 
 IntVec = tuple[int, ...]
@@ -20,7 +21,7 @@ def dot(x: Sequence, y: Sequence):
     """Exact pairing of a character vector with a cocharacter vector."""
     if len(x) != len(y):
         raise ValueError("dimension mismatch")
-    return sum(a * b for a, b in zip(x, y))
+    return sum(map(mul, x, y))
 
 
 def vec_sub(x: Sequence, y: Sequence) -> tuple:

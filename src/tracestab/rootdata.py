@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 from math import factorial
 
@@ -46,16 +47,14 @@ _WEYL_ORDER_EXCEPTIONAL = {"G2": 12, "F4": 1152, "E6": 51840, "E7": 2903040, "E8
 
 @dataclass(frozen=True)
 class WeylElement:
-    """Lattice automorphism of X∨ induced by a Weyl group element."""
+    """Lattice automorphism of X∨ induced by a Weyl group element.
+
+    ``x_matrix`` is the same element acting on X, i.e. the contragredient.
+    """
 
     matrix: IntMat
     word: tuple[int, ...] | None = field(default=None, compare=False)
-
-    def __mul__(self, other: "WeylElement") -> "WeylElement":
-        word = None
-        if self.word is not None and other.word is not None:
-            word = self.word + other.word
-        return WeylElement(mat_mul(self.matrix, other.matrix), word)
+    x_matrix: IntMat | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -79,9 +78,22 @@ class RootDatum:
         return matrix_rank(self.simple_roots) == self.rank
 
     def positive_roots(self) -> tuple[IntVec, ...]:
-        return tuple(r for r in self.roots if self.is_positive(r))
+        """Roots with a positive simple-root expansion, computed once per datum."""
+        return self._positives()
 
     def is_positive(self, root: IntVec) -> bool:
+        root = tuple(root)
+        if root in self.roots:
+            return root in self._positives()
+        return self._expansion_positive(root)
+
+    def _positives(self) -> tuple[IntVec, ...]:
+        if "_positive_roots" not in self.__dict__:
+            object.__setattr__(self, "_positive_roots",
+                               tuple(r for r in self.roots if self._expansion_positive(r)))
+        return self._positive_roots
+
+    def _expansion_positive(self, root: IntVec) -> bool:
         coeffs = coords_in_rows(self.simple_roots, root)
         if coeffs is None:
             raise ValueError("vector is not in the root span")
@@ -176,26 +188,31 @@ def simple_reflection_matrix(d: RootDatum, i: int) -> IntMat:
                  for r in range(n))
 
 
+@cache
 def weyl_group(d: RootDatum) -> tuple[WeylElement, ...]:
     """All Weyl elements, found by breadth-first closure over the generators.
 
-    Elements carry reduced words (BFS depth equals Coxeter length); the
-    returned tuple is sorted by matrix for reproducibility.
+    Elements carry reduced words (BFS depth equals Coxeter length) and their
+    action on X, built alongside from the X-side reflections
+    v ↦ v − ⟨v, α_i∨⟩α_i (the transpose of s_i on X∨).  The result is
+    memoized on the datum's value and sorted by matrix for reproducibility.
     """
     gens = [simple_reflection_matrix(d, i) for i in range(d.semisimple_rank)]
+    x_gens = [transpose(g) for g in gens]
     ident = identity_matrix(d.rank)
-    seen: dict[IntMat, tuple[int, ...]] = {ident: ()}
+    seen: dict[IntMat, tuple[tuple[int, ...], IntMat]] = {ident: ((), ident)}
     frontier = [ident]
     while frontier:
         new_frontier = []
         for m in frontier:
+            word, x_m = seen[m]
             for i, g in enumerate(gens):
                 prod = mat_mul(m, g)
                 if prod not in seen:
-                    seen[prod] = seen[m] + (i,)
+                    seen[prod] = (word + (i,), mat_mul(x_m, x_gens[i]))
                     new_frontier.append(prod)
         frontier = new_frontier
-    return tuple(WeylElement(m, w) for m, w in sorted(seen.items()))
+    return tuple(WeylElement(m, w, x) for m, (w, x) in sorted(seen.items()))
 
 
 def classical_weyl_order(d: RootDatum) -> int:

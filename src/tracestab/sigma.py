@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .elliptic import SemisimpleClass, elliptic_classes
-from .errors import RecursionCycle
+from .errors import InconsistentClasses, RecursionCycle
 from .rootdata import CentralSubgroup, RootDatum, canonical_key, cartan_type, quotient_by_central
 from .weylcoset import TwistedComponent, i_number, untwisted_component
 
@@ -74,9 +74,9 @@ def sigma(d: RootDatum, table: SigmaTable | None = None, _order=None) -> Fractio
         others = _order(others)
     for c in central:
         if c.pi0 != 1:
-            raise AssertionError("central class with disconnected centralizer")
+            raise InconsistentClasses("central class with disconnected centralizer")
     if not central:
-        raise AssertionError("no central elliptic class on a semisimple datum")
+        raise InconsistentClasses("no central elliptic class on a semisimple datum")
     acc = Fraction(0)
     terms = []
     for c in others:

@@ -100,7 +100,7 @@ def coset_sign(d: RootDatum, total: IntMat, positive_roots=None) -> int:
     return -1 if inversions % 2 else 1
 
 
-def _coset_element(c: TwistedComponent, v: WeylElement) -> CosetElement:
+def _coset_element(c: TwistedComponent, v: WeylElement, theta_sign: int) -> CosetElement:
     total = mat_mul(v.matrix, c.theta)
     delta = tuple(tuple(total[i][j] - (1 if i == j else 0) for j in range(c.base.rank))
                   for i in range(c.base.rank))
@@ -109,14 +109,19 @@ def _coset_element(c: TwistedComponent, v: WeylElement) -> CosetElement:
         weyl_part=v,
         total=total,
         det_w_minus_1=d,
-        sign=coset_sign(c.base, total),
+        sign=-theta_sign if len(v.word) % 2 else theta_sign,
         regular=d != 0,
     )
 
 
 def weyl_set(c: TwistedComponent) -> tuple[CosetElement, ...]:
-    """The full coset {vθ}, annotated and sorted by total matrix."""
-    elements = [_coset_element(c, v) for v in weyl_group(c.base)]
+    """The full coset {vθ}, annotated and sorted by total matrix.
+
+    The inversion sign is a character of Aut(Φ), and on W it is (−1)^ℓ(v)
+    with ℓ(v) the length of the reduced word, so sign(vθ) = (−1)^ℓ(v)·sign(θ).
+    """
+    theta_sign = coset_sign(c.base, c.theta)
+    elements = [_coset_element(c, v, theta_sign) for v in weyl_group(c.base)]
     return tuple(sorted(elements, key=lambda e: e.total))
 
 

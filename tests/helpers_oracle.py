@@ -5,14 +5,21 @@ walks, no Smith normal forms.  Points come from a literal torsion-grid scan
 (rank <= 1) or from the joint solution lattices of independent root pairs
 (rank 2), which cover exactly the grid points whose integral-root set has
 full rank; dedup is by the full Weyl action.
+
+The Fraction orbit walk at the end is the reference for the integer fast
+paths of the elliptic enumeration: it reuses the production subsystem walk
+and torsion points, but canonicalizes, counts stabilizers and dedups
+subsystems the slow way, through Fractions, contragredient inverses and
+reflection-subgroup closures.
 """
 
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
 
-from tracestab.linalg import mat_mul, mat_vec
-from tracestab.rootdata import weyl_group
+from tracestab.elliptic import _bds_children
+from tracestab.linalg import dot, dual_lattice_quotient, hnf_rows, mat_mul, mat_vec, normalize_mod1
+from tracestab.rootdata import build_root_datum, contragredient, weyl_group
 
 GRID_N = lcm(*range(1, 13))
 
@@ -154,3 +161,74 @@ def brute_i(d):
         sign = -1 if inversions % 2 else 1
         total += Fraction(sign, abs(dm1))
     return total / len(group)
+
+
+def classical_datum(kind, n, form):
+    """Simply connected ("sc") or adjoint ("ad") datum of type A, B, C or D."""
+    c = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    chain = n - 1 if kind != "D" else n - 2
+    for i in range(chain):
+        c[i][i + 1] = c[i + 1][i] = -1
+    if kind == "B":
+        c[n - 2][n - 1] = -2
+    elif kind == "C":
+        c[n - 1][n - 2] = -2
+    elif kind == "D":
+        c[n - 3][n - 1] = c[n - 1][n - 3] = -1
+    ident = [[int(i == j) for j in range(n)] for i in range(n)]
+    if form == "sc":
+        return build_root_datum(n, c, ident)
+    return build_root_datum(n, ident, [list(col) for col in zip(*c)])
+
+
+def fraction_orbit_canonical(w_matrices, t):
+    return min(normalize_mod1(mat_vec(m, t)) for m in w_matrices)
+
+
+def fraction_stabilizer_order(w_matrices, t):
+    return sum(1 for m in w_matrices if normalize_mod1(mat_vec(m, t)) == t)
+
+
+def sorted_image_subsystems(d):
+    """Full-rank subsystems deduped by sorting root images under contragredients."""
+    if not d.is_semisimple():
+        return []
+    if d.rank == 0:
+        return [()]
+    w_actions = [contragredient(w.matrix) for w in weyl_group(d)]
+
+    def canon(roots):
+        return min(tuple(sorted(tuple(mat_vec(a, r)) for r in roots)) for a in w_actions)
+
+    full = tuple(sorted(d.roots))
+    seen = {canon(full): full}
+    frontier = [full]
+    while frontier:
+        new_frontier = []
+        for roots in frontier:
+            for child in _bds_children(d, roots):
+                key = canon(child)
+                if key not in seen:
+                    seen[key] = child
+                    new_frontier.append(child)
+        frontier = new_frontier
+    return sorted(seen.values())
+
+
+def fraction_elliptic_classes(d):
+    """(rep, pi0) pairs of the untwisted component, by the Fraction orbit walk."""
+    if not d.is_semisimple():
+        return []
+    if d.rank == 0:
+        return [((), 1)]
+    w_matrices = [w.matrix for w in weyl_group(d)]
+    reps = set()
+    for roots in sorted_image_subsystems(d):
+        for t in dual_lattice_quotient(tuple(hnf_rows(list(roots)))):
+            reps.add(fraction_orbit_canonical(w_matrices, t))
+    out = []
+    for t in sorted(reps):
+        roots_t = [alpha for alpha in d.roots if dot(alpha, t) % 1 == 0]
+        out.append((t, fraction_stabilizer_order(w_matrices, t)
+                    // oracle_reflection_order(d, roots_t)))
+    return out

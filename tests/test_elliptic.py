@@ -2,12 +2,18 @@ from fractions import Fraction
 
 import pytest
 
-from helpers_oracle import oracle_classes
+from helpers_oracle import (
+    classical_datum,
+    fraction_elliptic_classes,
+    oracle_classes,
+    sorted_image_subsystems,
+)
 
 from tracestab import catalog
 from tracestab.elliptic import (
     centralizer,
     elliptic_classes,
+    full_rank_subsystems,
     is_elliptic,
     torus_point,
     validate_twisted_candidates,
@@ -30,6 +36,24 @@ def test_untwisted_enumeration_matches_grid_oracle(name):
         assert cls.rep.coords == rep
         assert cls.pi0 == pi0
         assert cartan_type(cls.centralizer_datum) == ctype
+
+
+# The integer orbit walk and the root-index subsystem dedup against the
+# Fraction reference they replaced.
+FAST_PATH_DATA = [(name, catalog.datum(name)) for name in catalog.datum_names()] + [
+    (f"{kind}3-{form}", classical_datum(kind, 3, form))
+    for kind in "ABC" for form in ("sc", "ad")]
+
+
+@pytest.mark.parametrize("name,d", FAST_PATH_DATA, ids=[n for n, _ in FAST_PATH_DATA])
+def test_integer_orbit_walk_matches_fraction_oracle(name, d):
+    got = elliptic_classes(untwisted_component(d))
+    assert [(c.rep.coords, c.pi0) for c in got] == fraction_elliptic_classes(d)
+
+
+@pytest.mark.parametrize("name,d", FAST_PATH_DATA, ids=[n for n, _ in FAST_PATH_DATA])
+def test_subsystem_dedup_matches_sorted_image_oracle(name, d):
+    assert full_rank_subsystems(d) == sorted_image_subsystems(d)
 
 
 # ---------------------------------------------------------------------------

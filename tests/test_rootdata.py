@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tracestab import catalog
+from tracestab.elliptic import elliptic_classes
 from tracestab.errors import NonCartan, NotCentral
 from tracestab.linalg import mat_mul, mat_vec
 from tracestab.rootdata import (
@@ -18,6 +19,7 @@ from tracestab.rootdata import (
     quotient_by_central,
     weyl_group,
 )
+from tracestab.weylcoset import i_number, untwisted_component
 
 SL2 = catalog.datum("sl2")
 PGL2 = catalog.datum("pgl2")
@@ -206,3 +208,44 @@ def test_central_subgroup_order_matches_closure(p, q):
         elems.add(cur)
         cur = tuple((a + b) % 1 for a, b in zip(cur, gen))
     assert z.order == len(elems)
+
+
+# ---------------------------------------------------------------------------
+# Datum invariants are cached on the datum's value, never on canonical_key.
+# SO4 = (SL2 x SL2)/mu2,diag and SL2 x PGL2 share a canonical key.
+# ---------------------------------------------------------------------------
+
+def _so4():
+    d = catalog.datum("sl2xsl2")
+    return quotient_by_central(d, central_subgroup(d, [(Fraction(1, 2), Fraction(1, 2))]))
+
+
+def _sl2_pgl2():
+    return build_root_datum(2, [(2, 0), (0, 1)], [(1, 0), (0, 2)])
+
+
+def _invariants(d):
+    return (tuple((w.matrix, w.word, w.x_matrix) for w in weyl_group(d)),
+            d.positive_roots(),
+            i_number(untwisted_component(d)),
+            elliptic_classes(untwisted_component(d)))
+
+
+def test_invariant_caches_distinguish_data_with_equal_keys():
+    assert canonical_key(_so4()) == canonical_key(_sl2_pgl2())
+    assert _so4() != _sl2_pgl2()
+    fresh = {}
+    for build in (_so4, _sl2_pgl2):
+        weyl_group.cache_clear()
+        fresh[build] = _invariants(build())
+    for order in ((_so4, _sl2_pgl2), (_sl2_pgl2, _so4)):
+        weyl_group.cache_clear()
+        for build in order:
+            assert _invariants(build()) == fresh[build]
+    assert fresh[_so4] != fresh[_sl2_pgl2]
+
+
+@pytest.mark.parametrize("name", ["sl2", "sp4", "g2", "sl2xsl2"])
+def test_x_matrices_are_contragredient(name):
+    for w in weyl_group(catalog.datum(name)):
+        assert w.x_matrix == contragredient(w.matrix)

@@ -1,10 +1,17 @@
+import importlib
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from tracestab import catalog
+from tracestab.cli import EXIT_MODULE_ERROR, parse_args, run
+from tracestab.errors import InconsistentClasses
 from tracestab.rootdata import build_root_datum, central_subgroup
 from tracestab.sigma import SigmaTable, sigma, verify_central_quotient, verify_ei
+
+# The package re-exports the function ``sigma``, which shadows the submodule.
+sigma_module = importlib.import_module("tracestab.sigma")
 
 
 @pytest.mark.parametrize("name,expected", [
@@ -136,3 +143,28 @@ def test_e_equals_i_on_isogeny_quotients():
     assert canonical_key(q) == canonical_key(catalog.datum("so5"))
     assert verify_ei(untwisted_component(q), table).equal
 
+
+
+def test_no_central_class_is_a_library_error(monkeypatch):
+    monkeypatch.setattr(sigma_module, "elliptic_classes", lambda component: ())
+    with pytest.raises(InconsistentClasses, match="no central elliptic class"):
+        sigma(catalog.datum("sl2"))
+
+
+def test_disconnected_central_class_is_a_library_error(monkeypatch):
+    real = sigma_module.elliptic_classes
+
+    def doubled_pi0(component):
+        return tuple(replace(c, pi0=2 * c.pi0) for c in real(component))
+
+    monkeypatch.setattr(sigma_module, "elliptic_classes", doubled_pi0)
+    with pytest.raises(InconsistentClasses, match="disconnected centralizer"):
+        sigma(catalog.datum("sl2"))
+
+
+def test_cli_reports_inconsistent_classes_with_exit_5(monkeypatch, capsys):
+    monkeypatch.setattr(sigma_module, "elliptic_classes", lambda component: ())
+    assert run(parse_args(["sigma", "--group", "sl2"])) == EXIT_MODULE_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "InconsistentClasses" in captured.err and "Traceback" not in captured.err

@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import pytest
 
+from helpers_oracle import classical_datum
+
 from tracestab import catalog
 from tracestab.errors import InfiniteOrder, NotAutomorphism
 from tracestab.linalg import det, invert, mat_mul, mat_vec
@@ -122,3 +124,25 @@ def test_untwisted_sign_equals_det_on_root_span():
         c = untwisted_component(catalog.datum(name))
         for e in weyl_set(c):
             assert e.sign == det(e.total)
+
+
+def _sign_cases():
+    cases = [(name, catalog.named_component(name)) for name in catalog.component_names()]
+    for m in catalog.fixture_models():
+        for x in m.s_elements():
+            cases.append((f"{m.model_id}-{x[0]}{x[1]}", m.component_at(x)))
+    cases += [(f"{kind}3-sc", untwisted_component(classical_datum(kind, 3, "sc")))
+              for kind in "ABC"]
+    # Twists that send an odd number of positive roots to negative ones.
+    cases.append(("sl2xsl2-reflect", component(catalog.datum("sl2xsl2"), ((1, 0), (0, -1)))))
+    cases.append(("sl3-minus1", component(catalog.datum("sl3"), ((-1, 0), (0, -1)))))
+    return cases
+
+
+SIGN_CASES = _sign_cases()
+
+
+@pytest.mark.parametrize("name,c", SIGN_CASES, ids=[n for n, _ in SIGN_CASES])
+def test_reduced_word_sign_equals_inversion_count(name, c):
+    for e in weyl_set(c):
+        assert e.sign == coset_sign(c.base, e.total)
