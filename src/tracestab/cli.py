@@ -203,8 +203,9 @@ def _pair_to_bits(x, sm_dim: int, r_dim: int) -> str:
 def _model_from_obj(obj, fallback_id: str) -> ParameterModel:
     _require_keys(obj, ("sM_dim", "r_dim"), ("dual_group", "id"))
     sm_dim, r_dim = obj["sM_dim"], obj["r_dim"]
-    if not (isinstance(sm_dim, int) and isinstance(r_dim, int)):
-        raise MalformedInput("group dimensions must be integers")
+    for dim in (sm_dim, r_dim):
+        if not isinstance(dim, int) or isinstance(dim, bool) or dim < 0:
+            raise MalformedInput("group dimensions must be non-negative integers")
     dual = None
     if "dual_group" in obj and obj["dual_group"] is not None:
         dobj = obj["dual_group"]

@@ -37,6 +37,10 @@ class InconsistentClasses(TraceStabError):
     """An elliptic class list breaks an invariant the σ recursion relies on."""
 
 
+class InvalidDimension(TraceStabError):
+    """A 2-group dimension is not a non-negative integer."""
+
+
 class MismatchedModel(TraceStabError):
     """A character triple or component label does not belong to the model."""
 

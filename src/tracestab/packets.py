@@ -7,15 +7,29 @@ splitting built in.  Characters of S pair with the components φ^x through a
 factors, their adjoints, and the inversion formulas are finite character
 sums over that table, all in exact arithmetic (Gaussian rationals, so
 conjugation is exact).
+
+Every factor is a multiple of one integer character sum
+
+    N[(η, r)][x] = Σ_{χ ∈ R^} χ(r)·pairing((η, χ), x),
+
+with Δ(τ, φ^x) = N/|S| and Δ(φ^x, τ) = N/|R|.  For fixed (η, x) the sums
+over all r are the Walsh–Hadamard transform of χ ↦ pairing((η, χ), x), so
+``ParameterModel.transfer_numerators`` builds the whole |S| × |S| table
+with one length-|R| fast transform per (η, x) column, once per model.  The
+adjoint relations are then the integer identities N·Nᵀ = NᵀN = |R|·|S|·I.
+The ``_closed`` forms evaluate the same factors without the table and serve
+as the independent cross-check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cached_property
+from operator import mul
 from typing import Mapping
 
-from .errors import MismatchedModel, MissingDualGroup
+from .errors import InvalidDimension, MismatchedModel, MissingDualGroup
 from .linalg import IntMat, identity_matrix, invert, mat_mul
 from .rootdata import RootDatum, weyl_group
 from .weylcoset import TwistedComponent, component
@@ -73,6 +87,10 @@ class TwoGroup:
 
     dim: int
 
+    def __post_init__(self):
+        if not isinstance(self.dim, int) or isinstance(self.dim, bool) or self.dim < 0:
+            raise InvalidDimension(f"2-group dimension {self.dim!r} is not a non-negative integer")
+
     @property
     def size(self) -> int:
         return 1 << self.dim
@@ -82,7 +100,19 @@ class TwoGroup:
 
     @staticmethod
     def char(c: int, v: int) -> int:
-        return -1 if bin(c & v).count("1") % 2 else 1
+        return -1 if (c & v).bit_count() % 2 else 1
+
+
+def _walsh_hadamard(values: list[int]) -> list[int]:
+    """In-place fast transform: out[r] = Σ_χ (−1)^popcount(χ & r)·values[χ]."""
+    h = 1
+    while h < len(values):
+        for start in range(0, len(values), 2 * h):
+            for j in range(start, start + h):
+                a, b = values[j], values[j + h]
+                values[j], values[j + h] = a + b, a - b
+        h *= 2
+    return values
 
 
 @dataclass(frozen=True)
@@ -142,6 +172,20 @@ class ParameterModel:
         self._check_tau(tau)
         return (tau[0], tau[1])
 
+    def _index(self, label: Tau | SElement) -> int:
+        """Position of a τ in taus(), or of an x in s_elements()."""
+        return label[0] * self.r.size + label[1]
+
+    @cached_property
+    def transfer_numerators(self) -> tuple[tuple[int, ...], ...]:
+        """N[_index(τ)][_index(x)], the integer numerators of all transfer factors."""
+        rows = []
+        for eta in self.s_m.elements():
+            columns = [_walsh_hadamard([self.pairing((eta, chi), x) for chi in self.r.elements()])
+                       for x in self.s_elements()]
+            rows.extend(zip(*columns))  # the rows of (η, r) for r = 0, 1, …
+        return tuple(rows)
+
     def _check_tau(self, tau: Tau) -> None:
         eta, r = tau
         if not (0 <= eta < self.s_m.size and 0 <= r < self.r.size):
@@ -173,19 +217,19 @@ def with_flipped_pairing(m: ParameterModel, char: SElement, x: SElement) -> Para
     return replace(m, pairing_flips=m.pairing_flips | {(char, x)})
 
 
+def _numerator(m: ParameterModel, tau: Tau, x: SElement) -> int:
+    m._check_tau(tau)
+    m._check_x(x)
+    return m.transfer_numerators[m._index(tau)][m._index(x)]
+
+
 def transfer_factor(m: ParameterModel, tau: Tau, x: SElement) -> Fraction:
-    """Δ(τ, φ^x) via the character sum over the R-group.
+    """Δ(τ, φ^x) = N[τ][x]/|S|, the character sum over the R-group.
 
     The packet pairing carries the 1/|S| adjoint normalization, so the sum
     collapses to the closed form (|R|/|S|)·δ(r, r')·η(x_M) on honest models.
     """
-    m._check_tau(tau)
-    m._check_x(x)
-    eta, r = tau
-    total = 0
-    for chi in m.r.elements():
-        total += TwoGroup.char(chi, r) * m.pairing((eta, chi), x)
-    return Fraction(total, m.s_size)
+    return Fraction(_numerator(m, tau, x), m.s_size)
 
 
 def transfer_factor_closed(m: ParameterModel, tau: Tau, x: SElement) -> Fraction:
@@ -198,14 +242,8 @@ def transfer_factor_closed(m: ParameterModel, tau: Tau, x: SElement) -> Fraction
 
 
 def adjoint_factor(m: ParameterModel, x: SElement, tau: Tau) -> Fraction:
-    """Δ(φ^x, τ) via the |R|⁻¹-weighted character sum."""
-    m._check_tau(tau)
-    m._check_x(x)
-    eta, r = tau
-    total = 0
-    for chi in m.r.elements():
-        total += TwoGroup.char(chi, r) * m.pairing((eta, chi), x)
-    return Fraction(total, m.r.size)
+    """Δ(φ^x, τ) = N[τ][x]/|R|, the |R|⁻¹-weighted character sum."""
+    return Fraction(_numerator(m, tau, x), m.r.size)
 
 
 def adjoint_factor_closed(m: ParameterModel, x: SElement, tau: Tau) -> Fraction:
@@ -246,43 +284,45 @@ class TestVector:
         return TestVector(out)
 
 
+def _weighted_sum(terms, denominator: int) -> GaussianRational:
+    """Σ n·z / denominator over pairs of an integer n and a Gaussian rational z."""
+    re = im = 0
+    for n, z in terms:
+        re += n * z.re
+        im += n * z.im
+    return GaussianRational(Fraction(re, denominator), Fraction(im, denominator))
+
+
 def theta_transfer(m: ParameterModel, tau: Tau, f: TestVector,
                    restrict_to=None) -> GaussianRational:
     """Σ_x Δ(τ, φ^x)·f'(φ, x), optionally over a subset of components."""
-    xs = m.s_elements() if restrict_to is None else [x for x in m.s_elements() if x in restrict_to]
-    total = GR_ZERO
-    for x in xs:
-        factor = transfer_factor(m, tau, x)
-        if factor:
-            total = total + f.value(m.model_id, x) * factor
-    return total
+    m._check_tau(tau)
+    row = m.transfer_numerators[m._index(tau)]
+    return _weighted_sum(((n, f.value(m.model_id, x)) for x, n in zip(m.s_elements(), row)
+                          if n and (restrict_to is None or x in restrict_to)), m.s_size)
 
 
 def invert_transfer(m: ParameterModel, x: SElement,
                     theta: Mapping[Tau, GaussianRational]) -> GaussianRational:
     """Σ_τ Δ(φ^x, τ)·Θ(τ); exact right-inverse of theta_transfer."""
-    total = GR_ZERO
-    for tau in m.taus():
-        factor = adjoint_factor(m, x, tau)
-        if factor:
-            total = total + GaussianRational.of(theta.get(tau, GR_ZERO)) * factor
-    return total
+    m._check_x(x)
+    col = m._index(x)
+    return _weighted_sum(((row[col], GaussianRational.of(theta.get(tau, GR_ZERO)))
+                          for tau, row in zip(m.taus(), m.transfer_numerators) if row[col]),
+                         m.r.size)
 
 
 def verify_adjoint(m: ParameterModel) -> bool:
-    """Exhaustive check of both adjoint relations on the model."""
-    xs = m.s_elements()
-    taus = m.taus()
-    for x1 in xs:
-        for x2 in xs:
-            total = sum(adjoint_factor(m, x1, tau) * transfer_factor(m, tau, x2)
-                        for tau in taus)
-            if total != (1 if x1 == x2 else 0):
-                return False
-    for t1 in taus:
-        for t2 in taus:
-            total = sum(transfer_factor(m, t1, x) * adjoint_factor(m, x, t2)
-                        for x in xs)
-            if total != (1 if t1 == t2 else 0):
-                return False
-    return True
+    """Exhaustive check of both adjoint relations on the model.
+
+    Σ_τ Δ(φ^x₁, τ)·Δ(τ, φ^x₂) = δ(x₁, x₂) and Σ_x Δ(τ₁, φ^x)·Δ(φ^x, τ₂) =
+    δ(τ₁, τ₂) are NᵀN = |R|·|S|·I and N·Nᵀ = |R|·|S|·I on the numerators.
+    """
+    rows = m.transfer_numerators
+    scale = m.r.size * m.s_size
+
+    def orthogonal(vectors) -> bool:
+        return all(sum(map(mul, u, v)) == (scale if i == j else 0)
+                   for i, u in enumerate(vectors) for j, v in enumerate(vectors))
+
+    return orthogonal(tuple(zip(*rows))) and orthogonal(rows)

@@ -11,6 +11,10 @@ paths of the elliptic enumeration: it reuses the production subsystem walk
 and torsion points, but canonicalizes, counts stabilizers and dedups
 subsystems the slow way, through Fractions, contragredient inverses and
 reflection-subgroup closures.
+
+The packet character sums at the very end are the reference for the
+Walsh–Hadamard transfer table: one O(|R|) loop over the R-group characters
+per entry, straight from ``ParameterModel.pairing``.
 """
 
 from fractions import Fraction
@@ -19,6 +23,7 @@ from math import lcm
 
 from tracestab.elliptic import _bds_children
 from tracestab.linalg import dot, dual_lattice_quotient, hnf_rows, mat_mul, mat_vec, normalize_mod1
+from tracestab.packets import TwoGroup
 from tracestab.rootdata import build_root_datum, contragredient, weyl_group
 
 GRID_N = lcm(*range(1, 13))
@@ -232,3 +237,18 @@ def fraction_elliptic_classes(d):
         out.append((t, fraction_stabilizer_order(w_matrices, t)
                     // oracle_reflection_order(d, roots_t)))
     return out
+
+
+def _packet_character_sum(m, tau, x):
+    eta, r = tau
+    return sum(TwoGroup.char(chi, r) * m.pairing((eta, chi), x) for chi in m.r.elements())
+
+
+def oracle_transfer_factor(m, tau, x):
+    """Δ(τ, φ^x) as a per-entry character sum over the R-group."""
+    return Fraction(_packet_character_sum(m, tau, x), m.s_size)
+
+
+def oracle_adjoint_factor(m, x, tau):
+    """Δ(φ^x, τ) as the |R|⁻¹-weighted per-entry character sum."""
+    return Fraction(_packet_character_sum(m, tau, x), m.r.size)

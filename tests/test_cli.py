@@ -12,6 +12,7 @@ from tracestab.cli import (
     EXIT_MODULE_ERROR,
     EXIT_OK,
     fmt_q,
+    main,
     parse_args,
 )
 
@@ -168,6 +169,27 @@ def test_packets_verify_with_dual_group(tmp_path):
     rc, out, _ = _run_cli(["packets", "verify", "--model", str(model),
                            "--trials", "3"])
     assert rc == EXIT_OK and json.loads(out)["pass"]
+
+
+@pytest.mark.parametrize("dims", [{"sM_dim": -1, "r_dim": 1}, {"sM_dim": True, "r_dim": 1},
+                                  {"sM_dim": 1, "r_dim": -2}, {"sM_dim": 1, "r_dim": "1"}])
+def test_packets_verify_malformed_dimensions_exit_4(tmp_path, dims):
+    model = tmp_path / "m.json"
+    model.write_text(json.dumps(dims))
+    rc, out, err = _run_cli(["packets", "verify", "--model", str(model)])
+    assert rc == EXIT_MALFORMED and out == b""
+    assert b"Traceback" not in err
+    assert json.loads(err)["error"]["kind"] == "malformed-input"
+
+
+@pytest.mark.parametrize("sm, r", [(3, 3), (2, 4)])
+def test_packets_verify_order_64(tmp_path, capsys, sm, r):
+    model = tmp_path / "m.json"
+    model.write_text(json.dumps({"sM_dim": sm, "r_dim": r}))
+    assert main(["packets", "verify", "--model", str(model), "--trials", "2"]) == EXIT_OK
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert checks == {"route_agreement": True, "scaling_law": True,
+                      "adjoint_relations": True, "transfer_roundtrip": True}
 
 
 def test_stabilize_verify_fixtures():

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers_oracle import oracle_adjoint_factor, oracle_transfer_factor
 from tracestab import catalog
-from tracestab.errors import MismatchedModel
+from tracestab.errors import InvalidDimension, MismatchedModel, TraceStabError
 from tracestab.packets import (
     GR_ZERO,
     GaussianRational,
@@ -25,6 +26,8 @@ from tracestab.packets import (
 )
 
 ALL_DIMS = [(sm, r) for sm in range(3) for r in range(3)]
+ORACLE_DIMS = [(sm, r) for sm in range(6) for r in range(6) if sm + r <= 5]
+FLIP_DIMS = [(1, 1), (1, 2), (2, 1), (0, 2), (2, 0)]
 
 
 def _model(sm, r, model_id=None):
@@ -86,6 +89,49 @@ def test_scaling_law(dims):
 @pytest.mark.parametrize("dims", ALL_DIMS)
 def test_adjoint_relations_exhaustive(dims):
     assert verify_adjoint(_model(*dims))
+
+
+def _assert_matches_oracle(m):
+    for tau in m.taus():
+        for x in m.s_elements():
+            assert transfer_factor(m, tau, x) == oracle_transfer_factor(m, tau, x)
+            assert adjoint_factor(m, x, tau) == oracle_adjoint_factor(m, x, tau)
+
+
+@pytest.mark.parametrize("dims", ORACLE_DIMS)
+def test_transfer_table_matches_character_sums(dims):
+    _assert_matches_oracle(_model(*dims))
+
+
+@pytest.mark.parametrize("dims", FLIP_DIMS)
+def test_every_single_flip_matches_oracle_and_fails_adjoint(dims):
+    m = _model(*dims)
+    for char in m.s_elements():
+        for x in m.s_elements():
+            bad = with_flipped_pairing(m, char, x)
+            _assert_matches_oracle(bad)
+            assert not verify_adjoint(bad), f"flip {char}, {x} slipped through"
+
+
+def test_flipped_copy_gets_its_own_table():
+    m = _model(1, 1)
+    assert verify_adjoint(m)
+    bad = with_flipped_pairing(m, (1, 0), (1, 1))
+    assert bad.transfer_numerators != m.transfer_numerators
+    assert verify_adjoint(m) and not verify_adjoint(bad)
+
+
+@pytest.mark.parametrize("dim", [-1, True, 1.0, "2"])
+def test_two_group_rejects_bad_dimension(dim):
+    with pytest.raises(InvalidDimension):
+        TwoGroup(dim)
+    assert issubclass(InvalidDimension, TraceStabError)
+
+
+def test_two_group_char_is_parity_of_common_bits():
+    for c in range(16):
+        for v in range(16):
+            assert TwoGroup.char(c, v) == (-1) ** bin(c & v).count("1")
 
 
 def test_corrupted_pairing_fails_adjoint():
