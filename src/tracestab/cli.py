@@ -101,7 +101,7 @@ def _dump(obj) -> str:
 
 
 def _load_json(path: str):
-    if not os.path.exists(path):
+    if not os.path.isfile(path):
         raise FileNotFoundError(path)
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
@@ -258,7 +258,7 @@ def parse_args(argv) -> RunConfig:
                                      description="Exact spectral coefficients and "
                                                  "stabilization identity checks.")
     parser.add_argument("--threads", type=_thread_count, default=None,
-                        help="parallelism for enumeration internals")
+                        help="accepted for compatibility; has no effect")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     def add_common(p, group=True):
@@ -340,7 +340,7 @@ def _run_i_number(config: RunConfig) -> int:
 
 def _run_elliptic(config: RunConfig) -> int:
     comp = _load_component(config)
-    classes = elliptic_classes(comp, threads=config.threads)
+    classes = elliptic_classes(comp)
     rows = []
     items = []
     for cls in classes:

@@ -11,13 +11,17 @@ the full Weyl action.
 Two twisted shapes are supported in closed form: an arbitrary fixed-point-free
 twist of a torus datum, and a factor-swap of a doubled datum (handled by
 folding to the diagonal).  Everything else raises TwistedUnsupported.
+
+``elliptic_classes`` is memoized on the component's value (base datum, θ and
+its order), never on a canonical key or the ``tag``; the cached tuple of
+frozen classes is shared by every caller.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import lcm
 
 from .errors import TwistedUnsupported
@@ -190,7 +194,7 @@ def _fold(c: TwistedComponent) -> tuple[RootDatum, tuple[IntVec, ...]]:
     return folded, tuple(fixed_basis)
 
 
-def full_rank_subsystems(d: RootDatum, threads: int = 1) -> list[tuple[IntVec, ...]]:
+def full_rank_subsystems(d: RootDatum) -> list[tuple[IntVec, ...]]:
     """Closed full-rank root subsystems up to Weyl conjugacy.
 
     Starts from Φ itself and iterates extended-diagram node deletion on each
@@ -211,13 +215,8 @@ def full_rank_subsystems(d: RootDatum, threads: int = 1) -> list[tuple[IntVec, .
     frontier = [full]
     while frontier:
         new_frontier = []
-        if threads > 1 and len(frontier) > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                expansions = list(pool.map(lambda r: _bds_children(d, r), frontier))
-        else:
-            expansions = [_bds_children(d, roots) for roots in frontier]
-        for children in expansions:
-            for child in children:
+        for roots in frontier:
+            for child in _bds_children(d, roots):
                 key = canon(child)
                 if key not in seen:
                     seen[key] = child
@@ -298,7 +297,8 @@ def _highest_root(psi: RootDatum, comp_simples) -> IntVec:
     return best
 
 
-def elliptic_classes(c: TwistedComponent, threads: int = 1) -> tuple[SemisimpleClass, ...]:
+@cache
+def elliptic_classes(c: TwistedComponent) -> tuple[SemisimpleClass, ...]:
     """Complete duplicate-free list of elliptic classes of the component.
 
     Untwisted components use the subsystem-closure algorithm; supported
@@ -307,20 +307,20 @@ def elliptic_classes(c: TwistedComponent, threads: int = 1) -> tuple[SemisimpleC
     """
     shape = _twist_shape(c)
     if shape == "untwisted":
-        return _elliptic_classes_untwisted(c, threads)
+        return _elliptic_classes_untwisted(c)
     if shape == "torus":
         return _elliptic_classes_torus_twist(c)
     if shape == "fold":
         folded, _ = _fold(c)
         from .weylcoset import untwisted_component
 
-        inner = _elliptic_classes_untwisted(untwisted_component(folded), threads)
+        inner = _elliptic_classes_untwisted(untwisted_component(folded))
         return tuple(SemisimpleClass(k.rep, k.centralizer_datum, k.pi0, k.elliptic, c.tag)
                      for k in inner)
     raise TwistedUnsupported("no enumeration for this twist shape")
 
 
-def _elliptic_classes_untwisted(c: TwistedComponent, threads: int = 1) -> tuple[SemisimpleClass, ...]:
+def _elliptic_classes_untwisted(c: TwistedComponent) -> tuple[SemisimpleClass, ...]:
     d = c.base
     if not d.is_semisimple():
         return ()
@@ -328,21 +328,9 @@ def _elliptic_classes_untwisted(c: TwistedComponent, threads: int = 1) -> tuple[
         trivial = build_root_datum(0, (), ())
         return (SemisimpleClass(torus_point(()), trivial, 1, True, c.tag),)
     w_matrices = [w.matrix for w in weyl_group(d)]
-    subsystems = full_rank_subsystems(d, threads)
-
-    def points_of(roots) -> list[QVec]:
-        basis = hnf_rows(list(roots))
-        return dual_lattice_quotient(tuple(basis))
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            point_lists = list(pool.map(points_of, subsystems))
-    else:
-        point_lists = [points_of(roots) for roots in subsystems]
-
     reps = set()
-    for plist in point_lists:
-        for t in plist:
+    for roots in full_rank_subsystems(d):
+        for t in dual_lattice_quotient(tuple(hnf_rows(list(roots)))):
             a, n = clear_denominators(t)
             reps.add((_orbit_canonical(w_matrices, a, n), n))
     classes = []

@@ -47,28 +47,29 @@ def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> tuple:
     return tuple(tuple(dot(row, col) for col in bt) for row in a)
 
 
-def det(m: Sequence[Sequence]) -> Fraction:
-    """Determinant over Q; the empty 0x0 matrix has determinant 1."""
-    n = len(m)
-    if n == 0:
-        return Fraction(1)
-    rows = [[Fraction(x) for x in row] for row in m]
-    sign = 1
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if rows[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
+def det(m: Sequence[Sequence[int]]) -> Fraction:
+    """Determinant of an integer matrix, as a Fraction; the 0x0 matrix has 1.
+
+    Fraction-free (Bareiss) elimination: every division is exact, so the
+    work stays in integers.
+    """
+    rows = [list(row) for row in m]
+    n = len(rows)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if rows[k][k] == 0:
+            pivot = next((r for r in range(k + 1, n) if rows[r][k] != 0), None)
+            if pivot is None:
+                return Fraction(0)
+            rows[k], rows[pivot] = rows[pivot], rows[k]
             sign = -sign
-        for r in range(col + 1, n):
-            factor = rows[r][col] / rows[col][col]
-            if factor:
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
-    result = Fraction(sign)
-    for i in range(n):
-        result *= rows[i][i]
-    return result
+        pk, row_k = rows[k][k], rows[k]
+        for row in rows[k + 1:]:
+            factor = row[k]
+            for j in range(k + 1, n):
+                row[j] = (row[j] * pk - factor * row_k[j]) // prev  # exact division
+        prev = pk
+    return Fraction(sign * rows[-1][-1] if n else 1)
 
 
 def matrix_rank(m: Sequence[Sequence]) -> int:

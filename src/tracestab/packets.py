@@ -117,20 +117,27 @@ def _walsh_hadamard(values: list[int]) -> list[int]:
 
 @dataclass(frozen=True)
 class DualGroupModel:
-    """Disconnected-group attachment: one twisted component per x in S."""
+    """Disconnected-group attachment: one twisted component per x in S.
+
+    ``validate`` builds each component once; ``component_at`` looks it up.
+    """
 
     base: RootDatum
     thetas: Mapping[SElement, IntMat]
 
+    @cached_property
+    def _components(self) -> dict[SElement, TwistedComponent]:
+        return {}
+
     def component_at(self, x: SElement) -> TwistedComponent:
-        return component(self.base, self.thetas[x])
+        return self._components[x]
 
     def validate(self, s_elements) -> None:
         ident = identity_matrix(self.base.rank)
         for x in s_elements:
             if x not in self.thetas:
                 raise MismatchedModel(f"missing twist for component {x}")
-            self.component_at(x)
+            self._components[x] = component(self.base, self.thetas[x])
         zero = (0, 0)
         if tuple(self.thetas[zero]) != ident:
             raise MismatchedModel("identity component must be untwisted")

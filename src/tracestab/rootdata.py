@@ -449,12 +449,14 @@ def central_cochar_subspace(d: RootDatum) -> tuple[QVec, ...]:
     return tuple(basis)
 
 
+@cache
 def canonical_key(d: RootDatum) -> bytes:
     """Isogeny-class key: Cartan types, lattice positions, central rank.
 
     Data related by an integral basis change composed with a root-system
     automorphism share keys; the invariants are the type decomposition, the
     Smith normal forms of X∨ between Q∨ and P∨, and the central torus rank.
+    The key is memoized on the datum's value.
     """
     types = cartan_type(d)
     ss_rank = d.semisimple_rank

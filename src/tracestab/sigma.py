@@ -10,7 +10,6 @@ untwisted identity at the central classes and memoized by canonical key.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -22,24 +21,17 @@ from .weylcoset import TwistedComponent, i_number, untwisted_component
 
 @dataclass
 class SigmaTable:
-    """Memo table keyed by canonical datum keys, safe for shared use.
-
-    Recomputation of a key is permitted (values are deterministic), so a
-    plain lock around get/set is enough; last write wins harmlessly.
-    """
+    """Memo table keyed by canonical datum keys, with each entry's provenance."""
 
     entries: dict[bytes, Fraction] = field(default_factory=dict)
     provenance: dict[bytes, dict] = field(default_factory=dict)
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False, compare=False)
 
     def get(self, key: bytes) -> Fraction | None:
-        with self._lock:
-            return self.entries.get(key)
+        return self.entries.get(key)
 
     def put(self, key: bytes, value: Fraction, trace: dict) -> None:
-        with self._lock:
-            self.entries[key] = value
-            self.provenance[key] = trace
+        self.entries[key] = value
+        self.provenance[key] = trace
 
 
 def _is_central_class(d: RootDatum, cls: SemisimpleClass) -> bool:

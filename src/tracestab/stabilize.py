@@ -42,11 +42,11 @@ def s_disc_set(m: ParameterModel) -> frozenset[SElement]:
 
 
 def i_phi(m: ParameterModel, x: SElement) -> Fraction:
-    """i-number of the component attached to x; zero off the discrete set."""
-    comp = m.component_at(x)
-    if x not in s_disc_set(m):
-        return Fraction(0)
-    return i_number(comp)
+    """i-number of the component attached to x.
+
+    It is zero off the discrete set, because i(S) sums over regular elements.
+    """
+    return i_number(m.component_at(x))
 
 
 def e_phi(m: ParameterModel, x: SElement, table: SigmaTable | None = None) -> Fraction:

@@ -7,6 +7,10 @@ an element is regular when det(w − 1) ≠ 0 on X∨ ⊗ Q, and
     i(S) = |W(S°)|⁻¹ · Σ_regular sign(w) / |det(w − 1)|
 
 summed with exact rationals.  θ = identity recovers the untwisted component.
+
+``weyl_set`` and ``i_number`` are memoized on the component's value (base
+datum, θ and its order), never on a canonical key or the ``tag``; the cached
+tuples of frozen elements and Fractions are shared by every caller.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .errors import InfiniteOrder, NotAutomorphism
 from .linalg import IntMat, det, identity_matrix, mat_mul, mat_vec
@@ -101,7 +106,7 @@ def coset_sign(d: RootDatum, total: IntMat, positive_roots=None) -> int:
 
 
 def _coset_element(c: TwistedComponent, v: WeylElement, theta_sign: int) -> CosetElement:
-    total = mat_mul(v.matrix, c.theta)
+    total = v.matrix if c.untwisted else mat_mul(v.matrix, c.theta)
     delta = tuple(tuple(total[i][j] - (1 if i == j else 0) for j in range(c.base.rank))
                   for i in range(c.base.rank))
     d = det(delta)
@@ -114,6 +119,7 @@ def _coset_element(c: TwistedComponent, v: WeylElement, theta_sign: int) -> Cose
     )
 
 
+@cache
 def weyl_set(c: TwistedComponent) -> tuple[CosetElement, ...]:
     """The full coset {vθ}, annotated and sorted by total matrix.
 
@@ -125,6 +131,7 @@ def weyl_set(c: TwistedComponent) -> tuple[CosetElement, ...]:
     return tuple(sorted(elements, key=lambda e: e.total))
 
 
+@cache
 def i_number(c: TwistedComponent) -> Fraction:
     """Signed average of 1/|det(w−1)| over the regular part of the coset."""
     elements = weyl_set(c)

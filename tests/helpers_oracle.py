@@ -12,6 +12,10 @@ and torsion points, but canonicalizes, counts stabilizers and dedups
 subsystems the slow way, through Fractions, contragredient inverses and
 reflection-subgroup closures.
 
+``fraction_det`` is the Fraction-elimination determinant that the
+fraction-free ``linalg.det`` replaced; ``fraction_coset_dets`` applies it to
+det(vθ − 1) for every v, the reference for the Weyl sets.
+
 The packet character sums at the very end are the reference for the
 Walsh–Hadamard transfer table: one O(|R|) loop over the R-group characters
 per entry, straight from ``ParameterModel.pairing``.
@@ -237,6 +241,36 @@ def fraction_elliptic_classes(d):
         out.append((t, fraction_stabilizer_order(w_matrices, t)
                     // oracle_reflection_order(d, roots_t)))
     return out
+
+
+def fraction_det(m):
+    """Determinant over Q by Fraction Gaussian elimination."""
+    n = len(m)
+    rows = [[Fraction(x) for x in row] for row in m]
+    sign = 1
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if rows[r][col] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            sign = -sign
+        for r in range(col + 1, n):
+            factor = rows[r][col] / rows[col][col]
+            if factor:
+                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
+    result = Fraction(sign)
+    for i in range(n):
+        result *= rows[i][i]
+    return result
+
+
+def fraction_coset_dets(c):
+    """det(vθ − 1) over v ∈ W by Fraction elimination, sorted by vθ like weyl_set."""
+    n = c.base.rank
+    totals = sorted(mat_mul(v.matrix, c.theta) for v in weyl_group(c.base))
+    return [fraction_det(tuple(tuple(t[i][j] - (i == j) for j in range(n)) for i in range(n)))
+            for t in totals]
 
 
 def _packet_character_sum(m, tau, x):

@@ -48,6 +48,13 @@ def test_missing_file_exits_3():
     assert rc == EXIT_MISSING_FILE
 
 
+@pytest.mark.parametrize("args", [["packets", "verify", "--model"], ["sigma", "--group"]])
+def test_directory_input_exits_3_without_traceback(tmp_path, args):
+    rc, out, err = _run_cli([*args, str(tmp_path)])
+    assert rc == EXIT_MISSING_FILE
+    assert out == b"" and b"Traceback" not in err
+
+
 def test_malformed_json_exits_4(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

@@ -239,3 +239,12 @@ def test_dual_group_cocycle_enforced():
     with pytest.raises(MM):
         ParameterModel("bad", TwoGroup(0), TwoGroup(1),
                        DualGroupModel(base, {(0, 0): ((-1,),), (0, 1): ((1,),)}))
+
+
+def test_component_table_keeps_model_checks():
+    m = catalog.model_swap()
+    built = {x: m.component_at(x) for x in m.s_elements()}
+    assert all(m.component_at(x) is c for x, c in built.items())
+    for x in ((0, 2), (2, 0), (-1, 0), (0, -1)):
+        with pytest.raises(MismatchedModel):
+            m.component_at(x)

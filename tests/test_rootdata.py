@@ -19,7 +19,7 @@ from tracestab.rootdata import (
     quotient_by_central,
     weyl_group,
 )
-from tracestab.weylcoset import i_number, untwisted_component
+from tracestab.weylcoset import component, i_number, untwisted_component, weyl_set
 
 SL2 = catalog.datum("sl2")
 PGL2 = catalog.datum("pgl2")
@@ -227,8 +227,17 @@ def _sl2_pgl2():
 def _invariants(d):
     return (tuple((w.matrix, w.word, w.x_matrix) for w in weyl_group(d)),
             d.positive_roots(),
+            weyl_set(untwisted_component(d)),
             i_number(untwisted_component(d)),
             elliptic_classes(untwisted_component(d)))
+
+
+MEMOS = (weyl_group, canonical_key, weyl_set, i_number, elliptic_classes)
+
+
+def _clear_memos():
+    for memo in MEMOS:
+        memo.cache_clear()
 
 
 def test_invariant_caches_distinguish_data_with_equal_keys():
@@ -236,13 +245,37 @@ def test_invariant_caches_distinguish_data_with_equal_keys():
     assert _so4() != _sl2_pgl2()
     fresh = {}
     for build in (_so4, _sl2_pgl2):
-        weyl_group.cache_clear()
+        _clear_memos()
         fresh[build] = _invariants(build())
     for order in ((_so4, _sl2_pgl2), (_sl2_pgl2, _so4)):
-        weyl_group.cache_clear()
+        _clear_memos()
         for build in order:
             assert _invariants(build()) == fresh[build]
     assert fresh[_so4] != fresh[_sl2_pgl2]
+
+
+def _swap_component():
+    base = build_root_datum(2, [(2, 0), (0, 2)], [(1, 0), (0, 1)])
+    return component(base, ((0, 1), (1, 0)))
+
+
+def test_equal_components_built_apart_share_invariants():
+    first, second = _swap_component(), _swap_component()
+    assert first == second and first is not second
+    _clear_memos()
+    fresh = (weyl_set(first), i_number(first), elliptic_classes(first))
+    assert (weyl_set(second), i_number(second), elliptic_classes(second)) == fresh
+    _clear_memos()
+    assert (weyl_set(second), i_number(second), elliptic_classes(second)) == fresh
+
+
+def test_twist_is_part_of_the_component_memo_key():
+    base = catalog.datum("sl2xsl2")
+    untwisted, swapped = untwisted_component(base), component(base, ((0, 1), (1, 0)))
+    assert untwisted.base == swapped.base
+    assert weyl_set(untwisted) != weyl_set(swapped)
+    assert ({e.total for e in weyl_set(swapped)}
+            == {mat_mul(e.total, swapped.theta) for e in weyl_set(untwisted)})
 
 
 @pytest.mark.parametrize("name", ["sl2", "sp4", "g2", "sl2xsl2"])

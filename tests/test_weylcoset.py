@@ -1,8 +1,9 @@
 from fractions import Fraction
+from random import Random
 
 import pytest
 
-from helpers_oracle import classical_datum
+from helpers_oracle import classical_datum, fraction_coset_dets, fraction_det
 
 from tracestab import catalog
 from tracestab.errors import InfiniteOrder, NotAutomorphism
@@ -146,3 +147,25 @@ SIGN_CASES = _sign_cases()
 def test_reduced_word_sign_equals_inversion_count(name, c):
     for e in weyl_set(c):
         assert e.sign == coset_sign(c.base, e.total)
+
+
+DET_CASES = SIGN_CASES + [(f"{kind}3-ad", untwisted_component(classical_datum(kind, 3, "ad")))
+                          for kind in "ABC"]
+
+
+@pytest.mark.parametrize("name,c", DET_CASES, ids=[n for n, _ in DET_CASES])
+def test_integer_det_matches_fraction_elimination(name, c):
+    dets = [e.det_w_minus_1 for e in weyl_set(c)]
+    assert dets == fraction_coset_dets(c)
+    assert all(type(d) is Fraction for d in dets)
+
+
+def test_det_matches_fraction_elimination_on_random_matrices():
+    rng = Random(5)
+    for n in range(6):
+        for _ in range(40):
+            # Small entries with many zeros force row swaps and singular cases.
+            m = tuple(tuple(rng.choice((-2, -1, 0, 0, 0, 1, 2, 3)) for _ in range(n))
+                      for _ in range(n))
+            value = det(m)
+            assert type(value) is Fraction and value == fraction_det(m)
