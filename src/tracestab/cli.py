@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
@@ -39,6 +40,7 @@ from .sigma import SigmaTable, sigma, verify_central_quotient, verify_ei
 from .stabilize import (
     DiscreteModelSet,
     EndoscopicDescriptor,
+    coefficient_report,
     discrete_part,
     e_phi,
     endoscopic_form,
@@ -48,7 +50,6 @@ from .stabilize import (
     s_disc,
     s_disc_set,
     stable_form,
-    verify_coefficients,
 )
 from .weylcoset import TwistedComponent, component, i_number, untwisted_component
 
@@ -92,7 +93,10 @@ def parse_q(text) -> Fraction:
     if isinstance(text, int):
         return Fraction(text)
     if isinstance(text, str):
-        return Fraction(text)
+        try:
+            return Fraction(text)
+        except (ValueError, ZeroDivisionError):
+            pass
     raise MalformedInput(f"expected an exact rational, got {text!r}")
 
 
@@ -106,6 +110,19 @@ def _load_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     return json.loads(text, parse_float=_reject_float)
+
+
+@contextmanager
+def _parsing():
+    """Report a wrongly shaped value met while turning JSON into data as malformed input.
+
+    Only the parsing steps run under this; the same errors raised by a
+    computation are bugs and propagate.
+    """
+    try:
+        yield
+    except (KeyError, TypeError) as exc:
+        raise MalformedInput(str(exc)) from exc
 
 
 def _reject_float(s):
@@ -144,6 +161,7 @@ def _datum_from_obj(obj) -> RootDatum:
                             _int_matrix(obj["simple_coroots"]))
 
 
+@_parsing()
 def _load_component(config: RunConfig) -> TwistedComponent:
     """Resolve --group (catalog name, datum file, or combined file) + --theta."""
     spec = config.group
@@ -173,6 +191,7 @@ def _load_component(config: RunConfig) -> TwistedComponent:
     return component(base, theta)
 
 
+@_parsing()
 def _load_datum(config: RunConfig) -> RootDatum:
     spec = config.group
     if spec is None:
@@ -200,6 +219,7 @@ def _pair_to_bits(x, sm_dim: int, r_dim: int) -> str:
     return bits_m + bits_r
 
 
+@_parsing()
 def _model_from_obj(obj, fallback_id: str) -> ParameterModel:
     _require_keys(obj, ("sM_dim", "r_dim"), ("dual_group", "id"))
     sm_dim, r_dim = obj["sM_dim"], obj["r_dim"]
@@ -211,6 +231,8 @@ def _model_from_obj(obj, fallback_id: str) -> ParameterModel:
         dobj = obj["dual_group"]
         _require_keys(dobj, ("base", "thetas"))
         base = _datum_from_obj(dobj["base"])
+        if not isinstance(dobj["thetas"], dict):
+            raise MalformedInput("thetas must map component bitstrings to matrices")
         thetas = {}
         for key, mat in sorted(dobj["thetas"].items()):
             thetas[_bits_to_pair(key, sm_dim, r_dim)] = _int_matrix(mat)
@@ -226,6 +248,8 @@ def _descriptor_from_obj(obj, models_by_id) -> EndoscopicDescriptor:
     m = models_by_id.get(obj["model_id"])
     if m is None:
         raise MalformedInput(f"descriptor references unknown model {obj['model_id']!r}")
+    if m.dual_group is None:
+        raise MalformedInput(f"descriptor model {obj['model_id']!r} has no dual group")
     x = _bits_to_pair(obj["x"], m.s_m.dim, m.r.dim)
     gens = tuple(tuple(parse_q(v) for v in g) for g in obj["zbar_generators"])
     zbar = central_subgroup(m.dual_group.base, gens)
@@ -396,9 +420,10 @@ def _run_verify_central_quotient(config: RunConfig) -> int:
     d = _load_datum(config)
     if config.z is None:
         raise MalformedInput("--z FILE is required for central-quotient verification")
-    zobj = _load_json(config.z)
-    _require_keys(zobj, ("generators",))
-    gens = tuple(tuple(parse_q(v) for v in g) for g in zobj["generators"])
+    with _parsing():
+        zobj = _load_json(config.z)
+        _require_keys(zobj, ("generators",))
+        gens = tuple(tuple(parse_q(v) for v in g) for g in zobj["generators"])
     z = central_subgroup(d, gens)
     table = SigmaTable()
     ok = verify_central_quotient(d, z, table)
@@ -441,6 +466,7 @@ def _run_packets_verify(config: RunConfig) -> int:
     return EXIT_OK if ok else EXIT_IDENTITY_FAILED
 
 
+@_parsing()
 def _load_model_set(config: RunConfig):
     if config.models in (None, "fixtures"):
         models = catalog.fixture_models()
@@ -485,7 +511,7 @@ def _run_stabilize_verify(config: RunConfig) -> int:
     by_id = {m.model_id: m for m in ms.models}
     coefficient_checks = []
     for d in descriptors:
-        report = verify_coefficients(by_id[d.model_id], d, table)
+        report = coefficient_report(by_id[d.model_id], d, table)
         for name, lhs, rhs, ok in report.checks:
             coefficient_checks.append({
                 "descriptor": f"{d.group_label}/{d.model_id}",
@@ -594,7 +620,7 @@ def run(config: RunConfig) -> int:
     except FileNotFoundError as exc:
         sys.stderr.write(f"missing file: {exc}\n")
         return EXIT_MISSING_FILE
-    except (MalformedInput, json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (MalformedInput, json.JSONDecodeError) as exc:
         sys.stderr.write(_dump({"error": {"kind": "malformed-input", "detail": str(exc)}}))
         return EXIT_MALFORMED
     except TraceStabError as exc:

@@ -3,10 +3,16 @@
 A torsion point t of the torus represents the element exp(2πi·t); its
 centralizer root system is Φ_t = {α : ⟨α, t⟩ ∈ Z} and the point is elliptic
 exactly when Φ_t spans the whole cocharacter space.  Untwisted enumeration is
-exact and complete: full-rank closed subsystems are produced by iterated
-extended-diagram node deletion, the integral points of each subsystem come
-from a Smith-normal-form lattice quotient, and representatives are deduped by
-the full Weyl action.
+exact and complete and needs no search: on a semisimple datum the elliptic
+points are, up to W ⋉ X∨, the vertices of the fundamental alcove (0 and
+ϖᵢ∨/mᵢ per simple factor, θ = Σ mᵢαᵢ its highest root; Bourbaki, Lie Groups,
+ch. VI §2).  Vertices that Ω_X = X∨/Q∨ identifies give the same least point
+of their Weyl orbit, which names the class; π₀ is the vertex's Weyl
+stabilizer over the centralizer's Weyl group.
+
+``full_rank_subsystems`` (closed full-rank subsystems by iterated
+extended-diagram node deletion) is an independent enumerator, not used by
+the class list; the tests build their search-based reference from it.
 
 Two twisted shapes are supported in closed form: an arbitrary fixed-point-free
 twist of a torus datum, and a factor-swap of a doubled datum (handled by
@@ -23,6 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import lcm
+from operator import add
 
 from .errors import TwistedUnsupported
 from .linalg import (
@@ -33,16 +40,23 @@ from .linalg import (
     coords_in_rows,
     det,
     dot,
-    dual_lattice_quotient,
     hnf_rows,
     identity_matrix,
     int_kernel,
+    invert,
     left_int_kernel,
     mat_mul,
     mat_vec,
     normalize_mod1,
+    transpose,
 )
-from .rootdata import RootDatum, build_root_datum, classical_weyl_order, weyl_group
+from .rootdata import (
+    RootDatum,
+    build_root_datum,
+    classical_weyl_order,
+    diagram_components,
+    weyl_group,
+)
 from .weylcoset import TwistedComponent
 
 
@@ -198,7 +212,8 @@ def full_rank_subsystems(d: RootDatum) -> list[tuple[IntVec, ...]]:
     """Closed full-rank root subsystems up to Weyl conjugacy.
 
     Starts from Φ itself and iterates extended-diagram node deletion on each
-    irreducible component until no new conjugacy class appears.
+    irreducible component until no new conjugacy class appears.  Not used by
+    ``elliptic_classes``; kept as the search side of its cross-check.
     """
     if not d.is_semisimple() or d.rank == 0:
         return [] if not d.is_semisimple() else [()]
@@ -246,17 +261,12 @@ def _closure_under_reflections(d: RootDatum, seeds) -> tuple[IntVec, ...]:
 
 def _bds_children(d: RootDatum, roots: tuple[IntVec, ...]) -> list[tuple[IntVec, ...]]:
     psi = sub_datum(d, roots)
-    simples = list(psi.simple_roots)
-    if not simples:
-        return []
-    coroots = {s: psi.simple_coroots[i] for i, s in enumerate(simples)}
-    components = _diagram_components(simples, coroots)
     children = []
-    for comp in components:
-        highest = _highest_root(psi, comp)
-        lowest = tuple(-x for x in highest)
-        extended = comp + [lowest]
-        rest = [s for s in simples if s not in comp]
+    for comp in diagram_components(psi):
+        comp_simples = sorted(psi.simple_roots[i] for i in comp)
+        highest, _ = _highest_root(psi, comp)
+        extended = comp_simples + [tuple(-x for x in highest)]
+        rest = [s for s in psi.simple_roots if s not in comp_simples]
         for drop in range(len(extended) - 1):  # dropping the affine node is a no-op
             seeds = rest + [r for k, r in enumerate(extended) if k != drop]
             child = _closure_under_reflections(d, seeds)
@@ -265,43 +275,17 @@ def _bds_children(d: RootDatum, roots: tuple[IntVec, ...]) -> list[tuple[IntVec,
     return children
 
 
-def _diagram_components(simples, coroots) -> list[list[IntVec]]:
-    remaining = list(simples)
-    comps = []
-    while remaining:
-        comp = [remaining.pop(0)]
-        grew = True
-        while grew:
-            grew = False
-            for s in list(remaining):
-                if any(dot(s, coroots[t]) != 0 for t in comp):
-                    comp.append(s)
-                    remaining.remove(s)
-                    grew = True
-        comps.append(sorted(comp))
-    return comps
-
-
-def _highest_root(psi: RootDatum, comp_simples) -> IntVec:
-    best = None
-    best_height = None
-    for r in psi.roots:
-        coeffs = coords_in_rows(tuple(comp_simples), r)
-        if coeffs is None:
-            continue
-        if any(c < 0 for c in coeffs):
-            continue
-        height = sum(coeffs)
-        if best is None or height > best_height:
-            best, best_height = r, height
-    return best
+def _highest_root(d: RootDatum, comp) -> tuple[IntVec, IntVec]:
+    """Highest root of one diagram component, with its simple-root coefficients."""
+    return max(((r, c) for r, c in zip(d.roots, d.coefficients) if any(c[i] for i in comp)),
+               key=lambda rc: sum(rc[1]))
 
 
 @cache
 def elliptic_classes(c: TwistedComponent) -> tuple[SemisimpleClass, ...]:
     """Complete duplicate-free list of elliptic classes of the component.
 
-    Untwisted components use the subsystem-closure algorithm; supported
+    Untwisted components are enumerated from alcove vertices; supported
     twists are reduced in closed form.  The list is never silently partial:
     unsupported twists raise.
     """
@@ -320,7 +304,31 @@ def elliptic_classes(c: TwistedComponent) -> tuple[SemisimpleClass, ...]:
     raise TwistedUnsupported("no enumeration for this twist shape")
 
 
+def _alcove_vertices(d: RootDatum) -> list[QVec]:
+    """Vertices of the fundamental alcove of a semisimple datum, in X∨ coordinates.
+
+    A simple factor with highest root θ = Σ mᵢαᵢ has the vertices 0 and
+    ϖᵢ∨/mᵢ, where the fundamental coweights ϖᵢ∨ are the columns of the
+    inverse of the simple-root matrix; the alcove of the datum is the product
+    of its factors' alcoves.
+    """
+    coweights = transpose(invert(d.simple_roots))
+    zero = tuple(Fraction(0) for _ in range(d.rank))
+    points = [zero]
+    for comp in diagram_components(d):
+        _, m = _highest_root(d, comp)
+        factor = [zero] + [tuple(x / m[i] for x in coweights[i]) for i in comp]
+        points = [tuple(map(add, p, v)) for p in points for v in factor]
+    return points
+
+
 def _elliptic_classes_untwisted(c: TwistedComponent) -> tuple[SemisimpleClass, ...]:
+    """One class per orbit of alcove vertices under Ω_X = X∨/Q∨.
+
+    The elliptic points of a semisimple torus are the W ⋉ X∨-images of the
+    alcove vertices (Bourbaki, Lie Groups, ch. VI §2); the least point of each
+    vertex's Weyl orbit mod X∨ names its class.
+    """
     d = c.base
     if not d.is_semisimple():
         return ()
@@ -329,10 +337,9 @@ def _elliptic_classes_untwisted(c: TwistedComponent) -> tuple[SemisimpleClass, .
         return (SemisimpleClass(torus_point(()), trivial, 1, True, c.tag),)
     w_matrices = [w.matrix for w in weyl_group(d)]
     reps = set()
-    for roots in full_rank_subsystems(d):
-        for t in dual_lattice_quotient(tuple(hnf_rows(list(roots)))):
-            a, n = clear_denominators(t)
-            reps.add((_orbit_canonical(w_matrices, a, n), n))
+    for t in _alcove_vertices(d):
+        a, n = clear_denominators(t)
+        reps.add((_orbit_canonical(w_matrices, a, n), n))
     classes = []
     for t, a, n in sorted((tuple(Fraction(x, n) for x in a), a, n) for a, n in reps):
         datum = sub_datum(d, integral_root_subset(d, t))

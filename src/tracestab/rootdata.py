@@ -59,11 +59,20 @@ class WeylElement:
 
 @dataclass(frozen=True)
 class RootDatum:
+    """Based root datum; equality and hashing see only the first five fields.
+
+    ``coefficients`` holds each root's simple-root coefficients (aligned with
+    ``roots``) and ``positives`` the roots of positive height.  Both are
+    carried through the reflection closure of ``build_root_datum``.
+    """
+
     rank: int
     simple_roots: tuple[IntVec, ...]
     simple_coroots: tuple[IntVec, ...]
     roots: tuple[IntVec, ...]
     coroots: tuple[IntVec, ...]  # aligned with roots
+    coefficients: tuple[IntVec, ...] = field(compare=False, repr=False)
+    positives: tuple[IntVec, ...] = field(compare=False, repr=False)
 
     @property
     def semisimple_rank(self) -> int:
@@ -78,29 +87,17 @@ class RootDatum:
         return matrix_rank(self.simple_roots) == self.rank
 
     def positive_roots(self) -> tuple[IntVec, ...]:
-        """Roots with a positive simple-root expansion, computed once per datum."""
-        return self._positives()
+        """Roots with a positive simple-root expansion."""
+        return self.positives
 
     def is_positive(self, root: IntVec) -> bool:
         root = tuple(root)
         if root in self.roots:
-            return root in self._positives()
-        return self._expansion_positive(root)
-
-    def _positives(self) -> tuple[IntVec, ...]:
-        if "_positive_roots" not in self.__dict__:
-            object.__setattr__(self, "_positive_roots",
-                               tuple(r for r in self.roots if self._expansion_positive(r)))
-        return self._positive_roots
-
-    def _expansion_positive(self, root: IntVec) -> bool:
+            return root in self.positives
         coeffs = coords_in_rows(self.simple_roots, root)
         if coeffs is None:
             raise ValueError("vector is not in the root span")
-        for c in coeffs:
-            if c != 0:
-                return c > 0
-        return False
+        return next((c > 0 for c in coeffs if c != 0), False)
 
     def cartan_matrix(self) -> IntMat:
         return tuple(tuple(dot(b, av) for b in self.simple_roots)
@@ -153,30 +150,35 @@ def build_root_datum(rank: int, simple_roots, simple_coroots) -> RootDatum:
         raise NonCartan("simple coroots are linearly dependent")
     _validate_cartan(simple_roots, simple_coroots)
 
+    # Reflecting r by s_j subtracts <r, alpha_j^> from its j-th coefficient.
     bound = _CLOSURE_FACTOR * max(rank, 1)
-    pairs = set(zip(simple_roots, simple_coroots))
-    frontier = list(pairs)
+    unit = identity_matrix(len(simple_roots))
+    found = {a: (av, unit[i]) for i, (a, av) in enumerate(zip(simple_roots, simple_coroots))}
+    frontier = list(found)
     while frontier:
         new_frontier = []
-        for root, coroot in frontier:
-            for alpha, alpha_v in zip(simple_roots, simple_coroots):
-                r = vec_sub(root, tuple(dot(root, alpha_v) * a for a in alpha))
-                rv = vec_sub(coroot, tuple(dot(alpha, coroot) * a for a in alpha_v))
-                if (r, rv) not in pairs:
-                    pairs.add((r, rv))
-                    new_frontier.append((r, rv))
-            neg = (tuple(-x for x in root), tuple(-x for x in coroot))
-            if neg not in pairs:
-                pairs.add(neg)
-                new_frontier.append(neg)
+        for root in frontier:
+            coroot, coeffs = found[root]
+            images = [(tuple(-x for x in root), tuple(-x for x in coroot),
+                       tuple(-c for c in coeffs))]
+            for j, (alpha, alpha_v) in enumerate(zip(simple_roots, simple_coroots)):
+                p = dot(root, alpha_v)
+                images.append((vec_sub(root, tuple(p * a for a in alpha)),
+                               vec_sub(coroot, tuple(dot(alpha, coroot) * a for a in alpha_v)),
+                               coeffs[:j] + (coeffs[j] - p,) + coeffs[j + 1:]))
+            for r, rv, c in images:
+                if r not in found:
+                    found[r] = (rv, c)
+                    new_frontier.append(r)
         frontier = new_frontier
-        if len(pairs) > 2 * bound:
+        if len(found) > 2 * bound:
             raise InfiniteType("reflection closure exceeded the finite-type bound")
 
-    ordered = sorted(pairs)
-    roots = tuple(p[0] for p in ordered)
-    coroots = tuple(p[1] for p in ordered)
-    return RootDatum(rank, simple_roots, simple_coroots, roots, coroots)
+    roots = tuple(sorted(found))
+    coroots = tuple(found[r][0] for r in roots)
+    coefficients = tuple(found[r][1] for r in roots)
+    positives = tuple(r for r, c in zip(roots, coefficients) if sum(c) > 0)
+    return RootDatum(rank, simple_roots, simple_coroots, roots, coroots, coefficients, positives)
 
 
 def simple_reflection_matrix(d: RootDatum, i: int) -> IntMat:
@@ -231,6 +233,31 @@ def classical_weyl_order(d: RootDatum) -> int:
     return order
 
 
+def diagram_components(d: RootDatum) -> tuple[tuple[int, ...], ...]:
+    """Simple-root indices of each connected piece of the Dynkin diagram.
+
+    Components are listed by least index, each in increasing order.
+    """
+    k = d.semisimple_rank
+    cartan = d.cartan_matrix()
+    unvisited = set(range(k))
+    comps = []
+    while unvisited:
+        start = min(unvisited)
+        comp = [start]
+        stack = [start]
+        unvisited.discard(start)
+        while stack:
+            v = stack.pop()
+            for w in range(k):
+                if w in unvisited and cartan[v][w] != 0:
+                    unvisited.discard(w)
+                    comp.append(w)
+                    stack.append(w)
+        comps.append(tuple(sorted(comp)))
+    return tuple(comps)
+
+
 def cartan_type(d: RootDatum) -> tuple[str, ...]:
     """Sorted component labels of the Dynkin diagram.
 
@@ -240,22 +267,8 @@ def cartan_type(d: RootDatum) -> tuple[str, ...]:
     k = d.semisimple_rank
     cartan = d.cartan_matrix()
     adj = {i: [j for j in range(k) if j != i and cartan[i][j] != 0] for i in range(k)}
-    unvisited = set(range(k))
-    labels = []
-    while unvisited:
-        start = min(unvisited)
-        comp = [start]
-        stack = [start]
-        unvisited.discard(start)
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if w in unvisited:
-                    unvisited.discard(w)
-                    comp.append(w)
-                    stack.append(w)
-        labels.append(_classify_component(sorted(comp), cartan, adj))
-    return tuple(sorted(labels))
+    return tuple(sorted(_classify_component(list(comp), cartan, adj)
+                        for comp in diagram_components(d)))
 
 
 def _classify_component(comp, cartan, adj) -> str:

@@ -163,10 +163,8 @@ def fixed_intersection_order(m: ParameterModel, x: SElement, zbar: CentralSubgro
     when some rational representative is fixed by the twist, i.e. when
     (θ−1)·z lands in (θ−1)·X∨.
     """
-    if m.dual_group is None:
-        raise MissingDualGroup(f"model {m.model_id} has no dual-group attachment")
-    theta = m.dual_group.thetas[x]
-    n = m.dual_group.base.rank
+    comp = m.component_at(x)
+    theta, n = comp.theta, comp.base.rank
     delta = tuple(tuple(theta[i][j] - (1 if i == j else 0) for j in range(n))
                   for i in range(n))
     delta_cols = tuple(zip(*delta)) if n else ()
@@ -242,6 +240,22 @@ def verify_coefficients(m: ParameterModel, d: EndoscopicDescriptor,
     return CoefficientReport(tuple(checks))
 
 
+_REPORTS: dict[tuple, CoefficientReport] = {}
+
+
+def coefficient_report(m: ParameterModel, d: EndoscopicDescriptor,
+                       table: SigmaTable | None = None) -> CoefficientReport:
+    """``verify_coefficients``, run once per (component of d.x, |S|, d) value.
+
+    Those three values fix every input of the checks, so a descriptor met
+    again, by another form, trial or CLI section, reuses its report.
+    """
+    key = (m.component_at(d.x), m.s_size, d)
+    if key not in _REPORTS:
+        _REPORTS[key] = verify_coefficients(m, d, table)
+    return _REPORTS[key]
+
+
 def endoscopic_form(ms: DiscreteModelSet, descriptors, f1: TestVector, f2: TestVector,
                     table: SigmaTable | None = None) -> GaussianRational:
     """Descriptor-grouped form Σ_{G'} ι(G,G')·Σ_{φ'} |S_{φ'}|⁻¹σ(S̄°_{φ'})·f₁·conj(f₂).
@@ -258,7 +272,7 @@ def endoscopic_form(ms: DiscreteModelSet, descriptors, f1: TestVector, f2: TestV
     for d in descriptors:
         if d.model_id not in by_model:
             raise InconsistentDescriptor(f"descriptor references unknown model {d.model_id}")
-        report = verify_coefficients(by_model[d.model_id], d, table)
+        report = coefficient_report(by_model[d.model_id], d, table)
         if not report.passed:
             raise InconsistentDescriptor(
                 f"descriptor for {d.model_id}:{d.x} fails {report.failed_names()}")

@@ -6,11 +6,14 @@ walks, no Smith normal forms.  Points come from a literal torsion-grid scan
 (rank 2), which cover exactly the grid points whose integral-root set has
 full rank; dedup is by the full Weyl action.
 
-The Fraction orbit walk at the end is the reference for the integer fast
-paths of the elliptic enumeration: it reuses the production subsystem walk
-and torsion points, but canonicalizes, counts stabilizers and dedups
-subsystems the slow way, through Fractions, contragredient inverses and
-reflection-subgroup closures.
+The Fraction orbit walk at the end is the search-based reference for the
+alcove-vertex enumeration: it takes every full-rank closed subsystem from
+the extended-diagram walk (``_bds_children``, as ``full_rank_subsystems``
+does), the torsion points of each from a Smith-normal-form lattice quotient,
+and canonicalizes, counts stabilizers and dedups subsystems the slow way,
+through Fractions, contragredient inverses and reflection-subgroup closures.
+``expansion_positive_roots`` is the Fraction-elimination sign rule that the
+closure-built positive system replaced.
 
 ``fraction_det`` is the Fraction-elimination determinant that the
 fraction-free ``linalg.det`` replaced; ``fraction_coset_dets`` applies it to
@@ -22,11 +25,21 @@ per entry, straight from ``ParameterModel.pairing``.
 """
 
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 from math import lcm
 
+from tracestab import catalog
 from tracestab.elliptic import _bds_children
-from tracestab.linalg import dot, dual_lattice_quotient, hnf_rows, mat_mul, mat_vec, normalize_mod1
+from tracestab.linalg import (
+    coords_in_rows,
+    dot,
+    dual_lattice_quotient,
+    hnf_rows,
+    mat_mul,
+    mat_vec,
+    normalize_mod1,
+)
 from tracestab.packets import TwoGroup
 from tracestab.rootdata import build_root_datum, contragredient, weyl_group
 
@@ -184,10 +197,35 @@ def classical_datum(kind, n, form):
         c[n - 1][n - 2] = -2
     elif kind == "D":
         c[n - 3][n - 1] = c[n - 1][n - 3] = -1
+    return datum_from_cartan(c, form)
+
+
+LADDER = (("A", 3), ("B", 3), ("C", 3), ("A", 4), ("D", 4), ("B", 4))
+
+
+def catalog_and_ladder_data():
+    """(name, datum) for every catalog datum and for A3–B4 in sc and ad forms."""
+    return [(name, catalog.datum(name)) for name in catalog.datum_names()] + [
+        (f"{kind}{n}-{form}", classical_datum(kind, n, form))
+        for kind, n in LADDER for form in ("sc", "ad")]
+
+
+F4_CARTAN = ((2, -1, 0, 0), (-1, 2, -2, 0), (0, -1, 2, -1), (0, 0, -1, 2))
+
+
+def datum_from_cartan(c, form):
+    """Simply connected ("sc") or adjoint ("ad") datum whose simple roots pair as c."""
+    n = len(c)
     ident = [[int(i == j) for j in range(n)] for i in range(n)]
     if form == "sc":
         return build_root_datum(n, c, ident)
     return build_root_datum(n, ident, [list(col) for col in zip(*c)])
+
+
+def expansion_positive_roots(d):
+    """Roots whose first nonzero simple-root coordinate is positive, by Fraction elimination."""
+    return tuple(r for r in d.roots
+                 if next(x for x in coords_in_rows(d.simple_roots, r) if x) > 0)
 
 
 def fraction_orbit_canonical(w_matrices, t):
@@ -198,6 +236,7 @@ def fraction_stabilizer_order(w_matrices, t):
     return sum(1 for m in w_matrices if normalize_mod1(mat_vec(m, t)) == t)
 
 
+@cache
 def sorted_image_subsystems(d):
     """Full-rank subsystems deduped by sorting root images under contragredients."""
     if not d.is_semisimple():

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from tracestab import cli as cli_module
 from tracestab.cli import (
     EXIT_MALFORMED,
     EXIT_MISSING_FILE,
@@ -75,6 +76,50 @@ def test_floats_rejected(tmp_path):
     spec.write_text('{"rank": 1, "simple_roots": [[2.0]], "simple_coroots": [[1]]}')
     rc, _, _ = _run_cli(["sigma", "--group", str(spec)])
     assert rc == EXIT_MALFORMED
+
+
+@pytest.mark.parametrize("error", [KeyError, TypeError])
+def test_internal_error_is_not_reported_as_malformed_input(monkeypatch, error):
+    def broken(*args, **kwargs):
+        raise error("internal")
+
+    monkeypatch.setattr(cli_module, "sigma", broken)
+    # The error propagates (a process would exit 1 with a traceback); run()
+    # does not turn it into exit 4.
+    with pytest.raises(error):
+        main(["sigma", "--group", "sl2"])
+
+
+DESCRIPTOR = {"group_label": "g", "model_id": "m", "x": "1", "class_index": 0,
+              "out_card": 1, "out_phi_card": 1, "zbar_generators": [], "sprime": "sl2",
+              "splus_over_s_card": 1, "s_phi_prime_card": 1}
+MODEL = {"id": "m", "sM_dim": 1, "r_dim": 0,
+         "dual_group": {"base": "sl2", "thetas": {"0": [[1]], "1": [[-1]]}}}
+
+
+@pytest.mark.parametrize("args,name,content", [
+    (["sigma", "--group"], "g.json", {"rank": 1, "simple_roots": [[2]]}),
+    (["stabilize", "verify", "--models"], "m.json", {"models": 5}),
+    (["stabilize", "verify", "--models"], "m.json", {"models": [MODEL], "descriptors": [
+        {**DESCRIPTOR, "zbar_generators": 5}]}),
+    (["stabilize", "verify", "--models"], "m.json", {"models": [MODEL], "descriptors": [
+        {k: v for k, v in DESCRIPTOR.items() if k != "sprime"}]}),
+    (["verify", "central-quotient", "--group", "sl2", "--z"], "z.json", {"generators": 1}),
+    (["verify", "central-quotient", "--group", "sl2", "--z"], "z.json",
+     {"generators": [["1/0"]]}),
+    (["stabilize", "verify", "--models"], "m.json", {"models": [
+        {**MODEL, "dual_group": {"base": "sl2", "thetas": []}}]}),
+    (["stabilize", "verify", "--models"], "m.json", {"models": [
+        {"id": "m", "sM_dim": 1, "r_dim": 0}], "descriptors": [DESCRIPTOR]}),
+], ids=["missing-rank", "models-not-a-list", "generators-not-a-list", "missing-sprime",
+        "generators-int", "bad-rational", "thetas-not-an-object", "descriptor-without-dual"])
+def test_wrongly_shaped_input_exits_4_without_traceback(tmp_path, args, name, content):
+    path = tmp_path / name
+    path.write_text(json.dumps(content))
+    rc, out, err = _run_cli([*args, str(path)])
+    assert rc == EXIT_MALFORMED and out == b""
+    assert b"Traceback" not in err
+    assert json.loads(err)["error"]["kind"] == "malformed-input"
 
 
 def test_module_error_exits_5(tmp_path):

@@ -1,8 +1,12 @@
 from fractions import Fraction
+from math import prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers_oracle import (
+    catalog_and_ladder_data,
     classical_datum,
     fraction_elliptic_classes,
     oracle_classes,
@@ -11,6 +15,7 @@ from helpers_oracle import (
 
 from tracestab import catalog
 from tracestab.elliptic import (
+    _alcove_vertices,
     centralizer,
     elliptic_classes,
     full_rank_subsystems,
@@ -19,9 +24,16 @@ from tracestab.elliptic import (
     validate_twisted_candidates,
 )
 from tracestab.errors import TwistedUnsupported
-from tracestab.linalg import mat_vec
-from tracestab.rootdata import build_root_datum, cartan_type, contragredient, weyl_group
-from tracestab.weylcoset import component, untwisted_component
+from tracestab.linalg import identity_matrix, mat_vec
+from tracestab.rootdata import (
+    build_root_datum,
+    cartan_type,
+    contragredient,
+    diagram_components,
+    weyl_group,
+)
+from tracestab.sigma import sigma
+from tracestab.weylcoset import component, i_number, untwisted_component
 
 RANK_LE_2 = ["trivial", "gl1", "sl2", "pgl2", "sl3", "pgl3", "sp4", "so5", "g2", "sl2xsl2"]
 
@@ -38,11 +50,10 @@ def test_untwisted_enumeration_matches_grid_oracle(name):
         assert cartan_type(cls.centralizer_datum) == ctype
 
 
-# The integer orbit walk and the root-index subsystem dedup against the
-# Fraction reference they replaced.
-FAST_PATH_DATA = [(name, catalog.datum(name)) for name in catalog.datum_names()] + [
-    (f"{kind}3-{form}", classical_datum(kind, 3, form))
-    for kind in "ABC" for form in ("sc", "ad")]
+# The alcove-vertex enumeration against the search-based Fraction reference,
+# and the root-index subsystem dedup against the sorted-image one, on the
+# catalog and on the whole sigma ladder.
+FAST_PATH_DATA = catalog_and_ladder_data()
 
 
 @pytest.mark.parametrize("name,d", FAST_PATH_DATA, ids=[n for n, _ in FAST_PATH_DATA])
@@ -173,6 +184,54 @@ def test_class_count_invariant_under_basis_change():
     assert sorted(c.pi0 for c in got) == sorted(c.pi0 for c in expected)
     assert (sorted(cartan_type(c.centralizer_datum) for c in got)
             == sorted(cartan_type(c.centralizer_datum) for c in expected))
+
+
+BASIS_CHANGE_DATA = [catalog.datum(name) for name in catalog.datum_names()] + [
+    classical_datum(kind, 3, form) for kind in "ABC" for form in ("sc", "ad")]
+
+
+@st.composite
+def unimodular(draw, n):
+    """A random element of GL_n(Z): signed elementary row operations, then a permutation."""
+    if n == 0:
+        return ()
+    u = [list(row) for row in identity_matrix(n)]
+    for _ in range(draw(st.integers(0, 4))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if i == j:
+            u[i] = [-x for x in u[i]]
+        else:
+            k = draw(st.integers(-2, 2))
+            u[i] = [a + k * b for a, b in zip(u[i], u[j])]
+    return tuple(tuple(u[p]) for p in draw(st.permutations(range(n))))
+
+
+def _invariants(d):
+    c = untwisted_component(d)
+    classes = elliptic_classes(c)
+    return (len(classes), sorted((k.pi0, cartan_type(k.centralizer_datum)) for k in classes),
+            i_number(c), sigma(d))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_invariants_under_random_integral_basis_change(data):
+    d = data.draw(st.sampled_from(BASIS_CHANGE_DATA))
+    u = data.draw(unimodular(d.rank))
+    ut = contragredient(u) if u else ()
+    changed = build_root_datum(d.rank, [mat_vec(ut, a) for a in d.simple_roots],
+                               [mat_vec(u, a) for a in d.simple_coroots])
+    assert _invariants(changed) == _invariants(d)
+
+
+@pytest.mark.parametrize("name,d", FAST_PATH_DATA, ids=[n for n, _ in FAST_PATH_DATA])
+def test_alcove_vertices_are_elliptic(name, d):
+    if not d.is_semisimple() or d.rank == 0:
+        return
+    vertices = _alcove_vertices(d)
+    assert len(vertices) == prod(len(comp) + 1 for comp in diagram_components(d))
+    c = untwisted_component(d)
+    assert all(is_elliptic(c, torus_point(t)) for t in vertices)
 
 
 def test_validate_twisted_candidates():

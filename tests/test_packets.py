@@ -241,6 +241,17 @@ def test_dual_group_cocycle_enforced():
                        DualGroupModel(base, {(0, 0): ((-1,),), (0, 1): ((1,),)}))
 
 
+def test_dual_group_cocycle_failure_names_the_pair():
+    from tracestab.packets import DualGroupModel
+
+    # theta(0,1)·theta(0,2) = 1 is not a Weyl element times theta(0,3)^-1 = swap.
+    swap = ((0, 1), (1, 0))
+    thetas = {(0, 0): ((1, 0), (0, 1)), (0, 1): swap, (0, 2): swap, (0, 3): swap}
+    with pytest.raises(MismatchedModel, match=r"twist cocycle fails at \(0, 1\), \(0, 2\)"):
+        ParameterModel("bad", TwoGroup(0), TwoGroup(2),
+                       DualGroupModel(catalog.datum("sl2xsl2"), thetas))
+
+
 def test_component_table_keeps_model_checks():
     m = catalog.model_swap()
     built = {x: m.component_at(x) for x in m.s_elements()}

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers_oracle import catalog_and_ladder_data, expansion_positive_roots
 from tracestab import catalog
 from tracestab.elliptic import elliptic_classes
 from tracestab.errors import NonCartan, NotCentral
@@ -282,3 +283,15 @@ def test_twist_is_part_of_the_component_memo_key():
 def test_x_matrices_are_contragredient(name):
     for w in weyl_group(catalog.datum(name)):
         assert w.x_matrix == contragredient(w.matrix)
+
+
+POSITIVE_DATA = catalog_and_ladder_data()
+
+
+@pytest.mark.parametrize("name,d", POSITIVE_DATA, ids=[n for n, _ in POSITIVE_DATA])
+def test_closure_positive_system_matches_expansion_rule(name, d):
+    assert d.positive_roots() == expansion_positive_roots(d)
+    assert all(d.is_positive(r) == (r in d.positive_roots()) for r in d.roots)
+    for root, coeffs in zip(d.roots, d.coefficients):
+        assert tuple(sum(c * a[j] for c, a in zip(coeffs, d.simple_roots))
+                     for j in range(d.rank)) == root

@@ -4,11 +4,14 @@ from fractions import Fraction
 
 import pytest
 
+from helpers_oracle import F4_CARTAN, datum_from_cartan
 from tracestab import catalog
 from tracestab.cli import EXIT_MODULE_ERROR, parse_args, run
+from tracestab.elliptic import elliptic_classes
 from tracestab.errors import InconsistentClasses
 from tracestab.rootdata import build_root_datum, central_subgroup
 from tracestab.sigma import SigmaTable, sigma, verify_central_quotient, verify_ei
+from tracestab.weylcoset import untwisted_component
 
 # The package re-exports the function ``sigma``, which shadows the submodule.
 sigma_module = importlib.import_module("tracestab.sigma")
@@ -31,6 +34,14 @@ def test_sigma_zero_for_positive_central_rank():
     d = build_root_datum(2, [(2, 0)], [(1, 0)])  # SL2 x GL1
     assert sigma(d) == 0
     assert sigma(build_root_datum(3, [], [])) == 0
+
+
+@pytest.mark.parametrize("form", ["sc", "ad"])
+def test_sigma_f4_regression_seed(form):
+    # Recorded when F4 first became feasible; no independent check exists yet.
+    d = datum_from_cartan(F4_CARTAN, form)
+    assert len(elliptic_classes(untwisted_component(d))) == 5  # the extended-diagram nodes
+    assert sigma(d) == Fraction(493013, 3981312)
 
 
 def test_sigma_product_law():

@@ -1,3 +1,4 @@
+import importlib
 from dataclasses import replace
 from fractions import Fraction
 from random import Random
@@ -10,6 +11,7 @@ from tracestab.packets import GaussianRational, ParameterModel, TestVector, TwoG
 from tracestab.sigma import SigmaTable
 from tracestab.stabilize import (
     DiscreteModelSet,
+    coefficient_report,
     discrete_part,
     e_phi,
     endoscopic_form,
@@ -25,6 +27,7 @@ from tracestab.stabilize import (
 )
 
 TABLE = SigmaTable()
+stabilize_module = importlib.import_module("tracestab.stabilize")
 
 
 def _fixture_set():
@@ -278,6 +281,39 @@ def test_endoscopic_form_rejects_inconsistent_descriptor():
     ones = TestVector.constant(ms.models, 1)
     with pytest.raises(InconsistentDescriptor):
         endoscopic_form(ms, bad, ones, ones, TABLE)
+
+
+def test_each_descriptor_is_checked_once(monkeypatch):
+    ms, descriptors = _fixture_set()
+    calls = []
+
+    def counted(m, d, table=None):
+        calls.append(d)
+        return verify_coefficients(m, d, table)
+
+    monkeypatch.setattr(stabilize_module, "verify_coefficients", counted)
+    monkeypatch.setattr(stabilize_module, "_REPORTS", {})
+    ones = TestVector.constant(ms.models, 1)
+    first = endoscopic_form(ms, descriptors, ones, ones, TABLE)
+    assert endoscopic_form(ms, descriptors, ones, ones, TABLE) == first
+    by_id = {m.model_id: m for m in ms.models}
+    for d in descriptors:
+        assert coefficient_report(by_id[d.model_id], d) == verify_coefficients(
+            by_id[d.model_id], d, TABLE)
+    assert len(calls) == len(set(descriptors)) and set(calls) == set(descriptors)
+
+
+def test_inconsistent_descriptor_fails_every_time_with_the_same_message():
+    ms, descriptors = _fixture_set()
+    bad = list(descriptors)
+    bad[0] = replace(bad[0], s_phi_prime_card=bad[0].s_phi_prime_card + 1)
+    ones = TestVector.constant(ms.models, 1)
+    messages = set()
+    for _ in range(2):
+        with pytest.raises(InconsistentDescriptor) as info:
+            endoscopic_form(ms, bad, ones, ones, TABLE)
+        messages.add(str(info.value))
+    assert len(messages) == 1 and "fails" in messages.pop()
 
 
 def test_endoscopic_form_rejects_mixed_iota_in_group():
