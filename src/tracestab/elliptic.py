@@ -49,6 +49,7 @@ from .linalg import (
     mat_vec,
     normalize_mod1,
     transpose,
+    vec_sub,
 )
 from .rootdata import (
     RootDatum,
@@ -94,18 +95,15 @@ def integral_root_subset(d: RootDatum, t: QVec) -> tuple[IntVec, ...]:
 def sub_datum(d: RootDatum, roots) -> RootDatum:
     """Based sub-datum on the same lattice spanned by a closed root subset."""
     roots = set(map(tuple, roots))
-    positives = sorted(r for r in roots if d.is_positive(r))
-    simples = []
+    simples = _indecomposables(sorted(r for r in roots if d.is_positive(r)))
+    return build_root_datum(d.rank, simples, tuple(d.coroot_of(a) for a in simples))
+
+
+def _indecomposables(positives: list[IntVec]) -> tuple[IntVec, ...]:
+    """Simple roots of a positive system: those not a sum of two positives."""
     positive_set = set(positives)
-    for alpha in positives:
-        decomposable = any(
-            tuple(a - b for a, b in zip(alpha, beta)) in positive_set
-            for beta in positives if beta != alpha
-        )
-        if not decomposable:
-            simples.append(alpha)
-    return build_root_datum(d.rank, tuple(simples),
-                            tuple(d.coroot_of(a) for a in simples))
+    return tuple(alpha for alpha in positives
+                 if not any(vec_sub(alpha, beta) in positive_set for beta in positives))
 
 
 # Torsion points t = a/n travel through the Weyl loops as (a, n), with a an
@@ -194,15 +192,9 @@ def _fold(c: TwistedComponent) -> tuple[RootDatum, tuple[IntVec, ...]]:
             raise TwistedUnsupported("folded coroot leaves the fixed lattice")
         bar_coroot = tuple(int(x) for x in coords)
         folded_pairs[bar_root] = bar_coroot
-    positives = [r for r in folded_pairs if next((x for x in r if x), 0) > 0]
-    positive_set = set(positives)
-    simples = []
-    for alpha in sorted(positives):
-        if not any(tuple(a - b for a, b in zip(alpha, beta)) in positive_set
-                   for beta in positives if beta != alpha):
-            simples.append(alpha)
-    folded = build_root_datum(m, tuple(simples),
-                              tuple(folded_pairs[a] for a in simples))
+    simples = _indecomposables(sorted(r for r in folded_pairs
+                                      if next((x for x in r if x), 0) > 0))
+    folded = build_root_datum(m, simples, tuple(folded_pairs[a] for a in simples))
     if set(folded.roots) != set(folded_pairs):
         raise TwistedUnsupported("twist is not a clean factor swap")
     return folded, tuple(fixed_basis)

@@ -3,14 +3,20 @@
 Everything here works on tuples of ints or Fractions; no floats ever enter.
 Matrices are tuples of row tuples, vectors are flat tuples, and matrices act
 on column vectors (``mat_vec(M, v) == M @ v``).
+
+Elimination over Q has one routine, the fraction-free Gauss–Jordan
+``_echelon``; ``matrix_rank``, ``invert``, ``coords_in_rows`` and
+``in_integer_row_span`` are built on it.  ``det`` is fraction-free too
+(Bareiss), and the integer normal forms ``hnf_rows`` and
+``snf_with_transforms`` work over Z.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Sequence
 
 IntVec = tuple[int, ...]
 IntMat = tuple[IntVec, ...]
@@ -72,84 +78,65 @@ def det(m: Sequence[Sequence[int]]) -> Fraction:
     return Fraction(sign * rows[-1][-1] if n else 1)
 
 
-def matrix_rank(m: Sequence[Sequence]) -> int:
-    rows = [[Fraction(x) for x in row] for row in m]
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
+def _echelon(rows: Sequence[Sequence]) -> tuple[list[list[int]], list[int]]:
+    """Reduced row echelon form of a rational matrix, kept in integers.
+
+    Fraction-free Gauss–Jordan: each row is scaled to integers up front,
+    and each update ``p·row − row[c]·pivot_row`` is divided by the row's
+    gcd.  Returns the nonzero rows, each an integer multiple of the matching
+    reduced row (zero in every other pivot column), and the pivot columns.
+    """
+    work = []
+    for row in rows:
+        scale = lcm(*(x.denominator for x in row))
+        work.append([x.numerator * (scale // x.denominator) for x in row])
+    pivots: list[int] = []
+    for col in range(len(work[0]) if work else 0):
+        rank = len(pivots)
+        pivot = next((r for r in range(rank, len(work)) if work[r][col]), None)
         if pivot is None:
             continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col]:
-                factor = rows[r][col] / rows[rank][col]
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank
+        work[rank], work[pivot] = work[pivot], work[rank]
+        pivot_row = work[rank]
+        p = pivot_row[col]
+        for r, row in enumerate(work):
+            factor = row[col]
+            if r != rank and factor:
+                row = [p * a - factor * b for a, b in zip(row, pivot_row)]
+                g = gcd(*row) or 1
+                work[r] = [a // g for a in row]
+        pivots.append(col)
+    return work[:len(pivots)], pivots
+
+
+def matrix_rank(m: Sequence[Sequence]) -> int:
+    return len(_echelon(m)[1])
 
 
 def invert(m: Sequence[Sequence]) -> tuple[QVec, ...]:
     """Inverse over Q; raises ValueError on a singular matrix."""
     n = len(m)
-    aug = [[Fraction(x) for x in row] + [Fraction(1 if i == j else 0) for j in range(n)]
-           for i, row in enumerate(m)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise ValueError("singular matrix")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv_p = 1 / aug[col][col]
-        aug[col] = [a * inv_p for a in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                factor = aug[r][col]
-                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
-
-
-def solve(m: Sequence[Sequence], b: Sequence) -> QVec:
-    """Solve the square system m @ x == b over Q."""
-    inv = invert(m)
-    return mat_vec(inv, tuple(Fraction(x) for x in b))
-
-
-def is_integral(v: Iterable) -> bool:
-    return all(Fraction(x).denominator == 1 for x in v)
+    reduced, pivots = _echelon([list(row) + [int(i == j) for j in range(n)]
+                                for i, row in enumerate(m)])
+    if pivots != list(range(n)):
+        raise ValueError("singular matrix")
+    return tuple(tuple(Fraction(x, row[i]) for x in row[n:]) for i, row in enumerate(reduced))
 
 
 def coords_in_rows(rows: Sequence[Sequence], v: Sequence) -> QVec | None:
-    """Coefficients expressing v in the Q-row-span of rows, or None."""
-    if not rows:
-        return () if all(x == 0 for x in v) else None
-    aug = [[Fraction(x) for x in row] for row in rows]
-    target = [Fraction(x) for x in v]
-    ncols = len(aug[0])
-    coeffs = [[Fraction(1 if i == j else 0) for j in range(len(rows))] for i in range(len(rows))]
-    pivots: list[tuple[int, int]] = []
-    rank = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, len(aug)) if aug[r][col] != 0), None)
-        if pivot is None:
-            continue
-        aug[rank], aug[pivot] = aug[pivot], aug[rank]
-        coeffs[rank], coeffs[pivot] = coeffs[pivot], coeffs[rank]
-        for r in range(len(aug)):
-            if r != rank and aug[r][col]:
-                factor = aug[r][col] / aug[rank][col]
-                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[rank])]
-                coeffs[r] = [a - factor * b for a, b in zip(coeffs[r], coeffs[rank])]
-        pivots.append((rank, col))
-        rank += 1
-    sol = [Fraction(0)] * len(rows)
-    for r, col in pivots:
-        factor = target[col] / aug[r][col]
-        if factor:
-            target = [a - factor * b for a, b in zip(target, aug[r])]
-            sol = [a + factor * b for a, b in zip(sol, coeffs[r])]
-    if any(x != 0 for x in target):
+    """Coefficients expressing v in the Q-row-span of rows, or None.
+
+    The rows must be linearly independent, so that the coefficients are
+    unique; every caller passes a basis.
+    """
+    k = len(rows)
+    reduced, pivots = _echelon([[row[j] for row in rows] + [x] for j, x in enumerate(v)])
+    if pivots and pivots[-1] == k:
         return None
-    return tuple(sol)
+    coeffs = [Fraction(0)] * k
+    for row, col in zip(reduced, pivots):
+        coeffs[col] = Fraction(row[k], row[col])
+    return tuple(coeffs)
 
 
 def hnf_rows(rows: Sequence[Sequence[int]]) -> list[IntVec]:
@@ -308,13 +295,15 @@ def dual_lattice_quotient(a: Sequence[Sequence[int]]) -> list[QVec]:
 
 
 def int_kernel(m: Sequence[Sequence[int]]) -> list[IntVec]:
-    """Saturated integer basis of {v : m @ v == 0}."""
+    """Saturated integer basis of {v : m @ v == 0}.
+
+    ``m`` needs at least one row: with none there is no column count, and
+    the result is ``[]``.  A row of zeros stands for no condition.
+    """
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
     if ncols == 0:
         return []
-    if nrows == 0:
-        return [tuple(row) for row in identity_matrix(ncols)]
     d, _, v = snf_with_transforms(m)
     rank = sum(1 for i in range(min(nrows, ncols)) if d[i][i] != 0)
     cols = transpose(v)
@@ -328,16 +317,8 @@ def left_int_kernel(m: Sequence[Sequence[int]]) -> list[IntVec]:
 
 def in_integer_row_span(rows: Sequence[Sequence[int]], target: Sequence) -> bool:
     """Whether a rational vector lies in the Z-row-span of integer rows."""
-    basis = hnf_rows(rows)
-    vec = [Fraction(x) for x in target]
-    for row in basis:
-        col = next(i for i, x in enumerate(row) if x != 0)
-        if vec[col] != 0:
-            q = vec[col] / row[col]
-            vec = [a - q * b for a, b in zip(vec, row)]
-            if q.denominator != 1:
-                return False
-    return all(x == 0 for x in vec)
+    coeffs = coords_in_rows(hnf_rows(rows), target)
+    return coeffs is not None and all(c.denominator == 1 for c in coeffs)
 
 
 def clear_denominators(v: Sequence[Fraction]) -> tuple[IntVec, int]:

@@ -432,36 +432,6 @@ def central_torsion_points(d: RootDatum) -> tuple[QVec, ...]:
     return tuple(sorted(normalize_mod1(t) for t in reps))
 
 
-def central_cochar_subspace(d: RootDatum) -> tuple[QVec, ...]:
-    """Q-basis of the cocharacter directions killed by every root."""
-    if not d.simple_roots:
-        return tuple(tuple(Fraction(x) for x in row) for row in identity_matrix(d.rank))
-    rows = [[Fraction(x) for x in alpha] for alpha in d.simple_roots]
-    n = d.rank
-    pivots = []
-    rank = 0
-    for col in range(n):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col]:
-                factor = rows[r][col] / rows[rank][col]
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
-        pivots.append(col)
-        rank += 1
-    free = [c for c in range(n) if c not in pivots]
-    basis = []
-    for f in free:
-        vec = [Fraction(0)] * n
-        vec[f] = Fraction(1)
-        for r, col in enumerate(pivots):
-            vec[col] = -rows[r][f] / rows[r][col]
-        basis.append(tuple(vec))
-    return tuple(basis)
-
-
 @cache
 def canonical_key(d: RootDatum) -> bytes:
     """Isogeny-class key: Cartan types, lattice positions, central rank.

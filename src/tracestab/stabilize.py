@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .elliptic import SemisimpleClass, elliptic_classes
 from .errors import InconsistentDescriptor, MissingDualGroup
-from .linalg import dot, in_integer_row_span, mat_vec, matrix_rank
+from .linalg import dot, identity_matrix, in_integer_row_span, int_kernel, mat_vec, matrix_rank
 from .packets import (
     GR_ZERO,
     GaussianRational,
@@ -25,7 +25,7 @@ from .packets import (
     TestVector,
     theta_transfer,
 )
-from .rootdata import CentralSubgroup, RootDatum, central_cochar_subspace, subgroup_mod1
+from .rootdata import CentralSubgroup, RootDatum, subgroup_mod1
 from .sigma import SigmaTable, sigma
 from .weylcoset import i_number, weyl_set
 
@@ -65,7 +65,8 @@ def phi_disc(m: ParameterModel) -> bool:
     if m.dual_group is None:
         raise MissingDualGroup(f"model {m.model_id} has no dual-group attachment")
     base = m.dual_group.base
-    central = central_cochar_subspace(base)
+    # Only the dimension of the twist-fixed part counts, so any basis will do.
+    central = int_kernel(base.simple_roots) if base.simple_roots else identity_matrix(base.rank)
     if not central:
         return True
     # v = Σ c_j b_j is fixed by every twist iff the stacked rows kill c.

@@ -17,7 +17,10 @@ closure-built positive system replaced.
 
 ``fraction_det`` is the Fraction-elimination determinant that the
 fraction-free ``linalg.det`` replaced; ``fraction_coset_dets`` applies it to
-det(vθ − 1) for every v, the reference for the Weyl sets.
+det(vθ − 1) for every v, the reference for the Weyl sets.  Likewise
+``fraction_rank``, ``fraction_invert``, ``fraction_coords_in_rows`` and
+``fraction_in_integer_row_span`` are the Fraction eliminations that the
+fraction-free ``linalg._echelon`` replaced.
 
 The packet character sums at the very end are the reference for the
 Walsh–Hadamard transfer table: one O(|R|) loop over the R-group characters
@@ -32,7 +35,6 @@ from math import lcm
 from tracestab import catalog
 from tracestab.elliptic import _bds_children
 from tracestab.linalg import (
-    coords_in_rows,
     dot,
     dual_lattice_quotient,
     hnf_rows,
@@ -225,7 +227,7 @@ def datum_from_cartan(c, form):
 def expansion_positive_roots(d):
     """Roots whose first nonzero simple-root coordinate is positive, by Fraction elimination."""
     return tuple(r for r in d.roots
-                 if next(x for x in coords_in_rows(d.simple_roots, r) if x) > 0)
+                 if next(x for x in fraction_coords_in_rows(d.simple_roots, r) if x) > 0)
 
 
 def fraction_orbit_canonical(w_matrices, t):
@@ -302,6 +304,90 @@ def fraction_det(m):
     for i in range(n):
         result *= rows[i][i]
     return result
+
+
+def fraction_rank(m):
+    """Rank over Q by Fraction Gauss–Jordan elimination."""
+    rows = [[Fraction(x) for x in row] for row in m]
+    rank = 0
+    ncols = len(rows[0]) if rows else 0
+    for col in range(ncols):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                factor = rows[r][col] / rows[rank][col]
+                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def fraction_invert(m):
+    """Inverse over Q by Fraction Gauss–Jordan on [m | I]; ValueError if singular."""
+    n = len(m)
+    aug = [[Fraction(x) for x in row] + [Fraction(1 if i == j else 0) for j in range(n)]
+           for i, row in enumerate(m)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        if pivot is None:
+            raise ValueError("singular matrix")
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        inv_p = 1 / aug[col][col]
+        aug[col] = [a * inv_p for a in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col]:
+                factor = aug[r][col]
+                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
+    return tuple(tuple(row[n:]) for row in aug)
+
+
+def fraction_coords_in_rows(rows, v):
+    """Coefficients of v in the Q-row-span of rows, or None, by Fraction elimination."""
+    if not rows:
+        return () if all(x == 0 for x in v) else None
+    aug = [[Fraction(x) for x in row] for row in rows]
+    target = [Fraction(x) for x in v]
+    ncols = len(aug[0])
+    coeffs = [[Fraction(1 if i == j else 0) for j in range(len(rows))] for i in range(len(rows))]
+    pivots = []
+    rank = 0
+    for col in range(ncols):
+        pivot = next((r for r in range(rank, len(aug)) if aug[r][col] != 0), None)
+        if pivot is None:
+            continue
+        aug[rank], aug[pivot] = aug[pivot], aug[rank]
+        coeffs[rank], coeffs[pivot] = coeffs[pivot], coeffs[rank]
+        for r in range(len(aug)):
+            if r != rank and aug[r][col]:
+                factor = aug[r][col] / aug[rank][col]
+                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[rank])]
+                coeffs[r] = [a - factor * b for a, b in zip(coeffs[r], coeffs[rank])]
+        pivots.append((rank, col))
+        rank += 1
+    sol = [Fraction(0)] * len(rows)
+    for r, col in pivots:
+        factor = target[col] / aug[r][col]
+        if factor:
+            target = [a - factor * b for a, b in zip(target, aug[r])]
+            sol = [a + factor * b for a, b in zip(sol, coeffs[r])]
+    if any(x != 0 for x in target):
+        return None
+    return tuple(sol)
+
+
+def fraction_in_integer_row_span(rows, target):
+    """Z-row-span membership by Fraction reduction against the Hermite basis."""
+    vec = [Fraction(x) for x in target]
+    for row in hnf_rows(rows):
+        col = next(i for i, x in enumerate(row) if x != 0)
+        if vec[col] != 0:
+            q = vec[col] / row[col]
+            vec = [a - q * b for a, b in zip(vec, row)]
+            if q.denominator != 1:
+                return False
+    return all(x == 0 for x in vec)
 
 
 def fraction_coset_dets(c):

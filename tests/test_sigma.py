@@ -4,12 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from helpers_oracle import F4_CARTAN, datum_from_cartan
+from helpers_oracle import F4_CARTAN, classical_datum, datum_from_cartan
 from tracestab import catalog
 from tracestab.cli import EXIT_MODULE_ERROR, parse_args, run
 from tracestab.elliptic import elliptic_classes
 from tracestab.errors import InconsistentClasses
-from tracestab.rootdata import build_root_datum, central_subgroup
+from tracestab.rootdata import build_root_datum, central_subgroup, central_torsion_points
 from tracestab.sigma import SigmaTable, sigma, verify_central_quotient, verify_ei
 from tracestab.weylcoset import untwisted_component
 
@@ -73,6 +73,19 @@ def test_central_quotient_sp4():
     z = central_subgroup(d, [(Fraction(1, 2), Fraction(1, 2))])
     assert z.order == 2
     assert verify_central_quotient(d, z)
+
+
+SEMISIMPLE = [(name, catalog.datum(name)) for name in catalog.datum_names()
+              if catalog.datum(name).is_semisimple()]
+SEMISIMPLE += [(f"{kind}3-sc", classical_datum(kind, 3, "sc")) for kind in "ABC"]
+
+
+@pytest.mark.parametrize("name, d", SEMISIMPLE, ids=[name for name, _ in SEMISIMPLE])
+def test_central_quotient_every_cyclic_subgroup(name, d):
+    # Each central torsion point generates a cyclic subgroup; the quotient
+    # maps go through ``invert`` on Fraction matrices.
+    for t in central_torsion_points(d):
+        assert verify_central_quotient(d, central_subgroup(d, [t])), t
 
 
 @pytest.mark.parametrize("name", catalog.component_names())

@@ -8,6 +8,7 @@ import pytest
 from tracestab import catalog
 from tracestab.errors import InconsistentDescriptor, MissingDualGroup
 from tracestab.packets import GaussianRational, ParameterModel, TestVector, TwoGroup
+from tracestab.rootdata import build_root_datum
 from tracestab.sigma import SigmaTable
 from tracestab.stabilize import (
     DiscreteModelSet,
@@ -101,6 +102,15 @@ def test_phi_disc_flags():
         "t1", TwoGroup(0), TwoGroup(0),
         catalog.DualGroupModel(catalog.datum("gl1"), {(0, 0): ((1,),)}))
     assert not phi_disc(untwisted_torus)
+
+
+@pytest.mark.parametrize("theta, flag", [(((0, -1), (-1, 0)), True), (((1, 0), (0, 1)), False)])
+def test_phi_disc_gl2(theta, flag):
+    # A central line alongside a root: the swap negates (1, 1), the identity keeps it.
+    base = build_root_datum(2, ((1, -1),), ((1, -1),))
+    m = ParameterModel("gl2", TwoGroup(0), TwoGroup(1),
+                       catalog.DualGroupModel(base, {(0, 0): ((1, 0), (0, 1)), (0, 1): theta}))
+    assert phi_disc(m) is flag
 
 
 # ---------------------------------------------------------------------------
