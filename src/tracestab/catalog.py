@@ -11,11 +11,11 @@ from __future__ import annotations
 from fractions import Fraction
 from random import Random
 
-from .elliptic import elliptic_classes
+from .elliptic import _weyl_orbit, elliptic_classes
 from .errors import MalformedInput
-from .linalg import identity_matrix, mat_vec, normalize_mod1
+from .linalg import clear_denominators, identity_matrix, mat_vec
 from .packets import DualGroupModel, GaussianRational, ParameterModel, TestVector, TwoGroup
-from .rootdata import RootDatum, build_root_datum, central_subgroup, weyl_group
+from .rootdata import RootDatum, build_root_datum, central_subgroup
 from .stabilize import EndoscopicDescriptor
 from .weylcoset import TwistedComponent, component, untwisted_component
 
@@ -107,15 +107,10 @@ def _splus(m: ParameterModel, x, cls) -> int:
     """
     comp = m.component_at(x)
     if comp.untwisted:
-        w_matrices = [w.matrix for w in weyl_group(comp.base)]
-        rep = cls.rep.coords
-        canon = min(normalize_mod1(mat_vec(w, rep)) for w in w_matrices)
-        count = 0
-        for y in m.s_elements():
-            image = normalize_mod1(mat_vec(m.dual_group.thetas[y], rep))
-            if min(normalize_mod1(mat_vec(w, image)) for w in w_matrices) == canon:
-                count += 1
-        return count
+        a, n = clear_denominators(cls.rep.coords)
+        orbit = _weyl_orbit(comp.base, a, n)
+        return sum(1 for y in m.s_elements()
+                   if tuple(v % n for v in mat_vec(m.dual_group.thetas[y], a)) in orbit)
     if m.s_size == 2:
         return 2
     raise MalformedInput("splus is only derived for untwisted classes or |S| = 2")

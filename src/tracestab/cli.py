@@ -168,7 +168,7 @@ def _load_component(config: RunConfig) -> TwistedComponent:
     if spec is None:
         raise MalformedInput("--group is required")
     theta = None
-    if spec in catalog.component_names() or spec in ("o2_twist", "a1a1_swap"):
+    if spec in catalog.component_names():
         comp = catalog.named_component(spec)
         base, theta = comp.base, comp.theta
     else:

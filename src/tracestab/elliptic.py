@@ -6,9 +6,9 @@ exactly when Φ_t spans the whole cocharacter space.  Untwisted enumeration is
 exact and complete and needs no search: on a semisimple datum the elliptic
 points are, up to W ⋉ X∨, the vertices of the fundamental alcove (0 and
 ϖᵢ∨/mᵢ per simple factor, θ = Σ mᵢαᵢ its highest root; Bourbaki, Lie Groups,
-ch. VI §2).  Vertices that Ω_X = X∨/Q∨ identifies give the same least point
-of their Weyl orbit, which names the class; π₀ is the vertex's Weyl
-stabilizer over the centralizer's Weyl group.
+ch. VI §2).  Each vertex's Weyl orbit mod X∨ is walked once: its least point
+names the class, so vertices that Ω_X = X∨/Q∨ identifies merge, and its size
+gives π₀ by orbit–stabilizer, π₀ = |W_t| / |W(Φ_t)| with |W_t| = |W| / |W·t|.
 
 ``full_rank_subsystems`` (closed full-rank subsystems by iterated
 extended-diagram node deletion) is an independent enumerator, not used by
@@ -107,27 +107,24 @@ def _indecomposables(positives: list[IntVec]) -> tuple[IntVec, ...]:
 
 
 # Torsion points t = a/n travel through the Weyl loops as (a, n), with a an
-# integer vector reduced mod n and n the order of t.
+# integer vector and n the order of t.
 
-def _orbit_canonical(w_matrices, a: IntVec, n: int) -> IntVec:
-    """Numerators of the least point of the Weyl orbit of a/n."""
-    return min(tuple(dot(row, a) % n for row in m) for m in w_matrices)
+def _weyl_orbit(d: RootDatum, a: IntVec, n: int) -> set[IntVec]:
+    """Numerators mod n of the Weyl orbit of a/n, in one pass over W."""
+    return {tuple(dot(row, a) % n for row in w.matrix) for w in weyl_group(d)}
 
 
-def _stabilizer_order(w_matrices, a: IntVec, n: int) -> int:
-    return sum(1 for m in w_matrices if tuple(dot(row, a) % n for row in m) == a)
+def _centralizer_at(d: RootDatum, t: QVec, orbit_size: int) -> tuple[RootDatum, int]:
+    """Centralizer datum of t, and π₀ = |W_t| / |W(Φ_t)| with |W_t| = |W| / |W·t|."""
+    datum = sub_datum(d, integral_root_subset(d, t))
+    return datum, classical_weyl_order(d) // orbit_size // classical_weyl_order(datum)
 
 
 def centralizer(c: TwistedComponent, t: TorusPoint) -> tuple[RootDatum, int]:
     """Connected-centralizer datum and component count |W_t| / |W(Φ_t)|."""
     _require_untwisted(c, "centralizer")
-    d = c.base
-    roots_t = integral_root_subset(d, t.coords)
-    datum = sub_datum(d, roots_t)
-    w_matrices = [w.matrix for w in weyl_group(d)]
     a, n = clear_denominators(t.coords)
-    pi0 = _stabilizer_order(w_matrices, a, n) // classical_weyl_order(datum)
-    return datum, pi0
+    return _centralizer_at(c.base, t.coords, len(_weyl_orbit(c.base, a, n)))
 
 
 def is_elliptic(c: TwistedComponent, t: TorusPoint) -> bool:
@@ -210,7 +207,9 @@ def full_rank_subsystems(d: RootDatum) -> list[tuple[IntVec, ...]]:
     if not d.is_semisimple() or d.rank == 0:
         return [] if not d.is_semisimple() else [()]
     index = {r: k for k, r in enumerate(d.roots)}
-    perms = [tuple(index[mat_vec(w.x_matrix, r)] for r in d.roots) for w in weyl_group(d)]
+    # transpose(w) is the X-side action of w⁻¹, so these are all of W's root permutations.
+    perms = [tuple(index[mat_vec(x_m, r)] for r in d.roots)
+             for x_m in (transpose(w.matrix) for w in weyl_group(d))]
 
     def canon(roots: tuple[IntVec, ...]) -> int:
         """Least W-image of the subsystem, as a bitmask over root indices."""
@@ -319,7 +318,7 @@ def _elliptic_classes_untwisted(c: TwistedComponent) -> tuple[SemisimpleClass, .
 
     The elliptic points of a semisimple torus are the W ⋉ X∨-images of the
     alcove vertices (Bourbaki, Lie Groups, ch. VI §2); the least point of each
-    vertex's Weyl orbit mod X∨ names its class.
+    vertex's Weyl orbit mod X∨ names its class, and the orbit's size gives π₀.
     """
     d = c.base
     if not d.is_semisimple():
@@ -327,15 +326,14 @@ def _elliptic_classes_untwisted(c: TwistedComponent) -> tuple[SemisimpleClass, .
     if d.rank == 0:
         trivial = build_root_datum(0, (), ())
         return (SemisimpleClass(torus_point(()), trivial, 1, True, c.tag),)
-    w_matrices = [w.matrix for w in weyl_group(d)]
-    reps = set()
+    orbit_sizes = {}
     for t in _alcove_vertices(d):
         a, n = clear_denominators(t)
-        reps.add((_orbit_canonical(w_matrices, a, n), n))
+        orbit = _weyl_orbit(d, a, n)
+        orbit_sizes[tuple(Fraction(x, n) for x in min(orbit))] = len(orbit)
     classes = []
-    for t, a, n in sorted((tuple(Fraction(x, n) for x in a), a, n) for a, n in reps):
-        datum = sub_datum(d, integral_root_subset(d, t))
-        pi0 = _stabilizer_order(w_matrices, a, n) // classical_weyl_order(datum)
+    for t, size in sorted(orbit_sizes.items()):
+        datum, pi0 = _centralizer_at(d, t, size)
         classes.append(SemisimpleClass(torus_point(t), datum, pi0, True, c.tag))
     return tuple(classes)
 

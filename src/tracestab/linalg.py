@@ -7,7 +7,8 @@ on column vectors (``mat_vec(M, v) == M @ v``).
 Elimination over Q has one routine, the fraction-free Gauss–Jordan
 ``_echelon``; ``matrix_rank``, ``invert``, ``coords_in_rows`` and
 ``in_integer_row_span`` are built on it.  ``det`` is fraction-free too
-(Bareiss), and the integer normal forms ``hnf_rows`` and
+(Bareiss); both scale each row to integers up front with
+``clear_denominators``.  The integer normal forms ``hnf_rows`` and
 ``snf_with_transforms`` work over Z.
 """
 
@@ -53,13 +54,18 @@ def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> tuple:
     return tuple(tuple(dot(row, col) for col in bt) for row in a)
 
 
-def det(m: Sequence[Sequence[int]]) -> Fraction:
-    """Determinant of an integer matrix, as a Fraction; the 0x0 matrix has 1.
+def det(m: Sequence[Sequence]) -> Fraction:
+    """Determinant of a rational matrix, as a Fraction; the 0x0 matrix has 1.
 
-    Fraction-free (Bareiss) elimination: every division is exact, so the
-    work stays in integers.
+    Fraction-free (Bareiss) elimination: each row is scaled to integers up
+    front, every division is exact, so the work stays in integers, and the
+    result is divided by the product of the row scales.
     """
-    rows = [list(row) for row in m]
+    rows, scale = [], 1
+    for row in m:
+        int_row, row_scale = clear_denominators(row)
+        rows.append(list(int_row))
+        scale *= row_scale
     n = len(rows)
     sign, prev = 1, 1
     for k in range(n - 1):
@@ -75,7 +81,7 @@ def det(m: Sequence[Sequence[int]]) -> Fraction:
             for j in range(k + 1, n):
                 row[j] = (row[j] * pk - factor * row_k[j]) // prev  # exact division
         prev = pk
-    return Fraction(sign * rows[-1][-1] if n else 1)
+    return Fraction(sign * rows[-1][-1] if n else 1, scale)
 
 
 def _echelon(rows: Sequence[Sequence]) -> tuple[list[list[int]], list[int]]:
@@ -86,10 +92,7 @@ def _echelon(rows: Sequence[Sequence]) -> tuple[list[list[int]], list[int]]:
     gcd.  Returns the nonzero rows, each an integer multiple of the matching
     reduced row (zero in every other pivot column), and the pivot columns.
     """
-    work = []
-    for row in rows:
-        scale = lcm(*(x.denominator for x in row))
-        work.append([x.numerator * (scale // x.denominator) for x in row])
+    work = [clear_denominators(row)[0] for row in rows]
     pivots: list[int] = []
     for col in range(len(work[0]) if work else 0):
         rank = len(pivots)
@@ -315,19 +318,20 @@ def left_int_kernel(m: Sequence[Sequence[int]]) -> list[IntVec]:
     return int_kernel(transpose(m))
 
 
-def in_integer_row_span(rows: Sequence[Sequence[int]], target: Sequence) -> bool:
-    """Whether a rational vector lies in the Z-row-span of integer rows."""
-    coeffs = coords_in_rows(hnf_rows(rows), target)
+def in_integer_row_span(basis: Sequence[Sequence[int]], target: Sequence) -> bool:
+    """Whether a rational vector lies in the Z-row-span of a lattice basis.
+
+    The rows must be linearly independent, as ``coords_in_rows`` requires;
+    ``hnf_rows`` turns any generating set into such a basis.
+    """
+    coeffs = coords_in_rows(basis, target)
     return coeffs is not None and all(c.denominator == 1 for c in coeffs)
 
 
-def clear_denominators(v: Sequence[Fraction]) -> tuple[IntVec, int]:
-    """Return (integer vector, d) with v == vector / d."""
-    d = 1
-    for x in v:
-        f = Fraction(x)
-        d = d * f.denominator // gcd(d, f.denominator)
-    return tuple(int(Fraction(x) * d) for x in v), d
+def clear_denominators(v: Sequence) -> tuple[IntVec, int]:
+    """Return (integer vector, d) with v == vector / d, for int or Fraction entries."""
+    d = lcm(*[x.denominator for x in v])
+    return tuple([x.numerator * (d // x.denominator) for x in v]), d
 
 
 def normalize_mod1(v: Sequence) -> QVec:

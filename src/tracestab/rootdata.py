@@ -49,12 +49,11 @@ _WEYL_ORDER_EXCEPTIONAL = {"G2": 12, "F4": 1152, "E6": 51840, "E7": 2903040, "E8
 class WeylElement:
     """Lattice automorphism of X∨ induced by a Weyl group element.
 
-    ``x_matrix`` is the same element acting on X, i.e. the contragredient.
+    Only the X∨ side is stored; ``contragredient(matrix)`` is its action on X.
     """
 
     matrix: IntMat
     word: tuple[int, ...] | None = field(default=None, compare=False)
-    x_matrix: IntMat | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -194,27 +193,24 @@ def simple_reflection_matrix(d: RootDatum, i: int) -> IntMat:
 def weyl_group(d: RootDatum) -> tuple[WeylElement, ...]:
     """All Weyl elements, found by breadth-first closure over the generators.
 
-    Elements carry reduced words (BFS depth equals Coxeter length) and their
-    action on X, built alongside from the X-side reflections
-    v ↦ v − ⟨v, α_i∨⟩α_i (the transpose of s_i on X∨).  The result is
-    memoized on the datum's value and sorted by matrix for reproducibility.
+    Elements carry their X∨ matrices and reduced words (BFS depth equals
+    Coxeter length); no X-side matrices are built.  The result is memoized on
+    the datum's value and sorted by matrix for reproducibility.
     """
     gens = [simple_reflection_matrix(d, i) for i in range(d.semisimple_rank)]
-    x_gens = [transpose(g) for g in gens]
     ident = identity_matrix(d.rank)
-    seen: dict[IntMat, tuple[tuple[int, ...], IntMat]] = {ident: ((), ident)}
+    seen: dict[IntMat, tuple[int, ...]] = {ident: ()}
     frontier = [ident]
     while frontier:
         new_frontier = []
         for m in frontier:
-            word, x_m = seen[m]
             for i, g in enumerate(gens):
                 prod = mat_mul(m, g)
                 if prod not in seen:
-                    seen[prod] = (word + (i,), mat_mul(x_m, x_gens[i]))
+                    seen[prod] = seen[m] + (i,)
                     new_frontier.append(prod)
         frontier = new_frontier
-    return tuple(WeylElement(m, w, x) for m, (w, x) in sorted(seen.items()))
+    return tuple(WeylElement(m, w) for m, w in sorted(seen.items()))
 
 
 def classical_weyl_order(d: RootDatum) -> int:

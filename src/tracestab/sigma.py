@@ -15,23 +15,21 @@ from fractions import Fraction
 
 from .elliptic import SemisimpleClass, elliptic_classes
 from .errors import InconsistentClasses, RecursionCycle
-from .rootdata import CentralSubgroup, RootDatum, canonical_key, cartan_type, quotient_by_central
+from .rootdata import CentralSubgroup, RootDatum, canonical_key, quotient_by_central
 from .weylcoset import TwistedComponent, i_number, untwisted_component
 
 
 @dataclass
 class SigmaTable:
-    """Memo table keyed by canonical datum keys, with each entry's provenance."""
+    """Memo table keyed by canonical datum keys."""
 
     entries: dict[bytes, Fraction] = field(default_factory=dict)
-    provenance: dict[bytes, dict] = field(default_factory=dict)
 
     def get(self, key: bytes) -> Fraction | None:
         return self.entries.get(key)
 
-    def put(self, key: bytes, value: Fraction, trace: dict) -> None:
+    def put(self, key: bytes, value: Fraction) -> None:
         self.entries[key] = value
-        self.provenance[key] = trace
 
 
 def _is_central_class(d: RootDatum, cls: SemisimpleClass) -> bool:
@@ -51,10 +49,10 @@ def sigma(d: RootDatum, table: SigmaTable | None = None, _order=None) -> Fractio
     if cached is not None:
         return cached
     if d.rank == 0:
-        table.put(key, Fraction(1), {"case": "trivial"})
+        table.put(key, Fraction(1))
         return Fraction(1)
     if not d.is_semisimple():
-        table.put(key, Fraction(0), {"case": "central-torus"})
+        table.put(key, Fraction(0))
         return Fraction(0)
 
     component = untwisted_component(d)
@@ -70,22 +68,14 @@ def sigma(d: RootDatum, table: SigmaTable | None = None, _order=None) -> Fractio
     if not central:
         raise InconsistentClasses("no central elliptic class on a semisimple datum")
     acc = Fraction(0)
-    terms = []
     for c in others:
         sub_key = canonical_key(c.centralizer_datum)
         if sub_key == key:
             raise RecursionCycle("non-central class has the parent's canonical key")
         value = sigma(c.centralizer_datum, table, _order)
         acc += Fraction(1, c.pi0) * value
-        terms.append((c.rep.coords, c.pi0, str(value)))
     result = (i_value - acc) / len(central)
-    table.put(key, result, {
-        "case": "recursion",
-        "type": ",".join(cartan_type(d)),
-        "i": str(i_value),
-        "central_classes": len(central),
-        "noncentral_terms": tuple(terms),
-    })
+    table.put(key, result)
     return result
 
 

@@ -16,7 +16,15 @@ from fractions import Fraction
 
 from .elliptic import SemisimpleClass, elliptic_classes
 from .errors import InconsistentDescriptor, MissingDualGroup
-from .linalg import dot, identity_matrix, in_integer_row_span, int_kernel, mat_vec, matrix_rank
+from .linalg import (
+    dot,
+    hnf_rows,
+    identity_matrix,
+    in_integer_row_span,
+    int_kernel,
+    mat_vec,
+    matrix_rank,
+)
 from .packets import (
     GR_ZERO,
     GaussianRational,
@@ -168,13 +176,9 @@ def fixed_intersection_order(m: ParameterModel, x: SElement, zbar: CentralSubgro
     theta, n = comp.theta, comp.base.rank
     delta = tuple(tuple(theta[i][j] - (1 if i == j else 0) for j in range(n))
                   for i in range(n))
-    delta_cols = tuple(zip(*delta)) if n else ()
-    count = 0
-    for z in subgroup_mod1(zbar.generators, n):
-        image = mat_vec(delta, z)
-        if in_integer_row_span(delta_cols, image):
-            count += 1
-    return count
+    image_basis = hnf_rows(tuple(zip(*delta)))
+    return sum(1 for z in subgroup_mod1(zbar.generators, n)
+               if in_integer_row_span(image_basis, mat_vec(delta, z)))
 
 
 @dataclass(frozen=True)

@@ -44,7 +44,6 @@ class TwistedComponent:
 
 @dataclass(frozen=True)
 class CosetElement:
-    weyl_part: WeylElement
     total: IntMat
     det_w_minus_1: Fraction
     sign: int
@@ -111,7 +110,6 @@ def _coset_element(c: TwistedComponent, v: WeylElement, theta_sign: int) -> Cose
                   for i in range(c.base.rank))
     d = det(delta)
     return CosetElement(
-        weyl_part=v,
         total=total,
         det_w_minus_1=d,
         sign=-theta_sign if len(v.word) % 2 else theta_sign,

@@ -13,7 +13,8 @@ does), the torsion points of each from a Smith-normal-form lattice quotient,
 and canonicalizes, counts stabilizers and dedups subsystems the slow way,
 through Fractions, contragredient inverses and reflection-subgroup closures.
 ``expansion_positive_roots`` is the Fraction-elimination sign rule that the
-closure-built positive system replaced.
+closure-built positive system replaced, and ``fraction_splus`` is the
+Fraction orbit walk that ``catalog._splus`` replaced.
 
 ``fraction_det`` is the Fraction-elimination determinant that the
 fraction-free ``linalg.det`` replaced; ``fraction_coset_dets`` applies it to
@@ -236,6 +237,16 @@ def fraction_orbit_canonical(w_matrices, t):
 
 def fraction_stabilizer_order(w_matrices, t):
     return sum(1 for m in w_matrices if normalize_mod1(mat_vec(m, t)) == t)
+
+
+def fraction_splus(m, x, cls):
+    """Twists y with θ_y·rep Weyl-conjugate to rep mod X∨, on an untwisted component."""
+    w_matrices = [w.matrix for w in weyl_group(m.component_at(x).base)]
+    rep = cls.rep.coords
+    canon = fraction_orbit_canonical(w_matrices, rep)
+    return sum(1 for y in m.s_elements()
+               if fraction_orbit_canonical(w_matrices, mat_vec(m.dual_group.thetas[y], rep))
+               == canon)
 
 
 @cache

@@ -1,5 +1,6 @@
 from fractions import Fraction
 from math import prod
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +10,10 @@ from helpers_oracle import (
     catalog_and_ladder_data,
     classical_datum,
     fraction_elliptic_classes,
+    fraction_stabilizer_order,
     oracle_classes,
+    oracle_points,
+    oracle_reflection_order,
     sorted_image_subsystems,
 )
 
@@ -133,6 +137,19 @@ def test_centralizer_examples():
     pgl2 = untwisted_component(catalog.datum("pgl2"))
     datum, pi0 = centralizer(pgl2, torus_point((Fraction(1, 2),)))
     assert datum.roots == () and pi0 == 2
+
+
+@pytest.mark.parametrize("name", RANK_LE_2)
+def test_centralizer_matches_fraction_stabilizer_on_grid(name):
+    # Every elliptic grid point, not only the class representatives.
+    d = catalog.datum(name)
+    w_matrices = [w.matrix for w in weyl_group(d)]
+    for t in oracle_points(d):
+        roots_t = [alpha for alpha in d.roots if sum(map(mul, alpha, t)) % 1 == 0]
+        datum, pi0 = centralizer(untwisted_component(d), torus_point(t))
+        assert set(datum.roots) == set(roots_t)
+        assert pi0 == (fraction_stabilizer_order(w_matrices, t)
+                       // oracle_reflection_order(d, roots_t))
 
 
 def test_is_elliptic_examples():

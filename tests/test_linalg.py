@@ -1,13 +1,13 @@
 """Properties of the exact elimination in ``linalg``.
 
-Rank, inverse and coordinates come from one fraction-free routine; the
-Fraction eliminations it replaced are the references (``helpers_oracle``).
+Rank, inverse and coordinates come from one fraction-free routine, and the
+determinant from Bareiss elimination; the Fraction eliminations they replaced
+are the references (``helpers_oracle``).
 Matrices have int or Fraction entries, zero rows, and wide and tall shapes.
 """
 
 from fractions import Fraction
 from itertools import product
-from math import lcm
 
 import pytest
 from hypothesis import assume, given, settings
@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from helpers_oracle import (
     fraction_coords_in_rows,
+    fraction_det,
     fraction_in_integer_row_span,
     fraction_invert,
     fraction_rank,
@@ -22,6 +23,7 @@ from helpers_oracle import (
 from tracestab.linalg import (
     coords_in_rows,
     det,
+    hnf_rows,
     identity_matrix,
     in_integer_row_span,
     int_kernel,
@@ -66,8 +68,7 @@ def test_matrix_rank_matches_fraction_elimination(entries, data):
 def test_invert_is_inverse_and_singular_exactly_when_det_vanishes(entries, data):
     n = data.draw(st.integers(0, 4))
     m = data.draw(matrices(entries, st.just(n), st.just(n)))
-    scale = lcm(*(Fraction(x).denominator for row in m for x in row))
-    if det(tuple(tuple(int(x * scale) for x in row) for row in m)) == 0:
+    if det(m) == 0:
         with pytest.raises(ValueError):
             invert(m)
         with pytest.raises(ValueError):
@@ -76,6 +77,21 @@ def test_invert_is_inverse_and_singular_exactly_when_det_vanishes(entries, data)
     inv = invert(m)
     assert inv == fraction_invert(m)
     assert mat_mul(inv, m) == identity_matrix(n) == mat_mul(m, inv)
+
+
+def test_det_of_fraction_matrices():
+    half = Fraction(1, 2)
+    assert det(((half, 0), (0, half))) == Fraction(1, 4)
+    assert det(((Fraction(1, 3), half), (Fraction(1, 5), Fraction(1, 7)))) == Fraction(-11, 210)
+
+
+@ENTRIES
+@PROPERTY
+@given(data=st.data())
+def test_det_matches_fraction_elimination(entries, data):
+    n = data.draw(st.integers(0, 4))
+    m = data.draw(matrices(entries, st.just(n), st.just(n)))
+    assert det(m) == fraction_det(m)
 
 
 @ENTRIES
@@ -121,7 +137,7 @@ def test_in_integer_row_span_brute_force(data):
         target[off] += 1
     expected = any(combination(c, basis, n) == tuple(target)
                    for c in product(range(-3, 4), repeat=k))
-    assert in_integer_row_span(rows, target) is expected
+    assert in_integer_row_span(hnf_rows(rows), target) is expected
     assert fraction_in_integer_row_span(rows, target) is expected
 
 

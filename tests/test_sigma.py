@@ -138,15 +138,6 @@ def test_rank0_base_case():
     assert sigma(catalog.datum("trivial")) == 1
 
 
-def test_provenance_recorded():
-    table = SigmaTable()
-    sigma(catalog.datum("sp4"), table)
-    from tracestab.rootdata import canonical_key
-
-    trace = table.provenance[canonical_key(catalog.datum("sp4"))]
-    assert trace["case"] == "recursion"
-    assert trace["central_classes"] == 2
-
 def test_e_equals_i_on_isogeny_quotients():
     # Quotient lattices exercise non-standard coordinates end to end.
     from tracestab.rootdata import canonical_key, quotient_by_central

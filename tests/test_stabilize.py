@@ -5,10 +5,19 @@ from random import Random
 
 import pytest
 
+from helpers_oracle import fraction_splus
 from tracestab import catalog
+from tracestab.elliptic import elliptic_classes
 from tracestab.errors import InconsistentDescriptor, MissingDualGroup
-from tracestab.packets import GaussianRational, ParameterModel, TestVector, TwoGroup
-from tracestab.rootdata import build_root_datum
+from tracestab.linalg import identity_matrix, mat_mul
+from tracestab.packets import (
+    DualGroupModel,
+    GaussianRational,
+    ParameterModel,
+    TestVector,
+    TwoGroup,
+)
+from tracestab.rootdata import build_root_datum, simple_reflection_matrix
 from tracestab.sigma import SigmaTable
 from tracestab.stabilize import (
     DiscreteModelSet,
@@ -208,6 +217,33 @@ def test_fixed_intersection_orders():
     assert fixed_intersection_order(o2, (0, 0), zbar) == 2
     # Inverted component: only the identity.
     assert fixed_intersection_order(o2, (0, 1), zbar) == 1
+
+
+def _splus_models():
+    """Fixtures, plus sl3, sp4 and sl2xsl2 with |S| = 2 and 4 and inner and outer twists."""
+    ident, neg, swap = identity_matrix(2), ((-1, 0), (0, -1)), catalog.SWAP2
+    # Outer on A2 and A1×A1; on B2 everything is in W, and s₀ moves (0, 1/2).
+    twists = {"sl3": (swap, neg),
+              "sp4": (neg, simple_reflection_matrix(catalog.datum("sp4"), 0)),
+              "sl2xsl2": (swap, ((-1, 0), (0, 1)))}
+    models = list(catalog.fixture_models())
+    for name, (t1, t2) in twists.items():
+        for r_dim, thetas in ((1, (ident, t1)), (2, (ident, t1, t2, mat_mul(t1, t2)))):
+            dg = DualGroupModel(catalog.datum(name), {(0, r): th for r, th in enumerate(thetas)})
+            models.append(ParameterModel(f"{name}{len(thetas)}", TwoGroup(0), TwoGroup(r_dim), dg))
+    return models
+
+
+def test_splus_matches_fraction_orbit_walk():
+    below_s = 0
+    for m in _splus_models():
+        for x in m.s_elements():
+            if m.component_at(x).untwisted:
+                for cls in elliptic_classes(m.component_at(x)):
+                    splus = catalog._splus(m, x, cls)
+                    assert splus == fraction_splus(m, x, cls), (m.model_id, x, cls.rep)
+                    below_s += splus < m.s_size
+    assert below_s  # some twist moves a class off its Weyl orbit
 
 
 def test_verify_coefficients_o2_fixture():
