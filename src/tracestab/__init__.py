@@ -18,7 +18,6 @@ from .errors import (
     NonCartan,
     NotAutomorphism,
     NotCentral,
-    RecursionCycle,
     TraceStabError,
     TwistedUnsupported,
 )

@@ -36,7 +36,7 @@ from .packets import (
     verify_adjoint,
 )
 from .rootdata import RootDatum, build_root_datum, canonical_key, cartan_type, central_subgroup
-from .sigma import SigmaTable, sigma, verify_central_quotient, verify_ei
+from .sigma import sigma, verify_central_quotient, verify_ei
 from .stabilize import (
     DiscreteModelSet,
     EndoscopicDescriptor,
@@ -73,7 +73,6 @@ class RunConfig:
     fmt: str = "json"
     seed: int = 0
     trials: int = 100
-    threads: int = 1
     catalog_flag: bool = False
 
 
@@ -267,22 +266,10 @@ def _descriptor_from_obj(obj, models_by_id) -> EndoscopicDescriptor:
     )
 
 
-def _thread_count(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
-    return value
-
-
 def parse_args(argv) -> RunConfig:
     parser = argparse.ArgumentParser(prog="tracestab",
                                      description="Exact spectral coefficients and "
                                                  "stabilization identity checks.")
-    parser.add_argument("--threads", type=_thread_count, default=None,
-                        help="accepted for compatibility; has no effect")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     def add_common(p, group=True):
@@ -322,15 +309,6 @@ def parse_args(argv) -> RunConfig:
     add_common(p, group=False)
 
     ns = parser.parse_args(argv)
-    threads = ns.threads
-    env_threads = os.environ.get("LTS_THREADS")
-    if env_threads is not None:
-        try:
-            threads = _thread_count(env_threads)
-        except argparse.ArgumentTypeError as exc:
-            parser.error(f"LTS_THREADS: {exc}")
-    if threads is None:
-        threads = 1
     return RunConfig(
         subcommand=ns.subcommand,
         target=getattr(ns, "target", None),
@@ -342,7 +320,6 @@ def parse_args(argv) -> RunConfig:
         fmt=getattr(ns, "fmt", "json"),
         seed=getattr(ns, "seed", 0),
         trials=getattr(ns, "trials", 100),
-        threads=threads,
         catalog_flag=getattr(ns, "catalog", False),
     )
 
@@ -381,13 +358,12 @@ def _run_elliptic(config: RunConfig) -> int:
 
 
 def _run_sigma(config: RunConfig, show_catalog: bool) -> int:
-    table = SigmaTable()
     if show_catalog:
         rows = []
         items = []
         for name in catalog.datum_names():
             d = catalog.datum(name)
-            value = sigma(d, table)
+            value = sigma(d)
             ctype = ",".join(cartan_type(d)) or "torus"
             key = canonical_key(d).decode()
             rows.append((key, ctype, fmt_q(value)))
@@ -395,7 +371,7 @@ def _run_sigma(config: RunConfig, show_catalog: bool) -> int:
         _emit(config, {"catalog": items}, rows)
         return EXIT_OK
     d = _load_datum(config)
-    value = sigma(d, table)
+    value = sigma(d)
     _emit(config, {"sigma": fmt_q(value)}, [("sigma", fmt_q(value))])
     return EXIT_OK
 
@@ -425,8 +401,7 @@ def _run_verify_central_quotient(config: RunConfig) -> int:
         _require_keys(zobj, ("generators",))
         gens = tuple(tuple(parse_q(v) for v in g) for g in zobj["generators"])
     z = central_subgroup(d, gens)
-    table = SigmaTable()
-    ok = verify_central_quotient(d, z, table)
+    ok = verify_central_quotient(d, z)
     _emit(config, {"order": z.order, "pass": ok})
     return EXIT_OK if ok else EXIT_IDENTITY_FAILED
 
@@ -484,7 +459,6 @@ def _load_model_set(config: RunConfig):
 def _run_stabilize_verify(config: RunConfig) -> int:
     ms, descriptors = _load_model_set(config)
     rng = Random(config.seed)
-    table = SigmaTable()
     identities = []
 
     def record(name: str, lhs: GaussianRational, rhs: GaussianRational):
@@ -502,16 +476,16 @@ def _run_stabilize_verify(config: RunConfig) -> int:
                         catalog.random_test_vector(rng, ms.models)))
     for k, f1, f2 in vectors:
         record(f"discrete=stable[{k}]", discrete_part(ms, f1, f2),
-               stable_form(ms, f1, f2, table))
+               stable_form(ms, f1, f2))
     if descriptors:
         for k, f1, f2 in vectors[: max(1, min(10, len(vectors)))]:
             record(f"endoscopic=discrete[{k}]",
-                   endoscopic_form(ms, descriptors, f1, f2, table),
+                   endoscopic_form(ms, descriptors, f1, f2),
                    discrete_part(ms, f1, f2))
     by_id = {m.model_id: m for m in ms.models}
     coefficient_checks = []
     for d in descriptors:
-        report = coefficient_report(by_id[d.model_id], d, table)
+        report = coefficient_report(by_id[d.model_id], d)
         for name, lhs, rhs, ok in report.checks:
             coefficient_checks.append({
                 "descriptor": f"{d.group_label}/{d.model_id}",
@@ -521,7 +495,7 @@ def _run_stabilize_verify(config: RunConfig) -> int:
     ei_items = []
     for m in ms.models:
         for x in m.s_elements():
-            e_val = e_phi(m, x, table)
+            e_val = e_phi(m, x)
             i_val = i_phi(m, x)
             ei_items.append({"model": m.model_id, "x": _pair_to_bits(x, m.s_m.dim, m.r.dim),
                              "e": fmt_q(e_val), "i": fmt_q(i_val), "pass": e_val == i_val})
@@ -553,7 +527,7 @@ def _run_stabilize_verify(config: RunConfig) -> int:
         "e_equals_i": ei_items,
         "coefficient_checks": coefficient_checks,
         "coset_constancy_failures": coset_items,
-        "stable_distribution": fmt_gauss(s_disc(ms, ones, ones, table)),
+        "stable_distribution": fmt_gauss(s_disc(ms, ones, ones)),
         "pass": all_pass,
     }
     _emit(config, obj)
@@ -561,16 +535,15 @@ def _run_stabilize_verify(config: RunConfig) -> int:
 
 
 def _run_report(config: RunConfig) -> int:
-    table = SigmaTable()
     sections = {}
     ei = []
     for name in catalog.component_names():
         comp = catalog.named_component(name)
-        rep = verify_ei(comp, table)
+        rep = verify_ei(comp)
         ei.append({"component": name, "e": fmt_q(rep.e), "i": fmt_q(rep.i),
                    "pass": rep.equal})
     sections["e_equals_i"] = ei
-    sections["sigma"] = [{"name": n, "sigma": fmt_q(sigma(catalog.datum(n), table))}
+    sections["sigma"] = [{"name": n, "sigma": fmt_q(sigma(catalog.datum(n)))}
                          for n in catalog.datum_names()]
     packet_checks = {}
     for sm in range(3):
@@ -584,8 +557,8 @@ def _run_report(config: RunConfig) -> int:
     ms, descriptors = _load_model_set(stab_config)
     ones = TestVector.constant(ms.models, 1)
     sections["stabilization"] = {
-        "discrete=stable": discrete_part(ms, ones, ones) == stable_form(ms, ones, ones, table),
-        "endoscopic=discrete": endoscopic_form(ms, descriptors, ones, ones, table)
+        "discrete=stable": discrete_part(ms, ones, ones) == stable_form(ms, ones, ones),
+        "endoscopic=discrete": endoscopic_form(ms, descriptors, ones, ones)
                                 == discrete_part(ms, ones, ones),
     }
     ok = (all(item["pass"] for item in sections["e_equals_i"])

@@ -29,10 +29,6 @@ class TwistedUnsupported(TraceStabError):
     """Twisted enumeration requested for an unsupported twist shape."""
 
 
-class RecursionCycle(TraceStabError):
-    """A non-central class reported a centralizer equal to its parent."""
-
-
 class InconsistentClasses(TraceStabError):
     """An elliptic class list breaks an invariant the σ recursion relies on."""
 

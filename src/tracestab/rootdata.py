@@ -81,9 +81,8 @@ class RootDatum:
         return self.coroots[self.roots.index(root)]
 
     def is_semisimple(self) -> bool:
-        if not self.simple_roots:
-            return self.rank == 0
-        return matrix_rank(self.simple_roots) == self.rank
+        # build_root_datum rejects linearly dependent simple roots.
+        return len(self.simple_roots) == self.rank
 
     def positive_roots(self) -> tuple[IntVec, ...]:
         """Roots with a positive simple-root expansion."""
@@ -430,12 +429,14 @@ def central_torsion_points(d: RootDatum) -> tuple[QVec, ...]:
 
 @cache
 def canonical_key(d: RootDatum) -> bytes:
-    """Isogeny-class key: Cartan types, lattice positions, central rank.
+    """Display label: Cartan types, lattice positions, central rank.
 
     Data related by an integral basis change composed with a root-system
     automorphism share keys; the invariants are the type decomposition, the
     Smith normal forms of X∨ between Q∨ and P∨, and the central torus rank.
-    The key is memoized on the datum's value.
+    Equal keys do not imply isomorphic data (SO4 and SL2×PGL2 share one), so
+    the key only labels rows of ``sigma --catalog``.  It is memoized on the
+    datum's value.
     """
     types = cartan_type(d)
     ss_rank = d.semisimple_rank

@@ -34,7 +34,7 @@ from .packets import (
     theta_transfer,
 )
 from .rootdata import CentralSubgroup, RootDatum, subgroup_mod1
-from .sigma import SigmaTable, sigma
+from .sigma import sigma
 from .weylcoset import i_number, weyl_set
 
 
@@ -57,14 +57,12 @@ def i_phi(m: ParameterModel, x: SElement) -> Fraction:
     return i_number(m.component_at(x))
 
 
-def e_phi(m: ParameterModel, x: SElement, table: SigmaTable | None = None) -> Fraction:
+def e_phi(m: ParameterModel, x: SElement) -> Fraction:
     """Elliptic-class sum Σ |π₀|⁻¹·σ(centralizer) on the component of x."""
-    if table is None:
-        table = SigmaTable()
     comp = m.component_at(x)
     total = Fraction(0)
     for cls in elliptic_classes(comp):
-        total += Fraction(1, cls.pi0) * sigma(cls.centralizer_datum, table)
+        total += Fraction(1, cls.pi0) * sigma(cls.centralizer_datum)
     return total
 
 
@@ -126,11 +124,8 @@ def discrete_part(ms: DiscreteModelSet, f1: TestVector, f2: TestVector) -> Gauss
     return total
 
 
-def stable_form(ms: DiscreteModelSet, f1: TestVector, f2: TestVector,
-                table: SigmaTable | None = None) -> GaussianRational:
+def stable_form(ms: DiscreteModelSet, f1: TestVector, f2: TestVector) -> GaussianRational:
     """Elliptic-class form: Σ_s |S|⁻¹·|π₀(s)|⁻¹·σ(S°_s)·f'₁·conj(f'₂)."""
-    if table is None:
-        table = SigmaTable()
     total = GR_ZERO
     for m in ms.models:
         for x in m.s_elements():
@@ -139,7 +134,7 @@ def stable_form(ms: DiscreteModelSet, f1: TestVector, f2: TestVector,
             for cls in elliptic_classes(comp):
                 coeff = (Fraction(1, m.s_size)
                          * Fraction(1, cls.pi0)
-                         * sigma(cls.centralizer_datum, table))
+                         * sigma(cls.centralizer_datum))
                 if coeff:
                     total = total + fvals * coeff
     return total
@@ -201,8 +196,7 @@ def _locate_class(m: ParameterModel, d: EndoscopicDescriptor) -> SemisimpleClass
     return classes[d.class_index]
 
 
-def verify_coefficients(m: ParameterModel, d: EndoscopicDescriptor,
-                        table: SigmaTable | None = None) -> CoefficientReport:
+def verify_coefficients(m: ParameterModel, d: EndoscopicDescriptor) -> CoefficientReport:
     """Exact checks of the coefficient chain for one class descriptor.
 
     (a) the σ central-quotient step σ(S̄°_{φ'}) = σ(S̄°_{φ,s})·|S̄° ∩ Z̄|,
@@ -210,16 +204,14 @@ def verify_coefficients(m: ParameterModel, d: EndoscopicDescriptor,
     (c) the cardinality bookkeeping behind |S_{φ'}|, and
     (d) integrality sanity: the parameter-orbit size |Out|/|Out(φ')| is whole.
     """
-    if table is None:
-        table = SigmaTable()
     cls = _locate_class(m, d)
     for alpha in cls.centralizer_datum.simple_roots:
         for g in d.zbar.generators:
             if len(g) == len(alpha) and dot(alpha, g) % 1 != 0:
                 raise InconsistentDescriptor("zbar is not central in the class centralizer")
     intersection = fixed_intersection_order(m, d.x, d.zbar)
-    sigma_cent = sigma(cls.centralizer_datum, table)
-    sigma_prime = sigma(d.sprime_datum, table)
+    sigma_cent = sigma(cls.centralizer_datum)
+    sigma_prime = sigma(d.sprime_datum)
     checks = []
 
     lhs_a = sigma_prime
@@ -248,8 +240,7 @@ def verify_coefficients(m: ParameterModel, d: EndoscopicDescriptor,
 _REPORTS: dict[tuple, CoefficientReport] = {}
 
 
-def coefficient_report(m: ParameterModel, d: EndoscopicDescriptor,
-                       table: SigmaTable | None = None) -> CoefficientReport:
+def coefficient_report(m: ParameterModel, d: EndoscopicDescriptor) -> CoefficientReport:
     """``verify_coefficients``, run once per (component of d.x, |S|, d) value.
 
     Those three values fix every input of the checks, so a descriptor met
@@ -257,12 +248,12 @@ def coefficient_report(m: ParameterModel, d: EndoscopicDescriptor,
     """
     key = (m.component_at(d.x), m.s_size, d)
     if key not in _REPORTS:
-        _REPORTS[key] = verify_coefficients(m, d, table)
+        _REPORTS[key] = verify_coefficients(m, d)
     return _REPORTS[key]
 
 
-def endoscopic_form(ms: DiscreteModelSet, descriptors, f1: TestVector, f2: TestVector,
-                    table: SigmaTable | None = None) -> GaussianRational:
+def endoscopic_form(ms: DiscreteModelSet, descriptors, f1: TestVector,
+                    f2: TestVector) -> GaussianRational:
     """Descriptor-grouped form Σ_{G'} ι(G,G')·Σ_{φ'} |S_{φ'}|⁻¹σ(S̄°_{φ'})·f₁·conj(f₂).
 
     Each class descriptor stands for out/out_phi parameter points of its
@@ -270,14 +261,12 @@ def endoscopic_form(ms: DiscreteModelSet, descriptors, f1: TestVector, f2: TestV
     the weight (out·splus)/(out_phi·|S|).  Descriptors are validated first;
     an inconsistent one is a hard error, never a silent wrong sum.
     """
-    if table is None:
-        table = SigmaTable()
     by_model = {m.model_id: m for m in ms.models}
     by_group: dict[str, list[EndoscopicDescriptor]] = {}
     for d in descriptors:
         if d.model_id not in by_model:
             raise InconsistentDescriptor(f"descriptor references unknown model {d.model_id}")
-        report = coefficient_report(by_model[d.model_id], d, table)
+        report = coefficient_report(by_model[d.model_id], d)
         if not report.passed:
             raise InconsistentDescriptor(
                 f"descriptor for {d.model_id}:{d.x} fails {report.failed_names()}")
@@ -295,7 +284,7 @@ def endoscopic_form(ms: DiscreteModelSet, descriptors, f1: TestVector, f2: TestV
             weight = Fraction(d.out_card * d.splus_over_s_card,
                               d.out_phi_card * m.s_size)
             coeff = (iota * weight * Fraction(1, d.s_phi_prime_card)
-                     * sigma(d.sprime_datum, table))
+                     * sigma(d.sprime_datum))
             if coeff:
                 fvals = (f1.value(d.model_id, d.x)
                          * f2.value(d.model_id, d.x).conjugate())
@@ -303,16 +292,13 @@ def endoscopic_form(ms: DiscreteModelSet, descriptors, f1: TestVector, f2: TestV
     return total
 
 
-def s_disc(ms: DiscreteModelSet, f1: TestVector, f2: TestVector,
-           table: SigmaTable | None = None) -> GaussianRational:
+def s_disc(ms: DiscreteModelSet, f1: TestVector, f2: TestVector) -> GaussianRational:
     """Stable spectral distribution over models with semisimple base."""
-    if table is None:
-        table = SigmaTable()
     total = GR_ZERO
     for m in ms.models:
         if not phi_s_disc(m):
             continue
-        coeff = Fraction(1, m.s_size) * sigma(m.dual_group.base, table)
+        coeff = Fraction(1, m.s_size) * sigma(m.dual_group.base)
         if coeff:
             x0 = (0, 0)
             fvals = f1.value(m.model_id, x0) * f2.value(m.model_id, x0).conjugate()

@@ -23,6 +23,10 @@ det(vθ − 1) for every v, the reference for the Weyl sets.  Likewise
 ``fraction_in_integer_row_span`` are the Fraction eliminations that the
 fraction-free ``linalg._echelon`` replaced.
 
+``oracle_sigma`` is the σ recursion before the simple-adjoint shortcut:
+e = i solved on the datum itself, over every centralizer, with no product
+or central-quotient rule.
+
 The packet character sums at the very end are the reference for the
 Walsh–Hadamard transfer table: one O(|R|) loop over the R-group characters
 per entry, straight from ``ParameterModel.pairing``.
@@ -34,7 +38,7 @@ from itertools import combinations
 from math import lcm
 
 from tracestab import catalog
-from tracestab.elliptic import _bds_children
+from tracestab.elliptic import _bds_children, elliptic_classes
 from tracestab.linalg import (
     dot,
     dual_lattice_quotient,
@@ -45,6 +49,7 @@ from tracestab.linalg import (
 )
 from tracestab.packets import TwoGroup
 from tracestab.rootdata import build_root_datum, contragredient, weyl_group
+from tracestab.weylcoset import i_number, untwisted_component
 
 GRID_N = lcm(*range(1, 13))
 
@@ -407,6 +412,23 @@ def fraction_coset_dets(c):
     totals = sorted(mat_mul(v.matrix, c.theta) for v in weyl_group(c.base))
     return [fraction_det(tuple(tuple(t[i][j] - (i == j) for j in range(n)) for i in range(n)))
             for t in totals]
+
+
+@cache
+def oracle_sigma(d):
+    """σ(d) from e = i on d's own untwisted component, memoized on the datum's value."""
+    if d.rank == 0:
+        return Fraction(1)
+    if not d.is_semisimple():
+        return Fraction(0)
+    comp = untwisted_component(d)
+    central, acc = 0, Fraction(0)
+    for c in elliptic_classes(comp):
+        if len(c.centralizer_datum.roots) == len(d.roots):
+            central += 1
+        else:
+            acc += Fraction(1, c.pi0) * oracle_sigma(c.centralizer_datum)
+    return (i_number(comp) - acc) / central
 
 
 def _packet_character_sum(m, tau, x):

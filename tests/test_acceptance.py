@@ -28,7 +28,7 @@ from tracestab.packets import (
     with_flipped_pairing,
 )
 from tracestab.rootdata import build_root_datum, cartan_type, central_subgroup
-from tracestab.sigma import SigmaTable, sigma, verify_ei
+from tracestab.sigma import sigma, verify_ei
 from tracestab.stabilize import (
     DiscreteModelSet,
     discrete_part,
@@ -38,8 +38,6 @@ from tracestab.stabilize import (
     verify_coefficients,
 )
 from tracestab.weylcoset import untwisted_component
-
-TABLE = SigmaTable()
 
 CATALOG_COMPONENTS = ("sl2", "pgl2", "sl3", "pgl3", "sp4", "so5", "g2",
                       "sl2xsl2", "gl1", "trivial", "o2_twist", "a1a1_swap")
@@ -51,27 +49,27 @@ def _report(n: int, text: str):
 
 def test_criterion_1_e_equals_i_catalog():
     for name in CATALOG_COMPONENTS:
-        rep = verify_ei(catalog.named_component(name), TABLE)
+        rep = verify_ei(catalog.named_component(name))
         assert rep.equal, f"{name}: e={rep.e} != i={rep.i}"
     _report(1, "e(S) = i(S) exactly on all 12 catalog components")
 
 
 def test_criterion_2_sigma_values():
-    assert sigma(catalog.datum("trivial"), TABLE) == 1
-    assert sigma(catalog.datum("gl1"), TABLE) == 0
+    assert sigma(catalog.datum("trivial")) == 1
+    assert sigma(catalog.datum("gl1")) == 0
     gl2 = build_root_datum(2, [(1, -1)], [(1, -1)])
-    assert sigma(gl2, TABLE) == 0  # positive central rank
-    assert sigma(catalog.datum("sl2"), TABLE) == Fraction(-1, 8)
-    assert sigma(catalog.datum("pgl2"), TABLE) == Fraction(-1, 4)
-    assert sigma(catalog.datum("sl2"), TABLE) == sigma(catalog.datum("pgl2"), TABLE) / 2
-    assert sigma(catalog.datum("sl3"), TABLE) == sigma(catalog.datum("pgl3"), TABLE) / 3
-    assert sigma(catalog.datum("sl2xsl2"), TABLE) == Fraction(1, 64)
+    assert sigma(gl2) == 0  # positive central rank
+    assert sigma(catalog.datum("sl2")) == Fraction(-1, 8)
+    assert sigma(catalog.datum("pgl2")) == Fraction(-1, 4)
+    assert sigma(catalog.datum("sl2")) == sigma(catalog.datum("pgl2")) / 2
+    assert sigma(catalog.datum("sl3")) == sigma(catalog.datum("pgl3")) / 3
+    assert sigma(catalog.datum("sl2xsl2")) == Fraction(1, 64)
     # Independent cross-check: the adjoint values equal a from-scratch Weyl
     # enumeration of i, and the central class counts scale them down.
-    assert sigma(catalog.datum("pgl2"), TABLE) == brute_i(catalog.datum("pgl2"))
-    assert sigma(catalog.datum("pgl3"), TABLE) == brute_i(catalog.datum("pgl3"))
-    assert 2 * sigma(catalog.datum("sl2"), TABLE) == brute_i(catalog.datum("sl2"))
-    assert 3 * sigma(catalog.datum("sl3"), TABLE) == brute_i(catalog.datum("sl3"))
+    assert sigma(catalog.datum("pgl2")) == brute_i(catalog.datum("pgl2"))
+    assert sigma(catalog.datum("pgl3")) == brute_i(catalog.datum("pgl3"))
+    assert 2 * sigma(catalog.datum("sl2")) == brute_i(catalog.datum("sl2"))
+    assert 3 * sigma(catalog.datum("sl3")) == brute_i(catalog.datum("sl3"))
     assert brute_i(catalog.datum("sl3")) == Fraction(1, 9)
     _report(2, "sigma values, central-quotient cross-checks, product law")
 
@@ -128,7 +126,7 @@ def test_criterion_5_stabilization_chain():
         expected = (f1.value("o2", (0, 1)) * f2.value("o2", (0, 1)).conjugate()
                     * Fraction(1, 4))
         assert discrete_part(o2, f1, f2) == expected
-        assert stable_form(o2, f1, f2, TABLE) == expected
+        assert stable_form(o2, f1, f2) == expected
     # discrete = stable on the fixtures and on >= 100 seeded random models.
     ms, descriptors = (DiscreteModelSet(catalog.fixture_models()),
                        tuple(d for _, ds in sorted(catalog.fixture_descriptors().items())
@@ -136,23 +134,23 @@ def test_criterion_5_stabilization_chain():
     for _ in range(10):
         f1 = catalog.random_test_vector(rng, ms.models)
         f2 = catalog.random_test_vector(rng, ms.models)
-        assert discrete_part(ms, f1, f2) == stable_form(ms, f1, f2, TABLE)
-        assert endoscopic_form(ms, descriptors, f1, f2, TABLE) == discrete_part(ms, f1, f2)
+        assert discrete_part(ms, f1, f2) == stable_form(ms, f1, f2)
+        assert endoscopic_form(ms, descriptors, f1, f2) == discrete_part(ms, f1, f2)
     model_rng = Random(1234)
     for i in range(100):
         m = catalog.random_model(model_rng, i)
         single = DiscreteModelSet((m,))
         f1 = catalog.random_test_vector(model_rng, single.models)
         f2 = catalog.random_test_vector(model_rng, single.models)
-        assert discrete_part(single, f1, f2) == stable_form(single, f1, f2, TABLE), \
+        assert discrete_part(single, f1, f2) == stable_form(single, f1, f2), \
             f"random model {i}"
     # Coefficient chain passes on fixtures and fails on single-field controls.
     from dataclasses import replace
 
     (d_o2,) = catalog.descriptors_o2()
-    assert verify_coefficients(catalog.model_o2(), d_o2, TABLE).passed
+    assert verify_coefficients(catalog.model_o2(), d_o2).passed
     for alt in catalog.descriptors_sl2_central():
-        assert verify_coefficients(catalog.model_sl2(), alt, TABLE).passed
+        assert verify_coefficients(catalog.model_sl2(), alt).passed
     controls = {
         "zbar": replace(d_o2, zbar=central_subgroup(catalog.datum("gl1"), ())),
         "out_card": replace(d_o2, out_card=3),
@@ -162,7 +160,7 @@ def test_criterion_5_stabilization_chain():
         "sprime_datum": replace(d_o2, sprime_datum=catalog.datum("pgl2")),
     }
     for field, bad in controls.items():
-        assert not verify_coefficients(catalog.model_o2(), bad, TABLE).passed, field
+        assert not verify_coefficients(catalog.model_o2(), bad).passed, field
     _report(5, "discrete = stable = endoscopic; coefficient chain with controls")
 
 

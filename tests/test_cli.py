@@ -1,5 +1,4 @@
 import json
-import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -310,43 +309,10 @@ def test_fmt_q():
     assert fmt_q(Fraction(2, 4)) == "+1/2"
 
 
-def test_lts_threads_env_override(monkeypatch):
-    monkeypatch.setenv("LTS_THREADS", "3")
-    cfg = parse_args(["elliptic", "--group", "sl2"])
-    assert cfg.threads == 3
-
-
-@pytest.mark.parametrize("value", ["abc", "1.5", "", "0", "-2"])
-def test_lts_threads_env_invalid_is_usage_error(monkeypatch, capsys, value):
-    monkeypatch.setenv("LTS_THREADS", value)
-    with pytest.raises(SystemExit) as exc:
-        parse_args(["elliptic", "--group", "sl2"])
-    assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert "LTS_THREADS" in err and "Traceback" not in err
-
-
-@pytest.mark.parametrize("value", ["abc", "0", "-1"])
-def test_threads_flag_invalid_is_usage_error(monkeypatch, capsys, value):
-    monkeypatch.delenv("LTS_THREADS", raising=False)
-    with pytest.raises(SystemExit) as exc:
-        parse_args(["--threads", value, "elliptic", "--group", "sl2"])
-    assert exc.value.code == 2
-    assert "--threads" in capsys.readouterr().err
-
-
-def test_threads_flag_accepts_positive(monkeypatch):
-    monkeypatch.delenv("LTS_THREADS", raising=False)
-    assert parse_args(["--threads", "2", "elliptic", "--group", "sl2"]).threads == 2
-
-
-def test_invalid_lts_threads_exits_2_without_traceback():
-    env = {k: v for k, v in os.environ.items() if k != "LTS_THREADS"}
-    env["LTS_THREADS"] = "many"
-    proc = subprocess.run([sys.executable, "-m", "tracestab.cli", "sigma", "--group", "sl2"],
-                          capture_output=True, env=env)
-    assert proc.returncode == 2
-    assert b"Traceback" not in proc.stderr and proc.stdout == b""
+def test_removed_threads_flag_exits_2_without_traceback():
+    rc, out, err = _run_cli(["--threads", "2", "sigma", "--group", "sl2"])
+    assert rc == 2
+    assert b"Traceback" not in err and out == b""
 
 
 def test_report_subcommand():

@@ -4,17 +4,44 @@ from fractions import Fraction
 
 import pytest
 
-from helpers_oracle import F4_CARTAN, classical_datum, datum_from_cartan
+from helpers_oracle import (
+    F4_CARTAN,
+    catalog_and_ladder_data,
+    classical_datum,
+    datum_from_cartan,
+    oracle_sigma,
+)
 from tracestab import catalog
 from tracestab.cli import EXIT_MODULE_ERROR, parse_args, run
 from tracestab.elliptic import elliptic_classes
 from tracestab.errors import InconsistentClasses
-from tracestab.rootdata import build_root_datum, central_subgroup, central_torsion_points
+from tracestab.rootdata import (
+    build_root_datum,
+    canonical_key,
+    central_subgroup,
+    central_torsion_points,
+    quotient_by_central,
+)
 from tracestab.sigma import SigmaTable, sigma, verify_central_quotient, verify_ei
 from tracestab.weylcoset import untwisted_component
 
 # The package re-exports the function ``sigma``, which shadows the submodule.
 sigma_module = importlib.import_module("tracestab.sigma")
+
+
+def _empty_memos(monkeypatch) -> SigmaTable:
+    """Empty both process-wide σ memos: the datum cache and the adjoint table."""
+    sigma.cache_clear()
+    table = SigmaTable()
+    monkeypatch.setattr(sigma_module, "_ADJOINT", table)
+    return table
+
+
+@pytest.fixture
+def cold(monkeypatch):
+    """Cold σ memos for the test; the datum cache is emptied again afterwards."""
+    yield _empty_memos(monkeypatch)
+    sigma.cache_clear()
 
 
 @pytest.mark.parametrize("name,expected", [
@@ -104,69 +131,107 @@ def test_verify_ei_examples():
     assert rep.e == rep.i == 0 and rep.per_class == ()
 
 
-def test_recursion_order_independence():
-    for name in ("sp4", "so5", "g2"):
-        d = catalog.datum(name)
-        forward = sigma(d, SigmaTable())
-        backward = sigma(d, SigmaTable(), _order=lambda cs: list(reversed(cs)))
-        assert forward == backward
+def test_recursion_order_independence(cold, monkeypatch):
+    names = catalog.datum_names()
+    runs = []
+    for order in (names, names[::-1]):
+        _empty_memos(monkeypatch)
+        runs.append({name: sigma(catalog.datum(name)) for name in order})
+    assert runs[0] == runs[1]
 
 
-def test_table_idempotence():
+def test_table_idempotence(cold):
     d = catalog.datum("g2")
-    table = SigmaTable()
-    cold = sigma(d, table)
-    warm = sigma(d, table)
-    assert cold == warm
-    fresh = sigma(d, SigmaTable())
-    assert cold == fresh
+    cold_value = sigma(d)
+    assert cold.entries
+    assert sigma(d) == cold_value
 
 
-def test_table_reuse_across_isogenous_data():
-    table = SigmaTable()
-    sigma(catalog.datum("sl2"), table)
-    sigma(catalog.datum("pgl2"), table)
-    values = sorted(table.entries.values())
-    assert Fraction(-1, 8) in values and Fraction(-1, 4) in values
-    # The central-quotient rule holds across every stored isogenous pair.
-    d = catalog.datum("sl2")
-    z = central_subgroup(d, [(Fraction(1, 2),)])
-    assert verify_central_quotient(d, z, table)
+def test_table_reuse_across_isogenous_data(cold, monkeypatch):
+    hits = []
+
+    def get(key):
+        value = SigmaTable.get(cold, key)
+        hits.append(value is not None)
+        return value
+
+    monkeypatch.setattr(cold, "get", get)
+    assert sigma(catalog.datum("sl2")) == Fraction(-1, 8)
+    assert sigma(catalog.datum("pgl2")) == Fraction(-1, 4)
+    assert list(cold.entries) == ["A1"]
+    assert hits == [False, True]
 
 
 def test_rank0_base_case():
     assert sigma(catalog.datum("trivial")) == 1
 
 
+ORACLE_DATA = catalog_and_ladder_data() + [
+    (f"F4-{form}", datum_from_cartan(F4_CARTAN, form)) for form in ("sc", "ad")]
+
+
+@pytest.mark.parametrize("name, d", ORACLE_DATA, ids=[name for name, _ in ORACLE_DATA])
+def test_sigma_matches_recursion_on_the_datum_itself(name, d):
+    assert sigma(d) == oracle_sigma(d)
+
+
 def test_e_equals_i_on_isogeny_quotients():
     # Quotient lattices exercise non-standard coordinates end to end.
-    from tracestab.rootdata import canonical_key, quotient_by_central
-    from tracestab.weylcoset import untwisted_component
-
-    table = SigmaTable()
     half = Fraction(1, 2)
     d = catalog.datum("sl2xsl2")
     so4 = quotient_by_central(d, central_subgroup(d, [(half, half)]))
-    assert verify_ei(untwisted_component(so4), table).equal
-    assert sigma(so4, table) == 2 * sigma(d, table)
+    assert verify_ei(untwisted_component(so4)).equal
+    assert sigma(so4) == 2 * sigma(d)
     adjoint = quotient_by_central(d, central_subgroup(d, [(half, Fraction(0)),
                                                           (Fraction(0), half)]))
-    assert verify_ei(untwisted_component(adjoint), table).equal
-    assert sigma(adjoint, table) == sigma(catalog.datum("pgl2"), table) ** 2
+    assert verify_ei(untwisted_component(adjoint)).equal
+    assert sigma(adjoint) == sigma(catalog.datum("pgl2")) ** 2
     sp4 = catalog.datum("sp4")
     q = quotient_by_central(sp4, central_subgroup(sp4, [(half, half)]))
     assert canonical_key(q) == canonical_key(catalog.datum("so5"))
-    assert verify_ei(untwisted_component(q), table).equal
+    assert verify_ei(untwisted_component(q)).equal
 
 
+def test_so4_and_sl2_x_pgl2_share_a_key_and_sigma():
+    # SO4 = (SL2×SL2)/μ2 is not a direct product of its factors, yet the keys agree.
+    half = Fraction(1, 2)
+    sl2xsl2 = catalog.datum("sl2xsl2")
+    so4 = quotient_by_central(sl2xsl2, central_subgroup(sl2xsl2, [(half, half)]))
+    sl2_x_pgl2 = build_root_datum(2, [(2, 0), (0, 1)], [(1, 0), (0, 2)])
+    assert canonical_key(so4) == canonical_key(sl2_x_pgl2)
+    expected = sigma(catalog.datum("sl2")) * sigma(catalog.datum("pgl2"))
+    assert expected == Fraction(1, 32)
+    for d in (so4, sl2_x_pgl2):
+        assert verify_ei(untwisted_component(d)).equal
+        assert sigma(d) == expected
 
-def test_no_central_class_is_a_library_error(monkeypatch):
+
+def _isogeny_forms(sc):
+    """The quotient of ``sc`` by each cyclic central subgroup, and by the whole center."""
+    points = central_torsion_points(sc)
+    subgroups = [central_subgroup(sc, [t]) for t in points]
+    subgroups.append(central_subgroup(sc, points))
+    return [(z, quotient_by_central(sc, z)) for z in subgroups]
+
+
+@pytest.mark.parametrize("kind, n", [("A", 3), ("B", 4), ("D", 4)])
+def test_e_equals_i_on_every_isogeny_form(kind, n):
+    # With σ read off the simple adjoint factors, e = i on the other forms is
+    # the independent check of the product and central-quotient rules.
+    sc = classical_datum(kind, n, "sc")
+    for z, form in _isogeny_forms(sc):
+        report = verify_ei(untwisted_component(form))
+        assert report.equal, (z.generators, report.e, report.i)
+        assert verify_central_quotient(sc, z), z.generators
+
+
+def test_no_central_class_is_a_library_error(cold, monkeypatch):
     monkeypatch.setattr(sigma_module, "elliptic_classes", lambda component: ())
     with pytest.raises(InconsistentClasses, match="no central elliptic class"):
         sigma(catalog.datum("sl2"))
 
 
-def test_disconnected_central_class_is_a_library_error(monkeypatch):
+def test_disconnected_central_class_is_a_library_error(cold, monkeypatch):
     real = sigma_module.elliptic_classes
 
     def doubled_pi0(component):
@@ -177,7 +242,7 @@ def test_disconnected_central_class_is_a_library_error(monkeypatch):
         sigma(catalog.datum("sl2"))
 
 
-def test_cli_reports_inconsistent_classes_with_exit_5(monkeypatch, capsys):
+def test_cli_reports_inconsistent_classes_with_exit_5(cold, monkeypatch, capsys):
     monkeypatch.setattr(sigma_module, "elliptic_classes", lambda component: ())
     assert run(parse_args(["sigma", "--group", "sl2"])) == EXIT_MODULE_ERROR
     captured = capsys.readouterr()

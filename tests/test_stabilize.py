@@ -18,7 +18,6 @@ from tracestab.packets import (
     TwoGroup,
 )
 from tracestab.rootdata import build_root_datum, simple_reflection_matrix
-from tracestab.sigma import SigmaTable
 from tracestab.stabilize import (
     DiscreteModelSet,
     coefficient_report,
@@ -36,7 +35,6 @@ from tracestab.stabilize import (
     verify_coefficients,
 )
 
-TABLE = SigmaTable()
 stabilize_module = importlib.import_module("tracestab.stabilize")
 
 
@@ -75,16 +73,16 @@ def test_i_phi_requires_dual_group():
 
 def test_e_phi_examples():
     o2 = catalog.model_o2()
-    assert e_phi(o2, (0, 1), TABLE) == Fraction(1, 2)
-    assert e_phi(o2, (0, 0), TABLE) == 0  # empty elliptic set
+    assert e_phi(o2, (0, 1)) == Fraction(1, 2)
+    assert e_phi(o2, (0, 0)) == 0  # empty elliptic set
     sl2 = catalog.model_sl2()
-    assert e_phi(sl2, (0, 0), TABLE) == Fraction(-1, 4)
+    assert e_phi(sl2, (0, 0)) == Fraction(-1, 4)
 
 
 def test_e_equals_i_componentwise():
     for m in catalog.fixture_models():
         for x in m.s_elements():
-            assert e_phi(m, x, TABLE) == i_phi(m, x)
+            assert e_phi(m, x) == i_phi(m, x)
 
 
 def test_coset_constancy():
@@ -130,7 +128,7 @@ def test_o2_discrete_part_worked_example():
     ms = DiscreteModelSet((catalog.model_o2(),))
     ones = TestVector.constant(ms.models, 1)
     assert discrete_part(ms, ones, ones) == _gr(Fraction(1, 4))
-    assert stable_form(ms, ones, ones, TABLE) == _gr(Fraction(1, 4))
+    assert stable_form(ms, ones, ones) == _gr(Fraction(1, 4))
     # (1/4)·f'_1(x_-)·conj(f'_2(x_-)): only the twisted component contributes.
     f = TestVector({("o2", (0, 1)): GaussianRational(Fraction(2), Fraction(3))})
     value = discrete_part(ms, f, f)
@@ -141,7 +139,7 @@ def test_empty_model_set():
     ms = DiscreteModelSet(())
     ones = TestVector.constant((), 1)
     assert discrete_part(ms, ones, ones) == _gr(0)
-    assert stable_form(ms, ones, ones, TABLE) == _gr(0)
+    assert stable_form(ms, ones, ones) == _gr(0)
 
 
 def test_two_disjoint_copies_additivity():
@@ -159,7 +157,7 @@ def test_discrete_equals_stable_on_fixtures_random_vectors():
     for _ in range(25):
         f1 = catalog.random_test_vector(rng, ms.models)
         f2 = catalog.random_test_vector(rng, ms.models)
-        assert discrete_part(ms, f1, f2) == stable_form(ms, f1, f2, TABLE)
+        assert discrete_part(ms, f1, f2) == stable_form(ms, f1, f2)
 
 
 def test_discrete_equals_stable_on_basis_vectors():
@@ -171,7 +169,7 @@ def test_discrete_equals_stable_on_basis_vectors():
         for s2 in supports:
             f1 = TestVector({s1: GaussianRational(Fraction(1))})
             f2 = TestVector({s2: GaussianRational(Fraction(1))})
-            assert discrete_part(ms, f1, f2) == stable_form(ms, f1, f2, TABLE)
+            assert discrete_part(ms, f1, f2) == stable_form(ms, f1, f2)
 
 
 def test_discrete_equals_stable_on_random_models():
@@ -181,7 +179,7 @@ def test_discrete_equals_stable_on_random_models():
         ms = DiscreteModelSet((m,))
         f1 = catalog.random_test_vector(rng, ms.models)
         f2 = catalog.random_test_vector(rng, ms.models)
-        assert discrete_part(ms, f1, f2) == stable_form(ms, f1, f2, TABLE), f"model {i}"
+        assert discrete_part(ms, f1, f2) == stable_form(ms, f1, f2), f"model {i}"
 
 
 def test_theta_transfer_discrete_restriction_agrees_on_discrete_triples():
@@ -248,7 +246,7 @@ def test_splus_matches_fraction_orbit_walk():
 
 def test_verify_coefficients_o2_fixture():
     (d,) = catalog.descriptors_o2()
-    report = verify_coefficients(catalog.model_o2(), d, TABLE)
+    report = verify_coefficients(catalog.model_o2(), d)
     assert report.passed, report.checks
 
 
@@ -265,21 +263,21 @@ def test_verify_coefficients_negative_controls():
         "out_card": replace(d, out_card=3),
     }
     for field, bad in controls.items():
-        report = verify_coefficients(m, bad, TABLE)
+        report = verify_coefficients(m, bad)
         assert not report.passed, f"perturbing {field} must fail"
 
 
 def test_verify_coefficients_zbar_perturbation_fails_product():
     (d,) = catalog.descriptors_o2()
     bad = replace(d, zbar=catalog.central_subgroup(catalog.datum("gl1"), ()))
-    report = verify_coefficients(catalog.model_o2(), bad, TABLE)
+    report = verify_coefficients(catalog.model_o2(), bad)
     assert "coefficient_product" in report.failed_names()
 
 
 def test_verify_coefficients_trivial_quotient_reduces_to_identity():
     m = catalog.model_sl2()
     (d0, *_) = catalog.principal_descriptors(m)
-    report = verify_coefficients(m, d0, TABLE)
+    report = verify_coefficients(m, d0)
     assert report.passed
     named = dict((name, (l, r, ok)) for name, l, r, ok in report.checks)
     lhs, rhs, ok = named["sigma_quotient"]
@@ -292,7 +290,7 @@ def test_endoscopic_form_equals_discrete_part_on_fixtures():
     for _ in range(10):
         f1 = catalog.random_test_vector(rng, ms.models)
         f2 = catalog.random_test_vector(rng, ms.models)
-        assert (endoscopic_form(ms, descriptors, f1, f2, TABLE)
+        assert (endoscopic_form(ms, descriptors, f1, f2)
                 == discrete_part(ms, f1, f2))
 
 
@@ -306,8 +304,8 @@ def test_endoscopic_degenerates_to_stable_with_trivial_iota():
     rng = Random(13)
     f1 = catalog.random_test_vector(rng, ms.models)
     f2 = catalog.random_test_vector(rng, ms.models)
-    assert (endoscopic_form(ms, descriptors, f1, f2, TABLE)
-            == stable_form(ms, f1, f2, TABLE))
+    assert (endoscopic_form(ms, descriptors, f1, f2)
+            == stable_form(ms, f1, f2))
 
 
 def test_endoscopic_alternate_covering_with_central_zbar():
@@ -316,7 +314,7 @@ def test_endoscopic_alternate_covering_with_central_zbar():
     rng = Random(17)
     f1 = catalog.random_test_vector(rng, ms.models)
     f2 = catalog.random_test_vector(rng, ms.models)
-    assert (endoscopic_form(ms, descriptors, f1, f2, TABLE)
+    assert (endoscopic_form(ms, descriptors, f1, f2)
             == discrete_part(ms, f1, f2))
 
 
@@ -326,26 +324,26 @@ def test_endoscopic_form_rejects_inconsistent_descriptor():
     bad[0] = replace(bad[0], s_phi_prime_card=bad[0].s_phi_prime_card + 1)
     ones = TestVector.constant(ms.models, 1)
     with pytest.raises(InconsistentDescriptor):
-        endoscopic_form(ms, bad, ones, ones, TABLE)
+        endoscopic_form(ms, bad, ones, ones)
 
 
 def test_each_descriptor_is_checked_once(monkeypatch):
     ms, descriptors = _fixture_set()
     calls = []
 
-    def counted(m, d, table=None):
+    def counted(m, d):
         calls.append(d)
-        return verify_coefficients(m, d, table)
+        return verify_coefficients(m, d)
 
     monkeypatch.setattr(stabilize_module, "verify_coefficients", counted)
     monkeypatch.setattr(stabilize_module, "_REPORTS", {})
     ones = TestVector.constant(ms.models, 1)
-    first = endoscopic_form(ms, descriptors, ones, ones, TABLE)
-    assert endoscopic_form(ms, descriptors, ones, ones, TABLE) == first
+    first = endoscopic_form(ms, descriptors, ones, ones)
+    assert endoscopic_form(ms, descriptors, ones, ones) == first
     by_id = {m.model_id: m for m in ms.models}
     for d in descriptors:
         assert coefficient_report(by_id[d.model_id], d) == verify_coefficients(
-            by_id[d.model_id], d, TABLE)
+            by_id[d.model_id], d)
     assert len(calls) == len(set(descriptors)) and set(calls) == set(descriptors)
 
 
@@ -357,7 +355,7 @@ def test_inconsistent_descriptor_fails_every_time_with_the_same_message():
     messages = set()
     for _ in range(2):
         with pytest.raises(InconsistentDescriptor) as info:
-            endoscopic_form(ms, bad, ones, ones, TABLE)
+            endoscopic_form(ms, bad, ones, ones)
         messages.add(str(info.value))
     assert len(messages) == 1 and "fails" in messages.pop()
 
@@ -369,7 +367,7 @@ def test_endoscopic_form_rejects_mixed_iota_in_group():
     clash = replace(catalog.descriptors_o2()[0], group_label=d1.group_label)
     ones = TestVector.constant(ms.models, 1)
     with pytest.raises(InconsistentDescriptor):
-        endoscopic_form(ms, [d1, clash], ones, ones, TABLE)
+        endoscopic_form(ms, [d1, clash], ones, ones)
 
 
 # ---------------------------------------------------------------------------
@@ -379,18 +377,18 @@ def test_endoscopic_form_rejects_mixed_iota_in_group():
 def test_s_disc_sl2_model():
     ms = DiscreteModelSet((catalog.model_sl2(),))
     ones = TestVector.constant(ms.models, 1)
-    assert s_disc(ms, ones, ones, TABLE) == _gr(Fraction(-1, 16))
+    assert s_disc(ms, ones, ones) == _gr(Fraction(-1, 16))
 
 
 def test_s_disc_skips_central_torus_bases():
     ms = DiscreteModelSet((catalog.model_o2(),))
     ones = TestVector.constant(ms.models, 1)
-    assert s_disc(ms, ones, ones, TABLE) == _gr(0)
+    assert s_disc(ms, ones, ones) == _gr(0)
 
 
 def test_s_disc_empty():
     ms = DiscreteModelSet(())
-    assert s_disc(ms, TestVector({}), TestVector({}), TABLE) == _gr(0)
+    assert s_disc(ms, TestVector({}), TestVector({})) == _gr(0)
 
 
 def test_induction_consistency():
@@ -404,7 +402,7 @@ def test_induction_consistency():
     for _ in range(5):
         f1 = catalog.random_test_vector(rng, ms.models)
         f2 = catalog.random_test_vector(rng, ms.models)
-        full = endoscopic_form(ms, descriptors, f1, f2, TABLE)
-        principal_term = endoscopic_form(ms, principal, f1, f2, TABLE)
+        full = endoscopic_form(ms, descriptors, f1, f2)
+        principal_term = endoscopic_form(ms, principal, f1, f2)
         assert (full - principal_term
-                == discrete_part(ms, f1, f2) - s_disc(ms, f1, f2, TABLE))
+                == discrete_part(ms, f1, f2) - s_disc(ms, f1, f2))
