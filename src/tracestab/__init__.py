@@ -9,6 +9,7 @@ identity chain tying those together.
 
 from .elliptic import SemisimpleClass, TorusPoint, elliptic_classes, is_elliptic, torus_point
 from .errors import (
+    DuplicateModelId,
     InconsistentDescriptor,
     InfiniteOrder,
     InfiniteType,

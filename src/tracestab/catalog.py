@@ -135,17 +135,9 @@ def principal_descriptors(m: ParameterModel) -> tuple[EndoscopicDescriptor, ...]
             label = (f"principal:{m.model_id}" if is_identity_class
                      else f"point:{m.model_id}:{x[0]}{x[1]}:{idx}")
             out.append(EndoscopicDescriptor(
-                group_label=label,
-                model_id=m.model_id,
-                x=x,
-                class_index=idx,
-                out_card=1,
-                out_phi_card=1,
-                zbar=zbar0,
-                sprime_datum=cls.centralizer_datum,
-                splus_over_s_card=splus,
-                s_phi_prime_card=splus * cls.pi0,
-            ))
+                label, m.model_id, x, idx, out_card=1, out_phi_card=1, zbar=zbar0,
+                sprime_datum=cls.centralizer_datum, splus_over_s_card=splus,
+                s_phi_prime_card=splus * cls.pi0))
     return tuple(out)
 
 
@@ -162,17 +154,8 @@ def descriptors_o2() -> tuple[EndoscopicDescriptor, ...]:
     m = model_o2()
     zbar = central_subgroup(datum("gl1"), ((Fraction(1, 2),),))
     return (EndoscopicDescriptor(
-        group_label="u1",
-        model_id=m.model_id,
-        x=(0, 1),
-        class_index=0,
-        out_card=2,
-        out_phi_card=2,
-        zbar=zbar,
-        sprime_datum=datum("trivial"),
-        splus_over_s_card=2,
-        s_phi_prime_card=1,
-    ),)
+        "u1", m.model_id, (0, 1), 0, out_card=2, out_phi_card=2, zbar=zbar,
+        sprime_datum=datum("trivial"), splus_over_s_card=2, s_phi_prime_card=1),)
 
 
 def descriptors_sl2_central() -> tuple[EndoscopicDescriptor, ...]:
@@ -190,17 +173,8 @@ def descriptors_sl2_central() -> tuple[EndoscopicDescriptor, ...]:
         classes = elliptic_classes(m.component_at(x))
         for idx, _cls in enumerate(classes):
             out.append(EndoscopicDescriptor(
-                group_label=f"sl2z:{x[0]}{x[1]}:{idx}",
-                model_id=m.model_id,
-                x=x,
-                class_index=idx,
-                out_card=1,
-                out_phi_card=1,
-                zbar=zbar,
-                sprime_datum=datum("pgl2"),
-                splus_over_s_card=2,
-                s_phi_prime_card=2,
-            ))
+                f"sl2z:{x[0]}{x[1]}:{idx}", m.model_id, x, idx, out_card=1, out_phi_card=1,
+                zbar=zbar, sprime_datum=datum("pgl2"), splus_over_s_card=2, s_phi_prime_card=2))
     return tuple(out)
 
 

@@ -14,7 +14,7 @@ import json
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from random import Random
 
@@ -237,6 +237,8 @@ def _model_from_obj(obj, fallback_id: str) -> ParameterModel:
             thetas[_bits_to_pair(key, sm_dim, r_dim)] = _int_matrix(mat)
         dual = DualGroupModel(base, thetas)
     model_id = obj.get("id", fallback_id)
+    if not isinstance(model_id, str):
+        raise MalformedInput("model id must be a string")
     return ParameterModel(model_id, TwoGroup(sm_dim), TwoGroup(r_dim), dual)
 
 
@@ -244,6 +246,11 @@ def _descriptor_from_obj(obj, models_by_id) -> EndoscopicDescriptor:
     _require_keys(obj, ("group_label", "model_id", "x", "class_index", "out_card",
                         "out_phi_card", "zbar_generators", "sprime",
                         "splus_over_s_card", "s_phi_prime_card"))
+    cards = ("out_card", "out_phi_card", "splus_over_s_card", "s_phi_prime_card")
+    if any(type(obj[k]) is not int for k in cards + ("class_index",)) or min(
+            obj[k] for k in cards) < 1 or not isinstance(obj["group_label"], str):
+        raise MalformedInput("descriptor cardinalities must be positive integers, "
+                             "class_index an integer and group_label a string")
     m = models_by_id.get(obj["model_id"])
     if m is None:
         raise MalformedInput(f"descriptor references unknown model {obj['model_id']!r}")
@@ -284,7 +291,7 @@ def parse_args(argv) -> RunConfig:
     add_common(p)
     p = sub.add_parser("sigma")
     add_common(p)
-    p.add_argument("--catalog", action="store_true")
+    p.add_argument("--catalog", dest="catalog_flag", action="store_true")
     p = sub.add_parser("verify")
     p.add_argument("target", choices=("ei", "central-quotient", "stabilization"))
     add_common(p)
@@ -309,19 +316,8 @@ def parse_args(argv) -> RunConfig:
     add_common(p, group=False)
 
     ns = parser.parse_args(argv)
-    return RunConfig(
-        subcommand=ns.subcommand,
-        target=getattr(ns, "target", None),
-        group=getattr(ns, "group", None),
-        theta=getattr(ns, "theta", None),
-        z=getattr(ns, "z", None),
-        models=getattr(ns, "models", None),
-        model=getattr(ns, "model", None),
-        fmt=getattr(ns, "fmt", "json"),
-        seed=getattr(ns, "seed", 0),
-        trials=getattr(ns, "trials", 100),
-        catalog_flag=getattr(ns, "catalog", False),
-    )
+    # A subcommand without an option leaves the RunConfig default.
+    return RunConfig(**{f.name: getattr(ns, f.name, f.default) for f in fields(RunConfig)})
 
 
 def _emit(config: RunConfig, obj, tsv_rows=None) -> None:
@@ -452,6 +448,8 @@ def _load_model_set(config: RunConfig):
     _require_keys(obj, ("models",), ("descriptors",))
     models = tuple(_model_from_obj(o, f"model{i}") for i, o in enumerate(obj["models"]))
     by_id = {m.model_id: m for m in models}
+    if len(by_id) != len(models):
+        raise MalformedInput("model ids must be unique")
     descriptors = tuple(_descriptor_from_obj(o, by_id) for o in obj.get("descriptors", ()))
     return DiscreteModelSet(models), descriptors
 
@@ -499,16 +497,10 @@ def _run_stabilize_verify(config: RunConfig) -> int:
             i_val = i_phi(m, x)
             ei_items.append({"model": m.model_id, "x": _pair_to_bits(x, m.s_m.dim, m.r.dim),
                              "e": fmt_q(e_val), "i": fmt_q(i_val), "pass": e_val == i_val})
-    coset_items = []
-    for m in ms.models:
-        for x in m.s_elements():
-            for y in m.s_elements():
-                if x[1] == y[1]:
-                    ok = i_phi(m, x) == i_phi(m, y)
-                    if not ok:
-                        coset_items.append({"model": m.model_id,
-                                            "x": _pair_to_bits(x, m.s_m.dim, m.r.dim),
-                                            "y": _pair_to_bits(y, m.s_m.dim, m.r.dim)})
+    coset_items = [{"model": m.model_id, "x": _pair_to_bits(x, m.s_m.dim, m.r.dim),
+                    "y": _pair_to_bits(y, m.s_m.dim, m.r.dim)}
+                   for m in ms.models for x in m.s_elements() for y in m.s_elements()
+                   if x[1] == y[1] and i_phi(m, x) != i_phi(m, y)]
     all_pass = (all(item["pass"] for item in identities)
                 and all(item["pass"] for item in ei_items)
                 and all(item["pass"] for item in coefficient_checks)

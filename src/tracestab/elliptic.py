@@ -165,14 +165,9 @@ def _twist_shape(c: TwistedComponent) -> str:
         return "unsupported"
     for root, coroot in zip(c.base.roots, c.base.coroots):
         image = tuple(mat_vec(theta, coroot))
-        if image == coroot:
+        if image == coroot or dot(root, image) != 0:
             return "unsupported"
-        if dot(root, image) != 0:
-            return "unsupported"
-    fixed = int_kernel(_theta_minus_one(c))
-    if 2 * len(fixed) != n:
-        return "unsupported"
-    return "fold"
+    return "fold" if 2 * len(int_kernel(_theta_minus_one(c))) == n else "unsupported"
 
 
 def _fold(c: TwistedComponent) -> tuple[RootDatum, tuple[IntVec, ...]]:

@@ -45,6 +45,10 @@ class MissingDualGroup(TraceStabError):
     """The operation needs a dual-group attachment and none is present."""
 
 
+class DuplicateModelId(TraceStabError):
+    """Two models of one set share an id."""
+
+
 class InconsistentDescriptor(TraceStabError):
     """An endoscopic descriptor fails the coefficient bookkeeping."""
 

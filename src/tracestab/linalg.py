@@ -329,7 +329,12 @@ def in_integer_row_span(basis: Sequence[Sequence[int]], target: Sequence) -> boo
 
 
 def clear_denominators(v: Sequence) -> tuple[IntVec, int]:
-    """Return (integer vector, d) with v == vector / d, for int or Fraction entries."""
+    """Return (integer vector, d) with v == vector / d, for int or Fraction entries.
+
+    A row of ints comes back unchanged (as a tuple), with d = 1.
+    """
+    if all(type(x) is int for x in v):
+        return tuple(v), 1
     d = lcm(*[x.denominator for x in v])
     return tuple([x.numerator * (d // x.denominator) for x in v]), d
 

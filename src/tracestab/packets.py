@@ -30,7 +30,7 @@ from operator import mul
 from typing import Mapping
 
 from .errors import InvalidDimension, MismatchedModel, MissingDualGroup
-from .linalg import IntMat, identity_matrix, invert, mat_mul
+from .linalg import IntMat, clear_denominators, identity_matrix, invert, mat_mul
 from .rootdata import RootDatum, weyl_group
 from .weylcoset import TwistedComponent, component
 
@@ -72,9 +72,6 @@ class GaussianRational:
 
     def conjugate(self) -> "GaussianRational":
         return GaussianRational(self.re, -self.im)
-
-    def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
 
 
 GR_ZERO = GaussianRational()
@@ -282,6 +279,17 @@ class TestVector:
     def value(self, model_id: str, x: SElement) -> GaussianRational:
         return self.values.get((model_id, x), GR_ZERO)
 
+    @cached_property
+    def integer_view(self) -> tuple[int, dict[tuple[str, SElement], tuple[int, int]]]:
+        """A common denominator D and the integer (re, im) of D·f'(φ, x) per key."""
+        parts, denom = clear_denominators([q for z in self.values.values() for q in (z.re, z.im)])
+        return denom, dict(zip(self.values, zip(parts[::2], parts[1::2])))
+
+    def column(self, m: "ParameterModel") -> list[tuple[int, int]]:
+        """The integer view of m's values, in ``s_elements`` order."""
+        nums = self.integer_view[1]
+        return [nums.get((m.model_id, x), (0, 0)) for x in m.s_elements()]
+
     @staticmethod
     def constant(models, scalar) -> "TestVector":
         c = GaussianRational.of(scalar)
@@ -292,13 +300,14 @@ class TestVector:
         return TestVector(out)
 
 
-def _weighted_sum(terms, denominator: int) -> GaussianRational:
-    """Σ n·z / denominator over pairs of an integer n and a Gaussian rational z."""
+def theta_numerator(row, column) -> tuple[int, int]:
+    """Σ_x N[τ][x]·(re, im)(x): |S|·D·Θ(τ, f) from a numerator row and a vector column."""
     re = im = 0
-    for n, z in terms:
-        re += n * z.re
-        im += n * z.im
-    return GaussianRational(Fraction(re, denominator), Fraction(im, denominator))
+    for n, (a, b) in zip(row, column):
+        if n:
+            re += n * a
+            im += n * b
+    return re, im
 
 
 def theta_transfer(m: ParameterModel, tau: Tau, f: TestVector,
@@ -306,8 +315,11 @@ def theta_transfer(m: ParameterModel, tau: Tau, f: TestVector,
     """Σ_x Δ(τ, φ^x)·f'(φ, x), optionally over a subset of components."""
     m._check_tau(tau)
     row = m.transfer_numerators[m._index(tau)]
-    return _weighted_sum(((n, f.value(m.model_id, x)) for x, n in zip(m.s_elements(), row)
-                          if n and (restrict_to is None or x in restrict_to)), m.s_size)
+    if restrict_to is not None:
+        row = [n if x in restrict_to else 0 for x, n in zip(m.s_elements(), row)]
+    re, im = theta_numerator(row, f.column(m))
+    denom = m.s_size * f.integer_view[0]
+    return GaussianRational(Fraction(re, denom), Fraction(im, denom))
 
 
 def invert_transfer(m: ParameterModel, x: SElement,
@@ -315,9 +327,12 @@ def invert_transfer(m: ParameterModel, x: SElement,
     """Σ_τ Δ(φ^x, τ)·Θ(τ); exact right-inverse of theta_transfer."""
     m._check_x(x)
     col = m._index(x)
-    return _weighted_sum(((row[col], GaussianRational.of(theta.get(tau, GR_ZERO)))
-                          for tau, row in zip(m.taus(), m.transfer_numerators) if row[col]),
-                         m.r.size)
+    re = im = 0
+    for tau, row in zip(m.taus(), m.transfer_numerators):
+        if row[col]:
+            z = GaussianRational.of(theta.get(tau, GR_ZERO))
+            re, im = re + row[col] * z.re, im + row[col] * z.im
+    return GaussianRational(Fraction(re, m.r.size), Fraction(im, m.r.size))
 
 
 def verify_adjoint(m: ParameterModel) -> bool:

@@ -129,12 +129,17 @@ def build_root_datum(rank: int, simple_roots, simple_coroots) -> RootDatum:
     """Validate a based datum and close the simple roots under reflections.
 
     The root list is frozen in lexicographic order so that every downstream
-    sum and report is reproducible.
+    sum and report is reproducible.  One datum is built per normalized input.
     """
     if rank < 0:
         raise NonCartan("negative rank")
-    simple_roots = tuple(tuple(int(x) for x in r) for r in simple_roots)
-    simple_coroots = tuple(tuple(int(x) for x in r) for r in simple_coroots)
+    return _build_root_datum(rank, tuple(tuple(int(x) for x in r) for r in simple_roots),
+                             tuple(tuple(int(x) for x in r) for r in simple_coroots))
+
+
+@cache
+def _build_root_datum(rank: int, simple_roots: tuple[IntVec, ...],
+                      simple_coroots: tuple[IntVec, ...]) -> RootDatum:
     if len(simple_roots) != len(simple_coroots):
         raise NonCartan("simple root and coroot lists differ in length")
     if len(simple_roots) > rank:
@@ -374,25 +379,15 @@ def quotient_by_central(d: RootDatum, z: CentralSubgroup) -> RootDatum:
 
 def quotient_with_map(d: RootDatum, z: CentralSubgroup) -> tuple[RootDatum, tuple]:
     """Quotient datum plus the matrix sending old X∨⊗Q coordinates to new."""
-    if not z.generators or z.order == 1:
-        gens: list[QVec] = []
-    else:
-        gens = list(z.generators)
+    gens = list(z.generators) if z.order > 1 else []
     for g in gens:
         for alpha in d.simple_roots:
             if dot(alpha, g) % 1 != 0:
                 raise NotCentral(f"<{alpha}, {g}> is not integral")
     n = d.rank
-    rows = [tuple(r) for r in identity_matrix(n)]
-    denom = 1
-    scaled: list[IntVec] = []
-    if gens:
-        joined = [x for g in gens for x in g]
-        _, denom = clear_denominators(tuple(joined))
-    for row in rows:
-        scaled.append(tuple(x * denom for x in row))
-    for g in gens:
-        scaled.append(tuple(int(Fraction(x) * denom) for x in g))
+    _, denom = clear_denominators(tuple(x for g in gens for x in g))
+    scaled = [tuple(x * denom for x in row) for row in identity_matrix(n)]
+    scaled += [tuple(int(Fraction(x) * denom) for x in g) for g in gens]
     basis_rows = hnf_rows(scaled)
     if len(basis_rows) != n:
         raise NotCentral("degenerate central subgroup")
@@ -401,10 +396,6 @@ def quotient_with_map(d: RootDatum, z: CentralSubgroup) -> tuple[RootDatum, tupl
     m_inv = invert(m)
     mt = transpose(m)
 
-    def to_new_coroot(v: IntVec) -> IntVec:
-        image = mat_vec(m_inv, v)
-        return tuple(int(x) for x in image)
-
     def to_new_root(v: IntVec) -> IntVec:
         image = mat_vec(mt, v)
         if any(Fraction(x).denominator != 1 for x in image):
@@ -412,7 +403,7 @@ def quotient_with_map(d: RootDatum, z: CentralSubgroup) -> tuple[RootDatum, tupl
         return tuple(int(x) for x in image)
 
     new_roots = tuple(to_new_root(a) for a in d.simple_roots)
-    new_coroots = tuple(to_new_coroot(a) for a in d.simple_coroots)
+    new_coroots = tuple(tuple(int(x) for x in mat_vec(m_inv, a)) for a in d.simple_coroots)
     return build_root_datum(n, new_roots, new_coroots), m_inv
 
 
@@ -449,11 +440,8 @@ def canonical_key(d: RootDatum) -> bytes:
     sat_basis = _saturation_basis(tuple(q_basis))
 
     # X∨_ss / Q∨ from coroot coordinates in the saturated basis.
-    rel = []
-    for row in q_basis:
-        coords = coords_in_rows(sat_basis, row)
-        rel.append(tuple(int(x) for x in coords))
-    x_over_q = invariant_factors(tuple(rel))
+    x_over_q = invariant_factors(tuple(tuple(int(x) for x in coords_in_rows(sat_basis, row))
+                                       for row in q_basis))
 
     # P∨ / X∨_ss from the pairing of simple roots with the saturated basis.
     gram = tuple(tuple(dot(alpha, b) for b in sat_basis) for alpha in d.simple_roots)

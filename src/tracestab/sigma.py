@@ -122,5 +122,10 @@ def verify_ei(c: TwistedComponent) -> EIReport:
 
 
 def verify_central_quotient(d: RootDatum, z: CentralSubgroup) -> bool:
-    """Check σ(d) = σ(d/z)·|z|⁻¹ exactly."""
+    """Check σ(d) = σ(d/z)·|z|⁻¹ exactly.
+
+    It holds by construction for a valid central z: both sides are the same
+    adjoint product over |Z(d)|.  ``verify_ei`` on non-adjoint forms is the
+    independent check of the quotient rule.
+    """
     return sigma(d) == sigma(quotient_by_central(d, z)) / z.order

@@ -7,16 +7,22 @@ discrete part, the elliptic-class stable form, and the descriptor-indexed
 endoscopic form — are finite sums that must agree exactly; the continuous
 twist families of the analytic theory are collapsed to one representative
 per orbit, which turns every integral into the finite sum evaluated here.
+Each form is a fixed bilinear kernel: its weights are built once per
+``DiscreteModelSet`` as integers over one denominator, and each evaluation
+is one integer sum over the test vectors' integer views.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, cached_property
 
-from .elliptic import SemisimpleClass, elliptic_classes
-from .errors import InconsistentDescriptor, MissingDualGroup
+from .elliptic import SemisimpleClass, _theta_minus_one, elliptic_classes
+from .errors import DuplicateModelId, InconsistentDescriptor, MissingDualGroup
 from .linalg import (
+    IntMat,
+    clear_denominators,
     dot,
     hnf_rows,
     identity_matrix,
@@ -25,28 +31,16 @@ from .linalg import (
     mat_vec,
     matrix_rank,
 )
-from .packets import (
-    GR_ZERO,
-    GaussianRational,
-    ParameterModel,
-    SElement,
-    TestVector,
-    theta_transfer,
-)
+from .packets import GaussianRational, ParameterModel, SElement, TestVector, theta_numerator
 from .rootdata import CentralSubgroup, RootDatum, subgroup_mod1
 from .sigma import sigma
-from .weylcoset import i_number, weyl_set
+from .weylcoset import TwistedComponent, i_number, weyl_set
 
 
 def s_disc_set(m: ParameterModel) -> frozenset[SElement]:
     """Components whose Weyl coset contains a regular element."""
-    if m.dual_group is None:
-        raise MissingDualGroup(f"model {m.model_id} has no dual-group attachment")
-    out = set()
-    for x in m.s_elements():
-        if any(e.regular for e in weyl_set(m.component_at(x))):
-            out.add(x)
-    return frozenset(out)
+    return frozenset(x for x in m.s_elements()
+                     if any(e.regular for e in weyl_set(m.component_at(x))))
 
 
 def i_phi(m: ParameterModel, x: SElement) -> Fraction:
@@ -59,18 +53,13 @@ def i_phi(m: ParameterModel, x: SElement) -> Fraction:
 
 def e_phi(m: ParameterModel, x: SElement) -> Fraction:
     """Elliptic-class sum Σ |π₀|⁻¹·σ(centralizer) on the component of x."""
-    comp = m.component_at(x)
-    total = Fraction(0)
-    for cls in elliptic_classes(comp):
-        total += Fraction(1, cls.pi0) * sigma(cls.centralizer_datum)
-    return total
+    return sum((Fraction(1, cls.pi0) * sigma(cls.centralizer_datum)
+                for cls in elliptic_classes(m.component_at(x))), Fraction(0))
 
 
 def phi_disc(m: ParameterModel) -> bool:
     """Whether the attachment has no twist-stable central torus directions."""
-    if m.dual_group is None:
-        raise MissingDualGroup(f"model {m.model_id} has no dual-group attachment")
-    base = m.dual_group.base
+    base = m.component_at((0, 0)).base
     # Only the dimension of the twist-fixed part counts, so any basis will do.
     central = int_kernel(base.simple_roots) if base.simple_roots else identity_matrix(base.rank)
     if not central:
@@ -78,66 +67,95 @@ def phi_disc(m: ParameterModel) -> bool:
     # v = Σ c_j b_j is fixed by every twist iff the stacked rows kill c.
     coeff_rows = []
     for x in m.s_elements():
-        theta = m.dual_group.thetas[x]
+        theta = m.component_at(x).theta
         images = [mat_vec(theta, b) for b in central]
         for i in range(len(central[0])):
             coeff_rows.append(tuple(images[j][i] - central[j][i] for j in range(len(central))))
-    fixed_dim = len(central) - matrix_rank(coeff_rows)
-    return fixed_dim == 0
+    return matrix_rank(coeff_rows) == len(central)  # no fixed direction
 
 
 def phi_s_disc(m: ParameterModel) -> bool:
     """Whether the base datum itself has finite center (roots span)."""
-    if m.dual_group is None:
-        raise MissingDualGroup(f"model {m.model_id} has no dual-group attachment")
-    return m.dual_group.base.is_semisimple()
+    return m.component_at((0, 0)).base.is_semisimple()
+
+
+def _over_common_denominator(weights: dict) -> tuple[dict, int]:
+    """The nonzero rational weights as integers over their least common denominator."""
+    nums, denom = clear_denominators(tuple(weights.values()))
+    return {k: n for k, n in zip(weights, nums) if n}, denom
+
+
+def _hermitian_sum(terms, denominator: int) -> GaussianRational:
+    """Σ c·u·conj(v)/denominator over integer weights c and integer (re, im) pairs u, v."""
+    re = im = 0
+    for c, (a, b), (p, q) in terms:
+        re += c * (a * p + b * q)
+        im += c * (b * p - a * q)
+    return GaussianRational(Fraction(re, denominator), Fraction(im, denominator))
+
+
+def _vector_form(weights: tuple[dict, int], f1: TestVector, f2: TestVector) -> GaussianRational:
+    """Σ w(φ, x)·f₁(φ, x)·conj(f₂(φ, x)) over integer weights keyed by (model id, x)."""
+    nums, denom = weights
+    (d1, v1), (d2, v2) = f1.integer_view, f2.integer_view
+    zero = (0, 0)
+    return _hermitian_sum(((c, v1.get(k, zero), v2.get(k, zero)) for k, c in nums.items()),
+                          denom * d1 * d2)
 
 
 @dataclass(frozen=True)
 class DiscreteModelSet:
+    """The models of the identity chain, with the integer weights of its forms."""
+
     models: tuple[ParameterModel, ...]
 
     def __post_init__(self):
         ids = [m.model_id for m in self.models]
         if len(set(ids)) != len(ids):
-            raise ValueError("model ids must be unique")
+            raise DuplicateModelId("model ids must be unique")
         for m in self.models:
             if m.dual_group is None:
                 raise MissingDualGroup(f"model {m.model_id} has no dual-group attachment")
 
+    @cached_property
+    def stable_weights(self) -> tuple[dict, int]:
+        """e_φ(x)/|S| per (model id, x)."""
+        return _over_common_denominator({(m.model_id, x): Fraction(e_phi(m, x), m.s_size)
+                                         for m in self.models for x in m.s_elements()})
+
+    @cached_property
+    def discrete_weights(self) -> tuple[dict, int]:
+        """i_φ(ι(τ))/(|R|·|S|²) per (model position, row of τ), for ι(τ) in s_disc_set.
+
+        The |S|² turns the two Θ numerators of a term into Θ values.
+        """
+        weights = {}
+        for k, m in enumerate(self.models):
+            disc = s_disc_set(m)
+            for t, tau in enumerate(m.taus()):
+                if m.iota(tau) in disc:
+                    weights[(k, t)] = Fraction(i_phi(m, m.iota(tau)), m.r.size * m.s_size ** 2)
+        return _over_common_denominator(weights)
+
+    @cached_property
+    def endoscopic_weights(self) -> dict[tuple, tuple[dict, int]]:
+        """Per descriptor tuple, its validated weights per (model id, x)."""
+        return {}
+
 
 def discrete_part(ms: DiscreteModelSet, f1: TestVector, f2: TestVector) -> GaussianRational:
     """Triple-indexed form: Σ_τ i_φ(ι(τ))·Θ(τ,f₁)·conj(Θ(τ,f₂))·|R|⁻¹."""
-    total = GR_ZERO
-    for m in ms.models:
-        disc = s_disc_set(m)
-        weight = Fraction(1, m.r.size)
-        for tau in m.taus():
-            x = m.iota(tau)
-            if x not in disc:
-                continue
-            coeff = i_number(m.component_at(x))
-            if not coeff:
-                continue
-            term = theta_transfer(m, tau, f1) * theta_transfer(m, tau, f2).conjugate()
-            total = total + term * (coeff * weight)
-    return total
+    nums, denom = ms.discrete_weights
+    rows = [m.transfer_numerators for m in ms.models]
+    cols = [(f1.column(m), f2.column(m)) for m in ms.models]
+    terms = ((c, theta_numerator(rows[k][t], cols[k][0]), theta_numerator(rows[k][t], cols[k][1]))
+             for (k, t), c in nums.items())
+    return _hermitian_sum(terms, denom * f1.integer_view[0] * f2.integer_view[0])
 
 
 def stable_form(ms: DiscreteModelSet, f1: TestVector, f2: TestVector) -> GaussianRational:
     """Elliptic-class form: Σ_s |S|⁻¹·|π₀(s)|⁻¹·σ(S°_s)·f'₁·conj(f'₂)."""
-    total = GR_ZERO
-    for m in ms.models:
-        for x in m.s_elements():
-            comp = m.component_at(x)
-            fvals = f1.value(m.model_id, x) * f2.value(m.model_id, x).conjugate()
-            for cls in elliptic_classes(comp):
-                coeff = (Fraction(1, m.s_size)
-                         * Fraction(1, cls.pi0)
-                         * sigma(cls.centralizer_datum))
-                if coeff:
-                    total = total + fvals * coeff
-    return total
+    return _vector_form(ms.stable_weights, f1, f2)
 
 
 @dataclass(frozen=True)
@@ -160,6 +178,13 @@ def iota_coefficient(out_card: int, zbar_card: int) -> Fraction:
     return Fraction(1, out_card) * Fraction(1, zbar_card)
 
 
+@cache
+def _twist_image(comp: TwistedComponent) -> tuple[IntMat, IntMat]:
+    """θ − 1 on a component and the Hermite basis of its image (θ−1)·X∨."""
+    delta = _theta_minus_one(comp)
+    return delta, hnf_rows(tuple(zip(*delta)))
+
+
 def fixed_intersection_order(m: ParameterModel, x: SElement, zbar: CentralSubgroup) -> int:
     """|S̄° ∩ Z̄| for the class component: elements with a θ_x-fixed lift.
 
@@ -168,11 +193,8 @@ def fixed_intersection_order(m: ParameterModel, x: SElement, zbar: CentralSubgro
     (θ−1)·z lands in (θ−1)·X∨.
     """
     comp = m.component_at(x)
-    theta, n = comp.theta, comp.base.rank
-    delta = tuple(tuple(theta[i][j] - (1 if i == j else 0) for j in range(n))
-                  for i in range(n))
-    image_basis = hnf_rows(tuple(zip(*delta)))
-    return sum(1 for z in subgroup_mod1(zbar.generators, n)
+    delta, image_basis = _twist_image(comp)
+    return sum(1 for z in subgroup_mod1(zbar.generators, comp.base.rank)
                if in_integer_row_span(image_basis, mat_vec(delta, z)))
 
 
@@ -261,6 +283,14 @@ def endoscopic_form(ms: DiscreteModelSet, descriptors, f1: TestVector,
     the weight (out·splus)/(out_phi·|S|).  Descriptors are validated first;
     an inconsistent one is a hard error, never a silent wrong sum.
     """
+    key = tuple(descriptors)
+    if key not in ms.endoscopic_weights:
+        ms.endoscopic_weights[key] = _fold_descriptors(ms, key)
+    return _vector_form(ms.endoscopic_weights[key], f1, f2)
+
+
+def _fold_descriptors(ms: DiscreteModelSet, descriptors) -> tuple[dict, int]:
+    """Check every descriptor, then sum their coefficients per (model id, x)."""
     by_model = {m.model_id: m for m in ms.models}
     by_group: dict[str, list[EndoscopicDescriptor]] = {}
     for d in descriptors:
@@ -272,7 +302,7 @@ def endoscopic_form(ms: DiscreteModelSet, descriptors, f1: TestVector,
                 f"descriptor for {d.model_id}:{d.x} fails {report.failed_names()}")
         by_group.setdefault(d.group_label, []).append(d)
 
-    total = GR_ZERO
+    weights: dict[tuple[str, SElement], Fraction] = {}
     for label in sorted(by_group):
         group = by_group[label]
         iotas = {iota_coefficient(d.out_card, d.zbar.order) for d in group}
@@ -280,27 +310,16 @@ def endoscopic_form(ms: DiscreteModelSet, descriptors, f1: TestVector,
             raise InconsistentDescriptor(f"group {label} mixes distinct iota coefficients")
         iota = iotas.pop()
         for d in group:
-            m = by_model[d.model_id]
             weight = Fraction(d.out_card * d.splus_over_s_card,
-                              d.out_phi_card * m.s_size)
-            coeff = (iota * weight * Fraction(1, d.s_phi_prime_card)
-                     * sigma(d.sprime_datum))
-            if coeff:
-                fvals = (f1.value(d.model_id, d.x)
-                         * f2.value(d.model_id, d.x).conjugate())
-                total = total + fvals * coeff
-    return total
+                              d.out_phi_card * by_model[d.model_id].s_size)
+            key = (d.model_id, d.x)
+            weights[key] = (weights.get(key, 0) + iota * weight
+                            * Fraction(1, d.s_phi_prime_card) * sigma(d.sprime_datum))
+    return _over_common_denominator(weights)
 
 
 def s_disc(ms: DiscreteModelSet, f1: TestVector, f2: TestVector) -> GaussianRational:
     """Stable spectral distribution over models with semisimple base."""
-    total = GR_ZERO
-    for m in ms.models:
-        if not phi_s_disc(m):
-            continue
-        coeff = Fraction(1, m.s_size) * sigma(m.dual_group.base)
-        if coeff:
-            x0 = (0, 0)
-            fvals = f1.value(m.model_id, x0) * f2.value(m.model_id, x0).conjugate()
-            total = total + fvals * coeff
-    return total
+    return _vector_form(_over_common_denominator(
+        {(m.model_id, (0, 0)): Fraction(sigma(m.dual_group.base), m.s_size)
+         for m in ms.models if phi_s_disc(m)}), f1, f2)

@@ -96,11 +96,8 @@ def coset_sign(d: RootDatum, total: IntMat, positive_roots=None) -> int:
         positive_roots = d.positive_roots()
     action = contragredient(total)
     positives = set(positive_roots)
-    inversions = 0
-    for alpha in positive_roots:
-        image = tuple(int(x) for x in mat_vec(action, alpha))
-        if image not in positives:
-            inversions += 1
+    inversions = sum(1 for alpha in positive_roots
+                     if tuple(int(x) for x in mat_vec(action, alpha)) not in positives)
     return -1 if inversions % 2 else 1
 
 
@@ -109,12 +106,7 @@ def _coset_element(c: TwistedComponent, v: WeylElement, theta_sign: int) -> Cose
     delta = tuple(tuple(total[i][j] - (1 if i == j else 0) for j in range(c.base.rank))
                   for i in range(c.base.rank))
     d = det(delta)
-    return CosetElement(
-        total=total,
-        det_w_minus_1=d,
-        sign=-theta_sign if len(v.word) % 2 else theta_sign,
-        regular=d != 0,
-    )
+    return CosetElement(total, d, -theta_sign if len(v.word) % 2 else theta_sign, d != 0)
 
 
 @cache
@@ -133,8 +125,5 @@ def weyl_set(c: TwistedComponent) -> tuple[CosetElement, ...]:
 def i_number(c: TwistedComponent) -> Fraction:
     """Signed average of 1/|det(w−1)| over the regular part of the coset."""
     elements = weyl_set(c)
-    total = Fraction(0)
-    for e in elements:
-        if e.regular:
-            total += Fraction(e.sign) / abs(e.det_w_minus_1)
-    return total / len(elements)
+    return sum((Fraction(e.sign) / abs(e.det_w_minus_1) for e in elements if e.regular),
+               Fraction(0)) / len(elements)

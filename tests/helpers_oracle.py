@@ -27,9 +27,14 @@ fraction-free ``linalg._echelon`` replaced.
 e = i solved on the datum itself, over every centralizer, with no product
 or central-quotient rule.
 
-The packet character sums at the very end are the reference for the
-Walsh–Hadamard transfer table: one O(|R|) loop over the R-group characters
-per entry, straight from ``ParameterModel.pairing``.
+The packet character sums are the reference for the Walsh–Hadamard
+transfer table: one O(|R|) loop over the R-group characters per entry,
+straight from ``ParameterModel.pairing``.
+
+The three forms at the very end are the Fraction loops that the integer
+kernels of ``stabilize`` replaced: every trial rebuilds every weight, and
+Θ is summed from the per-entry character sums (``oracle_theta``), not from
+the transfer table.
 """
 
 from fractions import Fraction
@@ -39,6 +44,7 @@ from math import lcm
 
 from tracestab import catalog
 from tracestab.elliptic import _bds_children, elliptic_classes
+from tracestab.errors import InconsistentDescriptor
 from tracestab.linalg import (
     dot,
     dual_lattice_quotient,
@@ -47,8 +53,10 @@ from tracestab.linalg import (
     mat_vec,
     normalize_mod1,
 )
-from tracestab.packets import TwoGroup
+from tracestab.packets import GR_ZERO, TwoGroup
 from tracestab.rootdata import build_root_datum, contragredient, weyl_group
+from tracestab.sigma import sigma
+from tracestab.stabilize import coefficient_report, iota_coefficient, s_disc_set
 from tracestab.weylcoset import i_number, untwisted_component
 
 GRID_N = lcm(*range(1, 13))
@@ -444,3 +452,74 @@ def oracle_transfer_factor(m, tau, x):
 def oracle_adjoint_factor(m, x, tau):
     """Δ(φ^x, τ) as the |R|⁻¹-weighted per-entry character sum."""
     return Fraction(_packet_character_sum(m, tau, x), m.r.size)
+
+
+def oracle_theta(m, tau, f):
+    """Θ(τ, f) = Σ_x Δ(τ, φ^x)·f'(φ, x) in Fractions, from the character sums."""
+    total = GR_ZERO
+    for x in m.s_elements():
+        total = total + f.value(m.model_id, x) * oracle_transfer_factor(m, tau, x)
+    return total
+
+
+def oracle_discrete_part(ms, f1, f2):
+    """Σ_τ i_φ(ι(τ))·Θ(τ,f₁)·conj(Θ(τ,f₂))·|R|⁻¹, one Fraction term at a time."""
+    total = GR_ZERO
+    for m in ms.models:
+        disc = s_disc_set(m)
+        weight = Fraction(1, m.r.size)
+        for tau in m.taus():
+            x = m.iota(tau)
+            if x not in disc:
+                continue
+            coeff = i_number(m.component_at(x))
+            if not coeff:
+                continue
+            term = oracle_theta(m, tau, f1) * oracle_theta(m, tau, f2).conjugate()
+            total = total + term * (coeff * weight)
+    return total
+
+
+def oracle_stable_form(ms, f1, f2):
+    """Σ_s |S|⁻¹·|π₀(s)|⁻¹·σ(S°_s)·f'₁·conj(f'₂), one class at a time."""
+    total = GR_ZERO
+    for m in ms.models:
+        for x in m.s_elements():
+            fvals = f1.value(m.model_id, x) * f2.value(m.model_id, x).conjugate()
+            for cls in elliptic_classes(m.component_at(x)):
+                coeff = (Fraction(1, m.s_size) * Fraction(1, cls.pi0)
+                         * sigma(cls.centralizer_datum))
+                if coeff:
+                    total = total + fvals * coeff
+    return total
+
+
+def oracle_endoscopic_form(ms, descriptors, f1, f2):
+    """Σ_{G'} ι(G,G')·Σ_{φ'} |S_{φ'}|⁻¹σ(S̄°_{φ'})·f₁·conj(f₂), one descriptor at a time."""
+    by_model = {m.model_id: m for m in ms.models}
+    by_group = {}
+    for d in descriptors:
+        if d.model_id not in by_model:
+            raise InconsistentDescriptor(f"descriptor references unknown model {d.model_id}")
+        report = coefficient_report(by_model[d.model_id], d)
+        if not report.passed:
+            raise InconsistentDescriptor(
+                f"descriptor for {d.model_id}:{d.x} fails {report.failed_names()}")
+        by_group.setdefault(d.group_label, []).append(d)
+    total = GR_ZERO
+    for label in sorted(by_group):
+        group = by_group[label]
+        iotas = {iota_coefficient(d.out_card, d.zbar.order) for d in group}
+        if len(iotas) != 1:
+            raise InconsistentDescriptor(f"group {label} mixes distinct iota coefficients")
+        iota = iotas.pop()
+        for d in group:
+            weight = Fraction(d.out_card * d.splus_over_s_card,
+                              d.out_phi_card * by_model[d.model_id].s_size)
+            coeff = (iota * weight * Fraction(1, d.s_phi_prime_card)
+                     * sigma(d.sprime_datum))
+            if coeff:
+                fvals = (f1.value(d.model_id, d.x)
+                         * f2.value(d.model_id, d.x).conjugate())
+                total = total + fvals * coeff
+    return total

@@ -121,6 +121,17 @@ def test_wrongly_shaped_input_exits_4_without_traceback(tmp_path, args, name, co
     assert json.loads(err)["error"]["kind"] == "malformed-input"
 
 
+def test_duplicate_model_ids_exit_4_without_traceback(tmp_path):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"models": [{"sM_dim": 0, "r_dim": 0, "id": "a"},
+                                           {"sM_dim": 0, "r_dim": 0, "id": "a"}]}))
+    rc, out, err = _run_cli(["stabilize", "verify", "--models", str(path)])
+    assert rc == EXIT_MALFORMED and out == b""
+    assert b"Traceback" not in err
+    assert json.loads(err)["error"] == {"kind": "malformed-input",
+                                        "detail": "model ids must be unique"}
+
+
 def test_module_error_exits_5(tmp_path):
     spec = tmp_path / "g.json"
     # Valid JSON, invalid Cartan data.

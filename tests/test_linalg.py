@@ -3,7 +3,8 @@
 Rank, inverse and coordinates come from one fraction-free routine, and the
 determinant from Bareiss elimination; the Fraction eliminations they replaced
 are the references (``helpers_oracle``).
-Matrices have int or Fraction entries, zero rows, and wide and tall shapes.
+Matrices have int, Fraction or mixed entries, zero rows, and wide and tall
+shapes.
 """
 
 from fractions import Fraction
@@ -21,6 +22,7 @@ from helpers_oracle import (
     fraction_rank,
 )
 from tracestab.linalg import (
+    clear_denominators,
     coords_in_rows,
     det,
     hnf_rows,
@@ -35,7 +37,9 @@ from tracestab.linalg import (
 
 INTS = st.integers(-3, 3)
 FRACTIONS = st.fractions(-3, 3, max_denominator=4)
-ENTRIES = pytest.mark.parametrize("entries", [INTS, FRACTIONS], ids=["int", "fraction"])
+MIXED = st.one_of(INTS, FRACTIONS)  # int rows, Fraction rows and rows of both
+ENTRIES = pytest.mark.parametrize("entries", [INTS, FRACTIONS, MIXED],
+                                  ids=["int", "fraction", "mixed"])
 PROPERTY = settings(max_examples=60, deadline=None)
 
 
@@ -83,6 +87,15 @@ def test_det_of_fraction_matrices():
     half = Fraction(1, 2)
     assert det(((half, 0), (0, half))) == Fraction(1, 4)
     assert det(((Fraction(1, 3), half), (Fraction(1, 5), Fraction(1, 7)))) == Fraction(-11, 210)
+
+
+def test_clear_denominators_keeps_integer_rows():
+    row = (3, -1, 0)
+    assert clear_denominators(row) == (row, 1) and clear_denominators(row)[0] is row
+    assert clear_denominators([3, -1]) == ((3, -1), 1)
+    assert clear_denominators((Fraction(1, 2), 3, Fraction(-2, 3))) == ((3, 18, -4), 6)
+    assert clear_denominators((Fraction(4), 1)) == ((4, 1), 1)
+    assert clear_denominators(()) == ((), 1)
 
 
 @ENTRIES

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers_oracle import oracle_adjoint_factor, oracle_transfer_factor
+from helpers_oracle import oracle_adjoint_factor, oracle_theta, oracle_transfer_factor
 from tracestab import catalog
 from tracestab.errors import InvalidDimension, MismatchedModel, TraceStabError
 from tracestab.packets import (
@@ -166,6 +166,34 @@ def test_theta_transfer_trivial_model_constant():
     c = GaussianRational(Fraction(3, 7), Fraction(-2, 5))
     f = TestVector({(m.model_id, (0, 0)): c})
     assert theta_transfer(m, (0, 0), f) == c
+
+
+def test_integer_view_is_one_denominator_and_exact_numerators():
+    f = TestVector({("m", (0, 0)): GaussianRational(Fraction(1, 6), Fraction(-3, 4)),
+                    ("m", (1, 0)): GaussianRational(Fraction(5), Fraction(0)),
+                    ("n", (0, 1)): GaussianRational(Fraction(2, 9))})
+    denom, nums = f.integer_view
+    assert denom == 36
+    assert nums == {("m", (0, 0)): (6, -27), ("m", (1, 0)): (180, 0), ("n", (0, 1)): (8, 0)}
+    assert f.integer_view is f.integer_view  # built once per vector
+    assert TestVector({}).integer_view == (1, {})
+    m = _model(1, 0, "m")
+    assert f.column(m) == [(6, -27), (180, 0)]
+
+
+@pytest.mark.parametrize("dims", FLIP_DIMS)
+def test_theta_transfer_matches_fraction_oracle(dims):
+    # Honest and flipped models, whole and restricted sums, against the
+    # per-entry character sums in Fractions.
+    rng = Random(300 + 10 * dims[0] + dims[1])
+    honest = _model(*dims)
+    for m in (honest, with_flipped_pairing(honest, (0, 0), (0, 0))):
+        f = catalog.random_test_vector(rng, [m])
+        subset = frozenset(x for x in m.s_elements() if rng.random() < 0.5)
+        for tau in m.taus():
+            assert theta_transfer(m, tau, f) == oracle_theta(m, tau, f)
+            restricted = TestVector({k: v for k, v in f.values.items() if k[1] in subset})
+            assert theta_transfer(m, tau, f, restrict_to=subset) == oracle_theta(m, tau, restricted)
 
 
 def test_invert_transfer_recovers_constants():

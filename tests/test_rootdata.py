@@ -44,6 +44,18 @@ def test_torus_datum():
     assert not d.is_semisimple()
 
 
+def test_build_root_datum_is_built_once_per_normalized_input():
+    first = build_root_datum(2, [[2, -1], [-1, 2]], [[1, 0], [0, 1]])
+    again = build_root_datum(2, ((2, -1), (-1, 2)), ((Fraction(1), 0), (0, 1)))
+    assert again is first
+    # Invalid data raises on every call; nothing is cached for it.
+    for _ in range(2):
+        with pytest.raises(NonCartan):
+            build_root_datum(1, [[1]], [[1]])
+    with pytest.raises(NonCartan):
+        build_root_datum(-1, [], [])
+
+
 def test_rejects_bad_diagonal_pairing():
     with pytest.raises(NonCartan):
         build_root_datum(1, [[1]], [[1]])

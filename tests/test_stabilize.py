@@ -5,17 +5,23 @@ from random import Random
 
 import pytest
 
-from helpers_oracle import fraction_splus
+from helpers_oracle import (
+    fraction_splus,
+    oracle_discrete_part,
+    oracle_endoscopic_form,
+    oracle_stable_form,
+)
 from tracestab import catalog
 from tracestab.elliptic import elliptic_classes
-from tracestab.errors import InconsistentDescriptor, MissingDualGroup
-from tracestab.linalg import identity_matrix, mat_mul
+from tracestab.errors import DuplicateModelId, InconsistentDescriptor, MissingDualGroup
+from tracestab.linalg import hnf_rows, identity_matrix, mat_mul
 from tracestab.packets import (
     DualGroupModel,
     GaussianRational,
     ParameterModel,
     TestVector,
     TwoGroup,
+    with_flipped_pairing,
 )
 from tracestab.rootdata import build_root_datum, simple_reflection_matrix
 from tracestab.stabilize import (
@@ -198,6 +204,117 @@ def test_theta_transfer_discrete_restriction_agrees_on_discrete_triples():
                     == theta_transfer(m, tau, f))
 
 
+def test_duplicate_model_ids_raise_a_package_error():
+    m = catalog.model_o2()
+    with pytest.raises(DuplicateModelId):
+        DiscreteModelSet((m, m))
+
+
+# ---------------------------------------------------------------------------
+# Integer kernels against the Fraction loops they replaced
+# ---------------------------------------------------------------------------
+
+def _derivable_descriptors(m):
+    """Principal descriptors where catalog can derive splus, else none."""
+    if m.s_size > 2 and not all(m.component_at(x).untwisted for x in m.s_elements()):
+        return ()
+    return catalog.principal_descriptors(m)
+
+
+def _assert_forms_match_oracles(ms, descriptors, rng, trials):
+    for _ in range(trials):
+        f1 = catalog.random_test_vector(rng, ms.models)
+        f2 = catalog.random_test_vector(rng, ms.models)
+        assert discrete_part(ms, f1, f2) == oracle_discrete_part(ms, f1, f2)
+        assert stable_form(ms, f1, f2) == oracle_stable_form(ms, f1, f2)
+        assert (endoscopic_form(ms, descriptors, f1, f2)
+                == oracle_endoscopic_form(ms, descriptors, f1, f2))
+
+
+def test_forms_match_fraction_oracles_on_fixtures():
+    ms, descriptors = _fixture_set()
+    _assert_forms_match_oracles(ms, descriptors, Random(71), 10)
+    ones = TestVector.constant(ms.models, 1)
+    assert discrete_part(ms, ones, ones) == oracle_discrete_part(ms, ones, ones)
+
+
+def test_forms_match_fraction_oracles_on_random_bank():
+    rng = Random(73)
+    for i in range(12):
+        models = tuple(catalog.random_model(rng, 3 * i + j) for j in range(rng.randint(1, 3)))
+        ms = DiscreteModelSet(models)
+        descriptors = [d for m in models for d in _derivable_descriptors(m)]
+        subset = tuple(d for d in descriptors if rng.random() < 0.7)
+        _assert_forms_match_oracles(ms, subset, rng, 3)
+
+
+def test_forms_match_oracles_on_sparse_and_foreign_vectors():
+    # Keys outside the model set are ignored; missing keys count as zero.
+    ms, descriptors = _fixture_set()
+    f1 = TestVector({("o2", (0, 1)): GaussianRational(Fraction(2, 3), Fraction(-1, 5)),
+                     ("elsewhere", (0, 0)): GaussianRational(Fraction(7))})
+    f2 = TestVector({("o2", (0, 1)): GaussianRational(Fraction(1, 4)),
+                     ("sl2phi", (0, 0)): GaussianRational(Fraction(0), Fraction(3, 7))})
+    assert discrete_part(ms, f1, f2) == oracle_discrete_part(ms, f1, f2)
+    assert stable_form(ms, f1, f2) == oracle_stable_form(ms, f1, f2)
+    assert (endoscopic_form(ms, descriptors, f1, f2)
+            == oracle_endoscopic_form(ms, descriptors, f1, f2))
+
+
+def test_weights_are_built_once_per_model_set(monkeypatch):
+    ms, descriptors = _fixture_set()
+    calls = {"e_phi": 0, "i_phi": 0}
+    for name in calls:
+        original = getattr(stabilize_module, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(stabilize_module, name, counted)
+    rng = Random(79)
+    for _ in range(3):
+        f1 = catalog.random_test_vector(rng, ms.models)
+        f2 = catalog.random_test_vector(rng, ms.models)
+        discrete_part(ms, f1, f2)
+        stable_form(ms, f1, f2)
+        endoscopic_form(ms, descriptors, f1, f2)
+    assert calls["e_phi"] == sum(m.s_size for m in ms.models)
+    assert calls["i_phi"] == sum(len(s_disc_set(m)) for m in ms.models)  # ι is a bijection
+    assert list(ms.endoscopic_weights) == [tuple(descriptors)]
+
+
+@pytest.mark.parametrize("model", [catalog.model_o2(), catalog.model_sl2(),
+                                   catalog.model_swap()], ids=lambda m: m.model_id)
+def test_flipped_pairing_breaks_both_identities(model):
+    # Every single flipped sign moves the discrete part, and only it: the
+    # stable and endoscopic forms do not read the pairing.
+    descriptors = catalog.principal_descriptors(model)
+    rng = Random(83)
+    for char in model.s_elements():
+        for x in model.s_elements():
+            ms = DiscreteModelSet((with_flipped_pairing(model, char, x),))
+            f1 = catalog.random_test_vector(rng, ms.models)
+            f2 = catalog.random_test_vector(rng, ms.models)
+            discrete = discrete_part(ms, f1, f2)
+            assert discrete == oracle_discrete_part(ms, f1, f2)
+            assert discrete != stable_form(ms, f1, f2), (char, x)
+            assert discrete != endoscopic_form(ms, descriptors, f1, f2), (char, x)
+
+
+@pytest.mark.parametrize("field,delta", [("s_phi_prime_card", 1), ("splus_over_s_card", 1),
+                                         ("out_phi_card", 1), ("class_index", 5)])
+def test_corrupted_descriptor_raises_before_any_sum(field, delta):
+    ms, descriptors = _fixture_set()
+    bad = list(descriptors)
+    bad[1] = replace(bad[1], **{field: getattr(bad[1], field) + delta})
+    ones = TestVector.constant(ms.models, 1)
+    for form in (endoscopic_form, oracle_endoscopic_form):
+        with pytest.raises(InconsistentDescriptor):
+            form(ms, bad, ones, ones)
+    assert tuple(bad) not in ms.endoscopic_weights
+
+
 # ---------------------------------------------------------------------------
 # Endoscopic side
 # ---------------------------------------------------------------------------
@@ -215,6 +332,24 @@ def test_fixed_intersection_orders():
     assert fixed_intersection_order(o2, (0, 0), zbar) == 2
     # Inverted component: only the identity.
     assert fixed_intersection_order(o2, (0, 1), zbar) == 1
+
+
+def test_fixed_intersection_order_builds_one_basis_per_component(monkeypatch):
+    calls = []
+
+    def counted(rows):
+        calls.append(rows)
+        return hnf_rows(rows)
+
+    monkeypatch.setattr(stabilize_module, "hnf_rows", counted)
+    stabilize_module._twist_image.cache_clear()
+    o2 = catalog.model_o2()
+    gl1 = catalog.datum("gl1")
+    subgroups = [catalog.central_subgroup(gl1, ((Fraction(1, k),),)) for k in (2, 3, 4)]
+    orders = [[fixed_intersection_order(o2, x, z) for z in subgroups] for x in o2.s_elements()]
+    assert orders == [[2, 3, 4], [1, 1, 1]]
+    assert len(calls) == 2
+    stabilize_module._twist_image.cache_clear()
 
 
 def _splus_models():
