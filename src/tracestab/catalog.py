@@ -12,7 +12,7 @@ from fractions import Fraction
 from random import Random
 
 from .elliptic import _weyl_orbit, elliptic_classes
-from .errors import MalformedInput
+from .errors import MalformedInput, TwistedUnsupported
 from .linalg import clear_denominators, identity_matrix, mat_vec
 from .packets import DualGroupModel, GaussianRational, ParameterModel, TestVector, TwoGroup
 from .rootdata import RootDatum, build_root_datum, central_subgroup
@@ -113,7 +113,7 @@ def _splus(m: ParameterModel, x, cls) -> int:
                    if tuple(v % n for v in mat_vec(m.dual_group.thetas[y], a)) in orbit)
     if m.s_size == 2:
         return 2
-    raise MalformedInput("splus is only derived for untwisted classes or |S| = 2")
+    raise TwistedUnsupported("splus is only derived for untwisted classes or |S| = 2")
 
 
 def principal_descriptors(m: ParameterModel) -> tuple[EndoscopicDescriptor, ...]:

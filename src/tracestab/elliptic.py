@@ -40,13 +40,12 @@ from .linalg import (
     coords_in_rows,
     det,
     dot,
-    hnf_rows,
     identity_matrix,
     int_kernel,
     invert,
-    left_int_kernel,
     mat_mul,
     mat_vec,
+    matrix_rank,
     normalize_mod1,
     transpose,
     vec_sub,
@@ -130,10 +129,7 @@ def centralizer(c: TwistedComponent, t: TorusPoint) -> tuple[RootDatum, int]:
 def is_elliptic(c: TwistedComponent, t: TorusPoint) -> bool:
     """Whether the centralizer of exp(2πi·t)·θ has finite center."""
     if c.untwisted:
-        roots_t = integral_root_subset(c.base, t.coords)
-        if not roots_t:
-            return c.base.rank == 0
-        return len(hnf_rows(list(roots_t))) == c.base.rank
+        return matrix_rank(integral_root_subset(c.base, t.coords)) == c.base.rank
     shape = _twist_shape(c)
     if shape == "torus":
         delta = _theta_minus_one(c)
@@ -256,7 +252,7 @@ def _bds_children(d: RootDatum, roots: tuple[IntVec, ...]) -> list[tuple[IntVec,
         for drop in range(len(extended) - 1):  # dropping the affine node is a no-op
             seeds = rest + [r for k, r in enumerate(extended) if k != drop]
             child = _closure_under_reflections(d, seeds)
-            if len(hnf_rows(list(child))) == d.rank:
+            if matrix_rank(child) == d.rank:
                 children.append(child)
     return children
 
@@ -341,41 +337,3 @@ def _elliptic_classes_torus_twist(c: TwistedComponent) -> tuple[SemisimpleClass,
     trivial = build_root_datum(0, (), ())
     rep = torus_point(tuple(Fraction(0) for _ in range(c.base.rank)))
     return (SemisimpleClass(rep, trivial, int(abs(d_det)), True, c.tag),)
-
-
-def validate_twisted_candidates(c: TwistedComponent, points) -> dict:
-    """Torsion-level validation of a user-supplied candidate list.
-
-    Checks pairwise non-conjugacy under the Weyl action combined with
-    (1−θ)-translation, and certifies ellipticity when θ has no fixed
-    directions.  This validates a list; it never enumerates.
-    """
-    if c.untwisted:
-        raise TwistedUnsupported("candidate validation is for twisted components")
-    pts = [torus_point(p) for p in points]
-    delta = _theta_minus_one(c)
-    annihilator = left_int_kernel(delta)
-    fixed_rank = len(int_kernel(delta))
-    w_matrices = [w.matrix for w in weyl_group(c.base)]
-
-    def conjugate_mod_translation(a: QVec, b: QVec) -> bool:
-        for m in w_matrices:
-            diff = tuple(x - y for x, y in zip(b, normalize_mod1(mat_vec(m, a))))
-            if all(dot(row, diff) % 1 == 0 for row in annihilator):
-                return True
-        return False
-
-    duplicates = []
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            if conjugate_mod_translation(pts[i].coords, pts[j].coords):
-                duplicates.append((i, j))
-    elliptic: list[bool | None] = []
-    for _ in pts:
-        elliptic.append(True if fixed_rank == 0 else None)
-    return {
-        "points": tuple(p.coords for p in pts),
-        "pairwise_distinct": not duplicates,
-        "conjugate_pairs": tuple(duplicates),
-        "elliptic": tuple(elliptic),
-    }

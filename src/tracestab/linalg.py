@@ -8,13 +8,16 @@ Elimination over Q has one routine, the fraction-free Gauss–Jordan
 ``_echelon``; ``matrix_rank``, ``invert``, ``coords_in_rows`` and
 ``in_integer_row_span`` are built on it.  ``det`` is fraction-free too
 (Bareiss); both scale each row to integers up front with
-``clear_denominators``.  The integer normal forms ``hnf_rows`` and
-``snf_with_transforms`` work over Z.
+``clear_denominators``.  Over Z there is one normal form, the row-style
+Hermite ``hnf_rows``: ``int_kernel`` and ``dual_lattice_quotient`` read the
+kernel and the dual-lattice quotient off it (Cohen, *A Course in
+Computational Algebraic Number Theory*, §2.4).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from math import gcd, lcm
 from operator import mul
 from typing import Sequence
@@ -181,141 +184,33 @@ def hnf_rows(rows: Sequence[Sequence[int]]) -> list[IntVec]:
     return [tuple(row) for row in work]
 
 
-def snf_with_transforms(m: Sequence[Sequence[int]]) -> tuple[IntMat, IntMat, IntMat]:
-    """Smith normal form: returns (D, U, V) with U @ m @ V == D."""
-    a = [list(map(int, row)) for row in m]
-    nrows = len(a)
-    ncols = len(a[0]) if nrows else 0
-    u = [list(row) for row in identity_matrix(nrows)]
-    v = [list(row) for row in identity_matrix(ncols)]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(dst, src, q):
-        a[dst] = [x - q * y for x, y in zip(a[dst], a[src])]
-        u[dst] = [x - q * y for x, y in zip(u[dst], u[src])]
-
-    def add_col(dst, src, q):
-        for row in a:
-            row[dst] -= q * row[src]
-        for row in v:
-            row[dst] -= q * row[src]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
-
-    s = 0
-    while s < min(nrows, ncols):
-        # Move a nonzero entry of minimal magnitude to (s, s).
-        best = None
-        for i in range(s, nrows):
-            for j in range(s, ncols):
-                if a[i][j] != 0 and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        swap_rows(s, best[0])
-        swap_cols(s, best[1])
-        dirty = True
-        while dirty:
-            dirty = False
-            for i in range(s + 1, nrows):
-                if a[i][s] != 0:
-                    q = a[i][s] // a[s][s]
-                    add_row(i, s, q)
-                    if a[i][s] != 0:
-                        swap_rows(s, i)
-                        dirty = True
-            for j in range(s + 1, ncols):
-                if a[s][j] != 0:
-                    q = a[s][j] // a[s][s]
-                    add_col(j, s, q)
-                    if a[s][j] != 0:
-                        swap_cols(s, j)
-                        dirty = True
-        if a[s][s] < 0:
-            negate_row(s)
-        # Enforce divisibility of the trailing block by the pivot.
-        offender = None
-        for i in range(s + 1, nrows):
-            for j in range(s + 1, ncols):
-                if a[i][j] % a[s][s] != 0:
-                    offender = i
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            add_row(s, offender, -1)
-            continue
-        s += 1
-    return (tuple(tuple(row) for row in a),
-            tuple(tuple(row) for row in u),
-            tuple(tuple(row) for row in v))
-
-
-def invariant_factors(m: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    """Nontrivial invariant factors (>1) of an integer matrix."""
-    d, _, _ = snf_with_transforms(m)
-    out = []
-    for i in range(min(len(d), len(d[0]) if d else 0)):
-        if d[i][i] not in (0, 1):
-            out.append(abs(d[i][i]))
-    return tuple(out)
-
-
 def dual_lattice_quotient(a: Sequence[Sequence[int]]) -> list[QVec]:
-    """Coset representatives of {v : a @ v integral} modulo Z^n.
+    """Coset representatives of {v : a @ v integral} modulo Z^n, sorted.
 
-    ``a`` must be square and nonsingular; the quotient has |det a| elements.
+    ``a`` must be square and nonsingular.  v ↦ a·v identifies the quotient
+    with Z^n / aZ^n, whose Hermite basis (``hnf_rows`` of aᵀ) is upper
+    triangular: the box 0 ≤ uᵢ < hᵢᵢ holds one u per coset, so the
+    representatives are a⁻¹u mod 1, |det a| = Π hᵢᵢ of them.
     """
-    n = len(a)
-    if n == 0:
-        return [()]
-    d, _, v = snf_with_transforms(a)
-    reps: list[QVec] = []
-
-    def rec(i: int, ks: list[int]):
-        if i == n:
-            frac = [Fraction(k, d[j][j]) for j, k in enumerate(ks)]
-            vec = tuple(sum(Fraction(v[r][j]) * frac[j] for j in range(n)) % 1
-                        for r in range(n))
-            reps.append(vec)
-            return
-        for k in range(abs(d[i][i])):
-            rec(i + 1, ks + [k])
-
-    rec(0, [])
-    return sorted(set(reps))
+    h = hnf_rows(transpose(a))
+    a_inv = invert(a)
+    return sorted(normalize_mod1(mat_vec(a_inv, u))
+                  for u in product(*(range(row[i]) for i, row in enumerate(h))))
 
 
 def int_kernel(m: Sequence[Sequence[int]]) -> list[IntVec]:
-    """Saturated integer basis of {v : m @ v == 0}.
+    """Saturated integer basis of {v : m @ v == 0}, in Hermite normal form.
 
-    ``m`` needs at least one row: with none there is no column count, and
-    the result is ``[]``.  A row of zeros stands for no condition.
+    The lattice spanned by [mᵀ | I] holds (m·c, c) for every integer c, and
+    its Hermite rows whose first block is zero span exactly the c with
+    m·c = 0.  ``m`` needs at least one row: with none there is no column
+    count, and the result is ``[]``.  A row of zeros stands for no condition.
     """
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    if ncols == 0:
+    if not m or not m[0]:
         return []
-    d, _, v = snf_with_transforms(m)
-    rank = sum(1 for i in range(min(nrows, ncols)) if d[i][i] != 0)
-    cols = transpose(v)
-    return [tuple(int(x) for x in cols[j]) for j in range(rank, ncols)]
-
-
-def left_int_kernel(m: Sequence[Sequence[int]]) -> list[IntVec]:
-    """Saturated integer basis of {u : u @ m == 0}."""
-    return int_kernel(transpose(m))
+    r = len(m)
+    rows = [col + unit for col, unit in zip(transpose(m), identity_matrix(len(m[0])))]
+    return [row[r:] for row in hnf_rows(rows) if not any(row[:r])]
 
 
 def in_integer_row_span(basis: Sequence[Sequence[int]], target: Sequence) -> bool:

@@ -4,16 +4,17 @@ A root datum lives on the lattice pair (X, X∨) = (Z^rank, Z^rank) with the
 standard dot pairing.  Roots are vectors in X, coroots in X∨, and every
 isogeny question (SL2 vs PGL2, quotients by central subgroups) is carried by
 the coordinates alone.  All derived data — the full root system, the Weyl
-group, canonical keys — is computed by exact integer/rational arithmetic.
+group, display labels — is computed by exact integer/rational arithmetic.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
-from math import factorial
+from math import prod
 
 from .errors import InfiniteType, NonCartan, NotCentral
 from .linalg import (
@@ -27,13 +28,11 @@ from .linalg import (
     dual_lattice_quotient,
     hnf_rows,
     identity_matrix,
-    invariant_factors,
     invert,
     mat_mul,
     mat_vec,
     matrix_rank,
     normalize_mod1,
-    snf_with_transforms,
     transpose,
     vec_sub,
 )
@@ -41,8 +40,6 @@ from .linalg import (
 # Upper bound on |positive roots| per rank unit; E8 realizes 120/8 = 15, so
 # 32 leaves room while still catching runaway closures from malformed input.
 _CLOSURE_FACTOR = 32
-
-_WEYL_ORDER_EXCEPTIONAL = {"G2": 12, "F4": 1152, "E6": 51840, "E7": 2903040, "E8": 696729600}
 
 
 @dataclass(frozen=True)
@@ -209,28 +206,25 @@ def weyl_group(d: RootDatum) -> tuple[WeylElement, ...]:
         new_frontier = []
         for m in frontier:
             for i, g in enumerate(gens):
-                prod = mat_mul(m, g)
-                if prod not in seen:
-                    seen[prod] = seen[m] + (i,)
-                    new_frontier.append(prod)
+                image = mat_mul(m, g)
+                if image not in seen:
+                    seen[image] = seen[m] + (i,)
+                    new_frontier.append(image)
         frontier = new_frontier
     return tuple(WeylElement(m, w) for m, w in sorted(seen.items()))
 
 
 def classical_weyl_order(d: RootDatum) -> int:
-    """Product-formula order for the detected Cartan type."""
-    order = 1
-    for label in cartan_type(d):
-        family, n = label[0], int(label[1:])
-        if family == "A":
-            order *= factorial(n + 1)
-        elif family in ("B", "C"):
-            order *= 2 ** n * factorial(n)
-        elif family == "D":
-            order *= 2 ** (n - 1) * factorial(n)
-        else:
-            order *= _WEYL_ORDER_EXCEPTIONAL[label]
-    return order
+    """|W| = Π (mᵢ + 1) over the exponents mᵢ.
+
+    The exponents are the conjugate of the partition of positive-root
+    heights: as many exponents are ≥ h as there are positive roots of height
+    h (Kostant; Humphreys, *Reflection Groups and Coxeter Groups* §3.20).
+    Heights add over the irreducible factors, so this holds on any datum.
+    """
+    heights = Counter(sum(c) for c in d.coefficients if sum(c) > 0)
+    return prod(1 + sum(1 for count in heights.values() if count >= i)
+                for i in range(1, d.semisimple_rank + 1))
 
 
 def diagram_components(d: RootDatum) -> tuple[tuple[int, ...], ...]:
@@ -420,43 +414,19 @@ def central_torsion_points(d: RootDatum) -> tuple[QVec, ...]:
 
 @cache
 def canonical_key(d: RootDatum) -> bytes:
-    """Display label: Cartan types, lattice positions, central rank.
+    """Display label ``datum;v2;types=…;z=…;central=…``, memoized on the datum's value.
 
-    Data related by an integral basis change composed with a root-system
-    automorphism share keys; the invariants are the type decomposition, the
-    Smith normal forms of X∨ between Q∨ and P∨, and the central torus rank.
-    Equal keys do not imply isomorphic data (SO4 and SL2×PGL2 share one), so
-    the key only labels rows of ``sigma --catalog``.  It is memoized on the
-    datum's value.
+    ``types`` is the Cartan type, ``central`` the central torus rank and
+    ``z`` = |π₀ Z| the torsion of X / ZΦ: the gcd of the maximal minors of
+    the simple roots (|det| on semisimple data), read off as the product of
+    the Hermite diagonal of their columns.  All three are isomorphism
+    invariants, but together they do not classify: SO4 = (SL2×SL2)/μ2 and
+    SL2×PGL2 share the label ``types=A1,A1;z=2;central=0``.  The label only
+    names rows of ``sigma --catalog``.
     """
-    types = cartan_type(d)
-    ss_rank = d.semisimple_rank
-    central_rank = d.rank - ss_rank
-    if ss_rank == 0:
-        return f"datum;v1;types=;pv_x=;x_qv=;central={central_rank}".encode()
-
-    # Saturate the coroot span inside X∨ to get the semisimple sublattice.
-    q_basis = hnf_rows(list(d.coroots))
-    sat_basis = _saturation_basis(tuple(q_basis))
-
-    # X∨_ss / Q∨ from coroot coordinates in the saturated basis.
-    x_over_q = invariant_factors(tuple(tuple(int(x) for x in coords_in_rows(sat_basis, row))
-                                       for row in q_basis))
-
-    # P∨ / X∨_ss from the pairing of simple roots with the saturated basis.
-    gram = tuple(tuple(dot(alpha, b) for b in sat_basis) for alpha in d.simple_roots)
-    p_over_x = invariant_factors(gram)
-
-    return (f"datum;v1;types={','.join(types)};pv_x={p_over_x};"
-            f"x_qv={x_over_q};central={central_rank}").encode()
-
-
-def _saturation_basis(rows: IntMat) -> tuple[IntVec, ...]:
-    """Basis of the saturation of the integer row span inside Z^n."""
-    _, _, v = snf_with_transforms(rows)
-    v_inv = invert(v)
-    r = len(rows)
-    return tuple(tuple(int(x) for x in row) for row in tuple(v_inv)[:r])
+    z = prod(row[i] for i, row in enumerate(hnf_rows(transpose(d.simple_roots))))
+    return (f"datum;v2;types={','.join(cartan_type(d))};z={z};"
+            f"central={d.rank - d.semisimple_rank}").encode()
 
 
 def contragredient(m: IntMat) -> IntMat:

@@ -122,10 +122,13 @@ def verify_ei(c: TwistedComponent) -> EIReport:
 
 
 def verify_central_quotient(d: RootDatum, z: CentralSubgroup) -> bool:
-    """Check σ(d) = σ(d/z)·|z|⁻¹ exactly.
+    """Check σ(d) = σ(d/z)·|z|⁻¹ exactly, and e = i on d and on d/z.
 
-    It holds by construction for a valid central z: both sides are the same
-    adjoint product over |Z(d)|.  ``verify_ei`` on non-adjoint forms is the
-    independent check of the quotient rule.
+    The first equation holds by construction for a valid central z: both
+    sides are the same adjoint product over |Z(d)|.  What makes the rule
+    true is that this product solves e = i on both groups, so ``verify_ei``
+    on their untwisted components is the part of the check that can fail.
     """
-    return sigma(d) == sigma(quotient_by_central(d, z)) / z.order
+    quotient = quotient_by_central(d, z)
+    return (sigma(d) == sigma(quotient) / z.order
+            and all(verify_ei(untwisted_component(g)).equal for g in (d, quotient)))

@@ -1,7 +1,7 @@
 """Brute-force oracles used by the elliptic and acceptance tests.
 
 These deliberately avoid the production enumeration path: no extended-diagram
-walks, no Smith normal forms.  Points come from a literal torsion-grid scan
+walks, no lattice normal forms.  Points come from a literal torsion-grid scan
 (rank <= 1) or from the joint solution lattices of independent root pairs
 (rank 2), which cover exactly the grid points whose integral-root set has
 full rank; dedup is by the full Weyl action.
@@ -9,12 +9,17 @@ full rank; dedup is by the full Weyl action.
 The Fraction orbit walk at the end is the search-based reference for the
 alcove-vertex enumeration: it takes every full-rank closed subsystem from
 the extended-diagram walk (``_bds_children``, as ``full_rank_subsystems``
-does), the torsion points of each from a Smith-normal-form lattice quotient,
+does), the torsion points of each from a Hermite-normal-form lattice quotient,
 and canonicalizes, counts stabilizers and dedups subsystems the slow way,
 through Fractions, contragredient inverses and reflection-subgroup closures.
 ``expansion_positive_roots`` is the Fraction-elimination sign rule that the
 closure-built positive system replaced, and ``fraction_splus`` is the
 Fraction orbit walk that ``catalog._splus`` replaced.
+
+``validate_twisted_candidates`` checks a candidate list of torsion points
+on a twisted component by brute force: pairwise non-conjugacy under W
+combined with (1−θ)-translation, which ``left_int_kernel`` gives as
+integrality against the annihilator of the image of θ − 1.
 
 ``fraction_det`` is the Fraction-elimination determinant that the
 fraction-free ``linalg.det`` replaced; ``fraction_coset_dets`` applies it to
@@ -43,15 +48,17 @@ from itertools import combinations
 from math import lcm
 
 from tracestab import catalog
-from tracestab.elliptic import _bds_children, elliptic_classes
-from tracestab.errors import InconsistentDescriptor
+from tracestab.elliptic import _bds_children, _theta_minus_one, elliptic_classes, torus_point
+from tracestab.errors import InconsistentDescriptor, TwistedUnsupported
 from tracestab.linalg import (
     dot,
     dual_lattice_quotient,
     hnf_rows,
+    int_kernel,
     mat_mul,
     mat_vec,
     normalize_mod1,
+    transpose,
 )
 from tracestab.packets import GR_ZERO, TwoGroup
 from tracestab.rootdata import build_root_datum, contragredient, weyl_group
@@ -306,6 +313,43 @@ def fraction_elliptic_classes(d):
         out.append((t, fraction_stabilizer_order(w_matrices, t)
                     // oracle_reflection_order(d, roots_t)))
     return out
+
+
+def left_int_kernel(m):
+    """Saturated integer basis of {u : u @ m == 0}."""
+    return int_kernel(transpose(m))
+
+
+def validate_twisted_candidates(c, points) -> dict:
+    """Torsion-level validation of a user-supplied candidate list.
+
+    Checks pairwise non-conjugacy under the Weyl action combined with
+    (1−θ)-translation, and certifies ellipticity when θ has no fixed
+    directions.  This validates a list; it never enumerates.
+    """
+    if c.untwisted:
+        raise TwistedUnsupported("candidate validation is for twisted components")
+    pts = [torus_point(p) for p in points]
+    delta = _theta_minus_one(c)
+    annihilator = left_int_kernel(delta)
+    fixed_rank = len(int_kernel(delta))
+    w_matrices = [w.matrix for w in weyl_group(c.base)]
+
+    def conjugate_mod_translation(a, b) -> bool:
+        for m in w_matrices:
+            diff = tuple(x - y for x, y in zip(b, normalize_mod1(mat_vec(m, a))))
+            if all(dot(row, diff) % 1 == 0 for row in annihilator):
+                return True
+        return False
+
+    duplicates = [(i, j) for i in range(len(pts)) for j in range(i + 1, len(pts))
+                  if conjugate_mod_translation(pts[i].coords, pts[j].coords)]
+    return {
+        "points": tuple(p.coords for p in pts),
+        "pairwise_distinct": not duplicates,
+        "conjugate_pairs": tuple(duplicates),
+        "elliptic": tuple(True if fixed_rank == 0 else None for _ in pts),
+    }
 
 
 def fraction_det(m):

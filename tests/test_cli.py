@@ -164,6 +164,19 @@ def test_sigma_catalog_tsv():
     for line in lines:
         key, ctype, value = line.split("\t")
         assert "/" in value
+    # One row per catalog datum, sorted by name: Cartan type, |π₀ Z|, central rank.
+    assert [line.split("\t")[0] for line in lines] == [
+        "datum;v2;types=G2;z=1;central=0",
+        "datum;v2;types=;z=1;central=1",
+        "datum;v2;types=A1;z=1;central=0",
+        "datum;v2;types=A2;z=1;central=0",
+        "datum;v2;types=A1;z=2;central=0",
+        "datum;v2;types=A1,A1;z=4;central=0",
+        "datum;v2;types=A2;z=3;central=0",
+        "datum;v2;types=B2;z=1;central=0",
+        "datum;v2;types=B2;z=2;central=0",
+        "datum;v2;types=;z=1;central=0",
+    ]
 
 
 def test_i_number_group_file_with_theta(tmp_path):

@@ -15,6 +15,7 @@ from helpers_oracle import (
     oracle_points,
     oracle_reflection_order,
     sorted_image_subsystems,
+    validate_twisted_candidates,
 )
 
 from tracestab import catalog
@@ -25,7 +26,6 @@ from tracestab.elliptic import (
     full_rank_subsystems,
     is_elliptic,
     torus_point,
-    validate_twisted_candidates,
 )
 from tracestab.errors import TwistedUnsupported
 from tracestab.linalg import identity_matrix, mat_vec

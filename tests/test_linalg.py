@@ -2,13 +2,17 @@
 
 Rank, inverse and coordinates come from one fraction-free routine, and the
 determinant from Bareiss elimination; the Fraction eliminations they replaced
-are the references (``helpers_oracle``).
+are the references (``helpers_oracle``).  The integer kernel and the
+dual-lattice quotient are read off Hermite normal forms, and are checked
+against what they claim: saturation by maximal minors, and a complete set of
+distinct cosets.
 Matrices have int, Fraction or mixed entries, zero rows, and wide and tall
 shapes.
 """
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings
@@ -25,6 +29,7 @@ from tracestab.linalg import (
     clear_denominators,
     coords_in_rows,
     det,
+    dual_lattice_quotient,
     hnf_rows,
     identity_matrix,
     in_integer_row_span,
@@ -162,6 +167,35 @@ def test_int_kernel_is_killed_and_has_corank_many_vectors(m):
     assert fraction_rank(kernel) == len(kernel)
     for v in kernel:
         assert mat_vec(m, v) == (0,) * len(m)
+
+
+def _maximal_minor_gcd(rows):
+    k, n = len(rows), len(rows[0])
+    return gcd(*(int(fraction_det([[row[j] for j in cols] for row in rows]))
+                 for cols in combinations(range(n), k)))
+
+
+@PROPERTY
+@given(matrices(INTS, st.integers(1, 4), st.integers(1, 5)))
+def test_int_kernel_is_saturated_and_in_hermite_form(m):
+    # gcd of the maximal minors is 1 exactly when the rows span their saturation.
+    kernel = int_kernel(m)
+    if kernel:
+        assert _maximal_minor_gcd(kernel) == 1
+    assert hnf_rows(kernel) == kernel
+
+
+@PROPERTY
+@given(st.integers(0, 3).flatmap(
+    lambda n: st.lists(st.tuples(*[INTS] * n), min_size=n, max_size=n).map(tuple)))
+def test_dual_lattice_quotient_is_det_many_distinct_cosets(a):
+    assume(fraction_det(a) != 0)
+    reps = dual_lattice_quotient(a)
+    assert len(reps) == abs(fraction_det(a))
+    assert len(set(reps)) == len(reps) and reps == sorted(reps)
+    for v in reps:
+        assert all(0 <= x < 1 for x in v)
+        assert all(x.denominator == 1 for x in map(Fraction, mat_vec(a, v)))
 
 
 def test_int_kernel_needs_a_row():

@@ -1,10 +1,17 @@
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers_oracle import catalog_and_ladder_data, expansion_positive_roots
+from helpers_oracle import (
+    F4_CARTAN,
+    catalog_and_ladder_data,
+    classical_datum,
+    datum_from_cartan,
+    expansion_positive_roots,
+)
 from tracestab import catalog
 from tracestab.elliptic import elliptic_classes
 from tracestab.errors import NonCartan, NotCentral
@@ -86,6 +93,52 @@ def test_weyl_group_orders(name, expected):
     w = weyl_group(d)
     assert len(w) == expected
     assert len(w) == classical_weyl_order(d)
+
+
+def _weyl_order_by_family(d):
+    """|W| from the closed form per simple family: the oracle for the height rule."""
+    exceptional = {"G2": 12, "F4": 1152, "E6": 51840, "E7": 2903040, "E8": 696729600}
+    order = 1
+    for label in cartan_type(d):
+        family, n = label[0], int(label[1:])
+        if family == "A":
+            order *= factorial(n + 1)
+        elif family in ("B", "C"):
+            order *= 2 ** n * factorial(n)
+        elif family == "D":
+            order *= 2 ** (n - 1) * factorial(n)
+        else:
+            order *= exceptional[label]
+    return order
+
+
+def _e_cartan(n):
+    """Cartan matrix of E_n, Bourbaki numbering: the chain 1-3-4-…-n with 2 on 4."""
+    c = [[2 * (i == j) for j in range(n)] for i in range(n)]
+    for i, j in [(0, 2), (1, 3)] + [(i, i + 1) for i in range(2, n - 1)]:
+        c[i][j] = c[j][i] = -1
+    return c
+
+
+def _weyl_order_datum(label):
+    if label == "G2xA1+T1":  # reducible, with a central torus
+        return build_root_datum(4, [(2, -1, 0, 0), (-3, 2, 0, 0), (0, 0, 2, 0)],
+                                [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)])
+    family, n = label[0], int(label[1:])
+    if family in "ABCD":
+        return classical_datum(family, n, "sc")
+    cartan = _e_cartan(n) if family == "E" else F4_CARTAN if family == "F" else ((2, -1), (-3, 2))
+    return datum_from_cartan(cartan, "ad")
+
+
+@pytest.mark.parametrize("label", [f"A{n}" for n in range(1, 7)] + [f"B{n}" for n in range(2, 7)]
+                         + [f"C{n}" for n in range(3, 7)] + [f"D{n}" for n in range(4, 7)]
+                         + ["E6", "E7", "E8", "F4", "G2", "G2xA1+T1"])
+def test_weyl_order_from_root_heights_matches_family_table(label):
+    d = _weyl_order_datum(label)
+    expected_type = ("A1", "G2") if label == "G2xA1+T1" else (label,)
+    assert cartan_type(d) == expected_type
+    assert classical_weyl_order(d) == _weyl_order_by_family(d)
 
 
 def test_weyl_group_closure_and_identity():

@@ -102,6 +102,15 @@ def test_central_quotient_sp4():
     assert verify_central_quotient(d, z)
 
 
+def test_central_quotient_fails_on_a_corrupted_adjoint_value(cold):
+    # σ(d) = σ(d/z)·|z|⁻¹ holds for any adjoint table; e = i on d and d/z does not.
+    cold.put("A1", Fraction(-1, 2))
+    d = catalog.datum("sl2")
+    z = central_subgroup(d, [(Fraction(1, 2),)])
+    assert sigma(d) == sigma(quotient_by_central(d, z)) / z.order
+    assert not verify_central_quotient(d, z)
+
+
 SEMISIMPLE = [(name, catalog.datum(name)) for name in catalog.datum_names()
               if catalog.datum(name).is_semisimple()]
 SEMISIMPLE += [(f"{kind}3-sc", classical_datum(kind, 3, "sc")) for kind in "ABC"]
@@ -198,7 +207,7 @@ def test_so4_and_sl2_x_pgl2_share_a_key_and_sigma():
     sl2xsl2 = catalog.datum("sl2xsl2")
     so4 = quotient_by_central(sl2xsl2, central_subgroup(sl2xsl2, [(half, half)]))
     sl2_x_pgl2 = build_root_datum(2, [(2, 0), (0, 1)], [(1, 0), (0, 2)])
-    assert canonical_key(so4) == canonical_key(sl2_x_pgl2)
+    assert canonical_key(so4) == canonical_key(sl2_x_pgl2) == b"datum;v2;types=A1,A1;z=2;central=0"
     expected = sigma(catalog.datum("sl2")) * sigma(catalog.datum("pgl2"))
     assert expected == Fraction(1, 32)
     for d in (so4, sl2_x_pgl2):

@@ -13,7 +13,12 @@ from helpers_oracle import (
 )
 from tracestab import catalog
 from tracestab.elliptic import elliptic_classes
-from tracestab.errors import DuplicateModelId, InconsistentDescriptor, MissingDualGroup
+from tracestab.errors import (
+    DuplicateModelId,
+    InconsistentDescriptor,
+    MissingDualGroup,
+    TwistedUnsupported,
+)
 from tracestab.linalg import hnf_rows, identity_matrix, mat_mul
 from tracestab.packets import (
     DualGroupModel,
@@ -377,6 +382,20 @@ def test_splus_matches_fraction_orbit_walk():
                     assert splus == fraction_splus(m, x, cls), (m.model_id, x, cls.rep)
                     below_s += splus < m.s_size
     assert below_s  # some twist moves a class off its Weyl orbit
+
+
+def test_underived_splus_is_unsupported_not_malformed_input():
+    # No splus rule exists yet for a class on a twisted component of a model
+    # with |S| > 2: that is an unsupported computation (exit 5), not bad input.
+    rng = Random(7)
+    raised = 0
+    for m in (catalog.random_model(rng, i) for i in range(60)):
+        try:
+            catalog.principal_descriptors(m)
+        except TwistedUnsupported as exc:
+            assert "splus is only derived" in str(exc)
+            raised += 1
+    assert raised == 27
 
 
 def test_verify_coefficients_o2_fixture():
