@@ -21,6 +21,7 @@ from .errors import (
     NotCentral,
     TraceStabError,
     TwistedUnsupported,
+    WeylGroupTooLarge,
 )
 from .packets import (
     DualGroupModel,

@@ -14,7 +14,6 @@ import json
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, fields
 from fractions import Fraction
 from random import Random
 
@@ -60,20 +59,10 @@ EXIT_MISSING_FILE = 3
 EXIT_MALFORMED = 4
 EXIT_MODULE_ERROR = 5
 
-
-@dataclass
-class RunConfig:
-    subcommand: str
-    target: str | None = None
-    group: str | None = None
-    theta: str | None = None
-    z: str | None = None
-    models: str | None = None
-    model: str | None = None
-    fmt: str = "json"
-    seed: int = 0
-    trials: int = 100
-    catalog_flag: bool = False
+# Largest dim S_M + dim R a model file may ask for.  The transfer table has
+# |S|² entries with |S| = 2^(dim S_M + dim R); at the limit, |S| = 256,
+# ``packets verify`` with 100 trials takes about 11 s on a 2-CPU x86-64 host.
+MAX_PACKET_DIM = 8
 
 
 def fmt_q(x: Fraction) -> str:
@@ -161,7 +150,7 @@ def _datum_from_obj(obj) -> RootDatum:
 
 
 @_parsing()
-def _load_component(config: RunConfig) -> TwistedComponent:
+def _load_component(config: argparse.Namespace) -> TwistedComponent:
     """Resolve --group (catalog name, datum file, or combined file) + --theta."""
     spec = config.group
     if spec is None:
@@ -191,7 +180,7 @@ def _load_component(config: RunConfig) -> TwistedComponent:
 
 
 @_parsing()
-def _load_datum(config: RunConfig) -> RootDatum:
+def _load_datum(config: argparse.Namespace) -> RootDatum:
     spec = config.group
     if spec is None:
         raise MalformedInput("--group is required")
@@ -225,6 +214,8 @@ def _model_from_obj(obj, fallback_id: str) -> ParameterModel:
     for dim in (sm_dim, r_dim):
         if not isinstance(dim, int) or isinstance(dim, bool) or dim < 0:
             raise MalformedInput("group dimensions must be non-negative integers")
+    if sm_dim + r_dim > MAX_PACKET_DIM:
+        raise MalformedInput(f"sM_dim + r_dim = {sm_dim + r_dim} is above the limit {MAX_PACKET_DIM}")
     dual = None
     if "dual_group" in obj and obj["dual_group"] is not None:
         dobj = obj["dual_group"]
@@ -273,7 +264,7 @@ def _descriptor_from_obj(obj, models_by_id) -> EndoscopicDescriptor:
     )
 
 
-def parse_args(argv) -> RunConfig:
+def parse_args(argv) -> argparse.Namespace:
     parser = argparse.ArgumentParser(prog="tracestab",
                                      description="Exact spectral coefficients and "
                                                  "stabilization identity checks.")
@@ -315,12 +306,13 @@ def parse_args(argv) -> RunConfig:
     p.add_argument("--seed", type=int, default=0)
     add_common(p, group=False)
 
-    ns = parser.parse_args(argv)
-    # A subcommand without an option leaves the RunConfig default.
-    return RunConfig(**{f.name: getattr(ns, f.name, f.default) for f in fields(RunConfig)})
+    # Every subcommand's namespace carries every option; one it lacks keeps this default.
+    parser.set_defaults(target=None, group=None, theta=None, z=None, models=None, model=None,
+                        fmt="json", seed=0, trials=100, catalog_flag=False)
+    return parser.parse_args(argv)
 
 
-def _emit(config: RunConfig, obj, tsv_rows=None) -> None:
+def _emit(config: argparse.Namespace, obj, tsv_rows=None) -> None:
     if config.fmt == "tsv" and tsv_rows is not None:
         for row in tsv_rows:
             sys.stdout.write("\t".join(str(c) for c in row) + "\n")
@@ -328,14 +320,14 @@ def _emit(config: RunConfig, obj, tsv_rows=None) -> None:
         sys.stdout.write(_dump(obj))
 
 
-def _run_i_number(config: RunConfig) -> int:
+def _run_i_number(config: argparse.Namespace) -> int:
     comp = _load_component(config)
     value = i_number(comp)
     _emit(config, {"i": fmt_q(value)}, [("i", fmt_q(value))])
     return EXIT_OK
 
 
-def _run_elliptic(config: RunConfig) -> int:
+def _run_elliptic(config: argparse.Namespace) -> int:
     comp = _load_component(config)
     classes = elliptic_classes(comp)
     rows = []
@@ -353,7 +345,7 @@ def _run_elliptic(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _run_sigma(config: RunConfig, show_catalog: bool) -> int:
+def _run_sigma(config: argparse.Namespace, show_catalog: bool) -> int:
     if show_catalog:
         rows = []
         items = []
@@ -372,7 +364,7 @@ def _run_sigma(config: RunConfig, show_catalog: bool) -> int:
     return EXIT_OK
 
 
-def _run_verify_ei(config: RunConfig) -> int:
+def _run_verify_ei(config: argparse.Namespace) -> int:
     comp = _load_component(config)
     report = verify_ei(comp)
     obj = {
@@ -388,7 +380,7 @@ def _run_verify_ei(config: RunConfig) -> int:
     return EXIT_OK if report.equal else EXIT_IDENTITY_FAILED
 
 
-def _run_verify_central_quotient(config: RunConfig) -> int:
+def _run_verify_central_quotient(config: argparse.Namespace) -> int:
     d = _load_datum(config)
     if config.z is None:
         raise MalformedInput("--z FILE is required for central-quotient verification")
@@ -428,7 +420,7 @@ def _packet_checks(m: ParameterModel, seed: int, trials: int) -> dict:
     }
 
 
-def _run_packets_verify(config: RunConfig) -> int:
+def _run_packets_verify(config: argparse.Namespace) -> int:
     obj = _load_json(config.model)
     m = _model_from_obj(obj, fallback_id="model")
     checks = _packet_checks(m, config.seed, config.trials)
@@ -438,13 +430,13 @@ def _run_packets_verify(config: RunConfig) -> int:
 
 
 @_parsing()
-def _load_model_set(config: RunConfig):
-    if config.models in (None, "fixtures"):
+def _load_model_set(spec: str | None):
+    if spec in (None, "fixtures"):
         models = catalog.fixture_models()
         descriptors = [d for ds in sorted(catalog.fixture_descriptors().items())
                        for d in ds[1]]
         return DiscreteModelSet(models), tuple(descriptors)
-    obj = _load_json(config.models)
+    obj = _load_json(spec)
     _require_keys(obj, ("models",), ("descriptors",))
     models = tuple(_model_from_obj(o, f"model{i}") for i, o in enumerate(obj["models"]))
     by_id = {m.model_id: m for m in models}
@@ -454,8 +446,8 @@ def _load_model_set(config: RunConfig):
     return DiscreteModelSet(models), descriptors
 
 
-def _run_stabilize_verify(config: RunConfig) -> int:
-    ms, descriptors = _load_model_set(config)
+def _run_stabilize_verify(config: argparse.Namespace) -> int:
+    ms, descriptors = _load_model_set(config.models)
     rng = Random(config.seed)
     identities = []
 
@@ -526,7 +518,7 @@ def _run_stabilize_verify(config: RunConfig) -> int:
     return EXIT_OK if all_pass else EXIT_IDENTITY_FAILED
 
 
-def _run_report(config: RunConfig) -> int:
+def _run_report(config: argparse.Namespace) -> int:
     sections = {}
     ei = []
     for name in catalog.component_names():
@@ -544,9 +536,7 @@ def _run_report(config: RunConfig) -> int:
             packet_checks[f"sM={sm},r={r}"] = all(
                 _packet_checks(m, config.seed, 5).values())
     sections["packets"] = packet_checks
-    stab_config = RunConfig(subcommand="stabilize", target="verify",
-                            models="fixtures", seed=config.seed, trials=10)
-    ms, descriptors = _load_model_set(stab_config)
+    ms, descriptors = _load_model_set("fixtures")
     ones = TestVector.constant(ms.models, 1)
     sections["stabilization"] = {
         "discrete=stable": discrete_part(ms, ones, ones) == stable_form(ms, ones, ones),
@@ -560,7 +550,7 @@ def _run_report(config: RunConfig) -> int:
     return EXIT_OK if ok else EXIT_IDENTITY_FAILED
 
 
-def run(config: RunConfig) -> int:
+def run(config: argparse.Namespace) -> int:
     """Dispatch a parsed configuration; returns the process exit code."""
     try:
         if config.subcommand == "i-number":

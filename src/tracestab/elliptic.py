@@ -19,17 +19,17 @@ twist of a torus datum, and a factor-swap of a doubled datum (handled by
 folding to the diagonal).  Everything else raises TwistedUnsupported.
 
 ``elliptic_classes`` is memoized on the component's value (base datum, θ and
-its order), never on a canonical key or the ``tag``; the cached tuple of
-frozen classes is shared by every caller.
+its order), never on a canonical key; the cached tuple of immutable classes
+is shared by every caller.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import lcm
 from operator import add
+from typing import NamedTuple
 
 from .errors import TwistedUnsupported
 from .linalg import (
@@ -60,19 +60,16 @@ from .rootdata import (
 from .weylcoset import TwistedComponent
 
 
-@dataclass(frozen=True)
-class TorusPoint:
+class TorusPoint(NamedTuple):
     coords: QVec
     order: int
 
 
-@dataclass(frozen=True)
-class SemisimpleClass:
+class SemisimpleClass(NamedTuple):
     rep: TorusPoint
     centralizer_datum: RootDatum
     pi0: int
     elliptic: bool
-    component_tag: str
 
 
 def torus_point(coords) -> TorusPoint:
@@ -280,9 +277,7 @@ def elliptic_classes(c: TwistedComponent) -> tuple[SemisimpleClass, ...]:
         folded, _ = _fold(c)
         from .weylcoset import untwisted_component
 
-        inner = _elliptic_classes_untwisted(untwisted_component(folded))
-        return tuple(SemisimpleClass(k.rep, k.centralizer_datum, k.pi0, k.elliptic, c.tag)
-                     for k in inner)
+        return _elliptic_classes_untwisted(untwisted_component(folded))
     raise TwistedUnsupported("no enumeration for this twist shape")
 
 
@@ -316,7 +311,7 @@ def _elliptic_classes_untwisted(c: TwistedComponent) -> tuple[SemisimpleClass, .
         return ()
     if d.rank == 0:
         trivial = build_root_datum(0, (), ())
-        return (SemisimpleClass(torus_point(()), trivial, 1, True, c.tag),)
+        return (SemisimpleClass(torus_point(()), trivial, 1, True),)
     orbit_sizes = {}
     for t in _alcove_vertices(d):
         a, n = clear_denominators(t)
@@ -325,7 +320,7 @@ def _elliptic_classes_untwisted(c: TwistedComponent) -> tuple[SemisimpleClass, .
     classes = []
     for t, size in sorted(orbit_sizes.items()):
         datum, pi0 = _centralizer_at(d, t, size)
-        classes.append(SemisimpleClass(torus_point(t), datum, pi0, True, c.tag))
+        classes.append(SemisimpleClass(torus_point(t), datum, pi0, True))
     return tuple(classes)
 
 
@@ -336,4 +331,4 @@ def _elliptic_classes_torus_twist(c: TwistedComponent) -> tuple[SemisimpleClass,
         return ()  # the fixed subtorus forces an infinite centralizer center
     trivial = build_root_datum(0, (), ())
     rep = torus_point(tuple(Fraction(0) for _ in range(c.base.rank)))
-    return (SemisimpleClass(rep, trivial, int(abs(d_det)), True, c.tag),)
+    return (SemisimpleClass(rep, trivial, int(abs(d_det)), True),)

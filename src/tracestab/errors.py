@@ -25,6 +25,10 @@ class InfiniteOrder(TraceStabError):
     """No power of the twist matrix up to the bound is the identity."""
 
 
+class WeylGroupTooLarge(TraceStabError):
+    """The Weyl group is above the size that is built element by element."""
+
+
 class TwistedUnsupported(TraceStabError):
     """Twisted enumeration requested for an unsupported twist shape."""
 

@@ -23,7 +23,6 @@ as the independent cross-check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
 from operator import mul
@@ -38,12 +37,33 @@ Tau = tuple[int, int]  # (character of S_M, element of R)
 SElement = tuple[int, int]  # (S_M part, R part), bitmask coordinates
 
 
-@dataclass(frozen=True)
 class GaussianRational:
-    """Exact complex scalar a + b·i with rational a, b."""
+    """Exact complex scalar a + b·i with rational a, b; immutable, equal and hashed by (re, im)."""
 
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
+    __slots__ = ("re", "im")
+
+    def __init__(self, re: Fraction = Fraction(0), im: Fraction = Fraction(0)):
+        object.__setattr__(self, "re", re)
+        object.__setattr__(self, "im", im)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"GaussianRational is immutable: cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.re == other.re and self.im == other.im
+
+    def __hash__(self):
+        return hash((self.re, self.im))
+
+    def __repr__(self):
+        return f"GaussianRational(re={self.re!r}, im={self.im!r})"
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__
+        return GaussianRational, (self.re, self.im)
 
     @staticmethod
     def of(value) -> "GaussianRational":
@@ -78,15 +98,32 @@ GR_ZERO = GaussianRational()
 GR_ONE = GaussianRational(Fraction(1))
 
 
-@dataclass(frozen=True)
 class TwoGroup:
-    """Elementary abelian 2-group; elements and characters are bitmasks."""
+    """Elementary abelian 2-group; elements and characters are bitmasks.
 
-    dim: int
+    Immutable, equal and hashed by ``dim``.
+    """
 
-    def __post_init__(self):
-        if not isinstance(self.dim, int) or isinstance(self.dim, bool) or self.dim < 0:
-            raise InvalidDimension(f"2-group dimension {self.dim!r} is not a non-negative integer")
+    __slots__ = ("dim",)
+
+    def __init__(self, dim: int):
+        if not isinstance(dim, int) or isinstance(dim, bool) or dim < 0:
+            raise InvalidDimension(f"2-group dimension {dim!r} is not a non-negative integer")
+        object.__setattr__(self, "dim", dim)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"TwoGroup is immutable: cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        return self.dim == other.dim if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash((self.dim,))
+
+    def __reduce__(self):
+        return TwoGroup, (self.dim,)
 
     @property
     def size(self) -> int:
@@ -112,19 +149,28 @@ def _walsh_hadamard(values: list[int]) -> list[int]:
     return values
 
 
-@dataclass(frozen=True)
 class DualGroupModel:
     """Disconnected-group attachment: one twisted component per x in S.
 
     ``validate`` builds each component once; ``component_at`` looks it up.
+    Immutable and equal by (base, thetas); a dict of twists makes it unhashable.
     """
 
-    base: RootDatum
-    thetas: Mapping[SElement, IntMat]
+    def __init__(self, base: RootDatum, thetas: Mapping[SElement, IntMat]):
+        vars(self).update(base=base, thetas=thetas, _components={})
 
-    @cached_property
-    def _components(self) -> dict[SElement, TwistedComponent]:
-        return {}
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"DualGroupModel is immutable: cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.base, self.thetas) == (other.base, other.thetas)
+
+    def __hash__(self):
+        return hash((self.base, self.thetas))
 
     def component_at(self, x: SElement) -> TwistedComponent:
         return self._components[x]
@@ -149,18 +195,33 @@ class DualGroupModel:
                     raise MismatchedModel(f"twist cocycle fails at {x}, {y}")
 
 
-@dataclass(frozen=True)
 class ParameterModel:
-    model_id: str
-    s_m: TwoGroup
-    r: TwoGroup
-    dual_group: DualGroupModel | None = None
-    # Test hook: pairing entries ((cm, cr), (xm, xr)) whose sign is flipped.
-    pairing_flips: frozenset = field(default_factory=frozenset)
+    """A packet model S = S_M × R, optionally with its dual-group attachment.
 
-    def __post_init__(self):
-        if self.dual_group is not None:
-            self.dual_group.validate(tuple(self.s_elements()))
+    Immutable, equal and hashed by its five fields; ``pairing_flips`` is a
+    test hook, the pairing entries ((cm, cr), (xm, xr)) whose sign is flipped.
+    """
+
+    def __init__(self, model_id: str, s_m: TwoGroup, r: TwoGroup,
+                 dual_group: DualGroupModel | None = None, pairing_flips: frozenset = frozenset()):
+        vars(self).update(model_id=model_id, s_m=s_m, r=r, dual_group=dual_group,
+                          pairing_flips=pairing_flips)
+        if dual_group is not None:
+            dual_group.validate(tuple(self.s_elements()))
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"ParameterModel is immutable: cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+    def _fields(self) -> tuple:
+        return self.model_id, self.s_m, self.r, self.dual_group, self.pairing_flips
+
+    def __eq__(self, other):
+        return self._fields() == other._fields() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())
 
     @property
     def s_size(self) -> int:
@@ -219,7 +280,7 @@ class ParameterModel:
 
 def with_flipped_pairing(m: ParameterModel, char: SElement, x: SElement) -> ParameterModel:
     """Corrupted copy of a model with one pairing sign flipped (negative control)."""
-    return replace(m, pairing_flips=m.pairing_flips | {(char, x)})
+    return ParameterModel(m.model_id, m.s_m, m.r, m.dual_group, m.pairing_flips | {(char, x)})
 
 
 def _numerator(m: ParameterModel, tau: Tau, x: SElement) -> int:
@@ -268,13 +329,27 @@ def transfer_factor_tagged(m: ParameterModel, tagged_tau: tuple[str, Tau], x: SE
     return transfer_factor(m, tau, x)
 
 
-@dataclass(frozen=True)
 class TestVector:
-    """Finitely supported assignment of Gaussian-rational values f'(φ, x)."""
+    """Finitely supported assignment of Gaussian-rational values f'(φ, x).
+
+    Immutable and equal by ``values``; a dict of values makes it unhashable.
+    """
 
     __test__ = False  # despite the name, not a pytest case
 
-    values: Mapping[tuple[str, SElement], GaussianRational]
+    def __init__(self, values: Mapping[tuple[str, SElement], GaussianRational]):
+        vars(self)["values"] = values
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"TestVector is immutable: cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        return self.values == other.values if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash((self.values,))
 
     def value(self, model_id: str, x: SElement) -> GaussianRational:
         return self.values.get((model_id, x), GR_ZERO)

@@ -10,13 +10,13 @@ group, display labels — is computed by exact integer/rational arithmetic.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
 from math import prod
+from typing import NamedTuple
 
-from .errors import InfiniteType, NonCartan, NotCentral
+from .errors import InfiniteType, NonCartan, NotCentral, WeylGroupTooLarge
 from .linalg import (
     IntMat,
     IntVec,
@@ -41,25 +41,29 @@ from .linalg import (
 # 32 leaves room while still catching runaway closures from malformed input.
 _CLOSURE_FACTOR = 32
 
+# Largest |W| that ``weyl_group`` builds: |W(E6)|.  W is stored element by
+# element (E6 already takes seconds), so E7 (|W| = 2 903 040) and E8 are refused.
+MAX_WEYL_ORDER = 51_840
 
-@dataclass(frozen=True)
-class WeylElement:
+
+class WeylElement(NamedTuple):
     """Lattice automorphism of X∨ induced by a Weyl group element.
 
     Only the X∨ side is stored; ``contragredient(matrix)`` is its action on X.
+    The reduced ``word`` is fixed by the matrix within one datum's ``weyl_group``.
     """
 
     matrix: IntMat
-    word: tuple[int, ...] | None = field(default=None, compare=False)
+    word: tuple[int, ...] | None = None
 
 
-@dataclass(frozen=True)
-class RootDatum:
-    """Based root datum; equality and hashing see only the first five fields.
+class RootDatum(NamedTuple):
+    """Based root datum, as built by ``build_root_datum``.
 
     ``coefficients`` holds each root's simple-root coefficients (aligned with
     ``roots``) and ``positives`` the roots of positive height.  Both are
-    carried through the reflection closure of ``build_root_datum``.
+    carried through the reflection closure and are determined by the first
+    five fields, so equality on all fields is equality on those five.
     """
 
     rank: int
@@ -67,8 +71,8 @@ class RootDatum:
     simple_coroots: tuple[IntVec, ...]
     roots: tuple[IntVec, ...]
     coroots: tuple[IntVec, ...]  # aligned with roots
-    coefficients: tuple[IntVec, ...] = field(compare=False, repr=False)
-    positives: tuple[IntVec, ...] = field(compare=False, repr=False)
+    coefficients: tuple[IntVec, ...]
+    positives: tuple[IntVec, ...]
 
     @property
     def semisimple_rank(self) -> int:
@@ -196,8 +200,13 @@ def weyl_group(d: RootDatum) -> tuple[WeylElement, ...]:
 
     Elements carry their X∨ matrices and reduced words (BFS depth equals
     Coxeter length); no X-side matrices are built.  The result is memoized on
-    the datum's value and sorted by matrix for reproducibility.
+    the datum's value and sorted by matrix for reproducibility.  A datum with
+    |W| > ``MAX_WEYL_ORDER`` raises ``WeylGroupTooLarge`` before anything is built.
     """
+    order = classical_weyl_order(d)
+    if order > MAX_WEYL_ORDER:
+        raise WeylGroupTooLarge(f"W({','.join(cartan_type(d))}) has order {order}, "
+                                f"above the limit {MAX_WEYL_ORDER}")
     gens = [simple_reflection_matrix(d, i) for i in range(d.semisimple_rank)]
     ident = identity_matrix(d.rank)
     seen: dict[IntMat, tuple[int, ...]] = {ident: ()}
@@ -324,8 +333,7 @@ def _classify_component(comp, cartan, adj) -> str:
     raise NonCartan(f"arm lengths {arms} match no finite diagram")
 
 
-@dataclass(frozen=True)
-class CentralSubgroup:
+class CentralSubgroup(NamedTuple):
     """Finite subgroup of the torus given by cocharacter classes mod X∨."""
 
     generators: tuple[QVec, ...]

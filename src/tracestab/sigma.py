@@ -13,9 +13,9 @@ are constants, kept process-wide in one table keyed by Cartan label ("A1",
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
+from typing import NamedTuple
 
 from .elliptic import SemisimpleClass, elliptic_classes
 from .errors import InconsistentClasses
@@ -31,11 +31,14 @@ from .rootdata import (
 from .weylcoset import TwistedComponent, i_number, untwisted_component
 
 
-@dataclass
 class SigmaTable:
-    """σ of simple adjoint groups, keyed by Cartan label."""
+    """σ of simple adjoint groups, keyed by Cartan label; unhashable, equal by entries."""
 
-    entries: dict[str, Fraction] = field(default_factory=dict)
+    def __init__(self):
+        self.entries: dict[str, Fraction] = {}
+
+    def __eq__(self, other):
+        return self.entries == other.entries if other.__class__ is self.__class__ else NotImplemented
 
     def get(self, key: str) -> Fraction | None:
         return self.entries.get(key)
@@ -92,16 +95,14 @@ def sigma(d: RootDatum) -> Fraction:
     return value / abs(det(d.simple_roots))
 
 
-@dataclass(frozen=True)
-class ClassTerm:
+class ClassTerm(NamedTuple):
     rep: tuple
     pi0: int
     sigma_value: Fraction
     term: Fraction
 
 
-@dataclass(frozen=True)
-class EIReport:
+class EIReport(NamedTuple):
     e: Fraction
     i: Fraction
     equal: bool

@@ -14,9 +14,9 @@ is one integer sum over the test vectors' integer views.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
+from typing import NamedTuple
 
 from .elliptic import SemisimpleClass, _theta_minus_one, elliptic_classes
 from .errors import DuplicateModelId, InconsistentDescriptor, MissingDualGroup
@@ -103,19 +103,31 @@ def _vector_form(weights: tuple[dict, int], f1: TestVector, f2: TestVector) -> G
                           denom * d1 * d2)
 
 
-@dataclass(frozen=True)
 class DiscreteModelSet:
-    """The models of the identity chain, with the integer weights of its forms."""
+    """The models of the identity chain, with the integer weights of its forms.
 
-    models: tuple[ParameterModel, ...]
+    Immutable, equal and hashed by ``models``.
+    """
 
-    def __post_init__(self):
-        ids = [m.model_id for m in self.models]
+    def __init__(self, models: tuple[ParameterModel, ...]):
+        ids = [m.model_id for m in models]
         if len(set(ids)) != len(ids):
             raise DuplicateModelId("model ids must be unique")
-        for m in self.models:
+        for m in models:
             if m.dual_group is None:
                 raise MissingDualGroup(f"model {m.model_id} has no dual-group attachment")
+        vars(self)["models"] = models
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"DiscreteModelSet is immutable: cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        return self.models == other.models if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash((self.models,))
 
     @cached_property
     def stable_weights(self) -> tuple[dict, int]:
@@ -158,8 +170,7 @@ def stable_form(ms: DiscreteModelSet, f1: TestVector, f2: TestVector) -> Gaussia
     return _vector_form(ms.stable_weights, f1, f2)
 
 
-@dataclass(frozen=True)
-class EndoscopicDescriptor:
+class EndoscopicDescriptor(NamedTuple):
     """Numerical invariants of the endoscopic datum attached to one class."""
 
     group_label: str
@@ -198,8 +209,7 @@ def fixed_intersection_order(m: ParameterModel, x: SElement, zbar: CentralSubgro
                if in_integer_row_span(image_basis, mat_vec(delta, z)))
 
 
-@dataclass(frozen=True)
-class CoefficientReport:
+class CoefficientReport(NamedTuple):
     checks: tuple[tuple[str, str, str, bool], ...]
 
     @property

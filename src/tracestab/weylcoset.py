@@ -9,24 +9,22 @@ an element is regular when det(w − 1) ≠ 0 on X∨ ⊗ Q, and
 summed with exact rationals.  θ = identity recovers the untwisted component.
 
 ``weyl_set`` and ``i_number`` are memoized on the component's value (base
-datum, θ and its order), never on a canonical key or the ``tag``; the cached
-tuples of frozen elements and Fractions are shared by every caller.
+datum, θ and its order), never on a canonical key; the cached tuples of
+immutable elements and Fractions are shared by every caller.
 """
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from typing import NamedTuple
 
 from .errors import InfiniteOrder, NotAutomorphism
 from .linalg import IntMat, det, identity_matrix, mat_mul, mat_vec
 from .rootdata import RootDatum, WeylElement, contragredient, weyl_group
 
 
-@dataclass(frozen=True)
-class TwistedComponent:
+class TwistedComponent(NamedTuple):
     base: RootDatum
     theta: IntMat
     order_theta: int
@@ -35,15 +33,8 @@ class TwistedComponent:
     def untwisted(self) -> bool:
         return self.order_theta == 1
 
-    @property
-    def tag(self) -> str:
-        payload = repr((self.base.rank, self.base.simple_roots,
-                        self.base.simple_coroots, self.theta)).encode()
-        return hashlib.sha256(payload).hexdigest()[:12]
 
-
-@dataclass(frozen=True)
-class CosetElement:
+class CosetElement(NamedTuple):
     total: IntMat
     det_w_minus_1: Fraction
     sign: int

@@ -236,6 +236,14 @@ def catalog_and_ladder_data():
 F4_CARTAN = ((2, -1, 0, 0), (-1, 2, -2, 0), (0, -1, 2, -1), (0, 0, -1, 2))
 
 
+def e_cartan(n):
+    """Cartan matrix of E_n, Bourbaki numbering: the chain 1-3-4-…-n with 2 on 4."""
+    c = [[2 * (i == j) for j in range(n)] for i in range(n)]
+    for i, j in [(0, 2), (1, 3)] + [(i, i + 1) for i in range(2, n - 1)]:
+        c[i][j] = c[j][i] = -1
+    return c
+
+
 def datum_from_cartan(c, form):
     """Simply connected ("sc") or adjoint ("ad") datum whose simple roots pair as c."""
     n = len(c)

@@ -145,19 +145,17 @@ def test_criterion_5_stabilization_chain():
         assert discrete_part(single, f1, f2) == stable_form(single, f1, f2), \
             f"random model {i}"
     # Coefficient chain passes on fixtures and fails on single-field controls.
-    from dataclasses import replace
-
     (d_o2,) = catalog.descriptors_o2()
     assert verify_coefficients(catalog.model_o2(), d_o2).passed
     for alt in catalog.descriptors_sl2_central():
         assert verify_coefficients(catalog.model_sl2(), alt).passed
     controls = {
-        "zbar": replace(d_o2, zbar=central_subgroup(catalog.datum("gl1"), ())),
-        "out_card": replace(d_o2, out_card=3),
-        "out_phi_card": replace(d_o2, out_phi_card=1),
-        "splus_over_s_card": replace(d_o2, splus_over_s_card=1),
-        "s_phi_prime_card": replace(d_o2, s_phi_prime_card=4),
-        "sprime_datum": replace(d_o2, sprime_datum=catalog.datum("pgl2")),
+        "zbar": d_o2._replace(zbar=central_subgroup(catalog.datum("gl1"), ())),
+        "out_card": d_o2._replace(out_card=3),
+        "out_phi_card": d_o2._replace(out_phi_card=1),
+        "splus_over_s_card": d_o2._replace(splus_over_s_card=1),
+        "s_phi_prime_card": d_o2._replace(s_phi_prime_card=4),
+        "sprime_datum": d_o2._replace(sprime_datum=catalog.datum("pgl2")),
     }
     for field, bad in controls.items():
         assert not verify_coefficients(catalog.model_o2(), bad).passed, field

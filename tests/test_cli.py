@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from helpers_oracle import e_cartan
 from tracestab import cli as cli_module
 from tracestab.cli import (
     EXIT_MALFORMED,
@@ -255,6 +256,31 @@ def test_packets_verify_malformed_dimensions_exit_4(tmp_path, dims):
     assert rc == EXIT_MALFORMED and out == b""
     assert b"Traceback" not in err
     assert json.loads(err)["error"]["kind"] == "malformed-input"
+
+
+@pytest.mark.parametrize("dims", [{"sM_dim": 40, "r_dim": 0}, {"sM_dim": 0, "r_dim": 40},
+                                  {"sM_dim": 5, "r_dim": 4}])
+def test_packets_verify_oversized_dimensions_exit_4_quickly(tmp_path, dims):
+    assert dims["sM_dim"] + dims["r_dim"] > cli_module.MAX_PACKET_DIM >= 6
+    model = tmp_path / "m.json"
+    model.write_text(json.dumps(dims))
+    proc = subprocess.run([sys.executable, "-m", "tracestab.cli", "packets", "verify",
+                           "--model", str(model)], capture_output=True, timeout=60)
+    assert proc.returncode == EXIT_MALFORMED and proc.stdout == b""
+    assert b"above the limit" in proc.stderr and b"Traceback" not in proc.stderr
+
+
+def test_sigma_on_e8_exits_5_quickly(tmp_path):
+    group = tmp_path / "e8.json"
+    ident = [[int(i == j) for j in range(8)] for i in range(8)]
+    group.write_text(json.dumps({"rank": 8, "simple_roots": e_cartan(8),
+                                 "simple_coroots": ident}))
+    proc = subprocess.run([sys.executable, "-m", "tracestab.cli", "sigma", "--group", str(group)],
+                          capture_output=True, timeout=60)
+    assert proc.returncode == EXIT_MODULE_ERROR and proc.stdout == b""
+    error = json.loads(proc.stderr)["error"]
+    assert error["kind"] == "WeylGroupTooLarge"
+    assert "W(E8)" in error["detail"] and "696729600" in error["detail"]
 
 
 @pytest.mark.parametrize("sm, r", [(3, 3), (2, 4)])

@@ -10,11 +10,13 @@ from helpers_oracle import (
     catalog_and_ladder_data,
     classical_datum,
     datum_from_cartan,
+    e_cartan,
     expansion_positive_roots,
 )
 from tracestab import catalog
 from tracestab.elliptic import elliptic_classes
-from tracestab.errors import NonCartan, NotCentral
+from tracestab import rootdata as rootdata_module
+from tracestab.errors import NonCartan, NotCentral, WeylGroupTooLarge
 from tracestab.linalg import mat_mul, mat_vec, transpose
 from tracestab.rootdata import (
     build_root_datum,
@@ -22,6 +24,7 @@ from tracestab.rootdata import (
     cartan_type,
     central_subgroup,
     central_torsion_points,
+    MAX_WEYL_ORDER,
     classical_weyl_order,
     contragredient,
     quotient_by_central,
@@ -112,14 +115,6 @@ def _weyl_order_by_family(d):
     return order
 
 
-def _e_cartan(n):
-    """Cartan matrix of E_n, Bourbaki numbering: the chain 1-3-4-…-n with 2 on 4."""
-    c = [[2 * (i == j) for j in range(n)] for i in range(n)]
-    for i, j in [(0, 2), (1, 3)] + [(i, i + 1) for i in range(2, n - 1)]:
-        c[i][j] = c[j][i] = -1
-    return c
-
-
 def _weyl_order_datum(label):
     if label == "G2xA1+T1":  # reducible, with a central torus
         return build_root_datum(4, [(2, -1, 0, 0), (-3, 2, 0, 0), (0, 0, 2, 0)],
@@ -127,7 +122,7 @@ def _weyl_order_datum(label):
     family, n = label[0], int(label[1:])
     if family in "ABCD":
         return classical_datum(family, n, "sc")
-    cartan = _e_cartan(n) if family == "E" else F4_CARTAN if family == "F" else ((2, -1), (-3, 2))
+    cartan = e_cartan(n) if family == "E" else F4_CARTAN if family == "F" else ((2, -1), (-3, 2))
     return datum_from_cartan(cartan, "ad")
 
 
@@ -139,6 +134,23 @@ def test_weyl_order_from_root_heights_matches_family_table(label):
     expected_type = ("A1", "G2") if label == "G2xA1+T1" else (label,)
     assert cartan_type(d) == expected_type
     assert classical_weyl_order(d) == _weyl_order_by_family(d)
+
+
+@pytest.mark.parametrize("n, order", [(7, 2903040), (8, 696729600)])
+def test_weyl_group_refuses_e7_and_e8_before_building(monkeypatch, n, order):
+    def no_generators(d, i):
+        raise AssertionError("a generator was built for an oversized Weyl group")
+
+    monkeypatch.setattr(rootdata_module, "simple_reflection_matrix", no_generators)
+    d = datum_from_cartan(e_cartan(n), "sc")
+    with pytest.raises(WeylGroupTooLarge, match=f"W\\(E{n}\\) has order {order}"):
+        weyl_group(d)
+
+
+def test_weyl_group_limit_admits_e6():
+    e6 = datum_from_cartan(e_cartan(6), "sc")
+    assert classical_weyl_order(e6) == 51840 <= MAX_WEYL_ORDER
+    assert classical_weyl_order(datum_from_cartan(e_cartan(7), "ad")) > MAX_WEYL_ORDER
 
 
 def test_weyl_group_closure_and_identity():

@@ -1,5 +1,4 @@
 import importlib
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -244,7 +243,7 @@ def test_disconnected_central_class_is_a_library_error(cold, monkeypatch):
     real = sigma_module.elliptic_classes
 
     def doubled_pi0(component):
-        return tuple(replace(c, pi0=2 * c.pi0) for c in real(component))
+        return tuple(c._replace(pi0=2 * c.pi0) for c in real(component))
 
     monkeypatch.setattr(sigma_module, "elliptic_classes", doubled_pi0)
     with pytest.raises(InconsistentClasses, match="disconnected centralizer"):

@@ -1,5 +1,4 @@
 import importlib
-from dataclasses import replace
 from fractions import Fraction
 from random import Random
 
@@ -155,7 +154,7 @@ def test_empty_model_set():
 
 def test_two_disjoint_copies_additivity():
     base = catalog.model_o2()
-    copy = replace(base, model_id="o2copy")
+    copy = ParameterModel("o2copy", base.s_m, base.r, base.dual_group)
     ms = DiscreteModelSet((base, copy))
     f = TestVector({("o2", (0, 1)): GaussianRational(Fraction(1))})
     single = DiscreteModelSet((base,))
@@ -312,7 +311,7 @@ def test_flipped_pairing_breaks_both_identities(model):
 def test_corrupted_descriptor_raises_before_any_sum(field, delta):
     ms, descriptors = _fixture_set()
     bad = list(descriptors)
-    bad[1] = replace(bad[1], **{field: getattr(bad[1], field) + delta})
+    bad[1] = bad[1]._replace(**{field: getattr(bad[1], field) + delta})
     ones = TestVector.constant(ms.models, 1)
     for form in (endoscopic_form, oracle_endoscopic_form):
         with pytest.raises(InconsistentDescriptor):
@@ -409,12 +408,12 @@ def test_verify_coefficients_negative_controls():
     m = catalog.model_o2()
     trivial_z = catalog.central_subgroup(catalog.datum("gl1"), ())
     controls = {
-        "zbar": replace(d, zbar=trivial_z),
-        "out_phi_card": replace(d, out_phi_card=1),
-        "splus_over_s_card": replace(d, splus_over_s_card=3),
-        "s_phi_prime_card": replace(d, s_phi_prime_card=2),
-        "sprime_datum": replace(d, sprime_datum=catalog.datum("sl2")),
-        "out_card": replace(d, out_card=3),
+        "zbar": d._replace(zbar=trivial_z),
+        "out_phi_card": d._replace(out_phi_card=1),
+        "splus_over_s_card": d._replace(splus_over_s_card=3),
+        "s_phi_prime_card": d._replace(s_phi_prime_card=2),
+        "sprime_datum": d._replace(sprime_datum=catalog.datum("sl2")),
+        "out_card": d._replace(out_card=3),
     }
     for field, bad in controls.items():
         report = verify_coefficients(m, bad)
@@ -423,7 +422,7 @@ def test_verify_coefficients_negative_controls():
 
 def test_verify_coefficients_zbar_perturbation_fails_product():
     (d,) = catalog.descriptors_o2()
-    bad = replace(d, zbar=catalog.central_subgroup(catalog.datum("gl1"), ()))
+    bad = d._replace(zbar=catalog.central_subgroup(catalog.datum("gl1"), ()))
     report = verify_coefficients(catalog.model_o2(), bad)
     assert "coefficient_product" in report.failed_names()
 
@@ -475,7 +474,7 @@ def test_endoscopic_alternate_covering_with_central_zbar():
 def test_endoscopic_form_rejects_inconsistent_descriptor():
     ms, descriptors = _fixture_set()
     bad = list(descriptors)
-    bad[0] = replace(bad[0], s_phi_prime_card=bad[0].s_phi_prime_card + 1)
+    bad[0] = bad[0]._replace(s_phi_prime_card=bad[0].s_phi_prime_card + 1)
     ones = TestVector.constant(ms.models, 1)
     with pytest.raises(InconsistentDescriptor):
         endoscopic_form(ms, bad, ones, ones)
@@ -504,7 +503,7 @@ def test_each_descriptor_is_checked_once(monkeypatch):
 def test_inconsistent_descriptor_fails_every_time_with_the_same_message():
     ms, descriptors = _fixture_set()
     bad = list(descriptors)
-    bad[0] = replace(bad[0], s_phi_prime_card=bad[0].s_phi_prime_card + 1)
+    bad[0] = bad[0]._replace(s_phi_prime_card=bad[0].s_phi_prime_card + 1)
     ones = TestVector.constant(ms.models, 1)
     messages = set()
     for _ in range(2):
@@ -518,7 +517,7 @@ def test_endoscopic_form_rejects_mixed_iota_in_group():
     ms, _ = _fixture_set()
     m = catalog.model_sl2()
     d1, d2, *rest = catalog.principal_descriptors(m)
-    clash = replace(catalog.descriptors_o2()[0], group_label=d1.group_label)
+    clash = catalog.descriptors_o2()[0]._replace(group_label=d1.group_label)
     ones = TestVector.constant(ms.models, 1)
     with pytest.raises(InconsistentDescriptor):
         endoscopic_form(ms, [d1, clash], ones, ones)
