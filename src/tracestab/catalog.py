@@ -4,20 +4,26 @@ Named data cover the desk-scale verification set; the fixture models are the
 worked examples used throughout the test suite, each with honestly computed
 endoscopic descriptors (the descriptor numbers are group-theoretic facts
 about the fixture, spelled out where they are nonobvious).
+
+The module imports only ``errors`` and ``linalg``; each function imports
+the layers it builds from, because ``packets verify`` needs only the test
+vectors here and the root-data commands only the named data.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from random import Random
+from typing import TYPE_CHECKING
 
-from .elliptic import _weyl_orbit, elliptic_classes
 from .errors import MalformedInput, TwistedUnsupported
 from .linalg import clear_denominators, identity_matrix, mat_vec
-from .packets import DualGroupModel, GaussianRational, ParameterModel, TestVector, TwoGroup
-from .rootdata import RootDatum, build_root_datum, central_subgroup
-from .stabilize import EndoscopicDescriptor
-from .weylcoset import TwistedComponent, component, untwisted_component
+
+if TYPE_CHECKING:
+    from .packets import ParameterModel, TestVector
+    from .rootdata import RootDatum
+    from .stabilize import EndoscopicDescriptor
+    from .weylcoset import TwistedComponent
 
 _DATA_SPECS = {
     "trivial": (0, (), ()),
@@ -37,6 +43,8 @@ NEG1 = ((-1,),)
 
 
 def datum(name: str) -> RootDatum:
+    from .rootdata import build_root_datum
+
     if name not in _DATA_SPECS:
         raise MalformedInput(f"unknown catalog datum {name!r}")
     rank, roots, coroots = _DATA_SPECS[name]
@@ -49,6 +57,8 @@ def datum_names() -> tuple[str, ...]:
 
 def named_component(name: str) -> TwistedComponent:
     """Catalog components: every datum untwisted, plus the two twisted shapes."""
+    from .weylcoset import component, untwisted_component
+
     if name == "o2_twist":
         return component(datum("gl1"), NEG1)
     if name == "a1a1_swap":
@@ -64,29 +74,32 @@ def component_names() -> tuple[str, ...]:
 # Fixture models
 # ---------------------------------------------------------------------------
 
+def _model(model_id: str, sm_dim: int, r_dim: int, base: RootDatum, thetas) -> ParameterModel:
+    """A packet model S = (Z/2)^sm_dim × (Z/2)^r_dim with one twist of ``base`` per x in S."""
+    from .packets import DualGroupModel, ParameterModel, TwoGroup
+
+    return ParameterModel(model_id, TwoGroup(sm_dim), TwoGroup(r_dim),
+                          DualGroupModel(base, thetas))
+
+
 def model_o2() -> ParameterModel:
     """S = R = Z/2 over a rank-1 torus; the nonidentity component is inverted."""
-    dg = DualGroupModel(datum("gl1"), {(0, 0): identity_matrix(1), (0, 1): NEG1})
-    return ParameterModel("o2", TwoGroup(0), TwoGroup(1), dg)
+    return _model("o2", 0, 1, datum("gl1"), {(0, 0): identity_matrix(1), (0, 1): NEG1})
 
 
 def model_sl2() -> ParameterModel:
     """S = S_M = Z/2, both components untwisted over an SL2 base."""
     ident = identity_matrix(1)
-    dg = DualGroupModel(datum("sl2"), {(0, 0): ident, (1, 0): ident})
-    return ParameterModel("sl2phi", TwoGroup(1), TwoGroup(0), dg)
+    return _model("sl2phi", 1, 0, datum("sl2"), {(0, 0): ident, (1, 0): ident})
 
 
 def model_swap() -> ParameterModel:
     """S = R = Z/2 over SL2 x SL2 with the factor swap on the far component."""
-    dg = DualGroupModel(datum("sl2xsl2"),
-                        {(0, 0): identity_matrix(2), (0, 1): SWAP2})
-    return ParameterModel("a1a1", TwoGroup(0), TwoGroup(1), dg)
+    return _model("a1a1", 0, 1, datum("sl2xsl2"), {(0, 0): identity_matrix(2), (0, 1): SWAP2})
 
 
 def model_trivial() -> ParameterModel:
-    dg = DualGroupModel(datum("trivial"), {(0, 0): ()})
-    return ParameterModel("triv", TwoGroup(0), TwoGroup(0), dg)
+    return _model("triv", 0, 0, datum("trivial"), {(0, 0): ()})
 
 
 def fixture_models() -> tuple[ParameterModel, ...]:
@@ -105,6 +118,8 @@ def _splus(m: ParameterModel, x, cls) -> int:
     model both components meet the centralizer (the class contains its own
     component element, and torus translation reaches the identity component).
     """
+    from .elliptic import _weyl_orbit
+
     comp = m.component_at(x)
     if comp.untwisted:
         a, n = clear_denominators(cls.rep.coords)
@@ -124,6 +139,10 @@ def principal_descriptors(m: ParameterModel) -> tuple[EndoscopicDescriptor, ...]
     bookkeeping.  The class of the identity gets the distinguished label
     ``principal:<model>``; every other class gets its own label.
     """
+    from .elliptic import elliptic_classes
+    from .rootdata import central_subgroup
+    from .stabilize import EndoscopicDescriptor
+
     out = []
     zbar0 = central_subgroup(m.dual_group.base, ())
     for x in m.s_elements():
@@ -151,6 +170,9 @@ def descriptors_o2() -> tuple[EndoscopicDescriptor, ...]:
     centralizer only in the identity, and the quotient side is the trivial
     group with |S_phi'| = 1.
     """
+    from .rootdata import central_subgroup
+    from .stabilize import EndoscopicDescriptor
+
     m = model_o2()
     zbar = central_subgroup(datum("gl1"), ((Fraction(1, 2),),))
     return (EndoscopicDescriptor(
@@ -165,6 +187,10 @@ def descriptors_sl2_central() -> tuple[EndoscopicDescriptor, ...]:
     centralizer entirely; the quotient side is the adjoint datum and the
     bookkeeping gives |S_phi'| = 2.
     """
+    from .elliptic import elliptic_classes
+    from .rootdata import central_subgroup
+    from .stabilize import EndoscopicDescriptor
+
     m = model_sl2()
     base = datum("sl2")
     zbar = central_subgroup(base, ((Fraction(1, 2),),))
@@ -203,6 +229,8 @@ def _diag_sign_theta(rank: int, bits: tuple[int, ...]):
 
 def random_model(rng: Random, index: int) -> ParameterModel:
     """A model from the supported bank: untwisted bases, inverted tori, swaps."""
+    from .rootdata import build_root_datum
+
     kind = rng.choice(("untwisted", "torus", "swap"))
     sm_dim = rng.randint(0, 2)
     if kind == "untwisted":
@@ -227,18 +255,17 @@ def random_model(rng: Random, index: int) -> ParameterModel:
         for xm in range(1 << sm_dim):
             thetas[(xm, 0)] = identity_matrix(2)
             thetas[(xm, 1)] = SWAP2
-    dg = DualGroupModel(base, thetas)
-    return ParameterModel(f"rnd{index}", TwoGroup(sm_dim), TwoGroup(r_dim), dg)
-
-
-def random_scalar(rng: Random) -> GaussianRational:
-    return GaussianRational(Fraction(rng.randint(-6, 6), rng.randint(1, 4)),
-                            Fraction(rng.randint(-6, 6), rng.randint(1, 4)))
+    return _model(f"rnd{index}", sm_dim, r_dim, base, thetas)
 
 
 def random_test_vector(rng: Random, models) -> TestVector:
+    """Random Gaussian-rational values f'(φ, x) on every component of every model."""
+    from .packets import GaussianRational, TestVector
+
     values = {}
     for m in models:
         for x in m.s_elements():
-            values[(m.model_id, x)] = random_scalar(rng)
+            values[(m.model_id, x)] = GaussianRational(
+                Fraction(rng.randint(-6, 6), rng.randint(1, 4)),
+                Fraction(rng.randint(-6, 6), rng.randint(1, 4)))
     return TestVector(values)

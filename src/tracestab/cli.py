@@ -5,6 +5,10 @@ lowest terms with an explicit sign, JSON objects are dumped with sorted keys,
 and nothing depends on hash order.  Exit codes: 0 all requested identities
 hold, 1 an identity fails, 2 usage error, 3 missing file, 4 malformed input,
 5 a computation error propagated from a module.
+
+Importing this module loads only the standard library and ``errors``; each
+handler and parsing helper imports the layer names it uses when it runs, so
+a command compiles only the layers it calls (see ``tracestab/__init__``).
 """
 
 from __future__ import annotations
@@ -16,41 +20,15 @@ import sys
 from contextlib import contextmanager
 from fractions import Fraction
 from random import Random
+from typing import TYPE_CHECKING
 
-from . import catalog
-from .elliptic import elliptic_classes
 from .errors import MalformedInput, TraceStabError
-from .packets import (
-    DualGroupModel,
-    GaussianRational,
-    ParameterModel,
-    TestVector,
-    TwoGroup,
-    adjoint_factor,
-    adjoint_factor_closed,
-    invert_transfer,
-    theta_transfer,
-    transfer_factor,
-    transfer_factor_closed,
-    verify_adjoint,
-)
-from .rootdata import RootDatum, build_root_datum, canonical_key, cartan_type, central_subgroup
-from .sigma import sigma, verify_central_quotient, verify_ei
-from .stabilize import (
-    DiscreteModelSet,
-    EndoscopicDescriptor,
-    coefficient_report,
-    discrete_part,
-    e_phi,
-    endoscopic_form,
-    i_phi,
-    phi_disc,
-    phi_s_disc,
-    s_disc,
-    s_disc_set,
-    stable_form,
-)
-from .weylcoset import TwistedComponent, component, i_number, untwisted_component
+
+if TYPE_CHECKING:
+    from .packets import GaussianRational, ParameterModel
+    from .rootdata import RootDatum
+    from .stabilize import EndoscopicDescriptor
+    from .weylcoset import TwistedComponent
 
 EXIT_OK = 0
 EXIT_IDENTITY_FAILED = 1
@@ -138,6 +116,9 @@ def _int_matrix(obj) -> tuple:
 
 
 def _datum_from_obj(obj) -> RootDatum:
+    from . import catalog
+    from .rootdata import build_root_datum
+
     if isinstance(obj, str):
         return catalog.datum(obj)
     if not isinstance(obj, dict):
@@ -152,6 +133,9 @@ def _datum_from_obj(obj) -> RootDatum:
 @_parsing()
 def _load_component(config: argparse.Namespace) -> TwistedComponent:
     """Resolve --group (catalog name, datum file, or combined file) + --theta."""
+    from . import catalog
+    from .weylcoset import component, untwisted_component
+
     spec = config.group
     if spec is None:
         raise MalformedInput("--group is required")
@@ -181,6 +165,8 @@ def _load_component(config: argparse.Namespace) -> TwistedComponent:
 
 @_parsing()
 def _load_datum(config: argparse.Namespace) -> RootDatum:
+    from . import catalog
+
     spec = config.group
     if spec is None:
         raise MalformedInput("--group is required")
@@ -209,6 +195,8 @@ def _pair_to_bits(x, sm_dim: int, r_dim: int) -> str:
 
 @_parsing()
 def _model_from_obj(obj, fallback_id: str) -> ParameterModel:
+    from .packets import DualGroupModel, ParameterModel, TwoGroup
+
     _require_keys(obj, ("sM_dim", "r_dim"), ("dual_group", "id"))
     sm_dim, r_dim = obj["sM_dim"], obj["r_dim"]
     for dim in (sm_dim, r_dim):
@@ -234,6 +222,9 @@ def _model_from_obj(obj, fallback_id: str) -> ParameterModel:
 
 
 def _descriptor_from_obj(obj, models_by_id) -> EndoscopicDescriptor:
+    from .rootdata import central_subgroup
+    from .stabilize import EndoscopicDescriptor
+
     _require_keys(obj, ("group_label", "model_id", "x", "class_index", "out_card",
                         "out_phi_card", "zbar_generators", "sprime",
                         "splus_over_s_card", "s_phi_prime_card"))
@@ -264,6 +255,17 @@ def _descriptor_from_obj(obj, models_by_id) -> EndoscopicDescriptor:
     )
 
 
+def _trial_count(text: str) -> int:
+    """--trials: a non-negative integer; 0 runs no random trials."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
+    return value
+
+
 def parse_args(argv) -> argparse.Namespace:
     parser = argparse.ArgumentParser(prog="tracestab",
                                      description="Exact spectral coefficients and "
@@ -289,18 +291,18 @@ def parse_args(argv) -> argparse.Namespace:
     p.add_argument("--z")
     p.add_argument("--models")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--trials", type=_trial_count, default=100)
     p = sub.add_parser("packets")
     p.add_argument("target", choices=("verify",))
     p.add_argument("--model", required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--trials", type=_trial_count, default=100)
     add_common(p, group=False)
     p = sub.add_parser("stabilize")
     p.add_argument("target", choices=("verify",))
     p.add_argument("--models", default="fixtures")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--trials", type=_trial_count, default=100)
     add_common(p, group=False)
     p = sub.add_parser("report")
     p.add_argument("--seed", type=int, default=0)
@@ -321,6 +323,8 @@ def _emit(config: argparse.Namespace, obj, tsv_rows=None) -> None:
 
 
 def _run_i_number(config: argparse.Namespace) -> int:
+    from .weylcoset import i_number
+
     comp = _load_component(config)
     value = i_number(comp)
     _emit(config, {"i": fmt_q(value)}, [("i", fmt_q(value))])
@@ -328,6 +332,9 @@ def _run_i_number(config: argparse.Namespace) -> int:
 
 
 def _run_elliptic(config: argparse.Namespace) -> int:
+    from .elliptic import elliptic_classes
+    from .rootdata import cartan_type
+
     comp = _load_component(config)
     classes = elliptic_classes(comp)
     rows = []
@@ -346,6 +353,10 @@ def _run_elliptic(config: argparse.Namespace) -> int:
 
 
 def _run_sigma(config: argparse.Namespace, show_catalog: bool) -> int:
+    from . import catalog
+    from .rootdata import canonical_key, cartan_type
+    from .sigma import sigma
+
     if show_catalog:
         rows = []
         items = []
@@ -365,6 +376,8 @@ def _run_sigma(config: argparse.Namespace, show_catalog: bool) -> int:
 
 
 def _run_verify_ei(config: argparse.Namespace) -> int:
+    from .sigma import verify_ei
+
     comp = _load_component(config)
     report = verify_ei(comp)
     obj = {
@@ -381,6 +394,9 @@ def _run_verify_ei(config: argparse.Namespace) -> int:
 
 
 def _run_verify_central_quotient(config: argparse.Namespace) -> int:
+    from .rootdata import central_subgroup
+    from .sigma import verify_central_quotient
+
     d = _load_datum(config)
     if config.z is None:
         raise MalformedInput("--z FILE is required for central-quotient verification")
@@ -395,6 +411,17 @@ def _run_verify_central_quotient(config: argparse.Namespace) -> int:
 
 
 def _packet_checks(m: ParameterModel, seed: int, trials: int) -> dict:
+    from . import catalog
+    from .packets import (
+        adjoint_factor,
+        adjoint_factor_closed,
+        invert_transfer,
+        theta_transfer,
+        transfer_factor,
+        transfer_factor_closed,
+        verify_adjoint,
+    )
+
     rng = Random(seed)
     route_ok = all(
         transfer_factor(m, tau, x) == transfer_factor_closed(m, tau, x)
@@ -431,6 +458,9 @@ def _run_packets_verify(config: argparse.Namespace) -> int:
 
 @_parsing()
 def _load_model_set(spec: str | None):
+    from . import catalog
+    from .stabilize import DiscreteModelSet
+
     if spec in (None, "fixtures"):
         models = catalog.fixture_models()
         descriptors = [d for ds in sorted(catalog.fixture_descriptors().items())
@@ -447,6 +477,21 @@ def _load_model_set(spec: str | None):
 
 
 def _run_stabilize_verify(config: argparse.Namespace) -> int:
+    from . import catalog
+    from .packets import TestVector
+    from .stabilize import (
+        coefficient_report,
+        discrete_part,
+        e_phi,
+        endoscopic_form,
+        i_phi,
+        phi_disc,
+        phi_s_disc,
+        s_disc,
+        s_disc_set,
+        stable_form,
+    )
+
     ms, descriptors = _load_model_set(config.models)
     rng = Random(config.seed)
     identities = []
@@ -519,6 +564,11 @@ def _run_stabilize_verify(config: argparse.Namespace) -> int:
 
 
 def _run_report(config: argparse.Namespace) -> int:
+    from . import catalog
+    from .packets import ParameterModel, TestVector, TwoGroup
+    from .sigma import sigma, verify_ei
+    from .stabilize import discrete_part, endoscopic_form, stable_form
+
     sections = {}
     ei = []
     for name in catalog.component_names():

@@ -26,12 +26,14 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 from operator import mul
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
 from .errors import InvalidDimension, MismatchedModel, MissingDualGroup
 from .linalg import IntMat, clear_denominators, identity_matrix, invert, mat_mul
-from .rootdata import RootDatum, weyl_group
-from .weylcoset import TwistedComponent, component
+
+if TYPE_CHECKING:
+    from .rootdata import RootDatum
+    from .weylcoset import TwistedComponent
 
 Tau = tuple[int, int]  # (character of S_M, element of R)
 SElement = tuple[int, int]  # (S_M part, R part), bitmask coordinates
@@ -176,6 +178,10 @@ class DualGroupModel:
         return self._components[x]
 
     def validate(self, s_elements) -> None:
+        # Root data are loaded only for models that carry a dual group.
+        from .rootdata import weyl_group
+        from .weylcoset import component
+
         ident = identity_matrix(self.base.rank)
         for x in s_elements:
             if x not in self.thetas:

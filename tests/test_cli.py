@@ -39,6 +39,30 @@ def test_seed_and_trials_defaults():
     assert cfg.seed == 0 and cfg.trials == 100 and cfg.models == "fixtures"
 
 
+@pytest.mark.parametrize("argv", [
+    ["packets", "verify", "--model", "m.json", "--trials", "-3"],
+    ["stabilize", "verify", "--trials", "-1"],
+    ["verify", "stabilization", "--trials", "-1"],
+])
+def test_negative_trials_is_a_usage_error(tmp_path, capsys, argv):
+    (tmp_path / "m.json").write_text(json.dumps({"sM_dim": 1, "r_dim": 1}))
+    argv = [str(tmp_path / a) if a == "m.json" else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "--trials" in err and "non-negative" in err
+
+
+def test_zero_trials_still_runs(tmp_path, capsys):
+    model = tmp_path / "m.json"
+    model.write_text(json.dumps({"sM_dim": 1, "r_dim": 1}))
+    assert main(["packets", "verify", "--model", str(model), "--trials", "0"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["pass"]
+    assert main(["stabilize", "verify", "--trials", "0"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["trials"] == 0
+
+
 def test_unknown_subcommand_exits_2():
     rc, _, _ = _run_cli(["frobnicate"])
     assert rc == 2
@@ -83,7 +107,8 @@ def test_internal_error_is_not_reported_as_malformed_input(monkeypatch, error):
     def broken(*args, **kwargs):
         raise error("internal")
 
-    monkeypatch.setattr(cli_module, "sigma", broken)
+    # The handler imports sigma when it runs, so patch the defining module.
+    monkeypatch.setattr(sys.modules["tracestab.sigma"], "sigma", broken)
     # The error propagates (a process would exit 1 with a traceback); run()
     # does not turn it into exit 4.
     with pytest.raises(error):

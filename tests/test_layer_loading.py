@@ -1,0 +1,101 @@
+"""Which layer modules a command loads, and the package surface that lazy loading keeps."""
+
+import json
+import subprocess
+import sys
+import types
+from pathlib import Path
+
+import pytest
+
+import tracestab
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+LAYERS = ("errors", "linalg", "rootdata", "weylcoset", "elliptic", "sigma", "packets",
+          "stabilize", "catalog")
+EVERYTHING = frozenset(LAYERS) | {"cli"}
+
+# Runs main(argv) in a fresh interpreter, then prints its exit code and the
+# tracestab modules whose code ran (a registered but unread layer is still lazy).
+PROBE = """
+import contextlib, io, json, sys, types
+sys.path.insert(0, sys.argv[1])
+from tracestab.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        code = main(sys.argv[2:])
+    except SystemExit as exc:
+        code = exc.code
+print(json.dumps([code, sorted(name[len("tracestab."):] for name, m in sys.modules.items()
+                               if name.startswith("tracestab.") and type(m) is types.ModuleType)]))
+"""
+
+
+def _loaded_by(argv, cwd):
+    proc = subprocess.run([sys.executable, "-I", "-B", "-c", PROBE, str(SRC), *argv],
+                          capture_output=True, text=True, timeout=120, cwd=cwd)
+    assert proc.returncode == 0, proc.stderr
+    code, loaded = json.loads(proc.stdout)
+    return code, set(loaded)
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["--help"], {"cli", "errors"}),
+    (["packets", "verify", "--model", "model.json", "--trials", "3"],
+     {"cli", "errors", "catalog", "linalg", "packets"}),
+    (["sigma", "--group", "group.json"], EVERYTHING - {"packets", "stabilize"}),
+    (["stabilize", "verify", "--trials", "2"], EVERYTHING),
+])
+def test_each_command_runs_only_the_layers_it_calls(tmp_path, argv, expected):
+    (tmp_path / "model.json").write_text(json.dumps({"sM_dim": 1, "r_dim": 2}))
+    (tmp_path / "group.json").write_text(json.dumps(
+        {"rank": 2, "simple_roots": [[2, -1], [-1, 2]], "simple_coroots": [[1, 0], [0, 1]]}))
+    code, loaded = _loaded_by(argv, tmp_path)
+    assert code == 0
+    assert loaded == expected
+
+
+def test_importing_the_cli_registers_every_layer_and_runs_only_errors():
+    probe = ("import sys, types; sys.path.insert(0, sys.argv[1]); import tracestab.cli; "
+             "print(sorted(n for n in sys.modules if n.startswith('tracestab.'))); "
+             "print(sorted(n for n, m in sys.modules.items() "
+             "if n.startswith('tracestab.') and type(m) is types.ModuleType))")
+    proc = subprocess.run([sys.executable, "-I", "-B", "-c", probe, str(SRC)],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    registered, executed = proc.stdout.splitlines()
+    assert registered == str(sorted(f"tracestab.{name}" for name in EVERYTHING))
+    assert executed == str(["tracestab.cli", "tracestab.errors"])
+
+
+def test_package_exports_are_unchanged():
+    assert tracestab.__all__ == [
+        "CentralSubgroup", "DiscreteModelSet", "DualGroupModel", "DuplicateModelId",
+        "EndoscopicDescriptor", "GaussianRational", "InconsistentDescriptor", "InfiniteOrder",
+        "InfiniteType", "MalformedInput", "MismatchedModel", "MissingDualGroup", "NonCartan",
+        "NotAutomorphism", "NotCentral", "ParameterModel", "RootDatum", "SemisimpleClass",
+        "SigmaTable", "TestVector", "TorusPoint", "TraceStabError", "TwistedComponent",
+        "TwistedUnsupported", "TwoGroup", "WeylElement", "WeylGroupTooLarge", "adjoint_factor",
+        "build_root_datum", "canonical_key", "cartan_type", "central_subgroup", "component",
+        "discrete_part", "e_phi", "elliptic", "elliptic_classes", "endoscopic_form", "errors",
+        "i_number", "i_phi", "invert_transfer", "iota_coefficient", "is_elliptic", "linalg",
+        "packets", "quotient_by_central", "rootdata", "s_disc", "sigma", "stabilize",
+        "stable_form", "theta_transfer", "torus_point", "transfer_factor",
+        "untwisted_component", "verify_adjoint", "verify_central_quotient",
+        "verify_coefficients", "verify_ei", "weyl_group", "weyl_set", "weylcoset"]
+    for name in tracestab.__all__:
+        assert getattr(tracestab, name) is not None
+    assert set(tracestab.__all__) <= set(dir(tracestab))
+    with pytest.raises(AttributeError):
+        tracestab.no_such_name  # noqa: B018
+
+
+def test_sigma_is_the_function_and_layers_are_modules():
+    sigma_module = sys.modules["tracestab.sigma"]
+    assert tracestab.sigma is sigma_module.sigma and callable(tracestab.sigma)
+    from tracestab import rootdata
+    assert isinstance(rootdata, types.ModuleType)
+    assert rootdata is sys.modules["tracestab.rootdata"]
+    assert tracestab.RootDatum is rootdata.RootDatum
+    assert tracestab.weyl_set is sys.modules["tracestab.weylcoset"].weyl_set

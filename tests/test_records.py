@@ -132,7 +132,7 @@ def test_importing_the_cli_loads_no_dataclasses_inspect_or_hashlib():
     assert proc.returncode == 0, proc.stderr
     heavy, loaded = proc.stdout.splitlines()
     assert heavy == "[]"
-    # Every layer is loaded eagerly: bench/tracer.py looks each one up after this import.
+    # Every layer is registered (lazily): bench/tracer.py looks each one up after this import.
     layers = ("catalog", "cli", "elliptic", "errors", "linalg", "packets", "rootdata",
               "sigma", "stabilize", "weylcoset")
     assert all(f"'tracestab.{layer}'" in loaded for layer in layers)

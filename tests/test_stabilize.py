@@ -27,7 +27,7 @@ from tracestab.packets import (
     TwoGroup,
     with_flipped_pairing,
 )
-from tracestab.rootdata import build_root_datum, simple_reflection_matrix
+from tracestab.rootdata import build_root_datum, central_subgroup, simple_reflection_matrix
 from tracestab.stabilize import (
     DiscreteModelSet,
     coefficient_report,
@@ -117,7 +117,7 @@ def test_phi_disc_flags():
     assert phi_s_disc(catalog.model_sl2())
     untwisted_torus = ParameterModel(
         "t1", TwoGroup(0), TwoGroup(0),
-        catalog.DualGroupModel(catalog.datum("gl1"), {(0, 0): ((1,),)}))
+        DualGroupModel(catalog.datum("gl1"), {(0, 0): ((1,),)}))
     assert not phi_disc(untwisted_torus)
 
 
@@ -126,7 +126,7 @@ def test_phi_disc_gl2(theta, flag):
     # A central line alongside a root: the swap negates (1, 1), the identity keeps it.
     base = build_root_datum(2, ((1, -1),), ((1, -1),))
     m = ParameterModel("gl2", TwoGroup(0), TwoGroup(1),
-                       catalog.DualGroupModel(base, {(0, 0): ((1, 0), (0, 1)), (0, 1): theta}))
+                       DualGroupModel(base, {(0, 0): ((1, 0), (0, 1)), (0, 1): theta}))
     assert phi_disc(m) is flag
 
 
@@ -331,7 +331,7 @@ def test_iota_coefficient():
 
 def test_fixed_intersection_orders():
     o2 = catalog.model_o2()
-    zbar = catalog.central_subgroup(catalog.datum("gl1"), ((Fraction(1, 2),),))
+    zbar = central_subgroup(catalog.datum("gl1"), ((Fraction(1, 2),),))
     # Untwisted component: the whole subgroup has fixed lifts.
     assert fixed_intersection_order(o2, (0, 0), zbar) == 2
     # Inverted component: only the identity.
@@ -349,7 +349,7 @@ def test_fixed_intersection_order_builds_one_basis_per_component(monkeypatch):
     stabilize_module._twist_image.cache_clear()
     o2 = catalog.model_o2()
     gl1 = catalog.datum("gl1")
-    subgroups = [catalog.central_subgroup(gl1, ((Fraction(1, k),),)) for k in (2, 3, 4)]
+    subgroups = [central_subgroup(gl1, ((Fraction(1, k),),)) for k in (2, 3, 4)]
     orders = [[fixed_intersection_order(o2, x, z) for z in subgroups] for x in o2.s_elements()]
     assert orders == [[2, 3, 4], [1, 1, 1]]
     assert len(calls) == 2
@@ -406,7 +406,7 @@ def test_verify_coefficients_o2_fixture():
 def test_verify_coefficients_negative_controls():
     (d,) = catalog.descriptors_o2()
     m = catalog.model_o2()
-    trivial_z = catalog.central_subgroup(catalog.datum("gl1"), ())
+    trivial_z = central_subgroup(catalog.datum("gl1"), ())
     controls = {
         "zbar": d._replace(zbar=trivial_z),
         "out_phi_card": d._replace(out_phi_card=1),
@@ -422,7 +422,7 @@ def test_verify_coefficients_negative_controls():
 
 def test_verify_coefficients_zbar_perturbation_fails_product():
     (d,) = catalog.descriptors_o2()
-    bad = d._replace(zbar=catalog.central_subgroup(catalog.datum("gl1"), ()))
+    bad = d._replace(zbar=central_subgroup(catalog.datum("gl1"), ()))
     report = verify_coefficients(catalog.model_o2(), bad)
     assert "coefficient_product" in report.failed_names()
 
