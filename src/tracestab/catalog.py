@@ -5,25 +5,19 @@ worked examples used throughout the test suite, each with honestly computed
 endoscopic descriptors (the descriptor numbers are group-theoretic facts
 about the fixture, spelled out where they are nonobvious).
 
-The module imports only ``errors`` and ``linalg``; each function imports
-the layers it builds from, because ``packets verify`` needs only the test
-vectors here and the root-data commands only the named data.
+The layers it builds from are bound as lazy modules, because ``packets
+verify`` needs only the test vectors here and the root-data commands only
+the named data.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from random import Random
-from typing import TYPE_CHECKING
 
+from . import elliptic, packets, rootdata, stabilize, weylcoset
 from .errors import MalformedInput, TwistedUnsupported
 from .linalg import clear_denominators, identity_matrix, mat_vec
-
-if TYPE_CHECKING:
-    from .packets import ParameterModel, TestVector
-    from .rootdata import RootDatum
-    from .stabilize import EndoscopicDescriptor
-    from .weylcoset import TwistedComponent
 
 _DATA_SPECS = {
     "trivial": (0, (), ()),
@@ -42,28 +36,24 @@ SWAP2 = ((0, 1), (1, 0))
 NEG1 = ((-1,),)
 
 
-def datum(name: str) -> RootDatum:
-    from .rootdata import build_root_datum
-
+def datum(name: str) -> rootdata.RootDatum:
     if name not in _DATA_SPECS:
         raise MalformedInput(f"unknown catalog datum {name!r}")
     rank, roots, coroots = _DATA_SPECS[name]
-    return build_root_datum(rank, roots, coroots)
+    return rootdata.build_root_datum(rank, roots, coroots)
 
 
 def datum_names() -> tuple[str, ...]:
     return tuple(sorted(_DATA_SPECS))
 
 
-def named_component(name: str) -> TwistedComponent:
+def named_component(name: str) -> weylcoset.TwistedComponent:
     """Catalog components: every datum untwisted, plus the two twisted shapes."""
-    from .weylcoset import component, untwisted_component
-
     if name == "o2_twist":
-        return component(datum("gl1"), NEG1)
+        return weylcoset.component(datum("gl1"), NEG1)
     if name == "a1a1_swap":
-        return component(datum("sl2xsl2"), SWAP2)
-    return untwisted_component(datum(name))
+        return weylcoset.component(datum("sl2xsl2"), SWAP2)
+    return weylcoset.untwisted_component(datum(name))
 
 
 def component_names() -> tuple[str, ...]:
@@ -74,35 +64,34 @@ def component_names() -> tuple[str, ...]:
 # Fixture models
 # ---------------------------------------------------------------------------
 
-def _model(model_id: str, sm_dim: int, r_dim: int, base: RootDatum, thetas) -> ParameterModel:
+def _model(model_id: str, sm_dim: int, r_dim: int, base: rootdata.RootDatum,
+           thetas) -> packets.ParameterModel:
     """A packet model S = (Z/2)^sm_dim × (Z/2)^r_dim with one twist of ``base`` per x in S."""
-    from .packets import DualGroupModel, ParameterModel, TwoGroup
-
-    return ParameterModel(model_id, TwoGroup(sm_dim), TwoGroup(r_dim),
-                          DualGroupModel(base, thetas))
+    return packets.ParameterModel(model_id, packets.TwoGroup(sm_dim), packets.TwoGroup(r_dim),
+                                  packets.DualGroupModel(base, thetas))
 
 
-def model_o2() -> ParameterModel:
+def model_o2() -> packets.ParameterModel:
     """S = R = Z/2 over a rank-1 torus; the nonidentity component is inverted."""
     return _model("o2", 0, 1, datum("gl1"), {(0, 0): identity_matrix(1), (0, 1): NEG1})
 
 
-def model_sl2() -> ParameterModel:
+def model_sl2() -> packets.ParameterModel:
     """S = S_M = Z/2, both components untwisted over an SL2 base."""
     ident = identity_matrix(1)
     return _model("sl2phi", 1, 0, datum("sl2"), {(0, 0): ident, (1, 0): ident})
 
 
-def model_swap() -> ParameterModel:
+def model_swap() -> packets.ParameterModel:
     """S = R = Z/2 over SL2 x SL2 with the factor swap on the far component."""
     return _model("a1a1", 0, 1, datum("sl2xsl2"), {(0, 0): identity_matrix(2), (0, 1): SWAP2})
 
 
-def model_trivial() -> ParameterModel:
+def model_trivial() -> packets.ParameterModel:
     return _model("triv", 0, 0, datum("trivial"), {(0, 0): ()})
 
 
-def fixture_models() -> tuple[ParameterModel, ...]:
+def fixture_models() -> tuple[packets.ParameterModel, ...]:
     return (model_o2(), model_sl2(), model_swap(), model_trivial())
 
 
@@ -110,7 +99,7 @@ def fixture_models() -> tuple[ParameterModel, ...]:
 # Endoscopic descriptors for the fixtures
 # ---------------------------------------------------------------------------
 
-def _splus(m: ParameterModel, x, cls) -> int:
+def _splus(m: packets.ParameterModel, x, cls) -> int:
     """Number of components meeting the point centralizer of the class.
 
     For a class in an untwisted component this counts twists sending the
@@ -118,12 +107,10 @@ def _splus(m: ParameterModel, x, cls) -> int:
     model both components meet the centralizer (the class contains its own
     component element, and torus translation reaches the identity component).
     """
-    from .elliptic import _weyl_orbit
-
     comp = m.component_at(x)
     if comp.untwisted:
         a, n = clear_denominators(cls.rep.coords)
-        orbit = _weyl_orbit(comp.base, a, n)
+        orbit = elliptic._weyl_orbit(comp.base, a, n)
         return sum(1 for y in m.s_elements()
                    if tuple(v % n for v in mat_vec(m.dual_group.thetas[y], a)) in orbit)
     if m.s_size == 2:
@@ -131,7 +118,7 @@ def _splus(m: ParameterModel, x, cls) -> int:
     raise TwistedUnsupported("splus is only derived for untwisted classes or |S| = 2")
 
 
-def principal_descriptors(m: ParameterModel) -> tuple[EndoscopicDescriptor, ...]:
+def principal_descriptors(m: packets.ParameterModel) -> tuple[stabilize.EndoscopicDescriptor, ...]:
     """One descriptor per elliptic class with trivial zbar (the G' = G shape).
 
     With zbar trivial the quotient step is the identity, so sprime is the
@@ -139,28 +126,24 @@ def principal_descriptors(m: ParameterModel) -> tuple[EndoscopicDescriptor, ...]
     bookkeeping.  The class of the identity gets the distinguished label
     ``principal:<model>``; every other class gets its own label.
     """
-    from .elliptic import elliptic_classes
-    from .rootdata import central_subgroup
-    from .stabilize import EndoscopicDescriptor
-
     out = []
-    zbar0 = central_subgroup(m.dual_group.base, ())
+    zbar0 = rootdata.central_subgroup(m.dual_group.base, ())
     for x in m.s_elements():
-        classes = elliptic_classes(m.component_at(x))
+        classes = elliptic.elliptic_classes(m.component_at(x))
         for idx, cls in enumerate(classes):
             splus = _splus(m, x, cls)
             is_identity_class = (x == (0, 0)
                                  and all(c == 0 for c in cls.rep.coords))
             label = (f"principal:{m.model_id}" if is_identity_class
                      else f"point:{m.model_id}:{x[0]}{x[1]}:{idx}")
-            out.append(EndoscopicDescriptor(
+            out.append(stabilize.EndoscopicDescriptor(
                 label, m.model_id, x, idx, out_card=1, out_phi_card=1, zbar=zbar0,
                 sprime_datum=cls.centralizer_datum, splus_over_s_card=splus,
                 s_phi_prime_card=splus * cls.pi0))
     return tuple(out)
 
 
-def descriptors_o2() -> tuple[EndoscopicDescriptor, ...]:
+def descriptors_o2() -> tuple[stabilize.EndoscopicDescriptor, ...]:
     """The rank-1 torus pair: a single class on the inverted component.
 
     The centralizer of a reflection in the full disconnected group has four
@@ -170,41 +153,34 @@ def descriptors_o2() -> tuple[EndoscopicDescriptor, ...]:
     centralizer only in the identity, and the quotient side is the trivial
     group with |S_phi'| = 1.
     """
-    from .rootdata import central_subgroup
-    from .stabilize import EndoscopicDescriptor
-
     m = model_o2()
-    zbar = central_subgroup(datum("gl1"), ((Fraction(1, 2),),))
-    return (EndoscopicDescriptor(
+    zbar = rootdata.central_subgroup(datum("gl1"), ((Fraction(1, 2),),))
+    return (stabilize.EndoscopicDescriptor(
         "u1", m.model_id, (0, 1), 0, out_card=2, out_phi_card=2, zbar=zbar,
         sprime_datum=datum("trivial"), splus_over_s_card=2, s_phi_prime_card=1),)
 
 
-def descriptors_sl2_central() -> tuple[EndoscopicDescriptor, ...]:
+def descriptors_sl2_central() -> tuple[stabilize.EndoscopicDescriptor, ...]:
     """SL2-base fixture quotiented by its order-2 center on every class.
 
     Both components are untwisted so the center meets each connected
     centralizer entirely; the quotient side is the adjoint datum and the
     bookkeeping gives |S_phi'| = 2.
     """
-    from .elliptic import elliptic_classes
-    from .rootdata import central_subgroup
-    from .stabilize import EndoscopicDescriptor
-
     m = model_sl2()
     base = datum("sl2")
-    zbar = central_subgroup(base, ((Fraction(1, 2),),))
+    zbar = rootdata.central_subgroup(base, ((Fraction(1, 2),),))
     out = []
     for x in m.s_elements():
-        classes = elliptic_classes(m.component_at(x))
+        classes = elliptic.elliptic_classes(m.component_at(x))
         for idx, _cls in enumerate(classes):
-            out.append(EndoscopicDescriptor(
+            out.append(stabilize.EndoscopicDescriptor(
                 f"sl2z:{x[0]}{x[1]}:{idx}", m.model_id, x, idx, out_card=1, out_phi_card=1,
                 zbar=zbar, sprime_datum=datum("pgl2"), splus_over_s_card=2, s_phi_prime_card=2))
     return tuple(out)
 
 
-def fixture_descriptors() -> dict[str, tuple[EndoscopicDescriptor, ...]]:
+def fixture_descriptors() -> dict[str, tuple[stabilize.EndoscopicDescriptor, ...]]:
     """One covering descriptor set per fixture model (each class exactly once).
 
     ``descriptors_sl2_central`` is an alternate covering of the SL2 model and
@@ -227,10 +203,8 @@ def _diag_sign_theta(rank: int, bits: tuple[int, ...]):
                        for j in range(rank)) for i in range(rank))
 
 
-def random_model(rng: Random, index: int) -> ParameterModel:
+def random_model(rng: Random, index: int) -> packets.ParameterModel:
     """A model from the supported bank: untwisted bases, inverted tori, swaps."""
-    from .rootdata import build_root_datum
-
     kind = rng.choice(("untwisted", "torus", "swap"))
     sm_dim = rng.randint(0, 2)
     if kind == "untwisted":
@@ -241,7 +215,7 @@ def random_model(rng: Random, index: int) -> ParameterModel:
                   for xm in range(1 << sm_dim) for xr in range(1 << r_dim)}
     elif kind == "torus":
         rank = rng.randint(1, 2)
-        base = build_root_datum(rank, (), ())
+        base = rootdata.build_root_datum(rank, (), ())
         r_dim = rng.randint(1, 2)
         thetas = {}
         for xm in range(1 << sm_dim):
@@ -258,14 +232,12 @@ def random_model(rng: Random, index: int) -> ParameterModel:
     return _model(f"rnd{index}", sm_dim, r_dim, base, thetas)
 
 
-def random_test_vector(rng: Random, models) -> TestVector:
+def random_test_vector(rng: Random, models) -> packets.TestVector:
     """Random Gaussian-rational values f'(φ, x) on every component of every model."""
-    from .packets import GaussianRational, TestVector
-
     values = {}
     for m in models:
         for x in m.s_elements():
-            values[(m.model_id, x)] = GaussianRational(
+            values[(m.model_id, x)] = packets.GaussianRational(
                 Fraction(rng.randint(-6, 6), rng.randint(1, 4)),
                 Fraction(rng.randint(-6, 6), rng.randint(1, 4)))
-    return TestVector(values)
+    return packets.TestVector(values)

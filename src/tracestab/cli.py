@@ -6,9 +6,9 @@ and nothing depends on hash order.  Exit codes: 0 all requested identities
 hold, 1 an identity fails, 2 usage error, 3 missing file, 4 malformed input,
 5 a computation error propagated from a module.
 
-Importing this module loads only the standard library and ``errors``; each
-handler and parsing helper imports the layer names it uses when it runs, so
-a command compiles only the layers it calls (see ``tracestab/__init__``).
+The layers are bound as lazy modules (see ``tracestab/__init__``): importing
+this module runs only ``errors``, and a command compiles only the layers it
+calls.
 """
 
 from __future__ import annotations
@@ -20,15 +20,11 @@ import sys
 from contextlib import contextmanager
 from fractions import Fraction
 from random import Random
-from typing import TYPE_CHECKING
 
+from . import catalog, elliptic, packets, rootdata, stabilize, weylcoset
 from .errors import MalformedInput, TraceStabError
 
-if TYPE_CHECKING:
-    from .packets import GaussianRational, ParameterModel
-    from .rootdata import RootDatum
-    from .stabilize import EndoscopicDescriptor
-    from .weylcoset import TwistedComponent
+sigma = sys.modules[f"{__package__}.sigma"]  # the package attribute ``sigma`` is the function
 
 EXIT_OK = 0
 EXIT_IDENTITY_FAILED = 1
@@ -51,12 +47,12 @@ def fmt_q(x: Fraction) -> str:
     return f"{sign}{abs(x.numerator)}/{x.denominator}"
 
 
-def fmt_gauss(z: GaussianRational) -> dict:
+def fmt_gauss(z: packets.GaussianRational) -> dict:
     return {"re": fmt_q(z.re), "im": fmt_q(z.im)}
 
 
 def parse_q(text) -> Fraction:
-    if isinstance(text, int):
+    if type(text) is int:  # JSON true/false are bools, not integers
         return Fraction(text)
     if isinstance(text, str):
         try:
@@ -109,33 +105,27 @@ def _int_matrix(obj) -> tuple:
         raise MalformedInput("matrix must be a list of integer rows")
     out = []
     for row in obj:
-        if not isinstance(row, list) or not all(isinstance(x, int) for x in row):
+        if not isinstance(row, list) or not all(type(x) is int for x in row):
             raise MalformedInput("matrix rows must be lists of integers")
         out.append(tuple(row))
     return tuple(out)
 
 
-def _datum_from_obj(obj) -> RootDatum:
-    from . import catalog
-    from .rootdata import build_root_datum
-
+def _datum_from_obj(obj) -> rootdata.RootDatum:
     if isinstance(obj, str):
         return catalog.datum(obj)
     if not isinstance(obj, dict):
         raise MalformedInput("group spec must be a name or an object")
     _require_keys(obj, ("rank", "simple_roots", "simple_coroots"))
-    if not isinstance(obj["rank"], int):
+    if type(obj["rank"]) is not int:
         raise MalformedInput("rank must be an integer")
-    return build_root_datum(obj["rank"], _int_matrix(obj["simple_roots"]),
-                            _int_matrix(obj["simple_coroots"]))
+    return rootdata.build_root_datum(obj["rank"], _int_matrix(obj["simple_roots"]),
+                                     _int_matrix(obj["simple_coroots"]))
 
 
 @_parsing()
-def _load_component(config: argparse.Namespace) -> TwistedComponent:
+def _load_component(config: argparse.Namespace) -> weylcoset.TwistedComponent:
     """Resolve --group (catalog name, datum file, or combined file) + --theta."""
-    from . import catalog
-    from .weylcoset import component, untwisted_component
-
     spec = config.group
     if spec is None:
         raise MalformedInput("--group is required")
@@ -159,14 +149,12 @@ def _load_component(config: argparse.Namespace) -> TwistedComponent:
             tobj = tobj["theta"]
         theta = _int_matrix(tobj)
     if theta is None:
-        return untwisted_component(base)
-    return component(base, theta)
+        return weylcoset.untwisted_component(base)
+    return weylcoset.component(base, theta)
 
 
 @_parsing()
-def _load_datum(config: argparse.Namespace) -> RootDatum:
-    from . import catalog
-
+def _load_datum(config: argparse.Namespace) -> rootdata.RootDatum:
     spec = config.group
     if spec is None:
         raise MalformedInput("--group is required")
@@ -194,13 +182,11 @@ def _pair_to_bits(x, sm_dim: int, r_dim: int) -> str:
 
 
 @_parsing()
-def _model_from_obj(obj, fallback_id: str) -> ParameterModel:
-    from .packets import DualGroupModel, ParameterModel, TwoGroup
-
+def _model_from_obj(obj, fallback_id: str) -> packets.ParameterModel:
     _require_keys(obj, ("sM_dim", "r_dim"), ("dual_group", "id"))
     sm_dim, r_dim = obj["sM_dim"], obj["r_dim"]
     for dim in (sm_dim, r_dim):
-        if not isinstance(dim, int) or isinstance(dim, bool) or dim < 0:
+        if type(dim) is not int or dim < 0:
             raise MalformedInput("group dimensions must be non-negative integers")
     if sm_dim + r_dim > MAX_PACKET_DIM:
         raise MalformedInput(f"sM_dim + r_dim = {sm_dim + r_dim} is above the limit {MAX_PACKET_DIM}")
@@ -214,17 +200,15 @@ def _model_from_obj(obj, fallback_id: str) -> ParameterModel:
         thetas = {}
         for key, mat in sorted(dobj["thetas"].items()):
             thetas[_bits_to_pair(key, sm_dim, r_dim)] = _int_matrix(mat)
-        dual = DualGroupModel(base, thetas)
+        dual = packets.DualGroupModel(base, thetas)
     model_id = obj.get("id", fallback_id)
     if not isinstance(model_id, str):
         raise MalformedInput("model id must be a string")
-    return ParameterModel(model_id, TwoGroup(sm_dim), TwoGroup(r_dim), dual)
+    return packets.ParameterModel(model_id, packets.TwoGroup(sm_dim), packets.TwoGroup(r_dim),
+                                  dual)
 
 
-def _descriptor_from_obj(obj, models_by_id) -> EndoscopicDescriptor:
-    from .rootdata import central_subgroup
-    from .stabilize import EndoscopicDescriptor
-
+def _descriptor_from_obj(obj, models_by_id) -> stabilize.EndoscopicDescriptor:
     _require_keys(obj, ("group_label", "model_id", "x", "class_index", "out_card",
                         "out_phi_card", "zbar_generators", "sprime",
                         "splus_over_s_card", "s_phi_prime_card"))
@@ -240,8 +224,8 @@ def _descriptor_from_obj(obj, models_by_id) -> EndoscopicDescriptor:
         raise MalformedInput(f"descriptor model {obj['model_id']!r} has no dual group")
     x = _bits_to_pair(obj["x"], m.s_m.dim, m.r.dim)
     gens = tuple(tuple(parse_q(v) for v in g) for g in obj["zbar_generators"])
-    zbar = central_subgroup(m.dual_group.base, gens)
-    return EndoscopicDescriptor(
+    zbar = rootdata.central_subgroup(m.dual_group.base, gens)
+    return stabilize.EndoscopicDescriptor(
         group_label=obj["group_label"],
         model_id=obj["model_id"],
         x=x,
@@ -283,7 +267,8 @@ def parse_args(argv) -> argparse.Namespace:
     p = sub.add_parser("elliptic")
     add_common(p)
     p = sub.add_parser("sigma")
-    add_common(p)
+    p.add_argument("--group", required=False)
+    add_common(p, group=False)
     p.add_argument("--catalog", dest="catalog_flag", action="store_true")
     p = sub.add_parser("verify")
     p.add_argument("target", choices=("ei", "central-quotient", "stabilization"))
@@ -323,25 +308,20 @@ def _emit(config: argparse.Namespace, obj, tsv_rows=None) -> None:
 
 
 def _run_i_number(config: argparse.Namespace) -> int:
-    from .weylcoset import i_number
-
     comp = _load_component(config)
-    value = i_number(comp)
+    value = weylcoset.i_number(comp)
     _emit(config, {"i": fmt_q(value)}, [("i", fmt_q(value))])
     return EXIT_OK
 
 
 def _run_elliptic(config: argparse.Namespace) -> int:
-    from .elliptic import elliptic_classes
-    from .rootdata import cartan_type
-
     comp = _load_component(config)
-    classes = elliptic_classes(comp)
+    classes = elliptic.elliptic_classes(comp)
     rows = []
     items = []
     for cls in classes:
         rep = "(" + ",".join(fmt_q(c) for c in cls.rep.coords) + ")"
-        ctype = ",".join(cartan_type(cls.centralizer_datum)) or "torus"
+        ctype = ",".join(rootdata.cartan_type(cls.centralizer_datum)) or "torus"
         items.append({"rep": [fmt_q(c) for c in cls.rep.coords],
                       "order": cls.rep.order,
                       "pi0": cls.pi0,
@@ -353,33 +333,27 @@ def _run_elliptic(config: argparse.Namespace) -> int:
 
 
 def _run_sigma(config: argparse.Namespace, show_catalog: bool) -> int:
-    from . import catalog
-    from .rootdata import canonical_key, cartan_type
-    from .sigma import sigma
-
     if show_catalog:
         rows = []
         items = []
         for name in catalog.datum_names():
             d = catalog.datum(name)
-            value = sigma(d)
-            ctype = ",".join(cartan_type(d)) or "torus"
-            key = canonical_key(d).decode()
+            value = sigma.sigma(d)
+            ctype = ",".join(rootdata.cartan_type(d)) or "torus"
+            key = rootdata.canonical_key(d).decode()
             rows.append((key, ctype, fmt_q(value)))
             items.append({"name": name, "key": key, "type": ctype, "sigma": fmt_q(value)})
         _emit(config, {"catalog": items}, rows)
         return EXIT_OK
     d = _load_datum(config)
-    value = sigma(d)
+    value = sigma.sigma(d)
     _emit(config, {"sigma": fmt_q(value)}, [("sigma", fmt_q(value))])
     return EXIT_OK
 
 
 def _run_verify_ei(config: argparse.Namespace) -> int:
-    from .sigma import verify_ei
-
     comp = _load_component(config)
-    report = verify_ei(comp)
+    report = sigma.verify_ei(comp)
     obj = {
         "e": fmt_q(report.e),
         "i": fmt_q(report.i),
@@ -394,9 +368,6 @@ def _run_verify_ei(config: argparse.Namespace) -> int:
 
 
 def _run_verify_central_quotient(config: argparse.Namespace) -> int:
-    from .rootdata import central_subgroup
-    from .sigma import verify_central_quotient
-
     d = _load_datum(config)
     if config.z is None:
         raise MalformedInput("--z FILE is required for central-quotient verification")
@@ -404,40 +375,29 @@ def _run_verify_central_quotient(config: argparse.Namespace) -> int:
         zobj = _load_json(config.z)
         _require_keys(zobj, ("generators",))
         gens = tuple(tuple(parse_q(v) for v in g) for g in zobj["generators"])
-    z = central_subgroup(d, gens)
-    ok = verify_central_quotient(d, z)
+    z = rootdata.central_subgroup(d, gens)
+    ok = sigma.verify_central_quotient(d, z)
     _emit(config, {"order": z.order, "pass": ok})
     return EXIT_OK if ok else EXIT_IDENTITY_FAILED
 
 
-def _packet_checks(m: ParameterModel, seed: int, trials: int) -> dict:
-    from . import catalog
-    from .packets import (
-        adjoint_factor,
-        adjoint_factor_closed,
-        invert_transfer,
-        theta_transfer,
-        transfer_factor,
-        transfer_factor_closed,
-        verify_adjoint,
-    )
-
+def _packet_checks(m: packets.ParameterModel, seed: int, trials: int) -> dict:
     rng = Random(seed)
     route_ok = all(
-        transfer_factor(m, tau, x) == transfer_factor_closed(m, tau, x)
-        and adjoint_factor(m, x, tau) == adjoint_factor_closed(m, x, tau)
+        packets.transfer_factor(m, tau, x) == packets.transfer_factor_closed(m, tau, x)
+        and packets.adjoint_factor(m, x, tau) == packets.adjoint_factor_closed(m, x, tau)
         for tau in m.taus() for x in m.s_elements())
     scaling_ok = all(
-        transfer_factor(m, tau, x) ==
-        Fraction(m.r.size, m.s_size) * adjoint_factor(m, x, tau)
+        packets.transfer_factor(m, tau, x) ==
+        Fraction(m.r.size, m.s_size) * packets.adjoint_factor(m, x, tau)
         for tau in m.taus() for x in m.s_elements())
-    adjoint_ok = verify_adjoint(m)
+    adjoint_ok = packets.verify_adjoint(m)
     roundtrip_ok = True
     for _ in range(trials):
         f = catalog.random_test_vector(rng, [m])
-        theta = {tau: theta_transfer(m, tau, f) for tau in m.taus()}
+        theta = {tau: packets.theta_transfer(m, tau, f) for tau in m.taus()}
         for x in m.s_elements():
-            if invert_transfer(m, x, theta) != f.value(m.model_id, x):
+            if packets.invert_transfer(m, x, theta) != f.value(m.model_id, x):
                 roundtrip_ok = False
     return {
         "route_agreement": route_ok,
@@ -458,14 +418,11 @@ def _run_packets_verify(config: argparse.Namespace) -> int:
 
 @_parsing()
 def _load_model_set(spec: str | None):
-    from . import catalog
-    from .stabilize import DiscreteModelSet
-
     if spec in (None, "fixtures"):
         models = catalog.fixture_models()
         descriptors = [d for ds in sorted(catalog.fixture_descriptors().items())
                        for d in ds[1]]
-        return DiscreteModelSet(models), tuple(descriptors)
+        return stabilize.DiscreteModelSet(models), tuple(descriptors)
     obj = _load_json(spec)
     _require_keys(obj, ("models",), ("descriptors",))
     models = tuple(_model_from_obj(o, f"model{i}") for i, o in enumerate(obj["models"]))
@@ -473,30 +430,15 @@ def _load_model_set(spec: str | None):
     if len(by_id) != len(models):
         raise MalformedInput("model ids must be unique")
     descriptors = tuple(_descriptor_from_obj(o, by_id) for o in obj.get("descriptors", ()))
-    return DiscreteModelSet(models), descriptors
+    return stabilize.DiscreteModelSet(models), descriptors
 
 
 def _run_stabilize_verify(config: argparse.Namespace) -> int:
-    from . import catalog
-    from .packets import TestVector
-    from .stabilize import (
-        coefficient_report,
-        discrete_part,
-        e_phi,
-        endoscopic_form,
-        i_phi,
-        phi_disc,
-        phi_s_disc,
-        s_disc,
-        s_disc_set,
-        stable_form,
-    )
-
     ms, descriptors = _load_model_set(config.models)
     rng = Random(config.seed)
     identities = []
 
-    def record(name: str, lhs: GaussianRational, rhs: GaussianRational):
+    def record(name: str, lhs: packets.GaussianRational, rhs: packets.GaussianRational):
         identities.append({
             "identity": name,
             "lhs": fmt_gauss(lhs),
@@ -504,23 +446,23 @@ def _run_stabilize_verify(config: argparse.Namespace) -> int:
             "pass": lhs == rhs,
         })
 
-    ones = TestVector.constant(ms.models, 1)
+    ones = packets.TestVector.constant(ms.models, 1)
     vectors = [(0, ones, ones)]
     for k in range(1, config.trials + 1):
         vectors.append((k, catalog.random_test_vector(rng, ms.models),
                         catalog.random_test_vector(rng, ms.models)))
     for k, f1, f2 in vectors:
-        record(f"discrete=stable[{k}]", discrete_part(ms, f1, f2),
-               stable_form(ms, f1, f2))
+        record(f"discrete=stable[{k}]", stabilize.discrete_part(ms, f1, f2),
+               stabilize.stable_form(ms, f1, f2))
     if descriptors:
         for k, f1, f2 in vectors[: max(1, min(10, len(vectors)))]:
             record(f"endoscopic=discrete[{k}]",
-                   endoscopic_form(ms, descriptors, f1, f2),
-                   discrete_part(ms, f1, f2))
+                   stabilize.endoscopic_form(ms, descriptors, f1, f2),
+                   stabilize.discrete_part(ms, f1, f2))
     by_id = {m.model_id: m for m in ms.models}
     coefficient_checks = []
     for d in descriptors:
-        report = coefficient_report(by_id[d.model_id], d)
+        report = stabilize.coefficient_report(by_id[d.model_id], d)
         for name, lhs, rhs, ok in report.checks:
             coefficient_checks.append({
                 "descriptor": f"{d.group_label}/{d.model_id}",
@@ -530,23 +472,23 @@ def _run_stabilize_verify(config: argparse.Namespace) -> int:
     ei_items = []
     for m in ms.models:
         for x in m.s_elements():
-            e_val = e_phi(m, x)
-            i_val = i_phi(m, x)
+            e_val = stabilize.e_phi(m, x)
+            i_val = stabilize.i_phi(m, x)
             ei_items.append({"model": m.model_id, "x": _pair_to_bits(x, m.s_m.dim, m.r.dim),
                              "e": fmt_q(e_val), "i": fmt_q(i_val), "pass": e_val == i_val})
     coset_items = [{"model": m.model_id, "x": _pair_to_bits(x, m.s_m.dim, m.r.dim),
                     "y": _pair_to_bits(y, m.s_m.dim, m.r.dim)}
                    for m in ms.models for x in m.s_elements() for y in m.s_elements()
-                   if x[1] == y[1] and i_phi(m, x) != i_phi(m, y)]
+                   if x[1] == y[1] and stabilize.i_phi(m, x) != stabilize.i_phi(m, y)]
     all_pass = (all(item["pass"] for item in identities)
                 and all(item["pass"] for item in ei_items)
                 and all(item["pass"] for item in coefficient_checks)
                 and not coset_items)
     flags = [{"model": m.model_id,
-              "discrete": phi_disc(m),
-              "stably_discrete": phi_s_disc(m),
+              "discrete": stabilize.phi_disc(m),
+              "stably_discrete": stabilize.phi_s_disc(m),
               "s_disc_components": sorted(
-                  _pair_to_bits(x, m.s_m.dim, m.r.dim) for x in s_disc_set(m))}
+                  _pair_to_bits(x, m.s_m.dim, m.r.dim) for x in stabilize.s_disc_set(m))}
              for m in ms.models]
     obj = {
         "seed": config.seed,
@@ -556,7 +498,7 @@ def _run_stabilize_verify(config: argparse.Namespace) -> int:
         "e_equals_i": ei_items,
         "coefficient_checks": coefficient_checks,
         "coset_constancy_failures": coset_items,
-        "stable_distribution": fmt_gauss(s_disc(ms, ones, ones)),
+        "stable_distribution": fmt_gauss(stabilize.s_disc(ms, ones, ones)),
         "pass": all_pass,
     }
     _emit(config, obj)
@@ -564,34 +506,30 @@ def _run_stabilize_verify(config: argparse.Namespace) -> int:
 
 
 def _run_report(config: argparse.Namespace) -> int:
-    from . import catalog
-    from .packets import ParameterModel, TestVector, TwoGroup
-    from .sigma import sigma, verify_ei
-    from .stabilize import discrete_part, endoscopic_form, stable_form
-
     sections = {}
     ei = []
     for name in catalog.component_names():
         comp = catalog.named_component(name)
-        rep = verify_ei(comp)
+        rep = sigma.verify_ei(comp)
         ei.append({"component": name, "e": fmt_q(rep.e), "i": fmt_q(rep.i),
                    "pass": rep.equal})
     sections["e_equals_i"] = ei
-    sections["sigma"] = [{"name": n, "sigma": fmt_q(sigma(catalog.datum(n)))}
+    sections["sigma"] = [{"name": n, "sigma": fmt_q(sigma.sigma(catalog.datum(n)))}
                          for n in catalog.datum_names()]
     packet_checks = {}
     for sm in range(3):
         for r in range(3):
-            m = ParameterModel(f"m{sm}{r}", TwoGroup(sm), TwoGroup(r))
+            m = packets.ParameterModel(f"m{sm}{r}", packets.TwoGroup(sm), packets.TwoGroup(r))
             packet_checks[f"sM={sm},r={r}"] = all(
                 _packet_checks(m, config.seed, 5).values())
     sections["packets"] = packet_checks
     ms, descriptors = _load_model_set("fixtures")
-    ones = TestVector.constant(ms.models, 1)
+    ones = packets.TestVector.constant(ms.models, 1)
     sections["stabilization"] = {
-        "discrete=stable": discrete_part(ms, ones, ones) == stable_form(ms, ones, ones),
-        "endoscopic=discrete": endoscopic_form(ms, descriptors, ones, ones)
-                                == discrete_part(ms, ones, ones),
+        "discrete=stable": (stabilize.discrete_part(ms, ones, ones)
+                            == stabilize.stable_form(ms, ones, ones)),
+        "endoscopic=discrete": (stabilize.endoscopic_form(ms, descriptors, ones, ones)
+                                == stabilize.discrete_part(ms, ones, ones)),
     }
     ok = (all(item["pass"] for item in sections["e_equals_i"])
           and all(packet_checks.values())

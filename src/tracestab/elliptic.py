@@ -57,7 +57,7 @@ from .rootdata import (
     diagram_components,
     weyl_group,
 )
-from .weylcoset import TwistedComponent
+from .weylcoset import TwistedComponent, untwisted_component
 
 
 class TorusPoint(NamedTuple):
@@ -135,8 +135,6 @@ def is_elliptic(c: TwistedComponent, t: TorusPoint) -> bool:
         folded, _ = _fold(c)
         if len(t.coords) != folded.rank:
             raise TwistedUnsupported("swap-component points use folded coordinates")
-        from .weylcoset import untwisted_component
-
         return is_elliptic(untwisted_component(folded), t)
     raise TwistedUnsupported("ellipticity test for this twist shape")
 
@@ -275,8 +273,6 @@ def elliptic_classes(c: TwistedComponent) -> tuple[SemisimpleClass, ...]:
         return _elliptic_classes_torus_twist(c)
     if shape == "fold":
         folded, _ = _fold(c)
-        from .weylcoset import untwisted_component
-
         return _elliptic_classes_untwisted(untwisted_component(folded))
     raise TwistedUnsupported("no enumeration for this twist shape")
 

@@ -26,20 +26,38 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 from operator import mul
-from typing import TYPE_CHECKING, Mapping
+from typing import Mapping
 
+from . import rootdata, weylcoset
 from .errors import InvalidDimension, MismatchedModel, MissingDualGroup
 from .linalg import IntMat, clear_denominators, identity_matrix, invert, mat_mul
-
-if TYPE_CHECKING:
-    from .rootdata import RootDatum
-    from .weylcoset import TwistedComponent
 
 Tau = tuple[int, int]  # (character of S_M, element of R)
 SElement = tuple[int, int]  # (S_M part, R part), bitmask coordinates
 
 
-class GaussianRational:
+class _Record:
+    """Base of the immutable value classes: equal and hashed by ``_key()``, never assignable.
+
+    Never equal to an instance of another class; subclasses set their fields
+    through ``object.__setattr__`` or ``vars(self)``.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+
+class GaussianRational(_Record):
     """Exact complex scalar a + b·i with rational a, b; immutable, equal and hashed by (re, im)."""
 
     __slots__ = ("re", "im")
@@ -48,18 +66,8 @@ class GaussianRational:
         object.__setattr__(self, "re", re)
         object.__setattr__(self, "im", im)
 
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"GaussianRational is immutable: cannot change {name!r}")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
-
-    def __hash__(self):
-        return hash((self.re, self.im))
+    def _key(self) -> tuple:
+        return self.re, self.im
 
     def __repr__(self):
         return f"GaussianRational(re={self.re!r}, im={self.im!r})"
@@ -100,7 +108,7 @@ GR_ZERO = GaussianRational()
 GR_ONE = GaussianRational(Fraction(1))
 
 
-class TwoGroup:
+class TwoGroup(_Record):
     """Elementary abelian 2-group; elements and characters are bitmasks.
 
     Immutable, equal and hashed by ``dim``.
@@ -113,16 +121,8 @@ class TwoGroup:
             raise InvalidDimension(f"2-group dimension {dim!r} is not a non-negative integer")
         object.__setattr__(self, "dim", dim)
 
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"TwoGroup is immutable: cannot change {name!r}")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        return self.dim == other.dim if other.__class__ is self.__class__ else NotImplemented
-
-    def __hash__(self):
-        return hash((self.dim,))
+    def _key(self) -> tuple:
+        return (self.dim,)
 
     def __reduce__(self):
         return TwoGroup, (self.dim,)
@@ -151,46 +151,32 @@ def _walsh_hadamard(values: list[int]) -> list[int]:
     return values
 
 
-class DualGroupModel:
+class DualGroupModel(_Record):
     """Disconnected-group attachment: one twisted component per x in S.
 
     ``validate`` builds each component once; ``component_at`` looks it up.
     Immutable and equal by (base, thetas); a dict of twists makes it unhashable.
     """
 
-    def __init__(self, base: RootDatum, thetas: Mapping[SElement, IntMat]):
+    def __init__(self, base: rootdata.RootDatum, thetas: Mapping[SElement, IntMat]):
         vars(self).update(base=base, thetas=thetas, _components={})
 
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"DualGroupModel is immutable: cannot change {name!r}")
+    def _key(self) -> tuple:
+        return self.base, self.thetas
 
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.base, self.thetas) == (other.base, other.thetas)
-
-    def __hash__(self):
-        return hash((self.base, self.thetas))
-
-    def component_at(self, x: SElement) -> TwistedComponent:
+    def component_at(self, x: SElement) -> weylcoset.TwistedComponent:
         return self._components[x]
 
     def validate(self, s_elements) -> None:
-        # Root data are loaded only for models that carry a dual group.
-        from .rootdata import weyl_group
-        from .weylcoset import component
-
         ident = identity_matrix(self.base.rank)
         for x in s_elements:
             if x not in self.thetas:
                 raise MismatchedModel(f"missing twist for component {x}")
-            self._components[x] = component(self.base, self.thetas[x])
+            self._components[x] = weylcoset.component(self.base, self.thetas[x])
         zero = (0, 0)
         if tuple(self.thetas[zero]) != ident:
             raise MismatchedModel("identity component must be untwisted")
-        w_set = {w.matrix for w in weyl_group(self.base)}
+        w_set = {w.matrix for w in rootdata.weyl_group(self.base)}
         inverses = {x: tuple(tuple(int(v) for v in row) for row in invert(self.thetas[x]))
                     for x in s_elements}
         for x in s_elements:
@@ -201,7 +187,7 @@ class DualGroupModel:
                     raise MismatchedModel(f"twist cocycle fails at {x}, {y}")
 
 
-class ParameterModel:
+class ParameterModel(_Record):
     """A packet model S = S_M × R, optionally with its dual-group attachment.
 
     Immutable, equal and hashed by its five fields; ``pairing_flips`` is a
@@ -215,19 +201,8 @@ class ParameterModel:
         if dual_group is not None:
             dual_group.validate(tuple(self.s_elements()))
 
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"ParameterModel is immutable: cannot change {name!r}")
-
-    __delattr__ = __setattr__
-
-    def _fields(self) -> tuple:
+    def _key(self) -> tuple:
         return self.model_id, self.s_m, self.r, self.dual_group, self.pairing_flips
-
-    def __eq__(self, other):
-        return self._fields() == other._fields() if other.__class__ is self.__class__ else NotImplemented
-
-    def __hash__(self):
-        return hash(self._fields())
 
     @property
     def s_size(self) -> int:
@@ -277,7 +252,7 @@ class ParameterModel:
             value = -value
         return value
 
-    def component_at(self, x: SElement) -> TwistedComponent:
+    def component_at(self, x: SElement) -> weylcoset.TwistedComponent:
         if self.dual_group is None:
             raise MissingDualGroup(f"model {self.model_id} has no dual-group attachment")
         self._check_x(x)
@@ -335,7 +310,7 @@ def transfer_factor_tagged(m: ParameterModel, tagged_tau: tuple[str, Tau], x: SE
     return transfer_factor(m, tau, x)
 
 
-class TestVector:
+class TestVector(_Record):
     """Finitely supported assignment of Gaussian-rational values f'(φ, x).
 
     Immutable and equal by ``values``; a dict of values makes it unhashable.
@@ -346,16 +321,8 @@ class TestVector:
     def __init__(self, values: Mapping[tuple[str, SElement], GaussianRational]):
         vars(self)["values"] = values
 
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"TestVector is immutable: cannot change {name!r}")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        return self.values == other.values if other.__class__ is self.__class__ else NotImplemented
-
-    def __hash__(self):
-        return hash((self.values,))
+    def _key(self) -> tuple:
+        return (self.values,)
 
     def value(self, model_id: str, x: SElement) -> GaussianRational:
         return self.values.get((model_id, x), GR_ZERO)

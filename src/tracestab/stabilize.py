@@ -31,7 +31,14 @@ from .linalg import (
     mat_vec,
     matrix_rank,
 )
-from .packets import GaussianRational, ParameterModel, SElement, TestVector, theta_numerator
+from .packets import (
+    GaussianRational,
+    ParameterModel,
+    SElement,
+    TestVector,
+    _Record,
+    theta_numerator,
+)
 from .rootdata import CentralSubgroup, RootDatum, subgroup_mod1
 from .sigma import sigma
 from .weylcoset import TwistedComponent, i_number, weyl_set
@@ -103,7 +110,7 @@ def _vector_form(weights: tuple[dict, int], f1: TestVector, f2: TestVector) -> G
                           denom * d1 * d2)
 
 
-class DiscreteModelSet:
+class DiscreteModelSet(_Record):
     """The models of the identity chain, with the integer weights of its forms.
 
     Immutable, equal and hashed by ``models``.
@@ -118,16 +125,8 @@ class DiscreteModelSet:
                 raise MissingDualGroup(f"model {m.model_id} has no dual-group attachment")
         vars(self)["models"] = models
 
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"DiscreteModelSet is immutable: cannot change {name!r}")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        return self.models == other.models if other.__class__ is self.__class__ else NotImplemented
-
-    def __hash__(self):
-        return hash((self.models,))
+    def _key(self) -> tuple:
+        return (self.models,)
 
     @cached_property
     def stable_weights(self) -> tuple[dict, int]:

@@ -107,7 +107,7 @@ def test_internal_error_is_not_reported_as_malformed_input(monkeypatch, error):
     def broken(*args, **kwargs):
         raise error("internal")
 
-    # The handler imports sigma when it runs, so patch the defining module.
+    # The CLI calls sigma through its defining module, so patch it there.
     monkeypatch.setattr(sys.modules["tracestab.sigma"], "sigma", broken)
     # The error propagates (a process would exit 1 with a traceback); run()
     # does not turn it into exit 4.
@@ -136,8 +136,18 @@ MODEL = {"id": "m", "sM_dim": 1, "r_dim": 0,
         {**MODEL, "dual_group": {"base": "sl2", "thetas": []}}]}),
     (["stabilize", "verify", "--models"], "m.json", {"models": [
         {"id": "m", "sM_dim": 1, "r_dim": 0}], "descriptors": [DESCRIPTOR]}),
+    # JSON true/false are bools, which Python counts as integers; none is one here.
+    (["sigma", "--group"], "g.json", {"rank": True, "simple_roots": [[2]],
+                                      "simple_coroots": [[1]]}),
+    (["sigma", "--group"], "g.json", {"rank": 1, "simple_roots": [[2]],
+                                      "simple_coroots": [[True]]}),
+    (["verify", "central-quotient", "--group", "sl2", "--z"], "z.json",
+     {"generators": [[True]]}),
+    (["stabilize", "verify", "--models"], "m.json", {"models": [
+        {**MODEL, "dual_group": {"base": "sl2", "thetas": {"0": [[1]], "1": [[True]]}}}]}),
 ], ids=["missing-rank", "models-not-a-list", "generators-not-a-list", "missing-sprime",
-        "generators-int", "bad-rational", "thetas-not-an-object", "descriptor-without-dual"])
+        "generators-int", "bad-rational", "thetas-not-an-object", "descriptor-without-dual",
+        "rank-bool", "matrix-bool", "generator-bool", "theta-bool"])
 def test_wrongly_shaped_input_exits_4_without_traceback(tmp_path, args, name, content):
     path = tmp_path / name
     path.write_text(json.dumps(content))
@@ -382,6 +392,16 @@ def test_fmt_q():
     assert fmt_q(Fraction(1, 2)) == "+1/2"
     assert fmt_q(Fraction(0)) == "0/1"
     assert fmt_q(Fraction(2, 4)) == "+1/2"
+
+
+def test_sigma_has_no_theta_option(tmp_path, capsys):
+    theta = tmp_path / "theta.json"
+    theta.write_text(json.dumps({"theta": [[-1]]}))
+    with pytest.raises(SystemExit) as exc:
+        main(["sigma", "--group", "sl2", "--theta", str(theta)])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "--theta" in err
 
 
 def test_removed_threads_flag_exits_2_without_traceback():

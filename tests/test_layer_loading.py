@@ -1,5 +1,6 @@
 """Which layer modules a command loads, and the package surface that lazy loading keeps."""
 
+import ast
 import json
 import subprocess
 import sys
@@ -46,11 +47,18 @@ def _loaded_by(argv, cwd):
      {"cli", "errors", "catalog", "linalg", "packets"}),
     (["sigma", "--group", "group.json"], EVERYTHING - {"packets", "stabilize"}),
     (["stabilize", "verify", "--trials", "2"], EVERYTHING),
+    (["elliptic", "--group", "group.json"], EVERYTHING - {"packets", "stabilize", "sigma"}),
+    (["i-number", "--group", "group.json"],
+     {"cli", "errors", "catalog", "linalg", "rootdata", "weylcoset"}),
+    (["verify", "central-quotient", "--group", "group.json", "--z", "z.json"],
+     EVERYTHING - {"packets", "stabilize"}),
+    (["report"], EVERYTHING),
 ])
 def test_each_command_runs_only_the_layers_it_calls(tmp_path, argv, expected):
     (tmp_path / "model.json").write_text(json.dumps({"sM_dim": 1, "r_dim": 2}))
     (tmp_path / "group.json").write_text(json.dumps(
         {"rank": 2, "simple_roots": [[2, -1], [-1, 2]], "simple_coroots": [[1, 0], [0, 1]]}))
+    (tmp_path / "z.json").write_text(json.dumps({"generators": [["1/3", "2/3"]]}))
     code, loaded = _loaded_by(argv, tmp_path)
     assert code == 0
     assert loaded == expected
@@ -99,3 +107,19 @@ def test_sigma_is_the_function_and_layers_are_modules():
     assert rootdata is sys.modules["tracestab.rootdata"]
     assert tracestab.RootDatum is rootdata.RootDatum
     assert tracestab.weyl_set is sys.modules["tracestab.weylcoset"].weyl_set
+
+
+def test_no_function_imports_and_no_type_checking_blocks():
+    """Layers are reached through the lazy module bindings at the top of each module."""
+    offenders = []
+    for path in sorted((SRC / "tracestab").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                offenders += [f"{path.name}:{inner.lineno} import in {node.name}"
+                              for inner in ast.walk(node)
+                              if isinstance(inner, (ast.Import, ast.ImportFrom))]
+            elif (isinstance(node, ast.Name) and node.id == "TYPE_CHECKING"
+                  or isinstance(node, ast.alias) and node.name == "TYPE_CHECKING"):
+                offenders.append(f"{path.name}:{node.lineno} TYPE_CHECKING")
+    assert offenders == []
