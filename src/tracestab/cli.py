@@ -168,7 +168,7 @@ def _load_datum(config: argparse.Namespace) -> rootdata.RootDatum:
 
 
 def _bits_to_pair(key: str, sm_dim: int, r_dim: int) -> tuple[int, int]:
-    if len(key) != sm_dim + r_dim or any(c not in "01" for c in key):
+    if type(key) is not str or len(key) != sm_dim + r_dim or any(c not in "01" for c in key):
         raise MalformedInput(f"component key {key!r} must be {sm_dim + r_dim} bits")
     xm = sum((1 << i) for i, c in enumerate(key[:sm_dim]) if c == "1")
     xr = sum((1 << i) for i, c in enumerate(key[sm_dim:]) if c == "1")
@@ -270,13 +270,17 @@ def parse_args(argv) -> argparse.Namespace:
     p.add_argument("--group", required=False)
     add_common(p, group=False)
     p.add_argument("--catalog", dest="catalog_flag", action="store_true")
-    p = sub.add_parser("verify")
-    p.add_argument("target", choices=("ei", "central-quotient", "stabilization"))
-    add_common(p)
+    targets = sub.add_parser("verify").add_subparsers(dest="target", required=True)
+    add_common(targets.add_parser("ei"))
+    p = targets.add_parser("central-quotient")
+    p.add_argument("--group", required=False)
     p.add_argument("--z")
+    add_common(p, group=False)
+    p = targets.add_parser("stabilization")
     p.add_argument("--models")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=_trial_count, default=100)
+    add_common(p, group=False)
     p = sub.add_parser("packets")
     p.add_argument("target", choices=("verify",))
     p.add_argument("--model", required=True)

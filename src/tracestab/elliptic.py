@@ -6,9 +6,10 @@ exactly when Φ_t spans the whole cocharacter space.  Untwisted enumeration is
 exact and complete and needs no search: on a semisimple datum the elliptic
 points are, up to W ⋉ X∨, the vertices of the fundamental alcove (0 and
 ϖᵢ∨/mᵢ per simple factor, θ = Σ mᵢαᵢ its highest root; Bourbaki, Lie Groups,
-ch. VI §2).  Each vertex's Weyl orbit mod X∨ is walked once: its least point
-names the class, so vertices that Ω_X = X∨/Q∨ identifies merge, and its size
-gives π₀ by orbit–stabilizer, π₀ = |W_t| / |W(Φ_t)| with |W_t| = |W| / |W·t|.
+ch. VI §2).  Each vertex's Weyl orbit mod X∨ is walked once by simple
+reflections, without building W: its least point names the class, so
+vertices that Ω_X = X∨/Q∨ identifies merge, and its size gives π₀ by
+orbit–stabilizer, π₀ = |W_t| / |W(Φ_t)| with |W_t| = |W| / |W·t|.
 
 ``full_rank_subsystems`` (closed full-rank subsystems by iterated
 extended-diagram node deletion) is an independent enumerator, not used by
@@ -31,7 +32,7 @@ from math import lcm
 from operator import add
 from typing import NamedTuple
 
-from .errors import TwistedUnsupported
+from .errors import TwistedUnsupported, WeylGroupTooLarge
 from .linalg import (
     IntMat,
     IntVec,
@@ -51,9 +52,12 @@ from .linalg import (
     vec_sub,
 )
 from .rootdata import (
+    MAX_WEYL_ORDER,
     RootDatum,
     build_root_datum,
+    cartan_type,
     classical_weyl_order,
+    closure,
     diagram_components,
     weyl_group,
 )
@@ -105,9 +109,28 @@ def _indecomposables(positives: list[IntVec]) -> tuple[IntVec, ...]:
 # Torsion points t = a/n travel through the Weyl loops as (a, n), with a an
 # integer vector and n the order of t.
 
-def _weyl_orbit(d: RootDatum, a: IntVec, n: int) -> set[IntVec]:
-    """Numerators mod n of the Weyl orbit of a/n, in one pass over W."""
-    return {tuple(dot(row, a) % n for row in w.matrix) for w in weyl_group(d)}
+def _check_orbit_bound(d: RootDatum, a: IntVec, n: int) -> None:
+    """Refuse t = a/n if its orbit bound |W| / |W(Φ_t)| is above ``MAX_WEYL_ORDER``."""
+    order = classical_weyl_order(d)
+    if order <= MAX_WEYL_ORDER:  # then no orbit can exceed it
+        return
+    phi_t = sub_datum(d, tuple(alpha for alpha in d.roots if dot(alpha, a) % n == 0))
+    bound = order // classical_weyl_order(phi_t)
+    if bound > MAX_WEYL_ORDER:
+        raise WeylGroupTooLarge(f"the W({','.join(cartan_type(d))})-orbit of {a}/{n} may "
+                                f"have {bound} points, above the limit {MAX_WEYL_ORDER}")
+
+
+def _weyl_orbit(d: RootDatum, a: IntVec, n: int) -> dict[IntVec, None]:
+    """Numerators mod n of the orbit of a/n, by s_i(a) = a − ⟨α_i, a⟩·α_i∨ mod n."""
+    _check_orbit_bound(d, a, n)
+
+    def reflections(b, _):
+        for alpha, alpha_v in zip(d.simple_roots, d.simple_coroots):
+            p = dot(alpha, b)
+            yield tuple((x - p * y) % n for x, y in zip(b, alpha_v)), None
+
+    return closure({tuple(x % n for x in a): None}, reflections)
 
 
 def _centralizer_at(d: RootDatum, t: QVec, orbit_size: int) -> tuple[RootDatum, int]:
@@ -203,37 +226,20 @@ def full_rank_subsystems(d: RootDatum) -> list[tuple[IntVec, ...]]:
         return min(sum(1 << p[k] for k in ids) for p in perms)
 
     full = tuple(sorted(d.roots))
-    seen = {canon(full): full}
-    frontier = [full]
-    while frontier:
-        new_frontier = []
-        for roots in frontier:
-            for child in _bds_children(d, roots):
-                key = canon(child)
-                if key not in seen:
-                    seen[key] = child
-                    new_frontier.append(child)
-        frontier = new_frontier
+    seen = closure({canon(full): full},
+                   lambda _, roots: ((canon(child), child) for child in _bds_children(d, roots)))
     return sorted(seen.values())
 
 
 def _closure_under_reflections(d: RootDatum, seeds) -> tuple[IntVec, ...]:
-    roots = set()
-    for s in seeds:
-        roots.add(tuple(s))
-        roots.add(tuple(-x for x in s))
-    changed = True
-    while changed:
-        changed = False
-        snapshot = list(roots)
-        for beta in snapshot:
-            coroot = d.coroot_of(beta)
-            for alpha in snapshot:
-                image = tuple(a - dot(alpha, coroot) * b for a, b in zip(alpha, beta))
-                if image not in roots:
-                    roots.add(image)
-                    changed = True
-    return tuple(sorted(roots))
+    """The root subsystem generated by ``seeds``: their orbit under their own reflections."""
+    pairs = [(tuple(beta), d.coroot_of(tuple(beta))) for beta in seeds]
+
+    def reflections(alpha, _):
+        for beta, coroot in pairs:
+            yield tuple(a - dot(alpha, coroot) * b for a, b in zip(alpha, beta)), None
+
+    return tuple(sorted(closure(dict.fromkeys(beta for beta, _ in pairs), reflections)))
 
 
 def _bds_children(d: RootDatum, roots: tuple[IntVec, ...]) -> list[tuple[IntVec, ...]]:
@@ -308,16 +314,13 @@ def _elliptic_classes_untwisted(c: TwistedComponent) -> tuple[SemisimpleClass, .
     if d.rank == 0:
         trivial = build_root_datum(0, (), ())
         return (SemisimpleClass(torus_point(()), trivial, 1, True),)
-    orbit_sizes = {}
-    for t in _alcove_vertices(d):
-        a, n = clear_denominators(t)
-        orbit = _weyl_orbit(d, a, n)
-        orbit_sizes[tuple(Fraction(x, n) for x in min(orbit))] = len(orbit)
-    classes = []
-    for t, size in sorted(orbit_sizes.items()):
-        datum, pi0 = _centralizer_at(d, t, size)
-        classes.append(SemisimpleClass(torus_point(t), datum, pi0, True))
-    return tuple(classes)
+    points = [clear_denominators(t) for t in _alcove_vertices(d)]
+    for a, n in points:  # refuse before any orbit is walked
+        _check_orbit_bound(d, a, n)
+    orbits = [(_weyl_orbit(d, a, n), n) for a, n in points]
+    sizes = {tuple(Fraction(x, n) for x in min(orbit)): len(orbit) for orbit, n in orbits}
+    return tuple(SemisimpleClass(torus_point(t), *_centralizer_at(d, t, size), True)
+                 for t, size in sorted(sizes.items()))
 
 
 def _elliptic_classes_torus_twist(c: TwistedComponent) -> tuple[SemisimpleClass, ...]:

@@ -5,6 +5,9 @@ standard dot pairing.  Roots are vectors in X, coroots in X∨, and every
 isogeny question (SL2 vs PGL2, quotients by central subgroups) is carried by
 the coordinates alone.  All derived data — the full root system, the Weyl
 group, display labels — is computed by exact integer/rational arithmetic.
+Every orbit and closure in the package, here and in ``elliptic``, is one
+breadth-first ``closure``.  W itself is built only for ``weyl_set``,
+``DualGroupModel.validate`` and ``full_rank_subsystems``.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import combinations
 from math import prod
+from operator import add
 from typing import NamedTuple
 
 from .errors import InfiniteType, NonCartan, NotCentral, WeylGroupTooLarge
@@ -22,7 +26,6 @@ from .linalg import (
     IntVec,
     QVec,
     clear_denominators,
-    coords_in_rows,
     det,
     dot,
     dual_lattice_quotient,
@@ -44,6 +47,26 @@ _CLOSURE_FACTOR = 32
 # Largest |W| that ``weyl_group`` builds: |W(E6)|.  W is stored element by
 # element (E6 already takes seconds), so E7 (|W| = 2 903 040) and E8 are refused.
 MAX_WEYL_ORDER = 51_840
+
+
+def closure(seeds: dict, step, limit: int | None = None) -> dict:
+    """Every key reachable from ``seeds`` through ``step(key, value)``, breadth first.
+
+    Each key keeps the value it was first reached with; keys are visited level
+    by level in ``step`` order.  The walk stops after the level that takes the
+    count above ``limit``, so the caller can refuse a runaway closure.
+    """
+    found = dict(seeds)
+    frontier = list(found.items())
+    while frontier and (limit is None or len(found) <= limit):
+        new_frontier = []
+        for key, value in frontier:
+            for image, image_value in step(key, value):
+                if image not in found:
+                    found[image] = image_value
+                    new_frontier.append((image, image_value))
+        frontier = new_frontier
+    return found
 
 
 class WeylElement(NamedTuple):
@@ -90,13 +113,7 @@ class RootDatum(NamedTuple):
         return self.positives
 
     def is_positive(self, root: IntVec) -> bool:
-        root = tuple(root)
-        if root in self.roots:
-            return root in self.positives
-        coeffs = coords_in_rows(self.simple_roots, root)
-        if coeffs is None:
-            raise ValueError("vector is not in the root span")
-        return next((c > 0 for c in coeffs if c != 0), False)
+        return tuple(root) in self.positives
 
     def cartan_matrix(self) -> IntMat:
         return tuple(tuple(dot(b, av) for b in self.simple_roots)
@@ -117,12 +134,21 @@ def _validate_cartan(simple_roots, simple_coroots) -> IntMat:
                 raise NonCartan(f"positive off-diagonal Cartan entry at ({i},{j})")
             if (cartan[i][j] == 0) != (cartan[j][i] == 0):
                 raise NonCartan(f"asymmetric zero pattern at ({i},{j})")
-    # Finite type iff every principal minor of the Cartan matrix is positive.
+    # Finite type iff every principal minor is positive (Kac, Thm 4.3).  Such a
+    # matrix is symmetrizable, dⱼ·aᵢⱼ = dᵢ·aⱼᵢ with d > 0, and det A_I =
+    # det S_I·Π dᵢ for the symmetric S = D⁻¹A: by Sylvester, the leading minors decide.
+    scale: dict[int, Fraction] = {}
+    for start in range(k):
+        if start not in scale:
+            scale |= closure({start: Fraction(1)},
+                             lambda i, d_i: ((j, d_i * cartan[j][i] / cartan[i][j])
+                                             for j in range(k) if j != i and cartan[i][j]))
+    for i, j in combinations(range(k), 2):
+        if scale[j] * cartan[i][j] != scale[i] * cartan[j][i]:
+            raise NonCartan(f"Cartan matrix is not symmetrizable at ({i},{j})")
     for size in range(1, k + 1):
-        for subset in combinations(range(k), size):
-            minor = det(tuple(tuple(cartan[i][j] for j in subset) for i in subset))
-            if minor <= 0:
-                raise NonCartan(f"non-positive principal minor on {subset}")
+        if det(tuple(row[:size] for row in cartan[:size])) <= 0:
+            raise NonCartan(f"non-positive principal minor on {tuple(range(size))}")
     return cartan
 
 
@@ -155,28 +181,20 @@ def _build_root_datum(rank: int, simple_roots: tuple[IntVec, ...],
     _validate_cartan(simple_roots, simple_coroots)
 
     # Reflecting r by s_j subtracts <r, alpha_j^> from its j-th coefficient.
-    bound = _CLOSURE_FACTOR * max(rank, 1)
-    unit = identity_matrix(len(simple_roots))
-    found = {a: (av, unit[i]) for i, (a, av) in enumerate(zip(simple_roots, simple_coroots))}
-    frontier = list(found)
-    while frontier:
-        new_frontier = []
-        for root in frontier:
-            coroot, coeffs = found[root]
-            images = [(tuple(-x for x in root), tuple(-x for x in coroot),
-                       tuple(-c for c in coeffs))]
-            for j, (alpha, alpha_v) in enumerate(zip(simple_roots, simple_coroots)):
-                p = dot(root, alpha_v)
-                images.append((vec_sub(root, tuple(p * a for a in alpha)),
-                               vec_sub(coroot, tuple(dot(alpha, coroot) * a for a in alpha_v)),
-                               coeffs[:j] + (coeffs[j] - p,) + coeffs[j + 1:]))
-            for r, rv, c in images:
-                if r not in found:
-                    found[r] = (rv, c)
-                    new_frontier.append(r)
-        frontier = new_frontier
-        if len(found) > 2 * bound:
-            raise InfiniteType("reflection closure exceeded the finite-type bound")
+    def images(root, value):
+        coroot, coeffs = value
+        yield (tuple(-x for x in root), (tuple(-x for x in coroot), tuple(-c for c in coeffs)))
+        for j, (alpha, alpha_v) in enumerate(zip(simple_roots, simple_coroots)):
+            p = dot(root, alpha_v)
+            yield (vec_sub(root, tuple(p * a for a in alpha)),
+                   (vec_sub(coroot, tuple(dot(alpha, coroot) * a for a in alpha_v)),
+                    coeffs[:j] + (coeffs[j] - p,) + coeffs[j + 1:]))
+
+    bound = 2 * _CLOSURE_FACTOR * max(rank, 1)
+    seeds = dict(zip(simple_roots, zip(simple_coroots, identity_matrix(len(simple_roots)))))
+    found = closure(seeds, images, bound)
+    if len(found) > bound:
+        raise InfiniteType("reflection closure exceeded the finite-type bound")
 
     roots = tuple(sorted(found))
     coroots = tuple(found[r][0] for r in roots)
@@ -208,18 +226,8 @@ def weyl_group(d: RootDatum) -> tuple[WeylElement, ...]:
         raise WeylGroupTooLarge(f"W({','.join(cartan_type(d))}) has order {order}, "
                                 f"above the limit {MAX_WEYL_ORDER}")
     gens = [simple_reflection_matrix(d, i) for i in range(d.semisimple_rank)]
-    ident = identity_matrix(d.rank)
-    seen: dict[IntMat, tuple[int, ...]] = {ident: ()}
-    frontier = [ident]
-    while frontier:
-        new_frontier = []
-        for m in frontier:
-            for i, g in enumerate(gens):
-                image = mat_mul(m, g)
-                if image not in seen:
-                    seen[image] = seen[m] + (i,)
-                    new_frontier.append(image)
-        frontier = new_frontier
+    seen = closure({identity_matrix(d.rank): ()},
+                   lambda m, word: ((mat_mul(m, g), word + (i,)) for i, g in enumerate(gens)))
     return tuple(WeylElement(m, w) for m, w in sorted(seen.items()))
 
 
@@ -246,17 +254,9 @@ def diagram_components(d: RootDatum) -> tuple[tuple[int, ...], ...]:
     unvisited = set(range(k))
     comps = []
     while unvisited:
-        start = min(unvisited)
-        comp = [start]
-        stack = [start]
-        unvisited.discard(start)
-        while stack:
-            v = stack.pop()
-            for w in range(k):
-                if w in unvisited and cartan[v][w] != 0:
-                    unvisited.discard(w)
-                    comp.append(w)
-                    stack.append(w)
+        comp = closure({min(unvisited): None},
+                       lambda v, _: ((w, None) for w in range(k) if cartan[v][w] != 0))
+        unvisited -= comp.keys()
         comps.append(tuple(sorted(comp)))
     return tuple(comps)
 
@@ -345,19 +345,9 @@ class CentralSubgroup(NamedTuple):
 
 def subgroup_mod1(gens, rank: int) -> tuple[QVec, ...]:
     """Closure of rational generators under addition mod Z^rank."""
-    zero = tuple(Fraction(0) for _ in range(rank))
-    elems = {zero}
-    frontier = [zero]
     norm_gens = [normalize_mod1(g) for g in gens]
-    while frontier:
-        new_frontier = []
-        for e in frontier:
-            for g in norm_gens:
-                s = normalize_mod1(tuple(a + b for a, b in zip(e, g)))
-                if s not in elems:
-                    elems.add(s)
-                    new_frontier.append(s)
-        frontier = new_frontier
+    elems = closure({tuple(Fraction(0) for _ in range(rank)): None},
+                    lambda e, _: ((normalize_mod1(tuple(map(add, e, g))), None) for g in norm_gens))
     return tuple(sorted(elems))
 
 

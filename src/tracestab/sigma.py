@@ -58,6 +58,8 @@ def _is_central_class(d: RootDatum, cls: SemisimpleClass) -> bool:
 def _solve_ei(d: RootDatum) -> Fraction:
     """σ(d) from e = i on d's untwisted component, given σ of every smaller centralizer."""
     component = untwisted_component(d)
+    # i first: past |W(E6)| it refuses at once in ``weyl_group``, before any class is listed.
+    i_value = i_number(component)
     classes = elliptic_classes(component)
     central = [c for c in classes if _is_central_class(d, c)]
     for c in central:
@@ -67,7 +69,7 @@ def _solve_ei(d: RootDatum) -> Fraction:
         raise InconsistentClasses("no central elliptic class on a semisimple datum")
     acc = sum((Fraction(1, c.pi0) * sigma(c.centralizer_datum)
                for c in classes if not _is_central_class(d, c)), Fraction(0))
-    return (i_number(component) - acc) / len(central)
+    return (i_value - acc) / len(central)
 
 
 def _simple_adjoint_sigma(cartan: tuple[tuple[int, ...], ...]) -> Fraction:

@@ -12,6 +12,8 @@ the extended-diagram walk (``_bds_children``, as ``full_rank_subsystems``
 does), the torsion points of each from a Hermite-normal-form lattice quotient,
 and canonicalizes, counts stabilizers and dedups subsystems the slow way,
 through Fractions, contragredient inverses and reflection-subgroup closures.
+``weyl_image_orbit`` is the orbit by the whole of W that the simple-reflection
+walk of ``elliptic._weyl_orbit`` replaced.
 ``expansion_positive_roots`` is the Fraction-elimination sign rule that the
 closure-built positive system replaced, and ``fraction_splus`` is the
 Fraction orbit walk that ``catalog._splus`` replaced.
@@ -265,6 +267,15 @@ def fraction_orbit_canonical(w_matrices, t):
 
 def fraction_stabilizer_order(w_matrices, t):
     return sum(1 for m in w_matrices if normalize_mod1(mat_vec(m, t)) == t)
+
+
+def weyl_image_orbit(d, a, n):
+    """Numerators mod n of the Weyl orbit of a/n: every element of W mapped over the point.
+
+    The reference for ``elliptic._weyl_orbit``, which walks the orbit by
+    simple reflections instead.
+    """
+    return {tuple(dot(row, a) % n for row in w.matrix) for w in weyl_group(d)}
 
 
 def fraction_splus(m, x, cls):

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers_oracle import e_cartan
+from helpers_oracle import classical_datum, datum_from_cartan, e_cartan
 from tracestab import cli as cli_module
 from tracestab.cli import (
     EXIT_MALFORMED,
@@ -32,6 +32,10 @@ def test_parse_args_examples():
     cfg = parse_args(["verify", "stabilization", "--models", "m.json", "--seed", "7"])
     assert cfg.subcommand == "verify" and cfg.target == "stabilization"
     assert cfg.seed == 7 and cfg.trials == 100
+    cfg = parse_args(["verify", "central-quotient", "--group", "sl2", "--z", "z.json"])
+    assert cfg.target == "central-quotient" and cfg.z == "z.json" and cfg.theta is None
+    cfg = parse_args(["verify", "ei", "--group", "sl2", "--format", "tsv"])
+    assert cfg.target == "ei" and cfg.fmt == "tsv" and cfg.models is None
 
 
 def test_seed_and_trials_defaults():
@@ -145,9 +149,12 @@ MODEL = {"id": "m", "sM_dim": 1, "r_dim": 0,
      {"generators": [[True]]}),
     (["stabilize", "verify", "--models"], "m.json", {"models": [
         {**MODEL, "dual_group": {"base": "sl2", "thetas": {"0": [[1]], "1": [[True]]}}}]}),
+    # A list of one bitstring is not a bitstring.
+    (["stabilize", "verify", "--models"], "m.json", {"models": [MODEL], "descriptors": [
+        {**DESCRIPTOR, "x": ["1"]}]}),
 ], ids=["missing-rank", "models-not-a-list", "generators-not-a-list", "missing-sprime",
         "generators-int", "bad-rational", "thetas-not-an-object", "descriptor-without-dual",
-        "rank-bool", "matrix-bool", "generator-bool", "theta-bool"])
+        "rank-bool", "matrix-bool", "generator-bool", "theta-bool", "x-list"])
 def test_wrongly_shaped_input_exits_4_without_traceback(tmp_path, args, name, content):
     path = tmp_path / name
     path.write_text(json.dumps(content))
@@ -316,6 +323,51 @@ def test_sigma_on_e8_exits_5_quickly(tmp_path):
     error = json.loads(proc.stderr)["error"]
     assert error["kind"] == "WeylGroupTooLarge"
     assert "W(E8)" in error["detail"] and "696729600" in error["detail"]
+
+
+def _datum_file(path, d):
+    path.write_text(json.dumps({"rank": d.rank, "simple_roots": d.simple_roots,
+                                "simple_coroots": d.simple_coroots}))
+    return str(path)
+
+
+@pytest.mark.parametrize("name,d", [("e8", datum_from_cartan(e_cartan(8), "sc")),
+                                    ("b20", classical_datum("B", 20, "sc"))],
+                         ids=["E8", "B20"])
+def test_elliptic_refuses_orbits_past_the_limit_quickly(tmp_path, name, d):
+    proc = subprocess.run([sys.executable, "-m", "tracestab.cli", "elliptic", "--group",
+                           _datum_file(tmp_path / f"{name}.json", d)],
+                          capture_output=True, timeout=60)
+    assert proc.returncode == EXIT_MODULE_ERROR and proc.stdout == b""
+    error = json.loads(proc.stderr)["error"]
+    assert error["kind"] == "WeylGroupTooLarge" and "above the limit 51840" in error["detail"]
+
+
+@pytest.mark.parametrize("form", ["sc", "ad"])
+@pytest.mark.parametrize("argv", [["sigma"], ["verify", "ei"]])
+def test_sigma_and_ei_on_e7_exit_5_naming_w_e7(tmp_path, capsys, argv, form):
+    group = _datum_file(tmp_path / "e7.json", datum_from_cartan(e_cartan(7), form))
+    assert main([*argv, "--group", group]) == EXIT_MODULE_ERROR
+    out, err = capsys.readouterr()
+    error = json.loads(err)["error"]
+    assert out == "" and error["kind"] == "WeylGroupTooLarge"
+    assert error["detail"].startswith("W(E7) has order 2903040")
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "central-quotient", "--group", "sl2", "--theta", "t.json", "--z", "z.json"],
+    ["verify", "stabilization", "--group", "g.json"],
+    ["verify", "ei", "--group", "sl2", "--z", "z.json"],
+])
+def test_verify_targets_refuse_options_they_do_not_read(tmp_path, capsys, argv):
+    (tmp_path / "t.json").write_text(json.dumps({"theta": [[-1]]}))
+    (tmp_path / "z.json").write_text(json.dumps({"generators": []}))
+    argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "unrecognized arguments" in err
 
 
 @pytest.mark.parametrize("sm, r", [(3, 3), (2, 4)])

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from helpers_oracle import (
     catalog_and_ladder_data,
     classical_datum,
+    datum_from_cartan,
+    e_cartan,
     fraction_elliptic_classes,
     fraction_stabilizer_order,
     oracle_classes,
@@ -16,11 +18,14 @@ from helpers_oracle import (
     oracle_reflection_order,
     sorted_image_subsystems,
     validate_twisted_candidates,
+    weyl_image_orbit,
 )
 
-from tracestab import catalog
+from tracestab import catalog, rootdata
+from tracestab import elliptic as elliptic_module
 from tracestab.elliptic import (
     _alcove_vertices,
+    _weyl_orbit,
     centralizer,
     elliptic_classes,
     full_rank_subsystems,
@@ -28,7 +33,7 @@ from tracestab.elliptic import (
     torus_point,
 )
 from tracestab.errors import TwistedUnsupported
-from tracestab.linalg import identity_matrix, mat_vec
+from tracestab.linalg import clear_denominators, identity_matrix, mat_vec
 from tracestab.rootdata import (
     build_root_datum,
     cartan_type,
@@ -69,6 +74,48 @@ def test_integer_orbit_walk_matches_fraction_oracle(name, d):
 @pytest.mark.parametrize("name,d", FAST_PATH_DATA, ids=[n for n, _ in FAST_PATH_DATA])
 def test_subsystem_dedup_matches_sorted_image_oracle(name, d):
     assert full_rank_subsystems(d) == sorted_image_subsystems(d)
+
+
+@pytest.mark.parametrize("name,d", FAST_PATH_DATA, ids=[n for n, _ in FAST_PATH_DATA])
+def test_simple_reflection_walk_matches_weyl_image_orbit(name, d):
+    if not d.is_semisimple() or d.rank == 0:
+        return
+    for t in _alcove_vertices(d):
+        a, n = clear_denominators(t)
+        assert set(_weyl_orbit(d, a, n)) == weyl_image_orbit(d, a, n), t
+
+
+def _class_and_descriptor_values(models):
+    elliptic_classes.cache_clear()
+    return ([elliptic_classes(untwisted_component(catalog.datum(name)))
+             for name in catalog.datum_names()],
+            [catalog.principal_descriptors(m) for m in models])
+
+
+def test_untwisted_classes_and_descriptors_never_build_w(monkeypatch):
+    models = catalog.fixture_models()
+    with monkeypatch.context() as patch:
+        # The orbit by every element of W, as the classes were found before the walk.
+        patch.setattr(elliptic_module, "_weyl_orbit", weyl_image_orbit)
+        expected = _class_and_descriptor_values(models)
+
+    def refuse(d):
+        raise AssertionError("weyl_group was called")
+
+    monkeypatch.setattr(rootdata, "weyl_group", refuse)
+    monkeypatch.setattr(elliptic_module, "weyl_group", refuse)
+    try:
+        assert _class_and_descriptor_values(models) == expected
+    finally:
+        elliptic_classes.cache_clear()
+
+
+def test_e7_classes_regression():
+    sc = elliptic_classes(untwisted_component(datum_from_cartan(e_cartan(7), "sc")))
+    assert len(sc) == 8 and all(c.pi0 == 1 for c in sc)
+    ad = elliptic_classes(untwisted_component(datum_from_cartan(e_cartan(7), "ad")))
+    assert [(cartan_type(c.centralizer_datum), c.pi0) for c in ad] == [
+        (("E7",), 1), (("A1", "D6"), 1), (("A2", "A5"), 1), (("A7",), 2), (("A1", "A3", "A3"), 2)]
 
 
 # ---------------------------------------------------------------------------
