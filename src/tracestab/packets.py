@@ -176,14 +176,13 @@ class DualGroupModel(_Record):
         zero = (0, 0)
         if tuple(self.thetas[zero]) != ident:
             raise MismatchedModel("identity component must be untwisted")
-        w_set = {w.matrix for w in rootdata.weyl_group(self.base)}
         inverses = {x: tuple(tuple(int(v) for v in row) for row in invert(self.thetas[x]))
                     for x in s_elements}
         for x in s_elements:
             for y in s_elements:
                 z = (x[0] ^ y[0], x[1] ^ y[1])
                 prod = mat_mul(self.thetas[x], self.thetas[y])
-                if mat_mul(prod, inverses[z]) not in w_set:
+                if not rootdata.in_weyl_group(self.base, mat_mul(prod, inverses[z])):
                     raise MismatchedModel(f"twist cocycle fails at {x}, {y}")
 
 

@@ -6,8 +6,10 @@ isogeny question (SL2 vs PGL2, quotients by central subgroups) is carried by
 the coordinates alone.  All derived data — the full root system, the Weyl
 group, display labels — is computed by exact integer/rational arithmetic.
 Every orbit and closure in the package, here and in ``elliptic``, is one
-breadth-first ``closure``.  W itself is built only for ``weyl_set``,
-``DualGroupModel.validate`` and ``full_rank_subsystems``.
+breadth-first ``closure``.  W itself is built only for ``weyl_set`` and
+``full_rank_subsystems``: Cartan labels are read off bonds and positive-root
+counts, and ``in_weyl_group`` decides membership by reflecting a regular
+coweight back to the dominant chamber.
 """
 
 from __future__ import annotations
@@ -262,75 +264,54 @@ def diagram_components(d: RootDatum) -> tuple[tuple[int, ...], ...]:
 
 
 def cartan_type(d: RootDatum) -> tuple[str, ...]:
-    """Sorted component labels of the Dynkin diagram.
+    """Sorted component labels, each read off its bonds and its positive-root count.
 
-    The rank-2 double-bond system is reported as B2 in either orientation,
-    matching the isomorphism of the underlying root systems.
+    Bourbaki's plates count n(n+1)/2 positive roots for A_n, n² for B_n and
+    C_n, n(n−1) for D_n, 36, 63 and 120 for E6, E7 and E8 and 24 for F4, and
+    only G2 has a triple bond.  The short end of a double bond (the row of the
+    −2 entry) is a leaf in B_n and not in C_n, n ≥ 3, so the rank-2
+    double-bond system reads B2 in either orientation, matching the
+    isomorphism of the underlying root systems.
     """
-    k = d.semisimple_rank
     cartan = d.cartan_matrix()
-    adj = {i: [j for j in range(k) if j != i and cartan[i][j] != 0] for i in range(k)}
-    return tuple(sorted(_classify_component(list(comp), cartan, adj)
-                        for comp in diagram_components(d)))
+    positives = [c for c in d.coefficients if sum(c) > 0]
+    labels = []
+    for comp in diagram_components(d):
+        n = len(comp)
+        count = sum(1 for c in positives if any(c[i] for i in comp))
+        entries = {cartan[i][j] for i in comp for j in comp}
+        if -3 in entries:
+            family = "G"
+        elif -2 in entries:
+            short = next(i for i in comp if -2 in cartan[i])
+            family = ("F" if count != n * n
+                      else "B" if sum(1 for x in cartan[short] if x < 0) == 1 else "C")
+        elif count == n * (n + 1) // 2:  # before D: D3 is A3
+            family = "A"
+        else:
+            family = "D" if count == n * (n - 1) else "E"
+        labels.append(f"{family}{n}")
+    return tuple(sorted(labels))
 
 
-def _classify_component(comp, cartan, adj) -> str:
-    n = len(comp)
-    if n == 1:
-        return "A1"
-    bonds = {}
-    for i in comp:
-        for j in adj[i]:
-            if j > i:
-                bonds[(i, j)] = cartan[i][j] * cartan[j][i]
-    if any(m == 3 for m in bonds.values()):
-        if n != 2:
-            raise NonCartan("triple bond in a component of rank > 2")
-        return "G2"
-    doubles = [e for e, m in bonds.items() if m == 2]
-    degree = {i: len(adj[i]) for i in comp}
-    if doubles:
-        if len(doubles) != 1:
-            raise NonCartan("several double bonds in one component")
-        if n == 2:
-            return "B2"
-        (u, v) = doubles[0]
-        if degree[u] == 2 and degree[v] == 2 and n == 4:
-            return "F4"
-        # |<alpha_v, alpha_u^>| = 2 forces alpha_v long and alpha_u short.
-        short, lng = (u, v) if cartan[u][v] == -2 else (v, u)
-        if degree[short] == 1:
-            return f"B{n}"
-        if degree[lng] == 1:
-            return f"C{n}"
-        raise NonCartan("double bond not at a chain end")
-    branch = [i for i in comp if degree[i] >= 3]
-    if not branch:
-        return f"A{n}"
-    if len(branch) > 1 or degree[branch[0]] > 3:
-        raise NonCartan("diagram has an unsupported branch pattern")
-    b = branch[0]
-    arms = []
-    for start in adj[b]:
-        length = 1
-        prev, cur = b, start
-        while True:
-            nxt = [x for x in adj[cur] if x != prev]
-            if not nxt:
-                break
-            prev, cur = cur, nxt[0]
-            length += 1
-        arms.append(length)
-    arms.sort()
-    if arms[0] == 1 and arms[1] == 1:
-        return f"D{n}"
-    if arms == [1, 2, 2]:
-        return "E6"
-    if arms == [1, 2, 3]:
-        return "E7"
-    if arms == [1, 2, 4]:
-        return "E8"
-    raise NonCartan(f"arm lengths {arms} match no finite diagram")
+def in_weyl_group(d: RootDatum, m: IntMat) -> bool:
+    """Whether the integral matrix ``m`` on X∨ is a Weyl element, without building W.
+
+    Each simple reflection s_i with ⟨α_i, u⟩ < 0 takes u = m·2ρ∨ one step
+    back towards the dominant chamber (one fewer positive root is negative on
+    u), and is applied to m as well.  2ρ∨, the sum of the positive coroots,
+    pairs to 2 with every simple root, so it is regular and only 1 ∈ W fixes
+    it: the reflected m is the identity exactly when m lies in W.
+    """
+    two_rho = tuple(sum(coroot[k] for coroot, c in zip(d.coroots, d.coefficients) if sum(c) > 0)
+                    for k in range(d.rank))
+    u = mat_vec(m, two_rho)
+    while True:
+        negative = [i for i, alpha in enumerate(d.simple_roots) if dot(alpha, u) < 0]
+        if not negative:
+            return m == identity_matrix(d.rank)
+        s = simple_reflection_matrix(d, negative[0])
+        m, u = mat_mul(s, m), mat_vec(s, u)
 
 
 class CentralSubgroup(NamedTuple):

@@ -136,17 +136,15 @@ class DiscreteModelSet(_Record):
 
     @cached_property
     def discrete_weights(self) -> tuple[dict, int]:
-        """i_φ(ι(τ))/(|R|·|S|²) per (model position, row of τ), for ι(τ) in s_disc_set.
+        """i_φ(ι(τ))/(|R|·|S|²) per (model position, row of τ).
 
-        The |S|² turns the two Θ numerators of a term into Θ values.
+        The |S|² turns the two Θ numerators of a term into Θ values.  i_φ is 0
+        off s_disc_set, since it sums over regular elements, and zero weights
+        are dropped, so only τ with ι(τ) in s_disc_set keep a weight.
         """
-        weights = {}
-        for k, m in enumerate(self.models):
-            disc = s_disc_set(m)
-            for t, tau in enumerate(m.taus()):
-                if m.iota(tau) in disc:
-                    weights[(k, t)] = Fraction(i_phi(m, m.iota(tau)), m.r.size * m.s_size ** 2)
-        return _over_common_denominator(weights)
+        return _over_common_denominator(
+            {(k, t): Fraction(i_phi(m, m.iota(tau)), m.r.size * m.s_size ** 2)
+             for k, m in enumerate(self.models) for t, tau in enumerate(m.taus())})
 
     @cached_property
     def endoscopic_weights(self) -> dict[tuple, tuple[dict, int]]:

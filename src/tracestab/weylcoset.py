@@ -23,6 +23,9 @@ from .errors import InfiniteOrder, NotAutomorphism
 from .linalg import IntMat, det, identity_matrix, mat_mul, mat_vec
 from .rootdata import RootDatum, WeylElement, contragredient, weyl_group
 
+# A twist with no power up to this order equal to the identity is refused.
+MAX_TWIST_ORDER = 64
+
 
 class TwistedComponent(NamedTuple):
     base: RootDatum
@@ -41,7 +44,7 @@ class CosetElement(NamedTuple):
     regular: bool
 
 
-def component(base: RootDatum, theta, max_order: int = 64) -> TwistedComponent:
+def component(base: RootDatum, theta) -> TwistedComponent:
     """Validate a twist and wrap it as a component of a disconnected group."""
     theta = tuple(tuple(int(x) for x in row) for row in theta)
     n = base.rank
@@ -72,8 +75,8 @@ def component(base: RootDatum, theta, max_order: int = 64) -> TwistedComponent:
     while power != ident:
         power = mat_mul(power, theta)
         order += 1
-        if order > max_order:
-            raise InfiniteOrder(f"no power up to {max_order} is the identity")
+        if order > MAX_TWIST_ORDER:
+            raise InfiniteOrder(f"no power up to {MAX_TWIST_ORDER} is the identity")
     return TwistedComponent(base, theta, order)
 
 

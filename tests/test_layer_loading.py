@@ -123,3 +123,19 @@ def test_no_function_imports_and_no_type_checking_blocks():
                   or isinstance(node, ast.alias) and node.name == "TYPE_CHECKING"):
                 offenders.append(f"{path.name}:{node.lineno} TYPE_CHECKING")
     assert offenders == []
+
+
+def test_only_weyl_set_and_full_rank_subsystems_reach_weyl_group():
+    """W is built element by element, so its callers are pinned: no other code may reach it."""
+    places = set()
+    for path in sorted((SRC / "tracestab").glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            scope = (top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef))
+                     else "import" if isinstance(top, (ast.Import, ast.ImportFrom)) else "module")
+            if any(isinstance(node, ast.Name) and node.id == "weyl_group"
+                   or isinstance(node, ast.Attribute) and node.attr == "weyl_group"
+                   or isinstance(node, ast.alias) and node.name == "weyl_group"
+                   for node in ast.walk(top)):
+                places.add(f"{path.stem}.{scope}")
+    assert places == {"elliptic.import", "elliptic.full_rank_subsystems",
+                      "weylcoset.import", "weylcoset.weyl_set"}

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 from random import Random
 
@@ -5,11 +6,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers_oracle import oracle_adjoint_factor, oracle_theta, oracle_transfer_factor
-from tracestab import catalog
+from helpers_oracle import (
+    catalog_and_ladder_data,
+    datum_from_cartan,
+    e_cartan,
+    oracle_adjoint_factor,
+    oracle_theta,
+    oracle_transfer_factor,
+)
+from tracestab import catalog, rootdata, weylcoset
 from tracestab.errors import InvalidDimension, MismatchedModel, TraceStabError
+from tracestab.linalg import identity_matrix, mat_mul
 from tracestab.packets import (
     GR_ZERO,
+    DualGroupModel,
     GaussianRational,
     ParameterModel,
     TestVector,
@@ -258,20 +268,25 @@ def test_iota_is_bijective():
     assert len(images) == len(m.taus()) == m.s_size
 
 
-def test_dual_group_cocycle_enforced():
-    from tracestab.errors import MismatchedModel as MM
-    from tracestab.packets import DualGroupModel
+def _refuse_weyl_group(monkeypatch):
+    def refuse(d):
+        raise AssertionError("weyl_group was called")
 
+    monkeypatch.setattr(rootdata, "weyl_group", refuse)
+    monkeypatch.setattr(weylcoset, "weyl_group", refuse)
+
+
+def test_dual_group_cocycle_enforced(monkeypatch):
+    _refuse_weyl_group(monkeypatch)
     base = catalog.datum("gl1")
     # Nonidentity twist on the identity component is rejected.
-    with pytest.raises(MM):
+    with pytest.raises(MismatchedModel):
         ParameterModel("bad", TwoGroup(0), TwoGroup(1),
                        DualGroupModel(base, {(0, 0): ((-1,),), (0, 1): ((1,),)}))
 
 
-def test_dual_group_cocycle_failure_names_the_pair():
-    from tracestab.packets import DualGroupModel
-
+def test_dual_group_cocycle_failure_names_the_pair(monkeypatch):
+    _refuse_weyl_group(monkeypatch)
     # theta(0,1)·theta(0,2) = 1 is not a Weyl element times theta(0,3)^-1 = swap.
     swap = ((0, 1), (1, 0))
     thetas = {(0, 0): ((1, 0), (0, 1)), (0, 1): swap, (0, 2): swap, (0, 3): swap}
@@ -287,3 +302,60 @@ def test_component_table_keeps_model_checks():
     for x in ((0, 2), (2, 0), (-1, 0), (0, -1)):
         with pytest.raises(MismatchedModel):
             m.component_at(x)
+
+
+# ---------------------------------------------------------------------------
+# The twist cocycle is checked with rootdata.in_weyl_group; W is never built.
+# ---------------------------------------------------------------------------
+
+MEMBERSHIP_DATA = catalog_and_ladder_data()
+
+
+@pytest.mark.parametrize("name, d", MEMBERSHIP_DATA, ids=[n for n, _ in MEMBERSHIP_DATA])
+def test_in_weyl_group_matches_weyl_group_membership(name, d):
+    group = {w.matrix for w in rootdata.weyl_group(d)}
+    minus_one = tuple(tuple(-x for x in row) for row in identity_matrix(d.rank))
+    twists = [minus_one] + ([((0, 1), (1, 0))] if name == "sl2xsl2" else [])
+    for w in group:
+        assert rootdata.in_weyl_group(d, w)
+        for twist in twists:
+            product = mat_mul(w, twist)
+            assert rootdata.in_weyl_group(d, product) == (product in group)
+
+
+def test_models_validate_without_building_w(monkeypatch):
+    _refuse_weyl_group(monkeypatch)
+    built = [model() for model in (catalog.model_o2, catalog.model_sl2, catalog.model_swap,
+                                   catalog.model_trivial)]
+    rng = Random(73)
+    built += [catalog.random_model(rng, i) for i in range(24)]
+    assert all(m.dual_group is not None for m in built)
+
+
+def _e_model(n):
+    """(Z/2)² over E_n with θ = −1 on one generator and 1 on the other two elements.
+
+    The cocycle at the two generators is θ·1·1⁻¹ = −1, which lies in W(E7)
+    but not in W(E6).
+    """
+    base = datum_from_cartan(e_cartan(n), "sc")
+    ident = identity_matrix(n)
+    minus_one = tuple(tuple(-x for x in row) for row in ident)
+    thetas = {(0, 0): ident, (1, 0): minus_one, (0, 1): ident, (1, 1): ident}
+    return ParameterModel(f"e{n}", TwoGroup(1), TwoGroup(1), DualGroupModel(base, thetas))
+
+
+def test_e6_cocycle_failure_is_refused_quickly(monkeypatch):
+    _refuse_weyl_group(monkeypatch)
+    start = time.perf_counter()
+    with pytest.raises(MismatchedModel, match=r"twist cocycle fails at \(0, 1\), \(1, 0\)"):
+        _e_model(6)
+    assert time.perf_counter() - start < 2
+
+
+def test_e7_dual_group_validates(monkeypatch):
+    _refuse_weyl_group(monkeypatch)
+    start = time.perf_counter()
+    m = _e_model(7)
+    assert time.perf_counter() - start < 2
+    assert m.component_at((1, 0)).order_theta == 2

@@ -1,5 +1,6 @@
 from fractions import Fraction
 from math import factorial
+from random import Random
 
 import pytest
 from hypothesis import given, settings
@@ -189,6 +190,68 @@ def test_weyl_words_are_consistent():
 ])
 def test_cartan_type(name, expected):
     assert cartan_type(catalog.datum(name)) == expected
+
+
+G2_CARTAN = ((2, -1), (-3, 2))
+
+
+def _labelled_datum(label, orientation, form):
+    """The datum of a simple type, built from its Cartan matrix or its transpose."""
+    family, n = label[0], int(label[1:])
+    if family in "ABCD":
+        return classical_datum(family, n, form)
+    cartan = e_cartan(n) if family == "E" else F4_CARTAN if family == "F" else G2_CARTAN
+    return datum_from_cartan(transpose(cartan) if orientation == "transposed" else cartan, form)
+
+
+def _relabelled(d, seed):
+    """The same datum with its simple roots listed in a seeded random order."""
+    order = list(range(d.semisimple_rank))
+    Random(seed).shuffle(order)
+    return build_root_datum(d.rank, [d.simple_roots[i] for i in order],
+                            [d.simple_coroots[i] for i in order])
+
+
+def _direct_sum(a, b):
+    def pad(v, offset):
+        return (0,) * offset + tuple(v) + (0,) * (a.rank + b.rank - offset - len(v))
+
+    def stack(x, y):
+        return [pad(v, 0) for v in x] + [pad(v, a.rank) for v in y]
+
+    return build_root_datum(a.rank + b.rank, stack(a.simple_roots, b.simple_roots),
+                            stack(a.simple_coroots, b.simple_coroots))
+
+
+SIMPLE_LABELS = ([f"A{n}" for n in range(1, 9)] + [f"B{n}" for n in range(2, 9)]
+                 + [f"C{n}" for n in range(2, 9)] + [f"D{n}" for n in range(4, 9)]
+                 + ["E6", "E7", "E8"])
+ORIENTED = [(label, "given") for label in SIMPLE_LABELS] + [
+    (label, orientation) for label in ("F4", "G2") for orientation in ("given", "transposed")]
+ORIENTED_IDS = [f"{label}-{orientation}" for label, orientation in ORIENTED]
+
+
+@pytest.mark.parametrize("form", ["sc", "ad"])
+@pytest.mark.parametrize("label, orientation", ORIENTED, ids=ORIENTED_IDS)
+def test_cartan_type_labels_every_simple_type(label, orientation, form):
+    d = _labelled_datum(label, orientation, form)
+    expected = ("B2",) if label == "C2" else (label,)  # C2 and B2 are one root system
+    assert cartan_type(d) == expected
+    for seed in range(3):
+        assert cartan_type(_relabelled(d, seed)) == expected
+
+
+PRODUCTS = [("A1", "A1"), ("A1", "G2"), ("B3", "C3"), ("C2", "A4"), ("D4", "F4"), ("A2", "E6"),
+            ("B4", "D5"), ("G2", "F4"), ("A3", "D4"), ("C4", "B2")]
+
+
+@pytest.mark.parametrize("first, second", PRODUCTS)
+@pytest.mark.parametrize("form", ["sc", "ad"])
+def test_cartan_type_labels_two_factor_products(first, second, form):
+    d = _direct_sum(_labelled_datum(first, "given", form), _labelled_datum(second, "given", form))
+    expected = tuple(sorted("B2" if label == "C2" else label for label in (first, second)))
+    assert cartan_type(d) == expected
+    assert cartan_type(_relabelled(d, len(first + second))) == expected
 
 
 def test_quotient_sl2_by_center_is_pgl2():

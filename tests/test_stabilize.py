@@ -284,7 +284,7 @@ def test_weights_are_built_once_per_model_set(monkeypatch):
         stable_form(ms, f1, f2)
         endoscopic_form(ms, descriptors, f1, f2)
     assert calls["e_phi"] == sum(m.s_size for m in ms.models)
-    assert calls["i_phi"] == sum(len(s_disc_set(m)) for m in ms.models)  # ι is a bijection
+    assert calls["i_phi"] == sum(m.s_size for m in ms.models)  # once per τ; ι is a bijection
     assert list(ms.endoscopic_weights) == [tuple(descriptors)]
 
 

@@ -51,7 +51,7 @@ def test_component_rejects_non_automorphism():
 
 def test_component_rejects_infinite_order():
     d = build_root_datum(2, [], [])
-    with pytest.raises(InfiniteOrder):
+    with pytest.raises(InfiniteOrder, match="no power up to 64 is the identity"):
         component(d, ((1, 1), (0, 1)))
 
 
