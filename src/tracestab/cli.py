@@ -28,7 +28,6 @@ sigma = sys.modules[f"{__package__}.sigma"]  # the package attribute ``sigma`` i
 
 EXIT_OK = 0
 EXIT_IDENTITY_FAILED = 1
-EXIT_USAGE = 2
 EXIT_MISSING_FILE = 3
 EXIT_MALFORMED = 4
 EXIT_MODULE_ERROR = 5
@@ -69,9 +68,11 @@ def _dump(obj) -> str:
 def _load_json(path: str):
     if not os.path.isfile(path):
         raise FileNotFoundError(path)
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    return json.loads(text, parse_float=_reject_float)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.loads(fh.read(), parse_float=_reject_float)
+    except (UnicodeDecodeError, RecursionError) as exc:  # not UTF-8; nested past the decoder's limit
+        raise MalformedInput(str(exc)) from exc
 
 
 @contextmanager
@@ -226,17 +227,8 @@ def _descriptor_from_obj(obj, models_by_id) -> stabilize.EndoscopicDescriptor:
     gens = tuple(tuple(parse_q(v) for v in g) for g in obj["zbar_generators"])
     zbar = rootdata.central_subgroup(m.dual_group.base, gens)
     return stabilize.EndoscopicDescriptor(
-        group_label=obj["group_label"],
-        model_id=obj["model_id"],
-        x=x,
-        class_index=obj["class_index"],
-        out_card=obj["out_card"],
-        out_phi_card=obj["out_phi_card"],
-        zbar=zbar,
-        sprime_datum=_datum_from_obj(obj["sprime"]),
-        splus_over_s_card=obj["splus_over_s_card"],
-        s_phi_prime_card=obj["s_phi_prime_card"],
-    )
+        x=x, zbar=zbar, sprime_datum=_datum_from_obj(obj["sprime"]),
+        **{k: obj[k] for k in ("group_label", "model_id", "class_index") + cards})
 
 
 def _trial_count(text: str) -> int:
@@ -250,61 +242,8 @@ def _trial_count(text: str) -> int:
     return value
 
 
-def parse_args(argv) -> argparse.Namespace:
-    parser = argparse.ArgumentParser(prog="tracestab",
-                                     description="Exact spectral coefficients and "
-                                                 "stabilization identity checks.")
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def add_common(p, group=True):
-        if group:
-            p.add_argument("--group", required=False)
-            p.add_argument("--theta", required=False)
-        p.add_argument("--format", dest="fmt", choices=("json", "tsv"), default="json")
-
-    p = sub.add_parser("i-number")
-    add_common(p)
-    p = sub.add_parser("elliptic")
-    add_common(p)
-    p = sub.add_parser("sigma")
-    p.add_argument("--group", required=False)
-    add_common(p, group=False)
-    p.add_argument("--catalog", dest="catalog_flag", action="store_true")
-    targets = sub.add_parser("verify").add_subparsers(dest="target", required=True)
-    add_common(targets.add_parser("ei"))
-    p = targets.add_parser("central-quotient")
-    p.add_argument("--group", required=False)
-    p.add_argument("--z")
-    add_common(p, group=False)
-    p = targets.add_parser("stabilization")
-    p.add_argument("--models")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=_trial_count, default=100)
-    add_common(p, group=False)
-    p = sub.add_parser("packets")
-    p.add_argument("target", choices=("verify",))
-    p.add_argument("--model", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=_trial_count, default=100)
-    add_common(p, group=False)
-    p = sub.add_parser("stabilize")
-    p.add_argument("target", choices=("verify",))
-    p.add_argument("--models", default="fixtures")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=_trial_count, default=100)
-    add_common(p, group=False)
-    p = sub.add_parser("report")
-    p.add_argument("--seed", type=int, default=0)
-    add_common(p, group=False)
-
-    # Every subcommand's namespace carries every option; one it lacks keeps this default.
-    parser.set_defaults(target=None, group=None, theta=None, z=None, models=None, model=None,
-                        fmt="json", seed=0, trials=100, catalog_flag=False)
-    return parser.parse_args(argv)
-
-
-def _emit(config: argparse.Namespace, obj, tsv_rows=None) -> None:
-    if config.fmt == "tsv" and tsv_rows is not None:
+def _emit(config: argparse.Namespace, obj, tsv_rows) -> None:
+    if config.fmt == "tsv":
         for row in tsv_rows:
             sys.stdout.write("\t".join(str(c) for c in row) + "\n")
     else:
@@ -336,8 +275,8 @@ def _run_elliptic(config: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _run_sigma(config: argparse.Namespace, show_catalog: bool) -> int:
-    if show_catalog:
+def _run_sigma(config: argparse.Namespace) -> int:
+    if config.catalog_flag or config.group is None:
         rows = []
         items = []
         for name in catalog.datum_names():
@@ -381,7 +320,7 @@ def _run_verify_central_quotient(config: argparse.Namespace) -> int:
         gens = tuple(tuple(parse_q(v) for v in g) for g in zobj["generators"])
     z = rootdata.central_subgroup(d, gens)
     ok = sigma.verify_central_quotient(d, z)
-    _emit(config, {"order": z.order, "pass": ok})
+    sys.stdout.write(_dump({"order": z.order, "pass": ok}))
     return EXIT_OK if ok else EXIT_IDENTITY_FAILED
 
 
@@ -416,13 +355,13 @@ def _run_packets_verify(config: argparse.Namespace) -> int:
     m = _model_from_obj(obj, fallback_id="model")
     checks = _packet_checks(m, config.seed, config.trials)
     ok = all(checks.values())
-    _emit(config, {"model": m.model_id, "checks": checks, "pass": ok})
+    sys.stdout.write(_dump({"model": m.model_id, "checks": checks, "pass": ok}))
     return EXIT_OK if ok else EXIT_IDENTITY_FAILED
 
 
 @_parsing()
-def _load_model_set(spec: str | None):
-    if spec in (None, "fixtures"):
+def _load_model_set(spec: str):
+    if spec == "fixtures":
         models = catalog.fixture_models()
         descriptors = [d for ds in sorted(catalog.fixture_descriptors().items())
                        for d in ds[1]]
@@ -505,7 +444,7 @@ def _run_stabilize_verify(config: argparse.Namespace) -> int:
         "stable_distribution": fmt_gauss(stabilize.s_disc(ms, ones, ones)),
         "pass": all_pass,
     }
-    _emit(config, obj)
+    sys.stdout.write(_dump(obj))
     return EXIT_OK if all_pass else EXIT_IDENTITY_FAILED
 
 
@@ -538,32 +477,60 @@ def _run_report(config: argparse.Namespace) -> int:
     ok = (all(item["pass"] for item in sections["e_equals_i"])
           and all(packet_checks.values())
           and all(sections["stabilization"].values()))
-    _emit(config, {"sections": sections, "pass": ok})
+    sys.stdout.write(_dump({"sections": sections, "pass": ok}))
     return EXIT_OK if ok else EXIT_IDENTITY_FAILED
 
 
+# Every option a command may read, as argparse takes it.
+_OPTIONS = {
+    "--group": {}, "--theta": {}, "--z": {}, "--model": {"required": True},
+    "--models": {"default": "fixtures"}, "--seed": {"type": int, "default": 0},
+    "--trials": {"type": _trial_count, "default": 100},
+    "--format": {"dest": "fmt", "choices": ("json", "tsv"), "default": "json"},
+    "--catalog": {"dest": "catalog_flag", "action": "store_true"},
+}
+
+# One row per command: its path, its runner and the options that runner reads.  The second
+# word of a ``verify`` path is a target; any other is a positional that options may precede.
+COMMANDS = (
+    ("i-number", _run_i_number, "--group --theta --format"),
+    ("elliptic", _run_elliptic, "--group --theta --format"),
+    ("sigma", _run_sigma, "--group --format --catalog"),
+    ("verify ei", _run_verify_ei, "--group --theta --format"),
+    ("verify central-quotient", _run_verify_central_quotient, "--group --z"),
+    ("verify stabilization", _run_stabilize_verify, "--models --seed --trials"),
+    ("packets verify", _run_packets_verify, "--model --seed --trials"),
+    ("stabilize verify", _run_stabilize_verify, "--models --seed --trials"),
+    ("report", _run_report, "--seed"),
+)
+
+
+def parse_args(argv) -> argparse.Namespace:
+    parser = argparse.ArgumentParser(prog="tracestab",
+                                     description="Exact spectral coefficients and "
+                                                 "stabilization identity checks.")
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+    targets = None
+    for path, runner, options in COMMANDS:
+        head, _, tail = path.partition(" ")
+        if head == "verify":
+            if targets is None:
+                targets = sub.add_parser("verify").add_subparsers(dest="target", required=True)
+            p = targets.add_parser(tail)
+        else:
+            p = sub.add_parser(head)
+            if tail:
+                p.add_argument("target", choices=(tail,))
+        for flag in options.split():
+            p.add_argument(flag, **_OPTIONS[flag])
+        p.set_defaults(runner=runner)
+    return parser.parse_args(argv)
+
+
 def run(config: argparse.Namespace) -> int:
-    """Dispatch a parsed configuration; returns the process exit code."""
+    """Run a parsed configuration's command; returns the process exit code."""
     try:
-        if config.subcommand == "i-number":
-            return _run_i_number(config)
-        if config.subcommand == "elliptic":
-            return _run_elliptic(config)
-        if config.subcommand == "sigma":
-            return _run_sigma(config, config.catalog_flag or config.group is None)
-        if config.subcommand == "verify":
-            if config.target == "ei":
-                return _run_verify_ei(config)
-            if config.target == "central-quotient":
-                return _run_verify_central_quotient(config)
-            return _run_stabilize_verify(config)
-        if config.subcommand == "packets":
-            return _run_packets_verify(config)
-        if config.subcommand == "stabilize":
-            return _run_stabilize_verify(config)
-        if config.subcommand == "report":
-            return _run_report(config)
-        return EXIT_USAGE
+        return config.runner(config)
     except FileNotFoundError as exc:
         sys.stderr.write(f"missing file: {exc}\n")
         return EXIT_MISSING_FILE
@@ -576,8 +543,7 @@ def run(config: argparse.Namespace) -> int:
 
 
 def main(argv=None) -> int:
-    config = parse_args(sys.argv[1:] if argv is None else argv)
-    return run(config)
+    return run(parse_args(argv))  # argparse reads sys.argv[1:] when argv is None
 
 
 if __name__ == "__main__":

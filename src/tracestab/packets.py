@@ -105,7 +105,6 @@ class GaussianRational(_Record):
 
 
 GR_ZERO = GaussianRational()
-GR_ONE = GaussianRational(Fraction(1))
 
 
 class TwoGroup(_Record):

@@ -31,20 +31,8 @@ from .rootdata import (
 from .weylcoset import TwistedComponent, i_number, untwisted_component
 
 
-class SigmaTable:
-    """σ of simple adjoint groups, keyed by Cartan label; unhashable, equal by entries."""
-
-    def __init__(self):
-        self.entries: dict[str, Fraction] = {}
-
-    def __eq__(self, other):
-        return self.entries == other.entries if other.__class__ is self.__class__ else NotImplemented
-
-    def get(self, key: str) -> Fraction | None:
-        return self.entries.get(key)
-
-    def put(self, key: str, value: Fraction) -> None:
-        self.entries[key] = value
+class SigmaTable(dict):
+    """σ of simple adjoint groups: Cartan label to Fraction."""
 
 
 # The benchmark's tracer counts memo hits and misses through SigmaTable.get.
@@ -80,7 +68,7 @@ def _simple_adjoint_sigma(cartan: tuple[tuple[int, ...], ...]) -> Fraction:
     value = _ADJOINT.get(label)
     if value is None:
         value = _solve_ei(d)
-        _ADJOINT.put(label, value)
+        _ADJOINT[label] = value
     return value
 
 

@@ -33,9 +33,11 @@ def test_parse_args_examples():
     assert cfg.subcommand == "verify" and cfg.target == "stabilization"
     assert cfg.seed == 7 and cfg.trials == 100
     cfg = parse_args(["verify", "central-quotient", "--group", "sl2", "--z", "z.json"])
-    assert cfg.target == "central-quotient" and cfg.z == "z.json" and cfg.theta is None
+    assert cfg.target == "central-quotient" and cfg.z == "z.json" and not hasattr(cfg, "theta")
     cfg = parse_args(["verify", "ei", "--group", "sl2", "--format", "tsv"])
-    assert cfg.target == "ei" and cfg.fmt == "tsv" and cfg.models is None
+    assert cfg.target == "ei" and cfg.fmt == "tsv" and not hasattr(cfg, "models")
+    cfg = parse_args(["packets", "--model", "m.json", "verify"])
+    assert cfg.target == "verify" and cfg.model == "m.json" and cfg.trials == 100
 
 
 def test_seed_and_trials_defaults():
@@ -82,6 +84,16 @@ def test_directory_input_exits_3_without_traceback(tmp_path, args):
     rc, out, err = _run_cli([*args, str(tmp_path)])
     assert rc == EXIT_MISSING_FILE
     assert out == b"" and b"Traceback" not in err
+
+
+@pytest.mark.parametrize("content", [b"\xff\xfe", b"[" * 100_000],
+                         ids=["not-utf-8", "nested-100000-deep"])
+def test_undecodable_or_overdeep_json_exits_4_without_traceback(tmp_path, content):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    rc, out, err = _run_cli(["sigma", "--group", str(bad)])
+    assert rc == EXIT_MALFORMED and out == b"" and b"Traceback" not in err
+    assert json.loads(err)["error"]["kind"] == "malformed-input"
 
 
 def test_malformed_json_exits_4(tmp_path):
@@ -358,6 +370,11 @@ def test_sigma_and_ei_on_e7_exit_5_naming_w_e7(tmp_path, capsys, argv, form):
     ["verify", "central-quotient", "--group", "sl2", "--theta", "t.json", "--z", "z.json"],
     ["verify", "stabilization", "--group", "g.json"],
     ["verify", "ei", "--group", "sl2", "--z", "z.json"],
+    ["report", "--format", "json"],
+    ["packets", "verify", "--model", "m.json", "--format", "json"],
+    ["stabilize", "verify", "--format", "json"],
+    ["verify", "stabilization", "--format", "json"],
+    ["verify", "central-quotient", "--group", "sl2", "--z", "z.json", "--format", "json"],
 ])
 def test_verify_targets_refuse_options_they_do_not_read(tmp_path, capsys, argv):
     (tmp_path / "t.json").write_text(json.dumps({"theta": [[-1]]}))

@@ -103,7 +103,7 @@ def test_central_quotient_sp4():
 
 def test_central_quotient_fails_on_a_corrupted_adjoint_value(cold):
     # σ(d) = σ(d/z)·|z|⁻¹ holds for any adjoint table; e = i on d and d/z does not.
-    cold.put("A1", Fraction(-1, 2))
+    cold["A1"] = Fraction(-1, 2)
     d = catalog.datum("sl2")
     z = central_subgroup(d, [(Fraction(1, 2),)])
     assert sigma(d) == sigma(quotient_by_central(d, z)) / z.order
@@ -151,7 +151,7 @@ def test_recursion_order_independence(cold, monkeypatch):
 def test_table_idempotence(cold):
     d = catalog.datum("g2")
     cold_value = sigma(d)
-    assert cold.entries
+    assert cold
     assert sigma(d) == cold_value
 
 
@@ -166,7 +166,7 @@ def test_table_reuse_across_isogenous_data(cold, monkeypatch):
     monkeypatch.setattr(cold, "get", get)
     assert sigma(catalog.datum("sl2")) == Fraction(-1, 8)
     assert sigma(catalog.datum("pgl2")) == Fraction(-1, 4)
-    assert list(cold.entries) == ["A1"]
+    assert list(cold) == ["A1"]
     assert hits == [False, True]
 
 
