@@ -89,7 +89,8 @@ def _require_untwisted(c: TwistedComponent, operation: str):
 
 
 def integral_root_subset(d: RootDatum, t: QVec) -> tuple[IntVec, ...]:
-    return tuple(alpha for alpha in d.roots if dot(alpha, t) % 1 == 0)
+    a, n = clear_denominators(t)
+    return tuple(alpha for alpha in d.roots if dot(alpha, a) % n == 0)
 
 
 def sub_datum(d: RootDatum, roots) -> RootDatum:

@@ -37,6 +37,10 @@ class InconsistentClasses(TraceStabError):
     """An elliptic class list breaks an invariant the σ recursion relies on."""
 
 
+class InconsistentFlats(TraceStabError):
+    """Molien's series minus the flats of a Coxeter arrangement leaves a pole."""
+
+
 class InvalidDimension(TraceStabError):
     """A 2-group dimension is not a non-negative integer."""
 

@@ -5,11 +5,11 @@ standard dot pairing.  Roots are vectors in X, coroots in X∨, and every
 isogeny question (SL2 vs PGL2, quotients by central subgroups) is carried by
 the coordinates alone.  All derived data — the full root system, the Weyl
 group, display labels — is computed by exact integer/rational arithmetic.
-Every orbit and closure in the package, here and in ``elliptic``, is one
-breadth-first ``closure``.  W itself is built only for ``weyl_set`` and
-``full_rank_subsystems``: Cartan labels are read off bonds and positive-root
-counts, and ``in_weyl_group`` decides membership by reflecting a regular
-coweight back to the dominant chamber.
+Every orbit and closure in the package, here, in ``elliptic`` and in
+``weylcoset``'s flat count, is one breadth-first ``closure``.  W itself is
+built only for ``weyl_set`` and ``full_rank_subsystems``: Cartan labels are
+read off bonds and positive-root counts, and ``in_weyl_group`` decides
+membership by reflecting a regular coweight back to the dominant chamber.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from .linalg import (
     matrix_rank,
     normalize_mod1,
     transpose,
-    vec_sub,
 )
 
 # Upper bound on |positive roots| per rank unit; E8 realizes 120/8 = 15, so
@@ -49,6 +48,10 @@ _CLOSURE_FACTOR = 32
 # Largest |W| that ``weyl_group`` builds: |W(E6)|.  W is stored element by
 # element (E6 already takes seconds), so E7 (|W| = 2 903 040) and E8 are refused.
 MAX_WEYL_ORDER = 51_840
+
+# Largest |W| of a simple factor whose flats ``weylcoset.i_number`` walks:
+# |W(E7)|.  E7 has 90 408 flats; E8 has 5 506 504 and is refused.
+MAX_FLAT_WEYL_ORDER = 2_903_040
 
 
 def closure(seeds: dict, step, limit: int | None = None) -> dict:
@@ -180,27 +183,33 @@ def _build_root_datum(rank: int, simple_roots: tuple[IntVec, ...],
         raise NonCartan("simple roots are linearly dependent")
     if simple_coroots and matrix_rank(simple_coroots) != len(simple_coroots):
         raise NonCartan("simple coroots are linearly dependent")
-    _validate_cartan(simple_roots, simple_coroots)
+    cartan = _validate_cartan(simple_roots, simple_coroots)
 
-    # Reflecting r by s_j subtracts <r, alpha_j^> from its j-th coefficient.
-    def images(root, value):
-        coroot, coeffs = value
-        yield (tuple(-x for x in root), (tuple(-x for x in coroot), tuple(-c for c in coeffs)))
-        for j, (alpha, alpha_v) in enumerate(zip(simple_roots, simple_coroots)):
-            p = dot(root, alpha_v)
-            yield (vec_sub(root, tuple(p * a for a in alpha)),
-                   (vec_sub(coroot, tuple(dot(alpha, coroot) * a for a in alpha_v)),
-                    coeffs[:j] + (coeffs[j] - p,) + coeffs[j + 1:]))
+    # The closure runs on simple-root coefficients c and coroot coefficients k:
+    # s_j changes only c_j, by ⟨α, α_j∨⟩ = Σᵢ cᵢ·A_ji, and k_j, by ⟨α_j, α∨⟩ = Σᵢ kᵢ·A_ij.
+    rows = [[(i, a) for i, a in enumerate(row) if a] for row in cartan]
+    cols = [[(i, row[j]) for i, row in enumerate(cartan) if row[j]] for j in range(len(cartan))]
+
+    def images(coeffs, co_coeffs):
+        yield tuple(-c for c in coeffs), tuple(-k for k in co_coeffs)
+        for j, (row, col) in enumerate(zip(rows, cols)):
+            p = sum(coeffs[i] * a for i, a in row)
+            if p:
+                q = sum(co_coeffs[i] * a for i, a in col)
+                yield (coeffs[:j] + (coeffs[j] - p,) + coeffs[j + 1:],
+                       co_coeffs[:j] + (co_coeffs[j] - q,) + co_coeffs[j + 1:])
 
     bound = 2 * _CLOSURE_FACTOR * max(rank, 1)
-    seeds = dict(zip(simple_roots, zip(simple_coroots, identity_matrix(len(simple_roots)))))
-    found = closure(seeds, images, bound)
+    unit = identity_matrix(len(simple_roots))
+    found = closure(dict(zip(unit, unit)), images, bound)
     if len(found) > bound:
         raise InfiniteType("reflection closure exceeded the finite-type bound")
 
-    roots = tuple(sorted(found))
-    coroots = tuple(found[r][0] for r in roots)
-    coefficients = tuple(found[r][1] for r in roots)
+    root_cols, coroot_cols = transpose(simple_roots), transpose(simple_coroots)
+    lattice = sorted((mat_vec(root_cols, c), mat_vec(coroot_cols, k), c) for c, k in found.items())
+    roots = tuple(r for r, _, _ in lattice)
+    coroots = tuple(k for _, k, _ in lattice)
+    coefficients = tuple(c for _, _, c in lattice)
     positives = tuple(r for r, c in zip(roots, coefficients) if sum(c) > 0)
     return RootDatum(rank, simple_roots, simple_coroots, roots, coroots, coefficients, positives)
 
@@ -233,17 +242,35 @@ def weyl_group(d: RootDatum) -> tuple[WeylElement, ...]:
     return tuple(WeylElement(m, w) for m, w in sorted(seen.items()))
 
 
-def classical_weyl_order(d: RootDatum) -> int:
-    """|W| = Π (mᵢ + 1) over the exponents mᵢ.
+def exponents(positive_coefficients) -> tuple[int, ...]:
+    """Exponents mᵢ of the root system with these positive roots, largest first.
 
-    The exponents are the conjugate of the partition of positive-root
-    heights: as many exponents are ≥ h as there are positive roots of height
-    h (Kostant; Humphreys, *Reflection Groups and Coxeter Groups* §3.20).
-    Heights add over the irreducible factors, so this holds on any datum.
+    They are the conjugate of the partition of positive-root heights: as many
+    exponents are ≥ h as there are positive roots of height h (Kostant;
+    Humphreys, *Reflection Groups and Coxeter Groups* §3.20).  Heights add
+    over the irreducible factors, so this holds on any root system.  The
+    degrees of W are dᵢ = mᵢ + 1.
     """
-    heights = Counter(sum(c) for c in d.coefficients if sum(c) > 0)
-    return prod(1 + sum(1 for count in heights.values() if count >= i)
-                for i in range(1, d.semisimple_rank + 1))
+    heights = Counter(sum(c) for c in positive_coefficients)
+    return tuple(sum(1 for count in heights.values() if count >= i)
+                 for i in range(1, max(heights.values(), default=0) + 1))
+
+
+def classical_weyl_order(d: RootDatum) -> int:
+    """|W| = Π (mᵢ + 1) over the exponents mᵢ."""
+    return prod(1 + m for m in exponents(c for c in d.coefficients if sum(c) > 0))
+
+
+def diagram_pieces(cartan: IntMat, nodes) -> tuple[tuple[int, ...], ...]:
+    """Connected pieces of the Dynkin diagram on ``nodes``, by least index, each sorted."""
+    unvisited = set(nodes)
+    pieces = []
+    while unvisited:
+        piece = closure({min(unvisited): None},
+                        lambda v, _: ((w, None) for w in unvisited if cartan[v][w] != 0))
+        unvisited -= piece.keys()
+        pieces.append(tuple(sorted(piece)))
+    return tuple(pieces)
 
 
 def diagram_components(d: RootDatum) -> tuple[tuple[int, ...], ...]:
@@ -251,47 +278,42 @@ def diagram_components(d: RootDatum) -> tuple[tuple[int, ...], ...]:
 
     Components are listed by least index, each in increasing order.
     """
-    k = d.semisimple_rank
-    cartan = d.cartan_matrix()
-    unvisited = set(range(k))
-    comps = []
-    while unvisited:
-        comp = closure({min(unvisited): None},
-                       lambda v, _: ((w, None) for w in range(k) if cartan[v][w] != 0))
-        unvisited -= comp.keys()
-        comps.append(tuple(sorted(comp)))
-    return tuple(comps)
+    return diagram_pieces(d.cartan_matrix(), range(d.semisimple_rank))
+
+
+def component_label(cartan: IntMat, comp, positive_coefficients) -> str:
+    """Label of the connected diagram piece ``comp``, read off its bonds and root count.
+
+    The roots of ``comp`` are the positive roots supported on it.  Bourbaki's
+    plates count n(n+1)/2 of them for A_n, n² for B_n and C_n, n(n−1) for
+    D_n, 36, 63 and 120 for E6, E7 and E8 and 24 for F4, and only G2 has a
+    triple bond.  The short end of a double bond (the row of the −2 entry) is
+    a leaf in B_n and not in C_n, n ≥ 3, so the rank-2 double-bond system
+    reads B2 in either orientation, matching the isomorphism of the
+    underlying root systems.
+    """
+    n = len(comp)
+    count = sum(1 for c in positive_coefficients if sum(c[i] for i in comp) == sum(c))
+    entries = {cartan[i][j] for i in comp for j in comp}
+    if -3 in entries:
+        family = "G"
+    elif -2 in entries:
+        short = next(i for i in comp if -2 in (cartan[i][j] for j in comp))
+        family = ("F" if count != n * n
+                  else "B" if sum(1 for j in comp if cartan[short][j] < 0) == 1 else "C")
+    elif count == n * (n + 1) // 2:  # before D: D3 is A3
+        family = "A"
+    else:
+        family = "D" if count == n * (n - 1) else "E"
+    return f"{family}{n}"
 
 
 def cartan_type(d: RootDatum) -> tuple[str, ...]:
-    """Sorted component labels, each read off its bonds and its positive-root count.
-
-    Bourbaki's plates count n(n+1)/2 positive roots for A_n, n² for B_n and
-    C_n, n(n−1) for D_n, 36, 63 and 120 for E6, E7 and E8 and 24 for F4, and
-    only G2 has a triple bond.  The short end of a double bond (the row of the
-    −2 entry) is a leaf in B_n and not in C_n, n ≥ 3, so the rank-2
-    double-bond system reads B2 in either orientation, matching the
-    isomorphism of the underlying root systems.
-    """
+    """Sorted labels of the diagram components (``component_label``)."""
     cartan = d.cartan_matrix()
     positives = [c for c in d.coefficients if sum(c) > 0]
-    labels = []
-    for comp in diagram_components(d):
-        n = len(comp)
-        count = sum(1 for c in positives if any(c[i] for i in comp))
-        entries = {cartan[i][j] for i in comp for j in comp}
-        if -3 in entries:
-            family = "G"
-        elif -2 in entries:
-            short = next(i for i in comp if -2 in cartan[i])
-            family = ("F" if count != n * n
-                      else "B" if sum(1 for x in cartan[short] if x < 0) == 1 else "C")
-        elif count == n * (n + 1) // 2:  # before D: D3 is A3
-            family = "A"
-        else:
-            family = "D" if count == n * (n - 1) else "E"
-        labels.append(f"{family}{n}")
-    return tuple(sorted(labels))
+    return tuple(sorted(component_label(cartan, comp, positives)
+                        for comp in diagram_components(d)))
 
 
 def in_weyl_group(d: RootDatum, m: IntMat) -> bool:
@@ -319,9 +341,6 @@ class CentralSubgroup(NamedTuple):
 
     generators: tuple[QVec, ...]
     order: int
-
-    def elements(self) -> tuple[QVec, ...]:
-        return subgroup_mod1(self.generators, max(len(g) for g in self.generators) if self.generators else 0)
 
 
 def subgroup_mod1(gens, rank: int) -> tuple[QVec, ...]:

@@ -24,7 +24,7 @@ from .rootdata import (
     CentralSubgroup,
     RootDatum,
     build_root_datum,
-    cartan_type,
+    component_label,
     diagram_components,
     quotient_by_central,
 )
@@ -46,7 +46,7 @@ def _is_central_class(d: RootDatum, cls: SemisimpleClass) -> bool:
 def _solve_ei(d: RootDatum) -> Fraction:
     """σ(d) from e = i on d's untwisted component, given σ of every smaller centralizer."""
     component = untwisted_component(d)
-    # i first: past |W(E6)| it refuses at once in ``weyl_group``, before any class is listed.
+    # i first: past |W(E7)| it refuses at once, before any flat or class is listed.
     i_value = i_number(component)
     classes = elliptic_classes(component)
     central = [c for c in classes if _is_central_class(d, c)]
@@ -60,14 +60,12 @@ def _solve_ei(d: RootDatum) -> Fraction:
     return (i_value - acc) / len(central)
 
 
-def _simple_adjoint_sigma(cartan: tuple[tuple[int, ...], ...]) -> Fraction:
-    """σ of the adjoint datum X = Q with ⟨α_j, α_i∨⟩ = cartan[i][j]."""
-    n = len(cartan)
-    d = build_root_datum(n, identity_matrix(n), cartan)
-    label = cartan_type(d)[0]
+def _simple_adjoint_sigma(label: str, cartan: tuple[tuple[int, ...], ...]) -> Fraction:
+    """σ of the adjoint datum X = Q with ⟨α_j, α_i∨⟩ = cartan[i][j], of type ``label``."""
     value = _ADJOINT.get(label)
     if value is None:
-        value = _solve_ei(d)
+        n = len(cartan)
+        value = _solve_ei(build_root_datum(n, identity_matrix(n), cartan))
         _ADJOINT[label] = value
     return value
 
@@ -78,9 +76,11 @@ def sigma(d: RootDatum) -> Fraction:
     if not d.is_semisimple():
         return Fraction(0)
     cartan = d.cartan_matrix()
+    positives = [c for c in d.coefficients if sum(c) > 0]
     value = Fraction(1)
     for comp in diagram_components(d):
-        value *= _simple_adjoint_sigma(tuple(tuple(cartan[i][j] for j in comp) for i in comp))
+        value *= _simple_adjoint_sigma(component_label(cartan, comp, positives),
+                                       tuple(tuple(cartan[i][j] for j in comp) for i in comp))
     # |Z(G)| = [X : ZΦ]; the empty determinant is 1.
     return value / abs(det(d.simple_roots))
 

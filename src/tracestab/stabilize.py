@@ -44,10 +44,17 @@ from .sigma import sigma
 from .weylcoset import TwistedComponent, i_number, weyl_set
 
 
+def _has_regular_element(c: TwistedComponent) -> bool:
+    # W itself has one exactly on a semisimple datum: a Coxeter element fixes
+    # no nonzero vector of the root span, and every w fixes a central torus.
+    if c.untwisted:
+        return c.base.is_semisimple()
+    return any(e.regular for e in weyl_set(c))
+
+
 def s_disc_set(m: ParameterModel) -> frozenset[SElement]:
     """Components whose Weyl coset contains a regular element."""
-    return frozenset(x for x in m.s_elements()
-                     if any(e.regular for e in weyl_set(m.component_at(x))))
+    return frozenset(x for x in m.s_elements() if _has_regular_element(m.component_at(x)))
 
 
 def i_phi(m: ParameterModel, x: SElement) -> Fraction:

@@ -6,7 +6,16 @@ an element is regular when det(w − 1) ≠ 0 on X∨ ⊗ Q, and
 
     i(S) = |W(S°)|⁻¹ · Σ_regular sign(w) / |det(w − 1)|
 
-summed with exact rationals.  θ = identity recovers the untwisted component.
+summed with exact rationals.  There are two routes to it:
+
+* θ ≠ 1: ``weyl_set`` builds the coset one element at a time.
+* θ = 1: no W is built.  i is 0 with a central torus, and otherwise the
+  product over the simple factors of (−1)ⁿ·E_W(1)/|W|, where E_W(q) sums
+  1/det(1 − qw) over the elliptic w (for those det w = (−1)ⁿ).  E_W comes
+  from Molien's series |W|/Π(1 − q^{dᵢ}) minus the contributions of the
+  proper flats of the Coxeter arrangement, which are counted by W-orbit
+  with simple reflections acting on root indices.  E is kept per Cartan
+  label in one process-wide table.
 
 ``weyl_set`` and ``i_number`` are memoized on the component's value (base
 datum, θ and its order), never on a canonical key; the cached tuples of
@@ -17,11 +26,23 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
+from itertools import combinations
+from math import comb, prod
 from typing import NamedTuple
 
-from .errors import InfiniteOrder, NotAutomorphism
-from .linalg import IntMat, det, identity_matrix, mat_mul, mat_vec
-from .rootdata import RootDatum, WeylElement, contragredient, weyl_group
+from .errors import InconsistentFlats, InfiniteOrder, NotAutomorphism, WeylGroupTooLarge
+from .linalg import IntMat, IntVec, det, identity_matrix, mat_mul, mat_vec
+from .rootdata import (
+    MAX_FLAT_WEYL_ORDER,
+    RootDatum,
+    WeylElement,
+    closure,
+    component_label,
+    contragredient,
+    diagram_pieces,
+    exponents,
+    weyl_group,
+)
 
 # A twist with no power up to this order equal to the identity is refused.
 MAX_TWIST_ORDER = 64
@@ -115,9 +136,143 @@ def weyl_set(c: TwistedComponent) -> tuple[CosetElement, ...]:
     return tuple(sorted(elements, key=lambda e: e.total))
 
 
+class SimpleType(NamedTuple):
+    """A connected Dynkin diagram in its own coordinates: label, Cartan matrix, positive roots."""
+
+    label: str
+    cartan: IntMat
+    positives: tuple[IntVec, ...]  # simple-root coefficients
+
+    @property
+    def order(self) -> int:
+        return prod(1 + m for m in exponents(self.positives))
+
+
+def simple_types(cartan: IntMat, nodes, positives) -> tuple[SimpleType, ...]:
+    """The connected pieces of the diagram on ``nodes``, with the positive roots they support."""
+    return tuple(SimpleType(component_label(cartan, piece, positives),
+                            tuple(tuple(cartan[i][j] for j in piece) for i in piece),
+                            tuple(tuple(c[i] for i in piece) for c in positives
+                                  if sum(c[i] for i in piece) == sum(c)))
+                 for piece in diagram_pieces(cartan, nodes))
+
+
+def flat_orbits(t: SimpleType) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """(size, K) for each W-orbit of proper flats; K ⊊ S spans a standard member L_K.
+
+    A flat L is stored as the indices of the positive roots that vanish on
+    it: L_K has Φ_K⁺.  Up to sign, s_j permutes the positive roots, fixing
+    α_j, and every flat is W-conjugate to some L_K (its pointwise stabilizer
+    is a parabolic subgroup, by Steinberg), so the orbits of the Φ_K⁺ hold
+    all the flats.  A K whose Φ_K⁺ an earlier orbit reached is skipped.
+    """
+    n = len(t.cartan)
+    index = {c: k for k, c in enumerate(t.positives)}
+
+    def reflected(c, j):
+        p = sum(c[i] * a for i, a in enumerate(t.cartan[j]))
+        return index.get(c[:j] + (c[j] - p,) + c[j + 1:], index[c])
+
+    # Masks are ints over root indices; s_j maps a mask byte by byte through tables.
+    width = (len(t.positives) + 7) // 8
+    tables = []
+    for j in range(n):
+        bits = [1 << reflected(c, j) for c in t.positives]
+        per_byte = []
+        for b in range(width):
+            table = [0]
+            for image in bits[8 * b:8 * b + 8]:
+                table += [v | image for v in table]
+            per_byte.append(table)
+        tables.append(per_byte)
+    reached: set[int] = set()
+    orbits = []
+    for size in range(n):
+        for k in combinations(range(n), size):
+            mask = sum(1 << index[c] for c in t.positives if sum(c[i] for i in k) == sum(c))
+            if mask in reached:
+                continue
+            orbit = closure({mask: None}, lambda m, _: (
+                (sum(map(list.__getitem__, per_byte, m.to_bytes(width, "little"))), None)
+                for per_byte in tables))
+            reached |= orbit.keys()
+            orbits.append((len(orbit), k))
+    return tuple(orbits)
+
+
+def _times(a, b, terms: int) -> list[Fraction]:
+    """The first ``terms`` coefficients of a·b, a and b read as zero past their ends."""
+    return [sum(a[i] * b[k - i] for i in range(max(0, k - len(b) + 1), min(k + 1, len(a))))
+            for k in range(terms)]
+
+
+def _divided(a, g, terms: int) -> list[Fraction]:
+    """The first ``terms`` coefficients of a/g, for integer polynomials with g[0] ≠ 0."""
+    out: list[Fraction] = []
+    for k in range(terms):
+        out.append(Fraction(a[k] - sum(g[i] * out[k - i] for i in range(1, min(k + 1, len(g)))),
+                            g[0]))
+    return out
+
+
+# E_W per Cartan label: (its flat orbits with their types, the longest series computed).
+_ELLIPTIC: dict[str, tuple[tuple, tuple[Fraction, ...]]] = {}
+
+
+def elliptic_series(t: SimpleType, terms: int) -> tuple[Fraction, ...]:
+    """E_W(q) = Σ 1/det(1 − qw) over the elliptic w ∈ W, as ``terms`` coefficients in x = 1 − q.
+
+    Grouping w ∈ W by its fixed space, a flat L, Molien's series splits as
+    |W|/Π(1 − q^{dᵢ}) = Σ_L x^{−dim L}·E_{W_L} (Solomon, Nagoya Math. J.
+    1963), and W_L is the product of K's diagram pieces on L_K.  The proper
+    flats have smaller types, so E_W is what is left once they are taken
+    away; the n pole coefficients must cancel.
+    """
+    flats, known = _ELLIPTIC.get(t.label, (None, ()))
+    if len(known) >= terms:
+        return known[:terms]
+    if flats is None:
+        flats = tuple((size, len(k), simple_types(t.cartan, k, t.positives))
+                      for size, k in flat_orbits(t))
+    n = len(t.cartan)
+    length = n + terms
+    # x^n·|W|/Π(1 − q^d), where 1 − q^d = 1 − (1 − x)^d = x·Σ_{k≥1} (−1)^{k+1}·C(d, k)·x^{k−1}.
+    denominator = [1]
+    for m in exponents(t.positives):
+        denominator = _times(denominator, [(-1) ** (k + 1) * comb(m + 1, k)
+                                           for k in range(1, m + 2)], len(denominator) + m)
+    series = _divided([t.order] + [0] * (length - 1), denominator, length)
+    for size, rank, factors in flats:
+        term = [size]
+        for factor in factors:
+            term = _times(term, elliptic_series(factor, length - rank), length - rank)
+        for k, coefficient in enumerate(term):
+            series[rank + k] -= coefficient
+    if any(series[:n]):
+        raise InconsistentFlats(f"Molien's series of {t.label} minus its flats leaves a pole")
+    _ELLIPTIC[t.label] = (flats, tuple(series[n:]))
+    return tuple(series[n:])
+
+
 @cache
 def i_number(c: TwistedComponent) -> Fraction:
-    """Signed average of 1/|det(w−1)| over the regular part of the coset."""
-    elements = weyl_set(c)
-    return sum((Fraction(e.sign) / abs(e.det_w_minus_1) for e in elements if e.regular),
-               Fraction(0)) / len(elements)
+    """i(S): the signed average over the coset's regular part, or per Cartan label if θ = 1.
+
+    An untwisted simple factor with |W| above ``MAX_FLAT_WEYL_ORDER`` raises
+    ``WeylGroupTooLarge`` before any flat is walked.
+    """
+    if not c.untwisted:
+        elements = weyl_set(c)
+        return sum((Fraction(e.sign) / abs(e.det_w_minus_1) for e in elements if e.regular),
+                   Fraction(0)) / len(elements)
+    d = c.base
+    if not d.is_semisimple():
+        return Fraction(0)
+    types = simple_types(d.cartan_matrix(), range(d.semisimple_rank),
+                         [cf for cf in d.coefficients if sum(cf) > 0])
+    for t in types:
+        if t.order > MAX_FLAT_WEYL_ORDER:
+            raise WeylGroupTooLarge(f"W({t.label}) has order {t.order}, "
+                                    f"above the limit {MAX_FLAT_WEYL_ORDER}")
+    return prod(((-1) ** len(t.cartan) * elliptic_series(t, 1)[0] / t.order for t in types),
+                start=Fraction(1))

@@ -255,6 +255,30 @@ def datum_from_cartan(c, form):
     return build_root_datum(n, ident, [list(col) for col in zip(*c)])
 
 
+G2_CARTAN = ((2, -1), (-3, 2))
+
+
+def labelled_datum(label, orientation, form):
+    """The datum of a simple type, built from its Cartan matrix or its transpose."""
+    family, n = label[0], int(label[1:])
+    if family in "ABCD":
+        return classical_datum(family, n, form)
+    cartan = e_cartan(n) if family == "E" else F4_CARTAN if family == "F" else G2_CARTAN
+    return datum_from_cartan(transpose(cartan) if orientation == "transposed" else cartan, form)
+
+
+def direct_sum(a, b):
+    """The product datum a × b on X_a ⊕ X_b."""
+    def pad(v, offset):
+        return (0,) * offset + tuple(v) + (0,) * (a.rank + b.rank - offset - len(v))
+
+    def stack(x, y):
+        return [pad(v, 0) for v in x] + [pad(v, a.rank) for v in y]
+
+    return build_root_datum(a.rank + b.rank, stack(a.simple_roots, b.simple_roots),
+                            stack(a.simple_coroots, b.simple_coroots))
+
+
 def expansion_positive_roots(d):
     """Roots whose first nonzero simple-root coordinate is positive, by Fraction elimination."""
     return tuple(r for r in d.roots

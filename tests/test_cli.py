@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -355,15 +356,39 @@ def test_elliptic_refuses_orbits_past_the_limit_quickly(tmp_path, name, d):
     assert error["kind"] == "WeylGroupTooLarge" and "above the limit 51840" in error["detail"]
 
 
-@pytest.mark.parametrize("form", ["sc", "ad"])
-@pytest.mark.parametrize("argv", [["sigma"], ["verify", "ei"]])
-def test_sigma_and_ei_on_e7_exit_5_naming_w_e7(tmp_path, capsys, argv, form):
-    group = _datum_file(tmp_path / "e7.json", datum_from_cartan(e_cartan(7), form))
-    assert main([*argv, "--group", group]) == EXIT_MODULE_ERROR
+@pytest.mark.parametrize("n,form,expected", [
+    (6, "sc", "14317/629856"), (6, "ad", "14317/209952"),
+    (7, "sc", "-24826523/509607936"), (7, "ad", "-24826523/254803968"),
+], ids=["E6-sc", "E6-ad", "E7-sc", "E7-ad"])
+def test_sigma_on_e6_and_e7(tmp_path, capsys, n, form, expected):
+    group = _datum_file(tmp_path / f"e{n}.json", datum_from_cartan(e_cartan(n), form))
+    assert main(["sigma", "--group", group]) == EXIT_OK
     out, err = capsys.readouterr()
-    error = json.loads(err)["error"]
-    assert out == "" and error["kind"] == "WeylGroupTooLarge"
-    assert error["detail"].startswith("W(E7) has order 2903040")
+    assert json.loads(out) == {"sigma": fmt_q(Fraction(expected))} and err == ""
+
+
+@pytest.mark.parametrize("form", ["sc", "ad"])
+def test_verify_ei_passes_on_e7(tmp_path, capsys, form):
+    group = _datum_file(tmp_path / "e7.json", datum_from_cartan(e_cartan(7), form))
+    assert main(["verify", "ei", "--group", group]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert report["equal"] and report["e"] == report["i"] == fmt_q(Fraction(-1150651, 10616832))
+
+
+@pytest.mark.parametrize("name,d,label,order", [
+    ("e8", datum_from_cartan(e_cartan(8), "sc"), "E8", 696729600),
+    ("b8", classical_datum("B", 8, "sc"), "B8", 10321920),
+], ids=["E8", "B8"])
+def test_i_number_past_w_e7_exits_5_quickly(tmp_path, name, d, label, order):
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "tracestab.cli", "i-number", "--group",
+                           _datum_file(tmp_path / f"{name}.json", d)],
+                          capture_output=True, timeout=60)
+    assert time.perf_counter() - start < 2
+    assert proc.returncode == EXIT_MODULE_ERROR and proc.stdout == b""
+    error = json.loads(proc.stderr)["error"]
+    assert error["kind"] == "WeylGroupTooLarge"
+    assert error["detail"] == f"W({label}) has order {order}, above the limit 2903040"
 
 
 @pytest.mark.parametrize("argv", [

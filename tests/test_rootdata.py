@@ -11,14 +11,16 @@ from helpers_oracle import (
     catalog_and_ladder_data,
     classical_datum,
     datum_from_cartan,
+    direct_sum,
     e_cartan,
     expansion_positive_roots,
+    labelled_datum,
 )
 from tracestab import catalog
 from tracestab.elliptic import elliptic_classes
 from tracestab import rootdata as rootdata_module
 from tracestab.errors import NonCartan, NotCentral, WeylGroupTooLarge
-from tracestab.linalg import mat_mul, mat_vec, transpose
+from tracestab.linalg import dot, mat_mul, mat_vec, transpose
 from tracestab.rootdata import (
     build_root_datum,
     canonical_key,
@@ -192,35 +194,12 @@ def test_cartan_type(name, expected):
     assert cartan_type(catalog.datum(name)) == expected
 
 
-G2_CARTAN = ((2, -1), (-3, 2))
-
-
-def _labelled_datum(label, orientation, form):
-    """The datum of a simple type, built from its Cartan matrix or its transpose."""
-    family, n = label[0], int(label[1:])
-    if family in "ABCD":
-        return classical_datum(family, n, form)
-    cartan = e_cartan(n) if family == "E" else F4_CARTAN if family == "F" else G2_CARTAN
-    return datum_from_cartan(transpose(cartan) if orientation == "transposed" else cartan, form)
-
-
 def _relabelled(d, seed):
     """The same datum with its simple roots listed in a seeded random order."""
     order = list(range(d.semisimple_rank))
     Random(seed).shuffle(order)
     return build_root_datum(d.rank, [d.simple_roots[i] for i in order],
                             [d.simple_coroots[i] for i in order])
-
-
-def _direct_sum(a, b):
-    def pad(v, offset):
-        return (0,) * offset + tuple(v) + (0,) * (a.rank + b.rank - offset - len(v))
-
-    def stack(x, y):
-        return [pad(v, 0) for v in x] + [pad(v, a.rank) for v in y]
-
-    return build_root_datum(a.rank + b.rank, stack(a.simple_roots, b.simple_roots),
-                            stack(a.simple_coroots, b.simple_coroots))
 
 
 SIMPLE_LABELS = ([f"A{n}" for n in range(1, 9)] + [f"B{n}" for n in range(2, 9)]
@@ -234,7 +213,7 @@ ORIENTED_IDS = [f"{label}-{orientation}" for label, orientation in ORIENTED]
 @pytest.mark.parametrize("form", ["sc", "ad"])
 @pytest.mark.parametrize("label, orientation", ORIENTED, ids=ORIENTED_IDS)
 def test_cartan_type_labels_every_simple_type(label, orientation, form):
-    d = _labelled_datum(label, orientation, form)
+    d = labelled_datum(label, orientation, form)
     expected = ("B2",) if label == "C2" else (label,)  # C2 and B2 are one root system
     assert cartan_type(d) == expected
     for seed in range(3):
@@ -248,7 +227,7 @@ PRODUCTS = [("A1", "A1"), ("A1", "G2"), ("B3", "C3"), ("C2", "A4"), ("D4", "F4")
 @pytest.mark.parametrize("first, second", PRODUCTS)
 @pytest.mark.parametrize("form", ["sc", "ad"])
 def test_cartan_type_labels_two_factor_products(first, second, form):
-    d = _direct_sum(_labelled_datum(first, "given", form), _labelled_datum(second, "given", form))
+    d = direct_sum(labelled_datum(first, "given", form), labelled_datum(second, "given", form))
     expected = tuple(sorted("B2" if label == "C2" else label for label in (first, second)))
     assert cartan_type(d) == expected
     assert cartan_type(_relabelled(d, len(first + second))) == expected
@@ -437,3 +416,34 @@ def test_closure_positive_system_matches_expansion_rule(name, d):
     for root, coeffs in zip(d.roots, d.coefficients):
         assert tuple(sum(c * a[j] for c, a in zip(coeffs, d.simple_roots))
                      for j in range(d.rank)) == root
+
+
+def _lattice_closure(d):
+    """Roots and their coroots, reflected as lattice vectors: s_j(v) = v − ⟨v, α_j∨⟩·α_j."""
+    found = dict(zip(d.simple_roots, d.simple_coroots))
+    frontier = list(found.items())
+    while frontier:
+        new = []
+        for root, coroot in frontier:
+            images = [(tuple(-x for x in root), tuple(-x for x in coroot))]
+            for alpha, alpha_v in zip(d.simple_roots, d.simple_coroots):
+                p, q = dot(root, alpha_v), dot(alpha, coroot)
+                images.append((tuple(r - p * a for r, a in zip(root, alpha)),
+                               tuple(k - q * a for k, a in zip(coroot, alpha_v))))
+            for image in images:
+                if image[0] not in found:
+                    found[image[0]] = image[1]
+                    new.append(image)
+        frontier = new
+    return tuple(sorted(found.items()))
+
+
+CLOSURE_DATA = POSITIVE_DATA + [
+    (f"{label}-{form}", labelled_datum(label, "given", form))
+    for label in ("F4", "G2", "E6") for form in ("sc", "ad")] + [
+    ("G2xB3-sc", direct_sum(labelled_datum("G2", "given", "sc"), classical_datum("B", 3, "sc")))]
+
+
+@pytest.mark.parametrize("name,d", CLOSURE_DATA, ids=[n for n, _ in CLOSURE_DATA])
+def test_coefficient_closure_matches_lattice_closure(name, d):
+    assert tuple(zip(d.roots, d.coroots)) == _lattice_closure(d)

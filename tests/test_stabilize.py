@@ -5,6 +5,7 @@ from random import Random
 import pytest
 
 from helpers_oracle import (
+    catalog_and_ladder_data,
     fraction_splus,
     oracle_discrete_part,
     oracle_endoscopic_form,
@@ -44,6 +45,7 @@ from tracestab.stabilize import (
     stable_form,
     verify_coefficients,
 )
+from tracestab.weylcoset import untwisted_component, weyl_set
 
 stabilize_module = importlib.import_module("tracestab.stabilize")
 
@@ -68,6 +70,17 @@ def test_i_phi_o2_model():
     assert i_phi(m, (0, 0)) == 0
     assert i_phi(m, (0, 1)) == Fraction(1, 2)
     assert s_disc_set(m) == frozenset({(0, 1)})
+
+
+UNTWISTED_DATA = catalog_and_ladder_data() + [
+    ("sl3xgl1", build_root_datum(3, [(2, -1, 0), (-1, 2, 0)], [(1, 0, 0), (0, 1, 0)]))]
+
+
+@pytest.mark.parametrize("name,d", UNTWISTED_DATA, ids=[n for n, _ in UNTWISTED_DATA])
+def test_untwisted_coset_has_a_regular_element_exactly_on_semisimple_data(name, d):
+    c = untwisted_component(d)
+    assert (stabilize_module._has_regular_element(c)
+            == any(e.regular for e in weyl_set(c)) == d.is_semisimple())
 
 
 def test_i_phi_trivial_model():

@@ -1,18 +1,28 @@
 from fractions import Fraction
+from math import prod
 from random import Random
 
 import pytest
 
-from helpers_oracle import classical_datum, fraction_coset_dets, fraction_det
+from helpers_oracle import (
+    classical_datum,
+    direct_sum,
+    fraction_coset_dets,
+    fraction_det,
+    labelled_datum,
+)
 
 from tracestab import catalog
-from tracestab.errors import InfiniteOrder, NotAutomorphism
+from tracestab import weylcoset as weylcoset_module
+from tracestab.errors import InconsistentFlats, InfiniteOrder, NotAutomorphism, TraceStabError
 from tracestab.linalg import det, invert, mat_mul, mat_vec
-from tracestab.rootdata import build_root_datum, contragredient, weyl_group
+from tracestab.rootdata import build_root_datum, contragredient, exponents, weyl_group
 from tracestab.weylcoset import (
     component,
     coset_sign,
+    flat_orbits,
     i_number,
+    simple_types,
     untwisted_component,
     weyl_set,
 )
@@ -169,3 +179,96 @@ def test_det_matches_fraction_elimination_on_random_matrices():
                       for _ in range(n))
             value = det(m)
             assert type(value) is Fraction and value == fraction_det(m)
+
+
+def _weyl_set_i(c):
+    """i(S) summed element by element over ``weyl_set``: the oracle for the flats route."""
+    elements = weyl_set(c)
+    return sum((Fraction(e.sign) / abs(e.det_w_minus_1) for e in elements if e.regular),
+               Fraction(0)) / len(elements)
+
+
+ORACLE_LABELS = ([f"A{n}" for n in range(1, 7)] + [f"B{n}" for n in range(2, 6)]
+                 + [f"C{n}" for n in range(3, 6)] + ["D4", "D5", "F4", "G2"])
+
+
+@pytest.mark.parametrize("form", ["sc", "ad"])
+@pytest.mark.parametrize("label", ORACLE_LABELS)
+def test_flats_i_matches_the_weyl_set_sum(label, form):
+    c = untwisted_component(labelled_datum(label, "given", form))
+    assert i_number(c) == _weyl_set_i(c)
+
+
+ORACLE_PRODUCTS = [(f"{a}x{b}-{form}", direct_sum(labelled_datum(a, "given", form),
+                                                    labelled_datum(b, "given", form)))
+                   for a, b in (("A1", "G2"), ("A2", "B2"), ("B3", "A1")) for form in ("sc", "ad")]
+
+
+@pytest.mark.parametrize("name,d", ORACLE_PRODUCTS, ids=[n for n, _ in ORACLE_PRODUCTS])
+def test_flats_i_matches_the_weyl_set_sum_on_products(name, d):
+    c = untwisted_component(d)
+    assert i_number(c) == _weyl_set_i(c)
+
+
+def test_flats_i_is_0_with_a_central_torus_and_1_at_rank_0():
+    sl3_times_gl1 = build_root_datum(3, [(2, -1, 0), (-1, 2, 0)], [(1, 0, 0), (0, 1, 0)])
+    for d, expected in ((sl3_times_gl1, 0), (build_root_datum(0, [], []), 1)):
+        c = untwisted_component(d)
+        assert i_number(c) == _weyl_set_i(c) == expected
+
+
+def _simple_type(label):
+    d = labelled_datum(label, "given", "sc")
+    (t,) = simple_types(d.cartan_matrix(), range(d.rank), [c for c in d.coefficients if sum(c) > 0])
+    return t
+
+
+@pytest.mark.parametrize("label,flats", [("D4", None), ("F4", None), ("E6", 4598), ("E7", 90408)])
+def test_flat_counts_satisfy_the_orlik_solomon_factorization(label, flats):
+    """Σ_L μ(L)·t^{dim L} = Π(t − mᵢ), with μ(L) = (−1)^{codim L}·Π(exponents of W_L)."""
+    t = _simple_type(label)
+    n = len(t.cartan)
+    orbits = flat_orbits(t) + ((1, tuple(range(n))),)
+    if flats is not None:
+        assert sum(size for size, _ in orbits) == flats
+    by_dim = [0] * (n + 1)
+    for size, k in orbits:
+        w_l = [c for c in t.positives if sum(c[i] for i in k) == sum(c)]
+        by_dim[n - len(k)] += size * (-1) ** len(k) * prod(exponents(w_l))
+    expected = [1]  # coefficients of Π(t − mᵢ), constant term first
+    for m in exponents(t.positives):
+        expected = [(expected[k - 1] if k else 0) - m * (expected[k] if k < len(expected) else 0)
+                    for k in range(len(expected) + 1)]
+    assert by_dim == expected
+
+
+def _fresh_i(monkeypatch, d):
+    """i_number(d) with empty memos, restored afterwards."""
+    monkeypatch.setattr(weylcoset_module, "_ELLIPTIC", {})
+    i_number.cache_clear()
+    try:
+        return i_number(untwisted_component(d))
+    finally:
+        i_number.cache_clear()
+
+
+def test_a_wrong_flat_count_raises_the_library_error(monkeypatch):
+    real = weylcoset_module.flat_orbits
+
+    def one_too_many(t):
+        (size, k), *rest = real(t)
+        return ((size + 1, k), *rest)
+
+    monkeypatch.setattr(weylcoset_module, "flat_orbits", one_too_many)
+    with pytest.raises(InconsistentFlats, match="minus its flats leaves a pole"):
+        _fresh_i(monkeypatch, classical_datum("B", 3, "sc"))
+    assert issubclass(InconsistentFlats, TraceStabError)
+
+
+def test_untwisted_i_builds_no_weyl_group(monkeypatch):
+    def refuse(*_):
+        raise AssertionError("the Weyl group was built")
+
+    monkeypatch.setattr(weylcoset_module, "weyl_set", refuse)
+    monkeypatch.setattr(weylcoset_module, "weyl_group", refuse)
+    assert _fresh_i(monkeypatch, classical_datum("B", 4, "ad")) == Fraction(195, 2048)
