@@ -5,9 +5,8 @@ worked examples used throughout the test suite, each with honestly computed
 endoscopic descriptors (the descriptor numbers are group-theoretic facts
 about the fixture, spelled out where they are nonobvious).
 
-The layers it builds from are bound as lazy modules, because ``packets
-verify`` needs only the test vectors here and the root-data commands only
-the named data.
+The layers it builds from are bound as lazy modules, because the root-data
+commands need only the named data.
 """
 
 from __future__ import annotations
@@ -230,14 +229,3 @@ def random_model(rng: Random, index: int) -> packets.ParameterModel:
             thetas[(xm, 0)] = identity_matrix(2)
             thetas[(xm, 1)] = SWAP2
     return _model(f"rnd{index}", sm_dim, r_dim, base, thetas)
-
-
-def random_test_vector(rng: Random, models) -> packets.TestVector:
-    """Random Gaussian-rational values f'(φ, x) on every component of every model."""
-    values = {}
-    for m in models:
-        for x in m.s_elements():
-            values[(m.model_id, x)] = packets.GaussianRational(
-                Fraction(rng.randint(-6, 6), rng.randint(1, 4)),
-                Fraction(rng.randint(-6, 6), rng.randint(1, 4)))
-    return packets.TestVector(values)

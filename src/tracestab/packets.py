@@ -26,6 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 from operator import mul
+from random import Random
 from typing import Mapping
 
 from . import rootdata, weylcoset
@@ -345,6 +346,17 @@ class TestVector(_Record):
                 out[(m.model_id, x)] = c
         return TestVector(out)
 
+    @staticmethod
+    def random(rng: Random, models) -> "TestVector":
+        """Random Gaussian-rational values f'(φ, x) on every component of every model."""
+        values = {}
+        for m in models:
+            for x in m.s_elements():
+                values[(m.model_id, x)] = GaussianRational(
+                    Fraction(rng.randint(-6, 6), rng.randint(1, 4)),
+                    Fraction(rng.randint(-6, 6), rng.randint(1, 4)))
+        return TestVector(values)
+
 
 def theta_numerator(row, column) -> tuple[int, int]:
     """Σ_x N[τ][x]·(re, im)(x): |S|·D·Θ(τ, f) from a numerator row and a vector column."""
@@ -386,12 +398,13 @@ def verify_adjoint(m: ParameterModel) -> bool:
 
     Σ_τ Δ(φ^x₁, τ)·Δ(τ, φ^x₂) = δ(x₁, x₂) and Σ_x Δ(τ₁, φ^x)·Δ(φ^x, τ₂) =
     δ(τ₁, τ₂) are NᵀN = |R|·|S|·I and N·Nᵀ = |R|·|S|·I on the numerators.
+    Both Gram matrices are symmetric, so each pair of vectors is tested once.
     """
     rows = m.transfer_numerators
     scale = m.r.size * m.s_size
 
     def orthogonal(vectors) -> bool:
-        return all(sum(map(mul, u, v)) == (scale if i == j else 0)
-                   for i, u in enumerate(vectors) for j, v in enumerate(vectors))
+        return all(sum(map(mul, u, v)) == (scale if j == 0 else 0)
+                   for i, u in enumerate(vectors) for j, v in enumerate(vectors[i:]))
 
     return orthogonal(tuple(zip(*rows))) and orthogonal(rows)

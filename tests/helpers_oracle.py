@@ -38,6 +38,10 @@ The packet character sums are the reference for the Walsh–Hadamard
 transfer table: one O(|R|) loop over the R-group characters per entry,
 straight from ``ParameterModel.pairing``.
 
+``oracle_packet_checks`` is the Fraction ``packets verify`` that the
+integer checks of ``cli._packet_checks`` replaced: every factor is rebuilt
+one entry at a time through the public Fraction API.
+
 The three forms at the very end are the Fraction loops that the integer
 kernels of ``stabilize`` replaced: every trial rebuilds every weight, and
 Θ is summed from the per-entry character sums (``oracle_theta``), not from
@@ -48,8 +52,9 @@ from fractions import Fraction
 from functools import cache
 from itertools import combinations
 from math import lcm
+from random import Random
 
-from tracestab import catalog
+from tracestab import catalog, packets
 from tracestab.elliptic import _bds_children, _theta_minus_one, elliptic_classes, torus_point
 from tracestab.errors import InconsistentDescriptor, TwistedUnsupported
 from tracestab.linalg import (
@@ -547,6 +552,46 @@ def oracle_theta(m, tau, f):
     for x in m.s_elements():
         total = total + f.value(m.model_id, x) * oracle_transfer_factor(m, tau, x)
     return total
+
+
+def _fraction_adjoint_relations(m):
+    """Σ_τ Δ(φ^x₁, τ)·Δ(τ, φ^x₂) = δ(x₁, x₂) and Σ_x Δ(τ₁, φ^x)·Δ(φ^x, τ₂) = δ(τ₁, τ₂), every pair."""
+    xs, taus = m.s_elements(), m.taus()
+    return (all(sum(packets.adjoint_factor(m, x1, tau) * packets.transfer_factor(m, tau, x2)
+                    for tau in taus) == (x1 == x2) for x1 in xs for x2 in xs)
+            and all(sum(packets.transfer_factor(m, t1, x) * packets.adjoint_factor(m, x, t2)
+                        for x in xs) == (t1 == t2) for t1 in taus for t2 in taus))
+
+
+def oracle_packet_checks(m, seed, trials):
+    """The four ``packets verify`` verdicts from the Fraction factors, entry by entry.
+
+    The adjoint relations are summed over every pair in Fractions, so the
+    symmetric-pair Gram check of ``verify_adjoint`` has a reference too.
+    """
+    rng = Random(seed)
+    route_ok = all(
+        packets.transfer_factor(m, tau, x) == packets.transfer_factor_closed(m, tau, x)
+        and packets.adjoint_factor(m, x, tau) == packets.adjoint_factor_closed(m, x, tau)
+        for tau in m.taus() for x in m.s_elements())
+    scaling_ok = all(
+        packets.transfer_factor(m, tau, x) ==
+        Fraction(m.r.size, m.s_size) * packets.adjoint_factor(m, x, tau)
+        for tau in m.taus() for x in m.s_elements())
+    adjoint_ok = _fraction_adjoint_relations(m)
+    roundtrip_ok = True
+    for _ in range(trials):
+        f = packets.TestVector.random(rng, [m])
+        theta = {tau: packets.theta_transfer(m, tau, f) for tau in m.taus()}
+        for x in m.s_elements():
+            if packets.invert_transfer(m, x, theta) != f.value(m.model_id, x):
+                roundtrip_ok = False
+    return {
+        "route_agreement": route_ok,
+        "scaling_law": scaling_ok,
+        "adjoint_relations": adjoint_ok,
+        "transfer_roundtrip": roundtrip_ok,
+    }
 
 
 def oracle_discrete_part(ms, f1, f2):

@@ -17,6 +17,7 @@ from tracestab import catalog
 from tracestab.elliptic import elliptic_classes
 from tracestab.packets import (
     ParameterModel,
+    TestVector,
     TwoGroup,
     adjoint_factor,
     adjoint_factor_closed,
@@ -109,7 +110,7 @@ def test_criterion_4_packet_algebra():
     m = ParameterModel("round", TwoGroup(2), TwoGroup(2))
     rng = Random(4)
     for _ in range(1000):
-        f = catalog.random_test_vector(rng, [m])
+        f = TestVector.random(rng, [m])
         theta = {tau: theta_transfer(m, tau, f) for tau in m.taus()}
         for x in m.s_elements():
             assert invert_transfer(m, x, theta) == f.value(m.model_id, x)
@@ -121,8 +122,8 @@ def test_criterion_5_stabilization_chain():
     o2 = DiscreteModelSet((catalog.model_o2(),))
     rng = Random(6)
     for _ in range(20):
-        f1 = catalog.random_test_vector(rng, o2.models)
-        f2 = catalog.random_test_vector(rng, o2.models)
+        f1 = TestVector.random(rng, o2.models)
+        f2 = TestVector.random(rng, o2.models)
         expected = (f1.value("o2", (0, 1)) * f2.value("o2", (0, 1)).conjugate()
                     * Fraction(1, 4))
         assert discrete_part(o2, f1, f2) == expected
@@ -132,16 +133,16 @@ def test_criterion_5_stabilization_chain():
                        tuple(d for _, ds in sorted(catalog.fixture_descriptors().items())
                              for d in ds))
     for _ in range(10):
-        f1 = catalog.random_test_vector(rng, ms.models)
-        f2 = catalog.random_test_vector(rng, ms.models)
+        f1 = TestVector.random(rng, ms.models)
+        f2 = TestVector.random(rng, ms.models)
         assert discrete_part(ms, f1, f2) == stable_form(ms, f1, f2)
         assert endoscopic_form(ms, descriptors, f1, f2) == discrete_part(ms, f1, f2)
     model_rng = Random(1234)
     for i in range(100):
         m = catalog.random_model(model_rng, i)
         single = DiscreteModelSet((m,))
-        f1 = catalog.random_test_vector(model_rng, single.models)
-        f2 = catalog.random_test_vector(model_rng, single.models)
+        f1 = TestVector.random(model_rng, single.models)
+        f2 = TestVector.random(model_rng, single.models)
         assert discrete_part(single, f1, f2) == stable_form(single, f1, f2), \
             f"random model {i}"
     # Coefficient chain passes on fixtures and fails on single-field controls.

@@ -6,8 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from helpers_oracle import classical_datum, datum_from_cartan, e_cartan
+from helpers_oracle import classical_datum, datum_from_cartan, e_cartan, oracle_packet_checks
 from tracestab import cli as cli_module
+from tracestab.packets import ParameterModel, TwoGroup, with_flipped_pairing
 from tracestab.cli import (
     EXIT_MALFORMED,
     EXIT_MISSING_FILE,
@@ -412,14 +413,80 @@ def test_verify_targets_refuse_options_they_do_not_read(tmp_path, capsys, argv):
     assert out == "" and "unrecognized arguments" in err
 
 
-@pytest.mark.parametrize("sm, r", [(3, 3), (2, 4)])
-def test_packets_verify_order_64(tmp_path, capsys, sm, r):
+def _assert_packets_verify_passes(tmp_path, capsys, sm, r, trials):
     model = tmp_path / "m.json"
     model.write_text(json.dumps({"sM_dim": sm, "r_dim": r}))
-    assert main(["packets", "verify", "--model", str(model), "--trials", "2"]) == EXIT_OK
+    assert main(["packets", "verify", "--model", str(model), "--trials", str(trials)]) == EXIT_OK
     checks = json.loads(capsys.readouterr().out)["checks"]
     assert checks == {"route_agreement": True, "scaling_law": True,
                       "adjoint_relations": True, "transfer_roundtrip": True}
+
+
+@pytest.mark.parametrize("sm, r", [(3, 3), (2, 4)])
+def test_packets_verify_order_64(tmp_path, capsys, sm, r):
+    _assert_packets_verify_passes(tmp_path, capsys, sm, r, 2)
+
+
+@pytest.mark.parametrize("sm, r", [(4, 4), (0, 8)])
+def test_packets_verify_at_the_size_limit(tmp_path, capsys, sm, r):
+    assert sm + r == cli_module.MAX_PACKET_DIM
+    _assert_packets_verify_passes(tmp_path, capsys, sm, r, 1)
+
+
+def _packet_model(sm, r):
+    return ParameterModel(f"m{sm}{r}", TwoGroup(sm), TwoGroup(r))
+
+
+SMALL_SHAPES = [(sm, r) for sm in range(5) for r in range(5) if sm + r <= 4]
+
+
+@pytest.mark.parametrize("sm, r", SMALL_SHAPES)
+def test_integer_packet_checks_equal_the_fraction_oracle(sm, r):
+    m = _packet_model(sm, r)
+    for seed in range(3):
+        assert cli_module._packet_checks(m, seed, 3) == oracle_packet_checks(m, seed, 3)
+
+
+@pytest.mark.parametrize("sm, r", [s for s in SMALL_SHAPES if sum(s) <= 3])
+def test_integer_packet_checks_equal_the_oracle_on_every_flip(sm, r):
+    m = _packet_model(sm, r)
+    for char in m.s_elements():
+        for x in m.s_elements():
+            bad = with_flipped_pairing(m, char, x)
+            assert cli_module._packet_checks(bad, 0, 2) == oracle_packet_checks(bad, 0, 2)
+
+
+def _negate_entry(table):
+    return ((-table[0][0],) + table[0][1:],) + table[1:]
+
+
+def _double_row(table):
+    return table[:2] + (tuple(2 * n for n in table[2]),) + table[3:]
+
+
+def _swap_rows(table):
+    return (table[1], table[0]) + table[2:]
+
+
+def _fill_zero_entry(table):
+    # Row (η, r) = (0, 0) is zero at every x with x_R ≠ 0, such as x = (0, 1).
+    return ((table[0][0], table[0][1] + 1) + table[0][2:],) + table[1:]
+
+
+def test_integer_packet_checks_catch_a_corrupted_table():
+    # Planted in the cached table itself, so the check reads the same numbers as
+    # the Fraction factors; between them the corruptions fail every integer check.
+    # On (0, 2) each row has one nonzero entry, so a doubled row moves only a norm.
+    failed = set()
+    for corrupt in (_negate_entry, _double_row, _swap_rows, _fill_zero_entry):
+        for sm, r in [(0, 2), (1, 2), (2, 1)]:
+            m = _packet_model(sm, r)
+            vars(m)["transfer_numerators"] = corrupt(m.transfer_numerators)
+            checks = cli_module._packet_checks(m, 5, 2)
+            assert checks == oracle_packet_checks(m, 5, 2)
+            assert not checks["route_agreement"] and checks["scaling_law"]
+            failed |= {key for key, ok in checks.items() if not ok}
+    assert failed == {"route_agreement", "adjoint_relations", "transfer_roundtrip"}
 
 
 def test_stabilize_verify_fixtures():

@@ -44,7 +44,7 @@ def _loaded_by(argv, cwd):
 @pytest.mark.parametrize("argv, expected", [
     (["--help"], {"cli", "errors"}),
     (["packets", "verify", "--model", "model.json", "--trials", "3"],
-     {"cli", "errors", "catalog", "linalg", "packets"}),
+     {"cli", "errors", "linalg", "packets"}),
     (["sigma", "--group", "group.json"], EVERYTHING - {"packets", "stabilize"}),
     (["stabilize", "verify", "--trials", "2"], EVERYTHING),
     (["elliptic", "--group", "group.json"], EVERYTHING - {"packets", "stabilize", "sigma"}),

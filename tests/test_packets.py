@@ -198,7 +198,7 @@ def test_theta_transfer_matches_fraction_oracle(dims):
     rng = Random(300 + 10 * dims[0] + dims[1])
     honest = _model(*dims)
     for m in (honest, with_flipped_pairing(honest, (0, 0), (0, 0))):
-        f = catalog.random_test_vector(rng, [m])
+        f = TestVector.random(rng, [m])
         subset = frozenset(x for x in m.s_elements() if rng.random() < 0.5)
         for tau in m.taus():
             assert theta_transfer(m, tau, f) == oracle_theta(m, tau, f)
@@ -225,7 +225,7 @@ def test_transfer_inversion_roundtrip_random(dims):
     m = _model(*dims)
     rng = Random(20_000 + dims[0] * 10 + dims[1])
     for _ in range(50):
-        f = catalog.random_test_vector(rng, [m])
+        f = TestVector.random(rng, [m])
         theta = {tau: theta_transfer(m, tau, f) for tau in m.taus()}
         for x in m.s_elements():
             assert invert_transfer(m, x, theta) == f.value(m.model_id, x)

@@ -178,8 +178,8 @@ def test_discrete_equals_stable_on_fixtures_random_vectors():
     ms, _ = _fixture_set()
     rng = Random(5)
     for _ in range(25):
-        f1 = catalog.random_test_vector(rng, ms.models)
-        f2 = catalog.random_test_vector(rng, ms.models)
+        f1 = TestVector.random(rng, ms.models)
+        f2 = TestVector.random(rng, ms.models)
         assert discrete_part(ms, f1, f2) == stable_form(ms, f1, f2)
 
 
@@ -200,8 +200,8 @@ def test_discrete_equals_stable_on_random_models():
     for i in range(40):
         m = catalog.random_model(rng, i)
         ms = DiscreteModelSet((m,))
-        f1 = catalog.random_test_vector(rng, ms.models)
-        f2 = catalog.random_test_vector(rng, ms.models)
+        f1 = TestVector.random(rng, ms.models)
+        f2 = TestVector.random(rng, ms.models)
         assert discrete_part(ms, f1, f2) == stable_form(ms, f1, f2), f"model {i}"
 
 
@@ -214,7 +214,7 @@ def test_theta_transfer_discrete_restriction_agrees_on_discrete_triples():
     m = catalog.model_o2()
     disc = s_disc_set(m)
     rng = Random(31)
-    f = catalog.random_test_vector(rng, [m])
+    f = TestVector.random(rng, [m])
     for tau in m.taus():
         if m.iota(tau) in disc:
             assert (theta_transfer(m, tau, f, restrict_to=disc)
@@ -240,8 +240,8 @@ def _derivable_descriptors(m):
 
 def _assert_forms_match_oracles(ms, descriptors, rng, trials):
     for _ in range(trials):
-        f1 = catalog.random_test_vector(rng, ms.models)
-        f2 = catalog.random_test_vector(rng, ms.models)
+        f1 = TestVector.random(rng, ms.models)
+        f2 = TestVector.random(rng, ms.models)
         assert discrete_part(ms, f1, f2) == oracle_discrete_part(ms, f1, f2)
         assert stable_form(ms, f1, f2) == oracle_stable_form(ms, f1, f2)
         assert (endoscopic_form(ms, descriptors, f1, f2)
@@ -291,8 +291,8 @@ def test_weights_are_built_once_per_model_set(monkeypatch):
         monkeypatch.setattr(stabilize_module, name, counted)
     rng = Random(79)
     for _ in range(3):
-        f1 = catalog.random_test_vector(rng, ms.models)
-        f2 = catalog.random_test_vector(rng, ms.models)
+        f1 = TestVector.random(rng, ms.models)
+        f2 = TestVector.random(rng, ms.models)
         discrete_part(ms, f1, f2)
         stable_form(ms, f1, f2)
         endoscopic_form(ms, descriptors, f1, f2)
@@ -311,8 +311,8 @@ def test_flipped_pairing_breaks_both_identities(model):
     for char in model.s_elements():
         for x in model.s_elements():
             ms = DiscreteModelSet((with_flipped_pairing(model, char, x),))
-            f1 = catalog.random_test_vector(rng, ms.models)
-            f2 = catalog.random_test_vector(rng, ms.models)
+            f1 = TestVector.random(rng, ms.models)
+            f2 = TestVector.random(rng, ms.models)
             discrete = discrete_part(ms, f1, f2)
             assert discrete == oracle_discrete_part(ms, f1, f2)
             assert discrete != stable_form(ms, f1, f2), (char, x)
@@ -454,8 +454,8 @@ def test_endoscopic_form_equals_discrete_part_on_fixtures():
     ms, descriptors = _fixture_set()
     rng = Random(9)
     for _ in range(10):
-        f1 = catalog.random_test_vector(rng, ms.models)
-        f2 = catalog.random_test_vector(rng, ms.models)
+        f1 = TestVector.random(rng, ms.models)
+        f2 = TestVector.random(rng, ms.models)
         assert (endoscopic_form(ms, descriptors, f1, f2)
                 == discrete_part(ms, f1, f2))
 
@@ -468,8 +468,8 @@ def test_endoscopic_degenerates_to_stable_with_trivial_iota():
     descriptors = catalog.principal_descriptors(m)
     assert all(iota_coefficient(d.out_card, d.zbar.order) == 1 for d in descriptors)
     rng = Random(13)
-    f1 = catalog.random_test_vector(rng, ms.models)
-    f2 = catalog.random_test_vector(rng, ms.models)
+    f1 = TestVector.random(rng, ms.models)
+    f2 = TestVector.random(rng, ms.models)
     assert (endoscopic_form(ms, descriptors, f1, f2)
             == stable_form(ms, f1, f2))
 
@@ -478,8 +478,8 @@ def test_endoscopic_alternate_covering_with_central_zbar():
     ms = DiscreteModelSet((catalog.model_sl2(),))
     descriptors = catalog.descriptors_sl2_central()
     rng = Random(17)
-    f1 = catalog.random_test_vector(rng, ms.models)
-    f2 = catalog.random_test_vector(rng, ms.models)
+    f1 = TestVector.random(rng, ms.models)
+    f2 = TestVector.random(rng, ms.models)
     assert (endoscopic_form(ms, descriptors, f1, f2)
             == discrete_part(ms, f1, f2))
 
@@ -566,8 +566,8 @@ def test_induction_consistency():
     principal = [d for d in descriptors if d.group_label.startswith("principal:")]
     rng = Random(23)
     for _ in range(5):
-        f1 = catalog.random_test_vector(rng, ms.models)
-        f2 = catalog.random_test_vector(rng, ms.models)
+        f1 = TestVector.random(rng, ms.models)
+        f2 = TestVector.random(rng, ms.models)
         full = endoscopic_form(ms, descriptors, f1, f2)
         principal_term = endoscopic_form(ms, principal, f1, f2)
         assert (full - principal_term
