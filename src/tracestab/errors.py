@@ -33,10 +33,6 @@ class TwistedUnsupported(TraceStabError):
     """Twisted enumeration requested for an unsupported twist shape."""
 
 
-class InconsistentClasses(TraceStabError):
-    """An elliptic class list breaks an invariant the σ recursion relies on."""
-
-
 class InconsistentFlats(TraceStabError):
     """Molien's series minus the flats of a Coxeter arrangement leaves a pole."""
 

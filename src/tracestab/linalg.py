@@ -42,6 +42,15 @@ def identity_matrix(n: int) -> IntMat:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
+def integer_rows(m, error: type[Exception]) -> IntMat:
+    """``m`` as rows of ints; an entry whose value is not an integer raises ``error``."""
+    m = tuple(tuple(row) for row in m)
+    out = tuple(tuple(int(x) for x in row) for row in m)
+    if out != m:
+        raise error(f"entry {next(x for row in m for x in row if int(x) != x)} is not an integer")
+    return out
+
+
 def transpose(m: Sequence[Sequence]) -> tuple:
     if not m:
         return ()

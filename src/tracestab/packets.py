@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from operator import mul
 from random import Random
 from typing import Mapping
 
@@ -225,9 +224,12 @@ class ParameterModel(_Record):
     @cached_property
     def transfer_numerators(self) -> tuple[tuple[int, ...], ...]:
         """N[_index(τ)][_index(x)], the integer numerators of all transfer factors."""
+        char, flips, r_elements = TwoGroup.char, self.pairing_flips, self.r.elements()
         rows = []
         for eta in self.s_m.elements():
-            columns = [_walsh_hadamard([self.pairing((eta, chi), x) for chi in self.r.elements()])
+            # ``pairing`` without its range checks: every label here is in range.
+            columns = [_walsh_hadamard([(-1 if ((eta, chi), x) in flips else 1)
+                                        * char(eta, x[0]) * char(chi, x[1]) for chi in r_elements])
                        for x in self.s_elements()]
             rows.extend(zip(*columns))  # the rows of (η, r) for r = 0, 1, …
         return tuple(rows)
@@ -398,13 +400,15 @@ def verify_adjoint(m: ParameterModel) -> bool:
 
     Σ_τ Δ(φ^x₁, τ)·Δ(τ, φ^x₂) = δ(x₁, x₂) and Σ_x Δ(τ₁, φ^x)·Δ(φ^x, τ₂) =
     δ(τ₁, τ₂) are NᵀN = |R|·|S|·I and N·Nᵀ = |R|·|S|·I on the numerators.
-    Both Gram matrices are symmetric, so each pair of vectors is tested once.
+    Both Gram matrices are symmetric, so each pair of vectors is tested once,
+    over the nonzero entries of the first (|S|/|R| of them on an honest model).
     """
     rows = m.transfer_numerators
     scale = m.r.size * m.s_size
 
     def orthogonal(vectors) -> bool:
-        return all(sum(map(mul, u, v)) == (scale if j == 0 else 0)
-                   for i, u in enumerate(vectors) for j, v in enumerate(vectors[i:]))
+        supports = [[(k, a) for k, a in enumerate(u) if a] for u in vectors]
+        return all(sum(a * v[k] for k, a in support) == (scale if j == 0 else 0)
+                   for i, support in enumerate(supports) for j, v in enumerate(vectors[i:]))
 
     return orthogonal(tuple(zip(*rows))) and orthogonal(rows)

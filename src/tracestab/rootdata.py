@@ -33,6 +33,7 @@ from .linalg import (
     dual_lattice_quotient,
     hnf_rows,
     identity_matrix,
+    integer_rows,
     invert,
     mat_mul,
     mat_vec,
@@ -165,8 +166,8 @@ def build_root_datum(rank: int, simple_roots, simple_coroots) -> RootDatum:
     """
     if rank < 0:
         raise NonCartan("negative rank")
-    return _build_root_datum(rank, tuple(tuple(int(x) for x in r) for r in simple_roots),
-                             tuple(tuple(int(x) for x in r) for r in simple_coroots))
+    return _build_root_datum(rank, integer_rows(simple_roots, NonCartan),
+                             integer_rows(simple_coroots, NonCartan))
 
 
 @cache

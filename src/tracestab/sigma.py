@@ -1,34 +1,35 @@
 """The σ-constants of connected reductive groups.
 
-σ is pinned down by two requirements: for every component S the elliptic-class
-sum e(S) = Σ |π₀(S_s)|⁻¹ σ(S°_s) equals i(S), and σ(S₁) = σ(S₁/Z₁)·|Z₁|⁻¹ for
-central subgroups (hence σ = 0 whenever the center is infinite).  With the
-product law σ(G₁×G₂) = σ(G₁)σ(G₂) they give σ(G) = Π σ(simple adjoint
-factors) / |Z(G)|.  Only the simple adjoint factors go through the recursion:
-non-central elliptic classes have centralizers with strictly fewer roots, so
-σ is solved from the untwisted identity at the central classes.  Those values
-are constants, kept process-wide in one table keyed by Cartan label ("A1",
-"B4", …); ``sigma`` itself is memoized on the datum's value.
+σ is pinned down by e(S) = Σ |π₀(S_s)|⁻¹ σ(S°_s) = i(S) on every component S
+and σ(S₁) = σ(S₁/Z₁)·|Z₁|⁻¹ for central subgroups (so σ = 0 on an infinite
+center).  With the product law they give σ(G) = Π σ(simple adjoint factors) / |Z(G)|.
+
+A simple adjoint group is read off its affine diagram.  Its elliptic classes
+are the alcove vertices up to Ω ≅ Z(G_sc), with π₀ the stabilizer in Ω
+(Bourbaki, Lie Groups, ch. VI §2); at vertex k the centralizer C_k has X = Q
+and simple roots Δ ∪ {−θ} ∖ {α_k} (Borel–de Siebenthal, Comment. Math. Helv.
+1949), and |Z(C_k)| = m_k for θ = Σ m_k α_k.  The mark-1 vertices, α₀
+included, are one Ω-orbit with centralizer G, and |Ω| = det C, so e = i reads
+
+    σ(G_ad) = i(G) − det(C)⁻¹ · Σ_{k : m_k ≥ 2} σ(C_k),
+
+a recursion on strictly fewer roots.  No class list enters σ, so
+``verify_ei`` is an independent check of e = i, simple adjoint types
+included.  The values are kept process-wide by Cartan label ("A1", "B4", …);
+``sigma`` itself is memoized on the datum's value.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
+from math import prod
 from typing import NamedTuple
 
-from .elliptic import SemisimpleClass, elliptic_classes
-from .errors import InconsistentClasses
+from . import elliptic
 from .linalg import det, identity_matrix
-from .rootdata import (
-    CentralSubgroup,
-    RootDatum,
-    build_root_datum,
-    component_label,
-    diagram_components,
-    quotient_by_central,
-)
-from .weylcoset import TwistedComponent, i_number, untwisted_component
+from .rootdata import CentralSubgroup, RootDatum, build_root_datum, quotient_by_central
+from .weylcoset import SimpleType, TwistedComponent, i_number, simple_types, untwisted_component
 
 
 class SigmaTable(dict):
@@ -39,34 +40,23 @@ class SigmaTable(dict):
 _ADJOINT = SigmaTable()
 
 
-def _is_central_class(d: RootDatum, cls: SemisimpleClass) -> bool:
-    return len(cls.centralizer_datum.roots) == len(d.roots)
-
-
-def _solve_ei(d: RootDatum) -> Fraction:
-    """σ(d) from e = i on d's untwisted component, given σ of every smaller centralizer."""
-    component = untwisted_component(d)
-    # i first: past |W(E7)| it refuses at once, before any flat or class is listed.
-    i_value = i_number(component)
-    classes = elliptic_classes(component)
-    central = [c for c in classes if _is_central_class(d, c)]
-    for c in central:
-        if c.pi0 != 1:
-            raise InconsistentClasses("central class with disconnected centralizer")
-    if not central:
-        raise InconsistentClasses("no central elliptic class on a semisimple datum")
-    acc = sum((Fraction(1, c.pi0) * sigma(c.centralizer_datum)
-               for c in classes if not _is_central_class(d, c)), Fraction(0))
-    return (i_value - acc) / len(central)
-
-
-def _simple_adjoint_sigma(label: str, cartan: tuple[tuple[int, ...], ...]) -> Fraction:
-    """σ of the adjoint datum X = Q with ⟨α_j, α_i∨⟩ = cartan[i][j], of type ``label``."""
-    value = _ADJOINT.get(label)
+def _simple_adjoint_sigma(t: SimpleType) -> Fraction:
+    """σ of the adjoint group of type ``t``: X = Q with ⟨α_j, α_i∨⟩ = t.cartan[i][j]."""
+    value = _ADJOINT.get(t.label)
     if value is None:
-        n = len(cartan)
-        value = _solve_ei(build_root_datum(n, identity_matrix(n), cartan))
-        _ADJOINT[label] = value
+        n = len(t.cartan)
+        d = build_root_datum(n, identity_matrix(n), t.cartan)
+        # i first: past |W(E7)| it refuses at once, before any smaller σ is solved.
+        value = i_number(untwisted_component(d))
+        theta = max(d.positives, key=sum)  # on X = Q a root is its coefficient vector
+        roots = d.simple_roots + (tuple(-x for x in theta),)
+        coroots = d.simple_coroots + (tuple(-x for x in d.coroot_of(theta)),)
+        omega = det(t.cartan)
+        for k, mark in enumerate(theta):
+            if mark >= 2:
+                c_k = build_root_datum(n, roots[:k] + roots[k + 1:], coroots[:k] + coroots[k + 1:])
+                value -= sigma(c_k) / omega
+        _ADJOINT[t.label] = value
     return value
 
 
@@ -75,14 +65,10 @@ def sigma(d: RootDatum) -> Fraction:
     """σ of the connected group with the given datum, memoized on its value."""
     if not d.is_semisimple():
         return Fraction(0)
-    cartan = d.cartan_matrix()
-    positives = [c for c in d.coefficients if sum(c) > 0]
-    value = Fraction(1)
-    for comp in diagram_components(d):
-        value *= _simple_adjoint_sigma(component_label(cartan, comp, positives),
-                                       tuple(tuple(cartan[i][j] for j in comp) for i in comp))
-    # |Z(G)| = [X : ZΦ]; the empty determinant is 1.
-    return value / abs(det(d.simple_roots))
+    types = simple_types(d.cartan_matrix(), range(d.semisimple_rank),
+                         [c for c in d.coefficients if sum(c) > 0])
+    # |Z(G)| = [X : ZΦ]; the empty determinant and the empty product are 1.
+    return prod(map(_simple_adjoint_sigma, types), start=Fraction(1)) / abs(det(d.simple_roots))
 
 
 class ClassTerm(NamedTuple):
@@ -104,7 +90,7 @@ def verify_ei(c: TwistedComponent) -> EIReport:
     i_value = i_number(c)
     terms = []
     e_value = Fraction(0)
-    for cls in elliptic_classes(c):
+    for cls in elliptic.elliptic_classes(c):
         s_value = sigma(cls.centralizer_datum)
         term = Fraction(1, cls.pi0) * s_value
         e_value += term

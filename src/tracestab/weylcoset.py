@@ -31,7 +31,7 @@ from math import comb, prod
 from typing import NamedTuple
 
 from .errors import InconsistentFlats, InfiniteOrder, NotAutomorphism, WeylGroupTooLarge
-from .linalg import IntMat, IntVec, det, identity_matrix, mat_mul, mat_vec
+from .linalg import IntMat, IntVec, det, identity_matrix, integer_rows, mat_mul, mat_vec
 from .rootdata import (
     MAX_FLAT_WEYL_ORDER,
     RootDatum,
@@ -67,7 +67,7 @@ class CosetElement(NamedTuple):
 
 def component(base: RootDatum, theta) -> TwistedComponent:
     """Validate a twist and wrap it as a component of a disconnected group."""
-    theta = tuple(tuple(int(x) for x in row) for row in theta)
+    theta = integer_rows(theta, NotAutomorphism)
     n = base.rank
     if len(theta) != n or any(len(row) != n for row in theta):
         raise NotAutomorphism("theta has the wrong shape")

@@ -13,6 +13,7 @@ from helpers_oracle import (
     e_cartan,
     fraction_elliptic_classes,
     fraction_stabilizer_order,
+    labelled_datum,
     oracle_classes,
     oracle_points,
     oracle_reflection_order,
@@ -33,7 +34,7 @@ from tracestab.elliptic import (
     torus_point,
 )
 from tracestab.errors import TwistedUnsupported
-from tracestab.linalg import clear_denominators, identity_matrix, mat_vec
+from tracestab.linalg import clear_denominators, det, identity_matrix, mat_vec
 from tracestab.rootdata import (
     build_root_datum,
     cartan_type,
@@ -296,6 +297,24 @@ def test_alcove_vertices_are_elliptic(name, d):
     assert len(vertices) == prod(len(comp) + 1 for comp in diagram_components(d))
     c = untwisted_component(d)
     assert all(is_elliptic(c, torus_point(t)) for t in vertices)
+
+
+# Invariants of the class list that σ, when it was solved from that list, checked at run time.
+CENTRAL_DATA = [(name, d) for name, d in FAST_PATH_DATA if d.is_semisimple()] + [
+    (f"{label}-{form}", labelled_datum(label, "standard", form))
+    for label in ("F4", "G2", "E6") for form in ("sc", "ad")]
+
+
+@pytest.mark.parametrize("name,d", CENTRAL_DATA, ids=[n for n, _ in CENTRAL_DATA])
+def test_central_classes_count_the_center_and_are_connected(name, d):
+    # Φ_t = Φ at exactly the |Z| = |det(simple roots)| central points; the
+    # centralizer of each is G itself, so π₀ = 1.  An adjoint datum has one.
+    central = [c for c in elliptic_classes(untwisted_component(d))
+               if len(c.centralizer_datum.roots) == len(d.roots)]
+    assert len(central) == abs(det(d.simple_roots))
+    assert all(c.pi0 == 1 for c in central)
+    if name.endswith("-ad"):
+        assert len(central) == 1
 
 
 def test_validate_twisted_candidates():

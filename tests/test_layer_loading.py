@@ -45,7 +45,7 @@ def _loaded_by(argv, cwd):
     (["--help"], {"cli", "errors"}),
     (["packets", "verify", "--model", "model.json", "--trials", "3"],
      {"cli", "errors", "linalg", "packets"}),
-    (["sigma", "--group", "group.json"], EVERYTHING - {"packets", "stabilize"}),
+    (["sigma", "--group", "group.json"], EVERYTHING - {"packets", "stabilize", "elliptic"}),
     (["stabilize", "verify", "--trials", "2"], EVERYTHING),
     (["elliptic", "--group", "group.json"], EVERYTHING - {"packets", "stabilize", "sigma"}),
     (["i-number", "--group", "group.json"],
@@ -139,3 +139,24 @@ def test_only_weyl_set_and_full_rank_subsystems_reach_weyl_group():
                 places.add(f"{path.stem}.{scope}")
     assert places == {"elliptic.import", "elliptic.full_rank_subsystems",
                       "weylcoset.import", "weylcoset.weyl_set"}
+
+
+def test_only_verify_ei_reaches_elliptic_from_sigma():
+    """σ is read off the affine diagram; only ``verify_ei`` sums the class list.
+
+    ``elliptic`` is bound as a lazy module, so the ``sigma`` command never runs it.
+    """
+    places = set()
+    for top in ast.parse((SRC / "tracestab" / "sigma.py").read_text(encoding="utf-8")).body:
+        if isinstance(top, ast.ImportFrom):
+            if top.module == "elliptic":
+                places.add("from-import")
+            elif any(alias.name == "elliptic" for alias in top.names):
+                places.add("module binding")
+            continue
+        scope = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else "module"
+        if any(isinstance(node, ast.Name) and node.id == "elliptic"
+               or isinstance(node, ast.Attribute) and node.attr == "elliptic"
+               for node in ast.walk(top)):
+            places.add(scope)
+    assert places == {"module binding", "verify_ei"}

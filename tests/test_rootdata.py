@@ -69,6 +69,15 @@ def test_build_root_datum_is_built_once_per_normalized_input():
         build_root_datum(-1, [], [])
 
 
+def test_rejects_non_integral_entries():
+    # int() would read 5/2 and 3/2 as the A1 datum with roots ±2 and coroots ±1.
+    with pytest.raises(NonCartan, match="5/2 is not an integer"):
+        build_root_datum(1, [(Fraction(5, 2),)], [(Fraction(3, 2),)])
+    with pytest.raises(NonCartan, match="3/2 is not an integer"):
+        build_root_datum(1, [(2,)], [(Fraction(3, 2),)])
+    assert build_root_datum(1, [(Fraction(4, 2),)], [(1,)]) == catalog.datum("sl2")
+
+
 def test_rejects_bad_diagonal_pairing():
     with pytest.raises(NonCartan):
         build_root_datum(1, [[1]], [[1]])

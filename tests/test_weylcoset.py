@@ -59,6 +59,14 @@ def test_component_rejects_non_automorphism():
         component(catalog.datum("sl2xsl2"), ((1, 1), (0, 1)))
 
 
+def test_component_rejects_non_integral_twist():
+    # int() would read 3/2 as the identity, the untwisted component of order 1.
+    gl1 = catalog.datum("gl1")
+    with pytest.raises(NotAutomorphism, match="3/2 is not an integer"):
+        component(gl1, ((Fraction(3, 2),),))
+    assert component(gl1, ((Fraction(-2, 2),),)) == catalog.named_component("o2_twist")
+
+
 def test_component_rejects_infinite_order():
     d = build_root_datum(2, [], [])
     with pytest.raises(InfiniteOrder, match="no power up to 64 is the identity"):
