@@ -6,9 +6,10 @@ groups, the recursive σ-constants of connected reductive groups, spectral
 transfer-factor algebra on finite packet models, and the discrete-part
 identity chain tying those together.
 
-Every layer module is registered in ``sys.modules`` at import but compiled
-and run only when one of its attributes is first read, so a command loads
-just the layers it calls.  The names below are served from their defining
+Every layer module, and each of the CLI's three command modules, is
+registered in ``sys.modules`` at import but compiled and run only when one of
+its attributes is first read, so a command loads just its own command module
+and the layers it calls.  The names below are served from their defining
 module on first use.
 """
 
@@ -16,7 +17,7 @@ import importlib.util
 import sys
 
 _LAYERS = ("errors", "linalg", "rootdata", "weylcoset", "elliptic", "sigma", "packets",
-           "stabilize", "catalog")
+           "stabilize", "catalog", "cli_rootdata", "cli_packets", "cli_stabilize")
 
 # Re-exported name -> the layer that defines it.
 _EXPORTS = {name: layer for layer, names in (

@@ -1,12 +1,12 @@
-"""Built-in group data, fixture models, and seeded random model generation.
+"""Fixture models, their endoscopic descriptors, and seeded random model generation.
 
-Named data cover the desk-scale verification set; the fixture models are the
-worked examples used throughout the test suite, each with honestly computed
-endoscopic descriptors (the descriptor numbers are group-theoretic facts
-about the fixture, spelled out where they are nonobvious).
-
-The layers it builds from are bound as lazy modules, because the root-data
-commands need only the named data.
+The fixture models are the worked examples used throughout the test suite,
+each with honestly computed endoscopic descriptors (the descriptor numbers are
+group-theoretic facts about the fixture, spelled out where they are
+nonobvious).  The named data live next to ``build_root_datum`` and the named
+components next to ``component``, so the root-data commands never compile
+this module; ``datum``, ``datum_names``, ``named_component``,
+``component_names``, ``NEG1`` and ``SWAP2`` are re-exported from there.
 """
 
 from __future__ import annotations
@@ -14,49 +14,11 @@ from __future__ import annotations
 from fractions import Fraction
 from random import Random
 
-from . import elliptic, packets, rootdata, stabilize, weylcoset
-from .errors import MalformedInput, TwistedUnsupported
+from . import elliptic, packets, rootdata, stabilize
+from .errors import TwistedUnsupported
 from .linalg import clear_denominators, identity_matrix, mat_vec
-
-_DATA_SPECS = {
-    "trivial": (0, (), ()),
-    "gl1": (1, (), ()),
-    "sl2": (1, ((2,),), ((1,),)),
-    "pgl2": (1, ((1,),), ((2,),)),
-    "sl3": (2, ((2, -1), (-1, 2)), ((1, 0), (0, 1))),
-    "pgl3": (2, ((1, 0), (0, 1)), ((2, -1), (-1, 2))),
-    "sp4": (2, ((1, -1), (0, 2)), ((1, -1), (0, 1))),
-    "so5": (2, ((1, -1), (0, 1)), ((1, -1), (0, 2))),
-    "g2": (2, ((2, -1), (-3, 2)), ((1, 0), (0, 1))),
-    "sl2xsl2": (2, ((2, 0), (0, 2)), ((1, 0), (0, 1))),
-}
-
-SWAP2 = ((0, 1), (1, 0))
-NEG1 = ((-1,),)
-
-
-def datum(name: str) -> rootdata.RootDatum:
-    if name not in _DATA_SPECS:
-        raise MalformedInput(f"unknown catalog datum {name!r}")
-    rank, roots, coroots = _DATA_SPECS[name]
-    return rootdata.build_root_datum(rank, roots, coroots)
-
-
-def datum_names() -> tuple[str, ...]:
-    return tuple(sorted(_DATA_SPECS))
-
-
-def named_component(name: str) -> weylcoset.TwistedComponent:
-    """Catalog components: every datum untwisted, plus the two twisted shapes."""
-    if name == "o2_twist":
-        return weylcoset.component(datum("gl1"), NEG1)
-    if name == "a1a1_swap":
-        return weylcoset.component(datum("sl2xsl2"), SWAP2)
-    return weylcoset.untwisted_component(datum(name))
-
-
-def component_names() -> tuple[str, ...]:
-    return datum_names() + ("a1a1_swap", "o2_twist")
+from .rootdata import datum_names, named_datum as datum
+from .weylcoset import NEG1, SWAP2, component_names, named_component
 
 
 # ---------------------------------------------------------------------------

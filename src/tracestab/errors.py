@@ -10,7 +10,11 @@ class NonCartan(TraceStabError):
 
 
 class InfiniteType(TraceStabError):
-    """Reflection closure exceeded the finite-type bound."""
+    """A root system that is not of finite type.
+
+    Kept for callers that catch it; nothing raises it since the Cartan check
+    (``NonCartan``) proves finite type before the reflection closure runs.
+    """
 
 
 class NotCentral(TraceStabError):

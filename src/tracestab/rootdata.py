@@ -10,6 +10,8 @@ Every orbit and closure in the package, here, in ``elliptic`` and in
 built only for ``weyl_set`` and ``full_rank_subsystems``: Cartan labels are
 read off bonds and positive-root counts, and ``in_weyl_group`` decides
 membership by reflecting a regular coweight back to the dominant chamber.
+The named data (``NAMED_DATA``, ``named_datum``) live here, so a command
+that takes a group by name needs no other module.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from math import prod
 from operator import add
 from typing import NamedTuple
 
-from .errors import InfiniteType, NonCartan, NotCentral, WeylGroupTooLarge
+from .errors import MalformedInput, NonCartan, NotCentral, WeylGroupTooLarge
 from .linalg import (
     IntMat,
     IntVec,
@@ -41,10 +43,6 @@ from .linalg import (
     normalize_mod1,
     transpose,
 )
-
-# Upper bound on |positive roots| per rank unit; E8 realizes 120/8 = 15, so
-# 32 leaves room while still catching runaway closures from malformed input.
-_CLOSURE_FACTOR = 32
 
 # Largest |W| that ``weyl_group`` builds: |W(E6)|.  W is stored element by
 # element (E6 already takes seconds), so E7 (|W| = 2 903 040) and E8 are refused.
@@ -158,6 +156,32 @@ def _validate_cartan(simple_roots, simple_coroots) -> IntMat:
     return cartan
 
 
+# The named data: (rank, simple roots, simple coroots).  A name is read before a
+# file of the same name wherever the CLI takes a group.
+NAMED_DATA = {
+    "trivial": (0, (), ()),
+    "gl1": (1, (), ()),
+    "sl2": (1, ((2,),), ((1,),)),
+    "pgl2": (1, ((1,),), ((2,),)),
+    "sl3": (2, ((2, -1), (-1, 2)), ((1, 0), (0, 1))),
+    "pgl3": (2, ((1, 0), (0, 1)), ((2, -1), (-1, 2))),
+    "sp4": (2, ((1, -1), (0, 2)), ((1, -1), (0, 1))),
+    "so5": (2, ((1, -1), (0, 1)), ((1, -1), (0, 2))),
+    "g2": (2, ((2, -1), (-3, 2)), ((1, 0), (0, 1))),
+    "sl2xsl2": (2, ((2, 0), (0, 2)), ((1, 0), (0, 1))),
+}
+
+
+def named_datum(name: str) -> RootDatum:
+    if name not in NAMED_DATA:
+        raise MalformedInput(f"unknown catalog datum {name!r}")
+    return build_root_datum(*NAMED_DATA[name])
+
+
+def datum_names() -> tuple[str, ...]:
+    return tuple(sorted(NAMED_DATA))
+
+
 def build_root_datum(rank: int, simple_roots, simple_coroots) -> RootDatum:
     """Validate a based datum and close the simple roots under reflections.
 
@@ -200,11 +224,9 @@ def _build_root_datum(rank: int, simple_roots: tuple[IntVec, ...],
                 yield (coeffs[:j] + (coeffs[j] - p,) + coeffs[j + 1:],
                        co_coeffs[:j] + (co_coeffs[j] - q,) + co_coeffs[j + 1:])
 
-    bound = 2 * _CLOSURE_FACTOR * max(rank, 1)
+    # _validate_cartan has proven finite type, so the closure ends.
     unit = identity_matrix(len(simple_roots))
-    found = closure(dict(zip(unit, unit)), images, bound)
-    if len(found) > bound:
-        raise InfiniteType("reflection closure exceeded the finite-type bound")
+    found = closure(dict(zip(unit, unit)), images)
 
     root_cols, coroot_cols = transpose(simple_roots), transpose(simple_coroots)
     lattice = sorted((mat_vec(root_cols, c), mat_vec(coroot_cols, k), c) for c, k in found.items())

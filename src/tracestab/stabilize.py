@@ -67,8 +67,14 @@ def i_phi(m: ParameterModel, x: SElement) -> Fraction:
 
 def e_phi(m: ParameterModel, x: SElement) -> Fraction:
     """Elliptic-class sum Σ |π₀|⁻¹·σ(centralizer) on the component of x."""
+    return _elliptic_sum(m.component_at(x))
+
+
+@cache
+def _elliptic_sum(comp: TwistedComponent) -> Fraction:
+    """e on one component, summed once: the stable weights and e = i both read it."""
     return sum((Fraction(1, cls.pi0) * sigma(cls.centralizer_datum)
-                for cls in elliptic_classes(m.component_at(x))), Fraction(0))
+                for cls in elliptic_classes(comp)), Fraction(0))
 
 
 def phi_disc(m: ParameterModel) -> bool:

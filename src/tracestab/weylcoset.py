@@ -20,6 +20,9 @@ summed with exact rationals.  There are two routes to it:
 ``weyl_set`` and ``i_number`` are memoized on the component's value (base
 datum, θ and its order), never on a canonical key; the cached tuples of
 immutable elements and Fractions are shared by every caller.
+
+The named components (``named_component``) are the named data, untwisted,
+plus ``o2_twist`` (GL1 inverted) and ``a1a1_swap`` (SL2 × SL2 swapped).
 """
 
 from __future__ import annotations
@@ -39,8 +42,10 @@ from .rootdata import (
     closure,
     component_label,
     contragredient,
+    datum_names,
     diagram_pieces,
     exponents,
+    named_datum,
     weyl_group,
 )
 
@@ -103,6 +108,23 @@ def component(base: RootDatum, theta) -> TwistedComponent:
 
 def untwisted_component(base: RootDatum) -> TwistedComponent:
     return TwistedComponent(base, identity_matrix(base.rank), 1)
+
+
+SWAP2 = ((0, 1), (1, 0))
+NEG1 = ((-1,),)
+
+
+def named_component(name: str) -> TwistedComponent:
+    """Catalog components: every named datum untwisted, plus the two twisted shapes."""
+    if name == "o2_twist":
+        return component(named_datum("gl1"), NEG1)
+    if name == "a1a1_swap":
+        return component(named_datum("sl2xsl2"), SWAP2)
+    return untwisted_component(named_datum(name))
+
+
+def component_names() -> tuple[str, ...]:
+    return datum_names() + ("a1a1_swap", "o2_twist")
 
 
 def coset_sign(d: RootDatum, total: IntMat, positive_roots=None) -> int:

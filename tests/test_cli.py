@@ -3,11 +3,12 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
 from helpers_oracle import classical_datum, datum_from_cartan, e_cartan, oracle_packet_checks
-from tracestab import cli as cli_module
+from tracestab import catalog, cli_packets, stabilize
 from tracestab.packets import ParameterModel, TwoGroup, with_flipped_pairing
 from tracestab.cli import (
     EXIT_MALFORMED,
@@ -69,6 +70,26 @@ def test_zero_trials_still_runs(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["pass"]
     assert main(["stabilize", "verify", "--trials", "0"]) == EXIT_OK
     assert json.loads(capsys.readouterr().out)["trials"] == 0
+
+
+def test_stabilize_verify_computes_each_value_once(monkeypatch, capsys):
+    """One discrete part per test vector, i_φ once per (model, x) besides the weights, e once
+    per component."""
+    calls = {"discrete_part": 0, "i_phi": 0}
+    for name in calls:
+        def counted(*args, _name=name, _original=getattr(stabilize, name)):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(stabilize, name, counted)
+    stabilize._elliptic_sum.cache_clear()
+    assert main(["stabilize", "verify", "--trials", "3"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["pass"]
+    models = catalog.fixture_models()
+    assert calls["discrete_part"] == 4
+    # discrete_weights reads i_φ at ι(τ) for each of the |S| rows τ; the report once per x.
+    assert calls["i_phi"] == sum(2 * m.s_size for m in models)
+    components = {m.component_at(x) for m in models for x in m.s_elements()}
+    assert stabilize._elliptic_sum.cache_info().misses == len(components)
 
 
 def test_unknown_subcommand_exits_2():
@@ -317,7 +338,7 @@ def test_packets_verify_malformed_dimensions_exit_4(tmp_path, dims):
 @pytest.mark.parametrize("dims", [{"sM_dim": 40, "r_dim": 0}, {"sM_dim": 0, "r_dim": 40},
                                   {"sM_dim": 5, "r_dim": 4}])
 def test_packets_verify_oversized_dimensions_exit_4_quickly(tmp_path, dims):
-    assert dims["sM_dim"] + dims["r_dim"] > cli_module.MAX_PACKET_DIM >= 6
+    assert dims["sM_dim"] + dims["r_dim"] > cli_packets.MAX_PACKET_DIM >= 6
     model = tmp_path / "m.json"
     model.write_text(json.dumps(dims))
     proc = subprocess.run([sys.executable, "-m", "tracestab.cli", "packets", "verify",
@@ -392,6 +413,17 @@ def test_i_number_past_w_e7_exits_5_quickly(tmp_path, name, d, label, order):
     assert error["detail"] == f"W({label}) has order {order}, above the limit 2903040"
 
 
+def test_sigma_past_rank_32_refuses_the_weyl_group_not_the_datum(tmp_path, capsys):
+    """B33 is of finite type; σ refuses it for the order of W(B33), as it does B8."""
+    group = _datum_file(tmp_path / "b33.json", classical_datum("B", 33, "sc"))
+    assert main(["sigma", "--group", group]) == EXIT_MODULE_ERROR
+    out, err = capsys.readouterr()
+    error = json.loads(err)["error"]
+    assert out == "" and error["kind"] == "WeylGroupTooLarge"
+    assert error["detail"] == (f"W(B33) has order {2 ** 33 * factorial(33)}, "
+                               "above the limit 2903040")
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "central-quotient", "--group", "sl2", "--theta", "t.json", "--z", "z.json"],
     ["verify", "stabilization", "--group", "g.json"],
@@ -429,7 +461,7 @@ def test_packets_verify_order_64(tmp_path, capsys, sm, r):
 
 @pytest.mark.parametrize("sm, r", [(4, 4), (0, 8)])
 def test_packets_verify_at_the_size_limit(tmp_path, capsys, sm, r):
-    assert sm + r == cli_module.MAX_PACKET_DIM
+    assert sm + r == cli_packets.MAX_PACKET_DIM
     _assert_packets_verify_passes(tmp_path, capsys, sm, r, 1)
 
 
@@ -444,7 +476,7 @@ SMALL_SHAPES = [(sm, r) for sm in range(5) for r in range(5) if sm + r <= 4]
 def test_integer_packet_checks_equal_the_fraction_oracle(sm, r):
     m = _packet_model(sm, r)
     for seed in range(3):
-        assert cli_module._packet_checks(m, seed, 3) == oracle_packet_checks(m, seed, 3)
+        assert cli_packets._packet_checks(m, seed, 3) == oracle_packet_checks(m, seed, 3)
 
 
 @pytest.mark.parametrize("sm, r", [s for s in SMALL_SHAPES if sum(s) <= 3])
@@ -453,7 +485,7 @@ def test_integer_packet_checks_equal_the_oracle_on_every_flip(sm, r):
     for char in m.s_elements():
         for x in m.s_elements():
             bad = with_flipped_pairing(m, char, x)
-            assert cli_module._packet_checks(bad, 0, 2) == oracle_packet_checks(bad, 0, 2)
+            assert cli_packets._packet_checks(bad, 0, 2) == oracle_packet_checks(bad, 0, 2)
 
 
 def _negate_entry(table):
@@ -482,7 +514,7 @@ def test_integer_packet_checks_catch_a_corrupted_table():
         for sm, r in [(0, 2), (1, 2), (2, 1)]:
             m = _packet_model(sm, r)
             vars(m)["transfer_numerators"] = corrupt(m.transfer_numerators)
-            checks = cli_module._packet_checks(m, 5, 2)
+            checks = cli_packets._packet_checks(m, 5, 2)
             assert checks == oracle_packet_checks(m, 5, 2)
             assert not checks["route_agreement"] and checks["scaling_law"]
             failed |= {key for key, ok in checks.items() if not ok}

@@ -10,12 +10,16 @@ from pathlib import Path
 import pytest
 
 import tracestab
+from tracestab import cli
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 LAYERS = ("errors", "linalg", "rootdata", "weylcoset", "elliptic", "sigma", "packets",
           "stabilize", "catalog")
-EVERYTHING = frozenset(LAYERS) | {"cli"}
+COMMAND_MODULES = ("cli_rootdata", "cli_packets", "cli_stabilize")
+EVERYTHING = frozenset(LAYERS + COMMAND_MODULES) | {"cli"}
+ROOT_DATA_COMMAND = {"cli", "errors", "cli_rootdata", "linalg", "rootdata", "weylcoset"}
+SIGMA_COMMAND = ROOT_DATA_COMMAND | {"sigma"}
 
 # Runs main(argv) in a fresh interpreter, then prints its exit code and the
 # tracestab modules whose code ran (a registered but unread layer is still lazy).
@@ -44,24 +48,50 @@ def _loaded_by(argv, cwd):
 @pytest.mark.parametrize("argv, expected", [
     (["--help"], {"cli", "errors"}),
     (["packets", "verify", "--model", "model.json", "--trials", "3"],
-     {"cli", "errors", "linalg", "packets"}),
-    (["sigma", "--group", "group.json"], EVERYTHING - {"packets", "stabilize", "elliptic"}),
-    (["stabilize", "verify", "--trials", "2"], EVERYTHING),
-    (["elliptic", "--group", "group.json"], EVERYTHING - {"packets", "stabilize", "sigma"}),
-    (["i-number", "--group", "group.json"],
-     {"cli", "errors", "catalog", "linalg", "rootdata", "weylcoset"}),
+     {"cli", "errors", "cli_packets", "linalg", "packets"}),
+    (["sigma", "--group", "group.json"], SIGMA_COMMAND),
+    (["sigma", "--group", "sl2"], SIGMA_COMMAND),
+    (["stabilize", "verify", "--trials", "2"], EVERYTHING - {"cli_rootdata"}),
+    (["stabilize", "verify", "--models", "models.json", "--trials", "2"],
+     EVERYTHING - {"cli_rootdata", "catalog"}),
+    (["elliptic", "--group", "group.json"], ROOT_DATA_COMMAND | {"elliptic"}),
+    (["i-number", "--group", "group.json"], ROOT_DATA_COMMAND),
     (["verify", "central-quotient", "--group", "group.json", "--z", "z.json"],
-     EVERYTHING - {"packets", "stabilize"}),
-    (["report"], EVERYTHING),
+     SIGMA_COMMAND | {"elliptic"}),
+    (["report"], EVERYTHING - {"cli_rootdata"}),
 ])
 def test_each_command_runs_only_the_layers_it_calls(tmp_path, argv, expected):
     (tmp_path / "model.json").write_text(json.dumps({"sM_dim": 1, "r_dim": 2}))
+    (tmp_path / "models.json").write_text(json.dumps({"models": [
+        {"id": "a", "sM_dim": 1, "r_dim": 0,
+         "dual_group": {"base": "sl2", "thetas": {"0": [[1]], "1": [[1]]}}}]}))
     (tmp_path / "group.json").write_text(json.dumps(
         {"rank": 2, "simple_roots": [[2, -1], [-1, 2]], "simple_coroots": [[1, 0], [0, 1]]}))
     (tmp_path / "z.json").write_text(json.dumps({"generators": [["1/3", "2/3"]]}))
     code, loaded = _loaded_by(argv, tmp_path)
     assert code == 0
     assert loaded == expected
+
+
+def test_a_catalog_name_wins_over_a_file_of_that_name(tmp_path, monkeypatch, capsys):
+    """``--group sl2`` is the named SL2 even with a PGL2 datum file called ``sl2`` at hand."""
+    def out(*argv):
+        assert cli.main(list(argv)) == 0
+        return capsys.readouterr().out
+
+    (tmp_path / "sl2").write_text(json.dumps(
+        {"rank": 1, "simple_roots": [[1]], "simple_coroots": [[2]]}))
+    monkeypatch.chdir(tmp_path)
+    for command in ("sigma", "elliptic"):  # a datum, and a component
+        assert out(command, "--group", "./sl2") == out(command, "--group", "pgl2")
+        assert out(command, "--group", "sl2") != out(command, "--group", "pgl2")
+
+
+def test_every_runner_in_the_command_table_resolves():
+    for path, runner, _options in cli.COMMANDS:
+        module, _, name = runner.partition(".")
+        assert module in COMMAND_MODULES, path
+        assert callable(getattr(sys.modules[f"tracestab.{module}"], name)), path
 
 
 def test_importing_the_cli_registers_every_layer_and_runs_only_errors():

@@ -94,6 +94,16 @@ def test_rejects_affine_cartan():
         build_root_datum(2, [(2, -2), (-2, 2)], [(1, -1), (-1, 1)])
 
 
+@pytest.mark.parametrize("kind, n, count", [
+    ("B", 33, 2 * 33 ** 2), ("C", 33, 2 * 33 ** 2), ("D", 34, 2 * 34 * 33), ("A", 64, 64 * 65),
+])
+def test_classical_data_past_rank_32_build(kind, n, count):
+    """The Cartan check proves finite type, so no root-count bound refuses these."""
+    d = classical_datum(kind, n, "sc")
+    assert len(d.roots) == count and len(d.positive_roots()) == count // 2
+    assert cartan_type(d) == (f"{kind}{n}",)
+
+
 def test_rejects_dependent_simples():
     with pytest.raises(NonCartan):
         build_root_datum(2, [(2, 0), (2, 0)], [(1, 0), (1, 0)])
