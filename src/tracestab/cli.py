@@ -220,4 +220,8 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
+    # So that the command modules' ``from .cli import …`` finds this copy under ``-m`` and
+    # does not run the file again (``runpy`` without ``alter_sys`` gives a bare namespace).
+    if vars(sys.modules[__name__]) is globals():
+        sys.modules.setdefault(f"{__package__}.cli", sys.modules[__name__])
     sys.exit(main())

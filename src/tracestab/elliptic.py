@@ -58,7 +58,7 @@ from .rootdata import (
     cartan_type,
     classical_weyl_order,
     closure,
-    diagram_components,
+    simple_factors,
     weyl_group,
 )
 from .weylcoset import TwistedComponent, untwisted_component
@@ -110,22 +110,20 @@ def _indecomposables(positives: list[IntVec]) -> tuple[IntVec, ...]:
 # Torsion points t = a/n travel through the Weyl loops as (a, n), with a an
 # integer vector and n the order of t.
 
-def _check_orbit_bound(d: RootDatum, a: IntVec, n: int) -> None:
-    """Refuse t = a/n if its orbit bound |W| / |W(Φ_t)| is above ``MAX_WEYL_ORDER``."""
+def _check_orbit_bound(d: RootDatum, t: QVec) -> None:
+    """Refuse t if its orbit bound |W| / |W(Φ_t)| is above ``MAX_WEYL_ORDER``."""
     order = classical_weyl_order(d)
     if order <= MAX_WEYL_ORDER:  # then no orbit can exceed it
         return
-    phi_t = sub_datum(d, tuple(alpha for alpha in d.roots if dot(alpha, a) % n == 0))
-    bound = order // classical_weyl_order(phi_t)
+    bound = order // classical_weyl_order(sub_datum(d, integral_root_subset(d, t)))
     if bound > MAX_WEYL_ORDER:
+        a, n = clear_denominators(t)
         raise WeylGroupTooLarge(f"the W({','.join(cartan_type(d))})-orbit of {a}/{n} may "
                                 f"have {bound} points, above the limit {MAX_WEYL_ORDER}")
 
 
 def _weyl_orbit(d: RootDatum, a: IntVec, n: int) -> dict[IntVec, None]:
     """Numerators mod n of the orbit of a/n, by s_i(a) = a − ⟨α_i, a⟩·α_i∨ mod n."""
-    _check_orbit_bound(d, a, n)
-
     def reflections(b, _):
         for alpha, alpha_v in zip(d.simple_roots, d.simple_coroots):
             p = dot(alpha, b)
@@ -143,6 +141,7 @@ def _centralizer_at(d: RootDatum, t: QVec, orbit_size: int) -> tuple[RootDatum, 
 def centralizer(c: TwistedComponent, t: TorusPoint) -> tuple[RootDatum, int]:
     """Connected-centralizer datum and component count |W_t| / |W(Φ_t)|."""
     _require_untwisted(c, "centralizer")
+    _check_orbit_bound(c.base, t.coords)
     a, n = clear_denominators(t.coords)
     return _centralizer_at(c.base, t.coords, len(_weyl_orbit(c.base, a, n)))
 
@@ -246,23 +245,16 @@ def _closure_under_reflections(d: RootDatum, seeds) -> tuple[IntVec, ...]:
 def _bds_children(d: RootDatum, roots: tuple[IntVec, ...]) -> list[tuple[IntVec, ...]]:
     psi = sub_datum(d, roots)
     children = []
-    for comp in diagram_components(psi):
-        comp_simples = sorted(psi.simple_roots[i] for i in comp)
-        highest, _ = _highest_root(psi, comp)
-        extended = comp_simples + [tuple(-x for x in highest)]
-        rest = [s for s in psi.simple_roots if s not in comp_simples]
+    for t in simple_factors(psi):
+        simples = [psi.simple_roots[i] for i in t.nodes]
+        extended = sorted(simples) + [tuple(-x for x in mat_vec(transpose(simples), t.highest))]
+        rest = [s for s in psi.simple_roots if s not in simples]
         for drop in range(len(extended) - 1):  # dropping the affine node is a no-op
             seeds = rest + [r for k, r in enumerate(extended) if k != drop]
             child = _closure_under_reflections(d, seeds)
             if matrix_rank(child) == d.rank:
                 children.append(child)
     return children
-
-
-def _highest_root(d: RootDatum, comp) -> tuple[IntVec, IntVec]:
-    """Highest root of one diagram component, with its simple-root coefficients."""
-    return max(((r, c) for r, c in zip(d.roots, d.coefficients) if any(c[i] for i in comp)),
-               key=lambda rc: sum(rc[1]))
 
 
 @cache
@@ -295,9 +287,8 @@ def _alcove_vertices(d: RootDatum) -> list[QVec]:
     coweights = transpose(invert(d.simple_roots))
     zero = tuple(Fraction(0) for _ in range(d.rank))
     points = [zero]
-    for comp in diagram_components(d):
-        _, m = _highest_root(d, comp)
-        factor = [zero] + [tuple(x / m[i] for x in coweights[i]) for i in comp]
+    for t in simple_factors(d):
+        factor = [zero] + [tuple(x / m for x in coweights[i]) for i, m in zip(t.nodes, t.highest)]
         points = [tuple(map(add, p, v)) for p in points for v in factor]
     return points
 
@@ -315,10 +306,10 @@ def _elliptic_classes_untwisted(c: TwistedComponent) -> tuple[SemisimpleClass, .
     if d.rank == 0:
         trivial = build_root_datum(0, (), ())
         return (SemisimpleClass(torus_point(()), trivial, 1, True),)
-    points = [clear_denominators(t) for t in _alcove_vertices(d)]
-    for a, n in points:  # refuse before any orbit is walked
-        _check_orbit_bound(d, a, n)
-    orbits = [(_weyl_orbit(d, a, n), n) for a, n in points]
+    vertices = _alcove_vertices(d)
+    for t in vertices:  # refuse before any orbit is walked
+        _check_orbit_bound(d, t)
+    orbits = [(_weyl_orbit(d, a, n), n) for a, n in map(clear_denominators, vertices)]
     sizes = {tuple(Fraction(x, n) for x in min(orbit)): len(orbit) for orbit, n in orbits}
     return tuple(SemisimpleClass(torus_point(t), *_centralizer_at(d, t, size), True)
                  for t, size in sorted(sizes.items()))

@@ -7,9 +7,10 @@ the coordinates alone.  All derived data — the full root system, the Weyl
 group, display labels — is computed by exact integer/rational arithmetic.
 Every orbit and closure in the package, here, in ``elliptic`` and in
 ``weylcoset``'s flat count, is one breadth-first ``closure``.  W itself is
-built only for ``weyl_set`` and ``full_rank_subsystems``: Cartan labels are
-read off bonds and positive-root counts, and ``in_weyl_group`` decides
-membership by reflecting a regular coweight back to the dominant chamber.
+built only for ``weyl_set`` and ``full_rank_subsystems``: ``in_weyl_group``
+reflects a regular coweight back to the dominant chamber.  ``simple_factors``
+alone splits a datum into ``SimpleType``s; the Cartan type, |W|, i, σ and
+the alcove vertices all read that split.
 The named data (``NAMED_DATA``, ``named_datum``) live here, so a command
 that takes a group by name needs no other module.
 """
@@ -53,16 +54,15 @@ MAX_WEYL_ORDER = 51_840
 MAX_FLAT_WEYL_ORDER = 2_903_040
 
 
-def closure(seeds: dict, step, limit: int | None = None) -> dict:
+def closure(seeds: dict, step) -> dict:
     """Every key reachable from ``seeds`` through ``step(key, value)``, breadth first.
 
     Each key keeps the value it was first reached with; keys are visited level
-    by level in ``step`` order.  The walk stops after the level that takes the
-    count above ``limit``, so the caller can refuse a runaway closure.
+    by level in ``step`` order.
     """
     found = dict(seeds)
     frontier = list(found.items())
-    while frontier and (limit is None or len(found) <= limit):
+    while frontier:
         new_frontier = []
         for key, value in frontier:
             for image, image_value in step(key, value):
@@ -280,50 +280,28 @@ def exponents(positive_coefficients) -> tuple[int, ...]:
 
 
 def classical_weyl_order(d: RootDatum) -> int:
-    """|W| = Π (mᵢ + 1) over the exponents mᵢ."""
-    return prod(1 + m for m in exponents(c for c in d.coefficients if sum(c) > 0))
+    """|W|, the product of the orders of the simple factors."""
+    return prod(t.order for t in simple_factors(d))
 
 
-def diagram_pieces(cartan: IntMat, nodes) -> tuple[tuple[int, ...], ...]:
-    """Connected pieces of the Dynkin diagram on ``nodes``, by least index, each sorted."""
-    unvisited = set(nodes)
-    pieces = []
-    while unvisited:
-        piece = closure({min(unvisited): None},
-                        lambda v, _: ((w, None) for w in unvisited if cartan[v][w] != 0))
-        unvisited -= piece.keys()
-        pieces.append(tuple(sorted(piece)))
-    return tuple(pieces)
+def component_label(cartan: IntMat, count: int) -> str:
+    """Label of a connected Cartan matrix with ``count`` positive roots, read off its bonds.
 
-
-def diagram_components(d: RootDatum) -> tuple[tuple[int, ...], ...]:
-    """Simple-root indices of each connected piece of the Dynkin diagram.
-
-    Components are listed by least index, each in increasing order.
+    Bourbaki's plates count n(n+1)/2 positive roots for A_n, n² for B_n and
+    C_n, n(n−1) for D_n, 36, 63 and 120 for E6, E7 and E8 and 24 for F4, and
+    only G2 has a triple bond.  The short end of a double bond (the row of the
+    −2 entry) is a leaf in B_n and not in C_n, n ≥ 3, so the rank-2
+    double-bond system reads B2 in either orientation, matching the
+    isomorphism of the underlying root systems.
     """
-    return diagram_pieces(d.cartan_matrix(), range(d.semisimple_rank))
-
-
-def component_label(cartan: IntMat, comp, positive_coefficients) -> str:
-    """Label of the connected diagram piece ``comp``, read off its bonds and root count.
-
-    The roots of ``comp`` are the positive roots supported on it.  Bourbaki's
-    plates count n(n+1)/2 of them for A_n, n² for B_n and C_n, n(n−1) for
-    D_n, 36, 63 and 120 for E6, E7 and E8 and 24 for F4, and only G2 has a
-    triple bond.  The short end of a double bond (the row of the −2 entry) is
-    a leaf in B_n and not in C_n, n ≥ 3, so the rank-2 double-bond system
-    reads B2 in either orientation, matching the isomorphism of the
-    underlying root systems.
-    """
-    n = len(comp)
-    count = sum(1 for c in positive_coefficients if sum(c[i] for i in comp) == sum(c))
-    entries = {cartan[i][j] for i in comp for j in comp}
+    n = len(cartan)
+    entries = {a for row in cartan for a in row}
     if -3 in entries:
         family = "G"
     elif -2 in entries:
-        short = next(i for i in comp if -2 in (cartan[i][j] for j in comp))
+        short = next(row for row in cartan if -2 in row)
         family = ("F" if count != n * n
-                  else "B" if sum(1 for j in comp if cartan[short][j] < 0) == 1 else "C")
+                  else "B" if sum(1 for a in short if a < 0) == 1 else "C")
     elif count == n * (n + 1) // 2:  # before D: D3 is A3
         family = "A"
     else:
@@ -331,12 +309,47 @@ def component_label(cartan: IntMat, comp, positive_coefficients) -> str:
     return f"{family}{n}"
 
 
+class SimpleType(NamedTuple):
+    """A connected Dynkin diagram in its own coordinates: label, Cartan matrix, positive roots."""
+
+    label: str
+    cartan: IntMat
+    positives: tuple[IntVec, ...]  # simple-root coefficients
+    nodes: tuple[int, ...]  # its simple-root indices in the diagram it was cut from
+    highest: IntVec  # the marks mᵢ of its highest root θ = Σ mᵢαᵢ
+
+    @property
+    def order(self) -> int:
+        return prod(1 + m for m in exponents(self.positives))
+
+
+def simple_types(cartan: IntMat, nodes, positives) -> tuple[SimpleType, ...]:
+    """The diagram's connected pieces on ``nodes``, by least index, with their positive roots."""
+    types = []
+    unvisited = set(nodes)
+    while unvisited:
+        piece = closure({min(unvisited): None},
+                        lambda v, _: ((w, None) for w in unvisited if cartan[v][w] != 0))
+        unvisited -= piece.keys()
+        piece = tuple(sorted(piece))
+        own_cartan = tuple(tuple(cartan[i][j] for j in piece) for i in piece)
+        own = tuple(tuple(c[i] for i in piece) for c in positives
+                    if sum(c[i] for i in piece) == sum(c))
+        types.append(SimpleType(component_label(own_cartan, len(own)), own_cartan, own, piece,
+                                max(own, key=sum)))
+    return tuple(types)
+
+
+@cache
+def simple_factors(d: RootDatum) -> tuple[SimpleType, ...]:
+    """The simple factors of ``d``, the one place a datum is split; memoized on its value."""
+    return simple_types(d.cartan_matrix(), range(d.semisimple_rank),
+                        [c for c in d.coefficients if sum(c) > 0])
+
+
 def cartan_type(d: RootDatum) -> tuple[str, ...]:
-    """Sorted labels of the diagram components (``component_label``)."""
-    cartan = d.cartan_matrix()
-    positives = [c for c in d.coefficients if sum(c) > 0]
-    return tuple(sorted(component_label(cartan, comp, positives)
-                        for comp in diagram_components(d)))
+    """Sorted labels of the simple factors (``component_label``)."""
+    return tuple(sorted(t.label for t in simple_factors(d)))
 
 
 def in_weyl_group(d: RootDatum, m: IntMat) -> bool:

@@ -13,10 +13,12 @@ included, are one Ω-orbit with centralizer G, and |Ω| = det C, so e = i reads
 
     σ(G_ad) = i(G) − det(C)⁻¹ · Σ_{k : m_k ≥ 2} σ(C_k),
 
-a recursion on strictly fewer roots.  No class list enters σ, so
-``verify_ei`` is an independent check of e = i, simple adjoint types
-included.  The values are kept process-wide by Cartan label ("A1", "B4", …);
-``sigma`` itself is memoized on the datum's value.
+a recursion on strictly fewer roots.  i(G) and θ are read off the factors
+of ``rootdata.simple_factors``, which is not asked to split the adjoint
+datum again.  No class list enters σ, so ``verify_ei`` is an independent
+check of e = i, simple adjoint types included.  The values are kept
+process-wide by Cartan label ("A1", "B4", …); ``sigma`` itself is memoized
+on the datum's value.
 """
 
 from __future__ import annotations
@@ -28,8 +30,15 @@ from typing import NamedTuple
 
 from . import elliptic
 from .linalg import det, identity_matrix
-from .rootdata import CentralSubgroup, RootDatum, build_root_datum, quotient_by_central
-from .weylcoset import SimpleType, TwistedComponent, i_number, simple_types, untwisted_component
+from .rootdata import (
+    CentralSubgroup,
+    RootDatum,
+    SimpleType,
+    build_root_datum,
+    quotient_by_central,
+    simple_factors,
+)
+from .weylcoset import TwistedComponent, i_number, simple_i_number, untwisted_component
 
 
 class SigmaTable(dict):
@@ -44,11 +53,11 @@ def _simple_adjoint_sigma(t: SimpleType) -> Fraction:
     """σ of the adjoint group of type ``t``: X = Q with ⟨α_j, α_i∨⟩ = t.cartan[i][j]."""
     value = _ADJOINT.get(t.label)
     if value is None:
+        # i first: past |W(E7)| it refuses at once, before any smaller σ is solved.
+        value = simple_i_number(t)
         n = len(t.cartan)
         d = build_root_datum(n, identity_matrix(n), t.cartan)
-        # i first: past |W(E7)| it refuses at once, before any smaller σ is solved.
-        value = i_number(untwisted_component(d))
-        theta = max(d.positives, key=sum)  # on X = Q a root is its coefficient vector
+        theta = t.highest  # on X = Q a root is its coefficient vector
         roots = d.simple_roots + (tuple(-x for x in theta),)
         coroots = d.simple_coroots + (tuple(-x for x in d.coroot_of(theta)),)
         omega = det(t.cartan)
@@ -65,10 +74,9 @@ def sigma(d: RootDatum) -> Fraction:
     """σ of the connected group with the given datum, memoized on its value."""
     if not d.is_semisimple():
         return Fraction(0)
-    types = simple_types(d.cartan_matrix(), range(d.semisimple_rank),
-                         [c for c in d.coefficients if sum(c) > 0])
     # |Z(G)| = [X : ZΦ]; the empty determinant and the empty product are 1.
-    return prod(map(_simple_adjoint_sigma, types), start=Fraction(1)) / abs(det(d.simple_roots))
+    return (prod(map(_simple_adjoint_sigma, simple_factors(d)), start=Fraction(1))
+            / abs(det(d.simple_roots)))
 
 
 class ClassTerm(NamedTuple):

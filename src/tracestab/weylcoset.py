@@ -10,12 +10,12 @@ summed with exact rationals.  There are two routes to it:
 
 * θ ≠ 1: ``weyl_set`` builds the coset one element at a time.
 * θ = 1: no W is built.  i is 0 with a central torus, and otherwise the
-  product over the simple factors of (−1)ⁿ·E_W(1)/|W|, where E_W(q) sums
-  1/det(1 − qw) over the elliptic w (for those det w = (−1)ⁿ).  E_W comes
-  from Molien's series |W|/Π(1 − q^{dᵢ}) minus the contributions of the
-  proper flats of the Coxeter arrangement, which are counted by W-orbit
-  with simple reflections acting on root indices.  E is kept per Cartan
-  label in one process-wide table.
+  product over ``rootdata.simple_factors`` of ``simple_i_number``,
+  (−1)ⁿ·E_W(1)/|W|, where E_W(q) sums 1/det(1 − qw) over the elliptic w
+  (for those det w = (−1)ⁿ).  E_W comes from Molien's series
+  |W|/Π(1 − q^{dᵢ}) minus the contributions of the proper flats of the
+  Coxeter arrangement, which are counted by W-orbit with simple reflections
+  acting on root indices.  E is kept per Cartan label in one table.
 
 ``weyl_set`` and ``i_number`` are memoized on the component's value (base
 datum, θ and its order), never on a canonical key; the cached tuples of
@@ -34,18 +34,19 @@ from math import comb, prod
 from typing import NamedTuple
 
 from .errors import InconsistentFlats, InfiniteOrder, NotAutomorphism, WeylGroupTooLarge
-from .linalg import IntMat, IntVec, det, identity_matrix, integer_rows, mat_mul, mat_vec
+from .linalg import IntMat, det, identity_matrix, integer_rows, mat_mul, mat_vec
 from .rootdata import (
     MAX_FLAT_WEYL_ORDER,
     RootDatum,
+    SimpleType,
     WeylElement,
     closure,
-    component_label,
     contragredient,
     datum_names,
-    diagram_pieces,
     exponents,
     named_datum,
+    simple_factors,
+    simple_types,
     weyl_group,
 )
 
@@ -158,27 +159,6 @@ def weyl_set(c: TwistedComponent) -> tuple[CosetElement, ...]:
     return tuple(sorted(elements, key=lambda e: e.total))
 
 
-class SimpleType(NamedTuple):
-    """A connected Dynkin diagram in its own coordinates: label, Cartan matrix, positive roots."""
-
-    label: str
-    cartan: IntMat
-    positives: tuple[IntVec, ...]  # simple-root coefficients
-
-    @property
-    def order(self) -> int:
-        return prod(1 + m for m in exponents(self.positives))
-
-
-def simple_types(cartan: IntMat, nodes, positives) -> tuple[SimpleType, ...]:
-    """The connected pieces of the diagram on ``nodes``, with the positive roots they support."""
-    return tuple(SimpleType(component_label(cartan, piece, positives),
-                            tuple(tuple(cartan[i][j] for j in piece) for i in piece),
-                            tuple(tuple(c[i] for i in piece) for c in positives
-                                  if sum(c[i] for i in piece) == sum(c)))
-                 for piece in diagram_pieces(cartan, nodes))
-
-
 def flat_orbits(t: SimpleType) -> tuple[tuple[int, tuple[int, ...]], ...]:
     """(size, K) for each W-orbit of proper flats; K ⊊ S spans a standard member L_K.
 
@@ -276,25 +256,28 @@ def elliptic_series(t: SimpleType, terms: int) -> tuple[Fraction, ...]:
     return tuple(series[n:])
 
 
+def simple_i_number(t: SimpleType) -> Fraction:
+    """i of the untwisted simple factor ``t``: (−1)ⁿ·E_W(1)/|W|.
+
+    A factor with |W| above ``MAX_FLAT_WEYL_ORDER`` raises ``WeylGroupTooLarge``
+    before any flat is walked.
+    """
+    if t.order > MAX_FLAT_WEYL_ORDER:
+        raise WeylGroupTooLarge(f"W({t.label}) has order {t.order}, "
+                                f"above the limit {MAX_FLAT_WEYL_ORDER}")
+    return (-1) ** len(t.cartan) * elliptic_series(t, 1)[0] / t.order
+
+
 @cache
 def i_number(c: TwistedComponent) -> Fraction:
-    """i(S): the signed average over the coset's regular part, or per Cartan label if θ = 1.
-
-    An untwisted simple factor with |W| above ``MAX_FLAT_WEYL_ORDER`` raises
-    ``WeylGroupTooLarge`` before any flat is walked.
-    """
+    """i(S): the signed average over the coset's regular part, or per simple factor if θ = 1."""
     if not c.untwisted:
         elements = weyl_set(c)
         return sum((Fraction(e.sign) / abs(e.det_w_minus_1) for e in elements if e.regular),
                    Fraction(0)) / len(elements)
-    d = c.base
-    if not d.is_semisimple():
+    if not c.base.is_semisimple():
         return Fraction(0)
-    types = simple_types(d.cartan_matrix(), range(d.semisimple_rank),
-                         [cf for cf in d.coefficients if sum(cf) > 0])
-    for t in types:
-        if t.order > MAX_FLAT_WEYL_ORDER:
-            raise WeylGroupTooLarge(f"W({t.label}) has order {t.order}, "
-                                    f"above the limit {MAX_FLAT_WEYL_ORDER}")
-    return prod(((-1) ** len(t.cartan) * elliptic_series(t, 1)[0] / t.order for t in types),
-                start=Fraction(1))
+    # The factors too large for their flats go first, in diagram order, so one
+    # refuses before any other factor's flats are walked.
+    factors = sorted(simple_factors(c.base), key=lambda t: t.order <= MAX_FLAT_WEYL_ORDER)
+    return prod(map(simple_i_number, factors), start=Fraction(1))

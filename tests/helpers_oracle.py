@@ -48,10 +48,12 @@ kernels of ``stabilize`` replaced: every trial rebuilds every weight, and
 the transfer table.
 """
 
+import json
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
 from math import lcm
+from pathlib import Path
 from random import Random
 
 from tracestab import catalog, packets
@@ -282,6 +284,12 @@ def direct_sum(a, b):
 
     return build_root_datum(a.rank + b.rank, stack(a.simple_roots, b.simple_roots),
                             stack(a.simple_coroots, b.simple_coroots))
+
+
+def interleaved_product():
+    """B2 × G2 × A2 whose factors' simple roots interleave (0,3 / 1,4 / 2,5), from tests/data."""
+    spec = Path(__file__).with_name("data") / "b2_g2_a2_interleaved.json"
+    return build_root_datum(**json.loads(spec.read_text()))
 
 
 def expansion_positive_roots(d):

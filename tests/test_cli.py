@@ -27,6 +27,37 @@ def _run_cli(args):
     return proc.returncode, proc.stdout, proc.stderr
 
 
+# Runs tracestab.cli as ``__main__``, as ``python -m`` does (alter_sys is argv[1]), listing
+# the executions of cli.py's module body and the name of the module ``tracestab.cli`` holds.
+RUN_AS_MAIN = """
+import json, os, runpy, sys
+alter_sys = sys.argv[1] == "True"
+runs = []
+sys.addaudithook(lambda event, args: event == "exec"
+                 and getattr(args[0], "co_filename", "").endswith(os.sep + "cli.py")
+                 and runs.append(args[0].co_name))
+sys.argv = ["tracestab", "sigma", "--group", "sl2"]
+try:
+    runpy.run_module("tracestab.cli", run_name="__main__", alter_sys=alter_sys)
+except SystemExit as exc:
+    print(json.dumps([exc.code, runs, sys.modules["tracestab.cli"].__name__]))
+"""
+
+
+@pytest.mark.parametrize("alter_sys, runs, holder", [
+    (True, ["<module>"], "__main__"),
+    # Without alter_sys the file runs in a bare namespace that no import can find.
+    (False, ["<module>", "<module>"], "tracestab.cli"),
+])
+def test_running_the_module_as_main_runs_cli_once(alter_sys, runs, holder):
+    # The command module's ``from .cli import …`` must find the running copy, not load another.
+    proc = subprocess.run([sys.executable, "-c", RUN_AS_MAIN, str(alter_sys)],
+                          capture_output=True, text=True, timeout=60)
+    *report, last = proc.stdout.splitlines()
+    assert json.loads("\n".join(report)) == {"sigma": "-1/8"}
+    assert json.loads(last) == [0, runs, holder]
+
+
 def test_parse_args_examples():
     cfg = parse_args(["i-number", "--group", "sl2.json"])
     assert cfg.subcommand == "i-number" and cfg.group == "sl2.json"

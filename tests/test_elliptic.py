@@ -13,6 +13,7 @@ from helpers_oracle import (
     e_cartan,
     fraction_elliptic_classes,
     fraction_stabilizer_order,
+    interleaved_product,
     labelled_datum,
     oracle_classes,
     oracle_points,
@@ -39,7 +40,7 @@ from tracestab.rootdata import (
     build_root_datum,
     cartan_type,
     contragredient,
-    diagram_components,
+    simple_factors,
     weyl_group,
 )
 from tracestab.sigma import sigma
@@ -252,7 +253,8 @@ def test_class_count_invariant_under_basis_change():
 
 
 BASIS_CHANGE_DATA = [catalog.datum(name) for name in catalog.datum_names()] + [
-    classical_datum(kind, 3, form) for kind in "ABC" for form in ("sc", "ad")]
+    classical_datum(kind, 3, form) for kind in "ABC" for form in ("sc", "ad")] + [
+    interleaved_product()]
 
 
 @st.composite
@@ -289,12 +291,15 @@ def test_invariants_under_random_integral_basis_change(data):
     assert _invariants(changed) == _invariants(d)
 
 
-@pytest.mark.parametrize("name,d", FAST_PATH_DATA, ids=[n for n, _ in FAST_PATH_DATA])
+ALCOVE_DATA = FAST_PATH_DATA + [("B2xG2xA2-interleaved", interleaved_product())]
+
+
+@pytest.mark.parametrize("name,d", ALCOVE_DATA, ids=[n for n, _ in ALCOVE_DATA])
 def test_alcove_vertices_are_elliptic(name, d):
     if not d.is_semisimple() or d.rank == 0:
         return
     vertices = _alcove_vertices(d)
-    assert len(vertices) == prod(len(comp) + 1 for comp in diagram_components(d))
+    assert len(vertices) == prod(len(t.nodes) + 1 for t in simple_factors(d))
     c = untwisted_component(d)
     assert all(is_elliptic(c, torus_point(t)) for t in vertices)
 

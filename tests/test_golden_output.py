@@ -1,7 +1,9 @@
-"""Golden CLI output: SHA-256 digests of stdout and the exit code of a fixed command list.
+"""Golden CLI output: SHA-256 digests of stdout and stderr and the exit code of a fixed command list.
 
-Every command runs in process through ``cli.main``, with ``COLUMNS=80`` so that
-the help texts wrap the same way on every terminal.  The recorded digests in
+Every command runs in process through ``cli.main``, from the repository root
+(the datum files under ``tests/data`` are named relative to it) and with
+``COLUMNS=80`` so that the help texts wrap the same way on every terminal.
+The recorded digests in
 ``golden_digests.json`` pin the byte-identical output that every change must
 keep; a change that means to alter an output re-records them with
 
@@ -23,6 +25,12 @@ from tracestab import catalog
 from tracestab.cli import main
 
 DIGESTS = Path(__file__).with_name("golden_digests.json")
+ROOT = Path(__file__).resolve().parent.parent
+
+# Datum files under tests/data: a B2 × G2 × A2 whose factors' simple roots interleave
+# (0,3 / 1,4 / 2,5), and E8 simply connected, which σ refuses.
+PRODUCT = "tests/data/b2_g2_a2_interleaved.json"
+E8_SC = "tests/data/e8_sc.json"
 
 # Every command path of the CLI; each one's ``--help`` is pinned with the top-level one.
 COMMAND_PATHS = ("i-number", "elliptic", "sigma", "verify ei", "verify central-quotient",
@@ -39,19 +47,28 @@ def commands() -> list[list[str]]:
     out += [["sigma", "--group", name] for name in catalog.datum_names()]
     out += [["--help"], ["verify", "--help"]]
     out += [[*path.split(), "--help"] for path in COMMAND_PATHS]
+    out += [[*path.split(), "--group", PRODUCT] for path in ("sigma", "i-number", "elliptic",
+                                                              "verify ei")]
+    out += [["sigma", "--group", E8_SC]]
     return out
 
 
 def digest(argv: list[str]) -> dict:
-    buf = io.StringIO()
-    with (contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()),
-          mock.patch.dict(os.environ, {"COLUMNS": "80"})):
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # --help prints and exits
-            code = exc.code
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(ROOT)
+    try:
+        with (contextlib.redirect_stdout(out), contextlib.redirect_stderr(err),
+              mock.patch.dict(os.environ, {"COLUMNS": "80"})):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # --help prints and exits
+                code = exc.code
+    finally:
+        os.chdir(cwd)
     return {"argv": argv, "exit": code,
-            "stdout_sha256": hashlib.sha256(buf.getvalue().encode()).hexdigest()}
+            "stdout_sha256": hashlib.sha256(out.getvalue().encode()).hexdigest(),
+            "stderr_sha256": hashlib.sha256(err.getvalue().encode()).hexdigest()}
 
 
 def test_cli_output_matches_recorded_digests():

@@ -14,6 +14,7 @@ from helpers_oracle import (
     direct_sum,
     e_cartan,
     expansion_positive_roots,
+    interleaved_product,
     labelled_datum,
 )
 from tracestab import catalog
@@ -31,6 +32,7 @@ from tracestab.rootdata import (
     classical_weyl_order,
     contragredient,
     quotient_by_central,
+    simple_factors,
     weyl_group,
 )
 from tracestab.weylcoset import component, i_number, untwisted_component, weyl_set
@@ -211,6 +213,17 @@ def test_weyl_words_are_consistent():
 ])
 def test_cartan_type(name, expected):
     assert cartan_type(catalog.datum(name)) == expected
+
+
+def test_simple_factors_keep_their_nodes_and_highest_roots():
+    # The factors' simple roots interleave; each factor's own coordinates follow its nodes.
+    factors = simple_factors(interleaved_product())
+    assert [(t.label, t.nodes, t.highest, t.order) for t in factors] == [
+        ("B2", (0, 3), (1, 2), 8), ("G2", (1, 4), (3, 2), 12), ("A2", (2, 5), (1, 1), 6)]
+    assert [t.cartan for t in factors] == [((2, -1), (-2, 2)), ((2, -3), (-1, 2)),
+                                           ((2, -1), (-1, 2))]
+    assert cartan_type(interleaved_product()) == ("A2", "B2", "G2")
+    assert classical_weyl_order(interleaved_product()) == 8 * 12 * 6
 
 
 def _relabelled(d, seed):

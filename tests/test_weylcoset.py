@@ -14,15 +14,26 @@ from helpers_oracle import (
 
 from tracestab import catalog
 from tracestab import weylcoset as weylcoset_module
-from tracestab.errors import InconsistentFlats, InfiniteOrder, NotAutomorphism, TraceStabError
+from tracestab.errors import (
+    InconsistentFlats,
+    InfiniteOrder,
+    NotAutomorphism,
+    TraceStabError,
+    WeylGroupTooLarge,
+)
 from tracestab.linalg import det, invert, mat_mul, mat_vec
-from tracestab.rootdata import build_root_datum, contragredient, exponents, weyl_group
+from tracestab.rootdata import (
+    build_root_datum,
+    contragredient,
+    exponents,
+    simple_factors,
+    weyl_group,
+)
 from tracestab.weylcoset import (
     component,
     coset_sign,
     flat_orbits,
     i_number,
-    simple_types,
     untwisted_component,
     weyl_set,
 )
@@ -225,9 +236,20 @@ def test_flats_i_is_0_with_a_central_torus_and_1_at_rank_0():
         assert i_number(c) == _weyl_set_i(c) == expected
 
 
+def test_a_product_refuses_before_walking_any_factors_flats(monkeypatch):
+    def walk(t, terms):
+        raise AssertionError(f"the flats of {t.label} were walked")
+
+    monkeypatch.setattr(weylcoset_module, "elliptic_series", walk)
+    d = direct_sum(labelled_datum("A1", "given", "sc"), labelled_datum("E8", "given", "sc"))
+    with pytest.raises(WeylGroupTooLarge) as refusal:
+        i_number(untwisted_component(d))
+    assert str(refusal.value) == "W(E8) has order 696729600, above the limit 2903040"
+
+
 def _simple_type(label):
     d = labelled_datum(label, "given", "sc")
-    (t,) = simple_types(d.cartan_matrix(), range(d.rank), [c for c in d.coefficients if sum(c) > 0])
+    (t,) = simple_factors(d)
     return t
 
 
