@@ -1,8 +1,9 @@
 """The ``packets verify`` command: the four packet identities on one model file.
 
-It also holds the model-file reader and the component bit keys, which the
-stabilization commands share.  It reaches ``rootdata`` only for a model
-with a dual group.
+It also holds the model-file reader and the component bit keys, read and
+written (bit i of x_M, then bit i of x_R, lowest first), which the
+stabilization commands share.  It reaches ``rootdata`` only for a model with
+a dual group.
 """
 
 from __future__ import annotations
@@ -36,6 +37,12 @@ def _bits_to_pair(key: str, sm_dim: int, r_dim: int) -> tuple[int, int]:
     xm = sum((1 << i) for i, c in enumerate(key[:sm_dim]) if c == "1")
     xr = sum((1 << i) for i, c in enumerate(key[sm_dim:]) if c == "1")
     return xm, xr
+
+
+def _pair_to_bits(x, sm_dim: int, r_dim: int) -> str:
+    bits_m = "".join("1" if (x[0] >> i) & 1 else "0" for i in range(sm_dim))
+    bits_r = "".join("1" if (x[1] >> i) & 1 else "0" for i in range(r_dim))
+    return bits_m + bits_r
 
 
 @_parsing()

@@ -26,7 +26,7 @@ from .cli import (
     fmt_q,
     parse_q,
 )
-from .cli_packets import _bits_to_pair, _model_from_obj, _packet_checks
+from .cli_packets import _bits_to_pair, _model_from_obj, _packet_checks, _pair_to_bits
 from .errors import MalformedInput
 
 sigma = sys.modules[f"{__package__}.sigma"]  # the package attribute ``sigma`` is the function
@@ -34,12 +34,6 @@ sigma = sys.modules[f"{__package__}.sigma"]  # the package attribute ``sigma`` i
 
 def fmt_gauss(z: packets.GaussianRational) -> dict:
     return {"re": fmt_q(z.re), "im": fmt_q(z.im)}
-
-
-def _pair_to_bits(x, sm_dim: int, r_dim: int) -> str:
-    bits_m = "".join("1" if (x[0] >> i) & 1 else "0" for i in range(sm_dim))
-    bits_r = "".join("1" if (x[1] >> i) & 1 else "0" for i in range(r_dim))
-    return bits_m + bits_r
 
 
 def _descriptor_from_obj(obj, models_by_id) -> stabilize.EndoscopicDescriptor:

@@ -15,13 +15,15 @@ orbit–stabilizer, π₀ = |W_t| / |W(Φ_t)| with |W_t| = |W| / |W·t|.
 extended-diagram node deletion) is an independent enumerator, not used by
 the class list; the tests build their search-based reference from it.
 
-Two twisted shapes are supported in closed form: an arbitrary fixed-point-free
-twist of a torus datum, and a factor-swap of a doubled datum (handled by
-folding to the diagonal).  Everything else raises TwistedUnsupported.
+Two twisted shapes are supported in closed form: any twist of a torus
+datum (one class, with π₀ = |det(θ − 1)|, or none if θ fixes a direction),
+and a factor swap of a doubled datum, folded to its diagonal.  One reduction,
+``_reduction``, tells the shapes apart and does the fold; ``elliptic_classes``
+and ``is_elliptic`` both read it.  Everything else raises TwistedUnsupported.
 
-``elliptic_classes`` is memoized on the component's value (base datum, θ and
-its order), never on a canonical key; the cached tuple of immutable classes
-is shared by every caller.
+``elliptic_classes`` and the reduction are memoized on the component's value
+(base datum, θ and its order), never on a canonical key; the cached tuple of
+immutable classes is shared by every caller.
 """
 
 from __future__ import annotations
@@ -34,19 +36,17 @@ from typing import NamedTuple
 
 from .errors import TwistedUnsupported, WeylGroupTooLarge
 from .linalg import (
-    IntMat,
     IntVec,
     QVec,
     clear_denominators,
     coords_in_rows,
     det,
     dot,
-    identity_matrix,
     int_kernel,
     invert,
-    mat_mul,
     mat_vec,
     matrix_rank,
+    minus_identity,
     normalize_mod1,
     transpose,
     vec_sub,
@@ -61,7 +61,7 @@ from .rootdata import (
     simple_factors,
     weyl_group,
 )
-from .weylcoset import TwistedComponent, untwisted_component
+from .weylcoset import TwistedComponent
 
 
 class TorusPoint(NamedTuple):
@@ -81,11 +81,6 @@ def torus_point(coords) -> TorusPoint:
     normalized = normalize_mod1(tuple(Fraction(x) for x in coords))
     order = lcm(*(f.denominator for f in normalized)) if normalized else 1
     return TorusPoint(normalized, order)
-
-
-def _require_untwisted(c: TwistedComponent, operation: str):
-    if not c.untwisted:
-        raise TwistedUnsupported(f"{operation} needs the untwisted component")
 
 
 def integral_root_subset(d: RootDatum, t: QVec) -> tuple[IntVec, ...]:
@@ -140,7 +135,8 @@ def _centralizer_at(d: RootDatum, t: QVec, orbit_size: int) -> tuple[RootDatum, 
 
 def centralizer(c: TwistedComponent, t: TorusPoint) -> tuple[RootDatum, int]:
     """Connected-centralizer datum and component count |W_t| / |W(Φ_t)|."""
-    _require_untwisted(c, "centralizer")
+    if not c.untwisted:
+        raise TwistedUnsupported("centralizer needs the untwisted component")
     _check_orbit_bound(c.base, t.coords)
     a, n = clear_denominators(t.coords)
     return _centralizer_at(c.base, t.coords, len(_weyl_orbit(c.base, a, n)))
@@ -148,62 +144,56 @@ def centralizer(c: TwistedComponent, t: TorusPoint) -> tuple[RootDatum, int]:
 
 def is_elliptic(c: TwistedComponent, t: TorusPoint) -> bool:
     """Whether the centralizer of exp(2πi·t)·θ has finite center."""
+    reduced = _reduction(c)
+    if reduced is None:
+        raise TwistedUnsupported("ellipticity test for this twist shape")
+    if isinstance(reduced, int):  # a torus twist: the same answer at every point
+        return reduced != 0
+    if not c.untwisted and len(t.coords) != reduced.rank:
+        raise TwistedUnsupported("swap-component points use folded coordinates")
+    return matrix_rank(integral_root_subset(reduced, t.coords)) == reduced.rank
+
+
+@cache
+def _reduction(c: TwistedComponent) -> RootDatum | int | None:
+    """What the classes of a component are read from, memoized on its value.
+
+    An untwisted component gives its base datum, and a factor swap the
+    diagonal datum of its fold: the classes are that datum's untwisted ones.
+    A twist of a torus gives |det(θ − 1)|, the π₀ of its one class (none if
+    0).  Any other twist gives None.
+    """
     if c.untwisted:
-        return matrix_rank(integral_root_subset(c.base, t.coords)) == c.base.rank
-    shape = _twist_shape(c)
-    if shape == "torus":
-        delta = _theta_minus_one(c)
-        return det(delta) != 0
-    if shape == "fold":
-        folded, _ = _fold(c)
-        if len(t.coords) != folded.rank:
-            raise TwistedUnsupported("swap-component points use folded coordinates")
-        return is_elliptic(untwisted_component(folded), t)
-    raise TwistedUnsupported("ellipticity test for this twist shape")
-
-
-def _theta_minus_one(c: TwistedComponent) -> IntMat:
-    n = c.base.rank
-    return tuple(tuple(c.theta[i][j] - (1 if i == j else 0) for j in range(n))
-                 for i in range(n))
-
-
-def _twist_shape(c: TwistedComponent) -> str:
-    if c.untwisted:
-        return "untwisted"
+        return c.base
+    delta = minus_identity(c.theta)
     if not c.base.roots:
-        return "torus"
-    theta = c.theta
-    n = c.base.rank
-    if mat_mul(theta, theta) != identity_matrix(n):
-        return "unsupported"
+        return int(abs(det(delta)))
+    if c.order_theta != 2:
+        return None
     for root, coroot in zip(c.base.roots, c.base.coroots):
-        image = tuple(mat_vec(theta, coroot))
+        image = mat_vec(c.theta, coroot)
         if image == coroot or dot(root, image) != 0:
-            return "unsupported"
-    return "fold" if 2 * len(int_kernel(_theta_minus_one(c))) == n else "unsupported"
+            return None
+    fixed_basis = int_kernel(delta)
+    return _fold(c, fixed_basis) if 2 * len(fixed_basis) == c.base.rank else None
 
 
-def _fold(c: TwistedComponent) -> tuple[RootDatum, tuple[IntVec, ...]]:
-    """Diagonal datum of a factor-swap component plus the fixed-lattice basis."""
-    d = c.base
-    fixed_basis = int_kernel(_theta_minus_one(c))
-    m = len(fixed_basis)
+def _fold(c: TwistedComponent, fixed_basis: list[IntVec]) -> RootDatum:
+    """Diagonal datum of a factor-swap component, on the θ-fixed lattice ``fixed_basis``."""
     folded_pairs = {}
-    for root, coroot in zip(d.roots, d.coroots):
+    for root, coroot in zip(c.base.roots, c.base.coroots):
         bar_root = tuple(dot(root, b) for b in fixed_basis)
         summed = tuple(x + y for x, y in zip(coroot, mat_vec(c.theta, coroot)))
         coords = coords_in_rows(fixed_basis, summed)
         if coords is None or any(Fraction(x).denominator != 1 for x in coords):
             raise TwistedUnsupported("folded coroot leaves the fixed lattice")
-        bar_coroot = tuple(int(x) for x in coords)
-        folded_pairs[bar_root] = bar_coroot
+        folded_pairs[bar_root] = tuple(int(x) for x in coords)
     simples = _indecomposables(sorted(r for r in folded_pairs
                                       if next((x for x in r if x), 0) > 0))
-    folded = build_root_datum(m, simples, tuple(folded_pairs[a] for a in simples))
+    folded = build_root_datum(len(fixed_basis), simples, tuple(folded_pairs[a] for a in simples))
     if set(folded.roots) != set(folded_pairs):
         raise TwistedUnsupported("twist is not a clean factor swap")
-    return folded, tuple(fixed_basis)
+    return folded
 
 
 def full_rank_subsystems(d: RootDatum) -> list[tuple[IntVec, ...]]:
@@ -265,15 +255,15 @@ def elliptic_classes(c: TwistedComponent) -> tuple[SemisimpleClass, ...]:
     twists are reduced in closed form.  The list is never silently partial:
     unsupported twists raise.
     """
-    shape = _twist_shape(c)
-    if shape == "untwisted":
-        return _elliptic_classes_untwisted(c)
-    if shape == "torus":
-        return _elliptic_classes_torus_twist(c)
-    if shape == "fold":
-        folded, _ = _fold(c)
-        return _elliptic_classes_untwisted(untwisted_component(folded))
-    raise TwistedUnsupported("no enumeration for this twist shape")
+    reduced = _reduction(c)
+    if reduced is None:
+        raise TwistedUnsupported("no enumeration for this twist shape")
+    if reduced == 0:
+        return ()  # a torus twist whose fixed subtorus forces an infinite center
+    if isinstance(reduced, int):
+        trivial = build_root_datum(0, (), ())
+        return (SemisimpleClass(torus_point((0,) * c.base.rank), trivial, reduced, True),)
+    return _elliptic_classes_untwisted(reduced)
 
 
 def _alcove_vertices(d: RootDatum) -> list[QVec]:
@@ -293,14 +283,13 @@ def _alcove_vertices(d: RootDatum) -> list[QVec]:
     return points
 
 
-def _elliptic_classes_untwisted(c: TwistedComponent) -> tuple[SemisimpleClass, ...]:
+def _elliptic_classes_untwisted(d: RootDatum) -> tuple[SemisimpleClass, ...]:
     """One class per orbit of alcove vertices under Ω_X = X∨/Q∨.
 
     The elliptic points of a semisimple torus are the W ⋉ X∨-images of the
     alcove vertices (Bourbaki, Lie Groups, ch. VI §2); the least point of each
     vertex's Weyl orbit mod X∨ names its class, and the orbit's size gives π₀.
     """
-    d = c.base
     if not d.is_semisimple():
         return ()
     if d.rank == 0:
@@ -313,13 +302,3 @@ def _elliptic_classes_untwisted(c: TwistedComponent) -> tuple[SemisimpleClass, .
     sizes = {tuple(Fraction(x, n) for x in min(orbit)): len(orbit) for orbit, n in orbits}
     return tuple(SemisimpleClass(torus_point(t), *_centralizer_at(d, t, size), True)
                  for t, size in sorted(sizes.items()))
-
-
-def _elliptic_classes_torus_twist(c: TwistedComponent) -> tuple[SemisimpleClass, ...]:
-    delta = _theta_minus_one(c)
-    d_det = det(delta)
-    if d_det == 0:
-        return ()  # the fixed subtorus forces an infinite centralizer center
-    trivial = build_root_datum(0, (), ())
-    rep = torus_point(tuple(Fraction(0) for _ in range(c.base.rank)))
-    return (SemisimpleClass(rep, trivial, int(abs(d_det)), True),)

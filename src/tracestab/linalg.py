@@ -42,6 +42,11 @@ def identity_matrix(n: int) -> IntMat:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
+def minus_identity(m: Sequence[Sequence]) -> tuple:
+    """m − 1 for a square matrix m: θ − 1 on a twist, w − 1 on a Weyl-coset element."""
+    return tuple(tuple(x - (i == j) for j, x in enumerate(row)) for i, row in enumerate(m))
+
+
 def integer_rows(m, error: type[Exception]) -> IntMat:
     """``m`` as rows of ints; an entry whose value is not an integer raises ``error``."""
     m = tuple(tuple(row) for row in m)

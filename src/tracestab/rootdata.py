@@ -228,8 +228,19 @@ def _build_root_datum(rank: int, simple_roots: tuple[IntVec, ...],
     unit = identity_matrix(len(simple_roots))
     found = closure(dict(zip(unit, unit)), images)
 
-    root_cols, coroot_cols = transpose(simple_roots), transpose(simple_coroots)
-    lattice = sorted((mat_vec(root_cols, c), mat_vec(coroot_cols, k), c) for c, k in found.items())
+    # A coefficient vector and the simple (co)roots are mostly zeros: sum only nonzero terms.
+    def in_lattice(entries, coeffs):
+        v = [0] * rank
+        for c, basis_entries in zip(coeffs, entries):
+            if c:
+                for i, x in basis_entries:
+                    v[i] += c * x
+        return tuple(v)
+
+    root_entries, coroot_entries = ([[(i, x) for i, x in enumerate(b) if x] for b in basis]
+                                    for basis in (simple_roots, simple_coroots))
+    lattice = sorted((in_lattice(root_entries, c), in_lattice(coroot_entries, k), c)
+                     for c, k in found.items())
     roots = tuple(r for r, _, _ in lattice)
     coroots = tuple(k for _, k, _ in lattice)
     coefficients = tuple(c for _, _, c in lattice)

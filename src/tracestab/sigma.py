@@ -18,7 +18,8 @@ of ``rootdata.simple_factors``, which is not asked to split the adjoint
 datum again.  No class list enters σ, so ``verify_ei`` is an independent
 check of e = i, simple adjoint types included.  The values are kept
 process-wide by Cartan label ("A1", "B4", …); ``sigma`` itself is memoized
-on the datum's value.
+on the datum's value.  ``verify_ei`` is the one place e(S) is summed, memoized
+on the component's value; ``stabilize`` reads e_φ off its report.
 """
 
 from __future__ import annotations
@@ -93,6 +94,7 @@ class EIReport(NamedTuple):
     per_class: tuple[ClassTerm, ...]
 
 
+@cache
 def verify_ei(c: TwistedComponent) -> EIReport:
     """Evaluate both sides of e(S) = i(S) independently and compare exactly."""
     i_value = i_number(c)

@@ -10,6 +10,10 @@ per orbit, which turns every integral into the finite sum evaluated here.
 Each form is a fixed bilinear kernel: its weights are built once per
 ``DiscreteModelSet`` as integers over one denominator, and each evaluation
 is one integer sum over the test vectors' integer views.
+
+e_φ is read off ``sigma.verify_ei``, the one place e is summed.  The discrete
+set and φ's discreteness are one test on the central torus: whether the
+twists fix a nonzero central cocharacter.  No Weyl coset is walked for them.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from fractions import Fraction
 from functools import cache, cached_property
 from typing import NamedTuple
 
-from .elliptic import SemisimpleClass, _theta_minus_one, elliptic_classes
+from .elliptic import SemisimpleClass, elliptic_classes
 from .errors import DuplicateModelId, InconsistentDescriptor, MissingDualGroup
 from .linalg import (
     IntMat,
@@ -28,8 +32,11 @@ from .linalg import (
     identity_matrix,
     in_integer_row_span,
     int_kernel,
+    mat_mul,
     mat_vec,
     matrix_rank,
+    minus_identity,
+    transpose,
 )
 from .packets import (
     GaussianRational,
@@ -40,16 +47,26 @@ from .packets import (
     theta_numerator,
 )
 from .rootdata import CentralSubgroup, RootDatum, subgroup_mod1
-from .sigma import sigma
-from .weylcoset import TwistedComponent, i_number, weyl_set
+from .sigma import sigma, verify_ei
+from .weylcoset import TwistedComponent, i_number
+
+
+def _fixes_a_central_cocharacter(base: RootDatum, thetas) -> bool:
+    """Whether every θ fixes one nonzero v in X∨ ⊗ Q with ⟨α, v⟩ = 0 for every root α."""
+    # Only the dimension of the twist-fixed part counts, so any basis will do.
+    central = int_kernel(base.simple_roots) if base.simple_roots else identity_matrix(base.rank)
+    # v = Σ c_j b_j is fixed by every twist iff (θ − 1)·B·c = 0 for each, B = (b_j).
+    rows = [row for theta in thetas for row in mat_mul(minus_identity(theta), transpose(central))]
+    return matrix_rank(rows) < len(central)
 
 
 def _has_regular_element(c: TwistedComponent) -> bool:
-    # W itself has one exactly on a semisimple datum: a Coxeter element fixes
-    # no nonzero vector of the root span, and every w fixes a central torus.
-    if c.untwisted:
-        return c.base.is_semisimple()
-    return any(e.regular for e in weyl_set(c))
+    """Whether some w in Wθ has det(w − 1) ≠ 0: exactly when θ fixes no central cocharacter.
+
+    W is 1 on the central cocharacters, and a twisted Coxeter element fixes no
+    nonzero vector of the coroot span (Springer, Invent. Math. 25, 1974).
+    """
+    return not _fixes_a_central_cocharacter(c.base, (c.theta,))
 
 
 def s_disc_set(m: ParameterModel) -> frozenset[SElement]:
@@ -66,32 +83,14 @@ def i_phi(m: ParameterModel, x: SElement) -> Fraction:
 
 
 def e_phi(m: ParameterModel, x: SElement) -> Fraction:
-    """Elliptic-class sum Σ |π₀|⁻¹·σ(centralizer) on the component of x."""
-    return _elliptic_sum(m.component_at(x))
-
-
-@cache
-def _elliptic_sum(comp: TwistedComponent) -> Fraction:
-    """e on one component, summed once: the stable weights and e = i both read it."""
-    return sum((Fraction(1, cls.pi0) * sigma(cls.centralizer_datum)
-                for cls in elliptic_classes(comp)), Fraction(0))
+    """Elliptic-class sum Σ |π₀|⁻¹·σ(centralizer) on the component of x, from ``verify_ei``."""
+    return verify_ei(m.component_at(x)).e
 
 
 def phi_disc(m: ParameterModel) -> bool:
     """Whether the attachment has no twist-stable central torus directions."""
-    base = m.component_at((0, 0)).base
-    # Only the dimension of the twist-fixed part counts, so any basis will do.
-    central = int_kernel(base.simple_roots) if base.simple_roots else identity_matrix(base.rank)
-    if not central:
-        return True
-    # v = Σ c_j b_j is fixed by every twist iff the stacked rows kill c.
-    coeff_rows = []
-    for x in m.s_elements():
-        theta = m.component_at(x).theta
-        images = [mat_vec(theta, b) for b in central]
-        for i in range(len(central[0])):
-            coeff_rows.append(tuple(images[j][i] - central[j][i] for j in range(len(central))))
-    return matrix_rank(coeff_rows) == len(central)  # no fixed direction
+    return not _fixes_a_central_cocharacter(m.component_at((0, 0)).base,
+                                            [m.component_at(x).theta for x in m.s_elements()])
 
 
 def phi_s_disc(m: ParameterModel) -> bool:
@@ -202,7 +201,7 @@ def iota_coefficient(out_card: int, zbar_card: int) -> Fraction:
 @cache
 def _twist_image(comp: TwistedComponent) -> tuple[IntMat, IntMat]:
     """θ − 1 on a component and the Hermite basis of its image (θ−1)·X∨."""
-    delta = _theta_minus_one(comp)
+    delta = minus_identity(comp.theta)
     return delta, hnf_rows(tuple(zip(*delta)))
 
 

@@ -34,7 +34,7 @@ from math import comb, prod
 from typing import NamedTuple
 
 from .errors import InconsistentFlats, InfiniteOrder, NotAutomorphism, WeylGroupTooLarge
-from .linalg import IntMat, det, identity_matrix, integer_rows, mat_mul, mat_vec
+from .linalg import IntMat, det, identity_matrix, integer_rows, mat_mul, mat_vec, minus_identity
 from .rootdata import (
     MAX_FLAT_WEYL_ORDER,
     RootDatum,
@@ -141,9 +141,7 @@ def coset_sign(d: RootDatum, total: IntMat, positive_roots=None) -> int:
 
 def _coset_element(c: TwistedComponent, v: WeylElement, theta_sign: int) -> CosetElement:
     total = v.matrix if c.untwisted else mat_mul(v.matrix, c.theta)
-    delta = tuple(tuple(total[i][j] - (1 if i == j else 0) for j in range(c.base.rank))
-                  for i in range(c.base.rank))
-    d = det(delta)
+    d = det(minus_identity(total))
     return CosetElement(total, d, -theta_sign if len(v.word) % 2 else theta_sign, d != 0)
 
 

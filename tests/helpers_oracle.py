@@ -57,7 +57,7 @@ from pathlib import Path
 from random import Random
 
 from tracestab import catalog, packets
-from tracestab.elliptic import _bds_children, _theta_minus_one, elliptic_classes, torus_point
+from tracestab.elliptic import _bds_children, elliptic_classes, torus_point
 from tracestab.errors import InconsistentDescriptor, TwistedUnsupported
 from tracestab.linalg import (
     dot,
@@ -66,6 +66,7 @@ from tracestab.linalg import (
     int_kernel,
     mat_mul,
     mat_vec,
+    minus_identity,
     normalize_mod1,
     transpose,
 )
@@ -386,7 +387,7 @@ def validate_twisted_candidates(c, points) -> dict:
     if c.untwisted:
         raise TwistedUnsupported("candidate validation is for twisted components")
     pts = [torus_point(p) for p in points]
-    delta = _theta_minus_one(c)
+    delta = minus_identity(c.theta)
     annihilator = left_int_kernel(delta)
     fixed_rank = len(int_kernel(delta))
     w_matrices = [w.matrix for w in weyl_group(c.base)]

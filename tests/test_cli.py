@@ -3,6 +3,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from itertools import product
 from math import factorial
 
 import pytest
@@ -10,6 +11,7 @@ import pytest
 from helpers_oracle import classical_datum, datum_from_cartan, e_cartan, oracle_packet_checks
 from tracestab import catalog, cli_packets, stabilize
 from tracestab.packets import ParameterModel, TwoGroup, with_flipped_pairing
+from tracestab.sigma import verify_ei
 from tracestab.cli import (
     EXIT_MALFORMED,
     EXIT_MISSING_FILE,
@@ -112,7 +114,7 @@ def test_stabilize_verify_computes_each_value_once(monkeypatch, capsys):
             calls[_name] += 1
             return _original(*args)
         monkeypatch.setattr(stabilize, name, counted)
-    stabilize._elliptic_sum.cache_clear()
+    verify_ei.cache_clear()
     assert main(["stabilize", "verify", "--trials", "3"]) == EXIT_OK
     assert json.loads(capsys.readouterr().out)["pass"]
     models = catalog.fixture_models()
@@ -120,7 +122,7 @@ def test_stabilize_verify_computes_each_value_once(monkeypatch, capsys):
     # discrete_weights reads i_φ at ι(τ) for each of the |S| rows τ; the report once per x.
     assert calls["i_phi"] == sum(2 * m.s_size for m in models)
     components = {m.component_at(x) for m in models for x in m.s_elements()}
-    assert stabilize._elliptic_sum.cache_info().misses == len(components)
+    assert verify_ei.cache_info().misses == len(components)
 
 
 def test_unknown_subcommand_exits_2():
@@ -550,6 +552,17 @@ def test_integer_packet_checks_catch_a_corrupted_table():
             assert not checks["route_agreement"] and checks["scaling_law"]
             failed |= {key for key, ok in checks.items() if not ok}
     assert failed == {"route_agreement", "adjoint_relations", "transfer_roundtrip"}
+
+
+@pytest.mark.parametrize("sm,r", [(sm, r) for sm in range(5) for r in range(5 - sm)])
+def test_component_keys_round_trip(sm, r):
+    """Every x of every shape with dim S_M + dim R ≤ 4 reads back from its key, and back again."""
+    keys = set()
+    for x in ParameterModel("m", TwoGroup(sm), TwoGroup(r)).s_elements():
+        key = cli_packets._pair_to_bits(x, sm, r)
+        assert cli_packets._bits_to_pair(key, sm, r) == x
+        keys.add(key)
+    assert keys == {"".join(bits) for bits in product("01", repeat=sm + r)}
 
 
 def test_stabilize_verify_fixtures():

@@ -210,6 +210,38 @@ def test_is_elliptic_examples():
     assert not is_elliptic(gl1, torus_point((0,)))
 
 
+TORUS_POINTS = [(0, 0), (Fraction(1, 2), 0), (Fraction(1, 3), Fraction(2, 5))]
+
+
+@pytest.mark.parametrize("theta", [((-1, 0), (0, -1)), ((-1, 0), (0, 1)), ((0, 1), (1, 0)),
+                                   ((0, -1), (-1, 0)), ((0, -1), (1, 0))])
+def test_torus_twist_is_elliptic_exactly_when_theta_fixes_nothing(theta):
+    o2 = catalog.named_component("o2_twist")
+    assert all(is_elliptic(o2, torus_point(t[:1])) for t in TORUS_POINTS)
+    c = component(build_root_datum(2, [], []), theta)
+    delta = tuple(tuple(x - (i == j) for j, x in enumerate(row)) for i, row in enumerate(theta))
+    assert {is_elliptic(c, torus_point(t)) for t in TORUS_POINTS} == {det(delta) != 0}
+
+
+def test_swap_points_are_read_in_folded_coordinates():
+    # SL2 × SL2 swapped folds to the diagonal SL2, whose root pairs with t as 2t.
+    swap = catalog.named_component("a1a1_swap")
+    assert is_elliptic(swap, torus_point((0,)))
+    assert is_elliptic(swap, torus_point((Fraction(1, 2),)))
+    assert not is_elliptic(swap, torus_point((Fraction(1, 4),)))
+    with pytest.raises(TwistedUnsupported) as raised:
+        is_elliptic(swap, torus_point((Fraction(1, 2), Fraction(1, 2))))
+    assert str(raised.value) == "swap-component points use folded coordinates"
+
+
+def test_is_elliptic_refuses_an_unsupported_twist():
+    # The coordinate swap on SL3 is its diagram automorphism: an outer twist.
+    c = component(catalog.datum("sl3"), ((0, 1), (1, 0)))
+    with pytest.raises(TwistedUnsupported) as raised:
+        is_elliptic(c, torus_point((0, 0)))
+    assert str(raised.value) == "ellipticity test for this twist shape"
+
+
 # ---------------------------------------------------------------------------
 # Structural invariants.
 # ---------------------------------------------------------------------------

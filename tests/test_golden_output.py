@@ -31,6 +31,12 @@ ROOT = Path(__file__).resolve().parent.parent
 # (0,3 / 1,4 / 2,5), and E8 simply connected, which σ refuses.
 PRODUCT = "tests/data/b2_g2_a2_interleaved.json"
 E8_SC = "tests/data/e8_sc.json"
+# SL3 under the coordinate swap, an outer twist that ``elliptic`` and ``verify ei``
+# refuse; and a model set whose discrete sets come from the central torus: GL1
+# inverted with dim S_M = 1, a rank-2 torus inverted on one coordinate, and SL2 × SL2
+# swapped.
+SL3_SWAP = "tests/data/sl3_swap.json"
+CENTRAL_TORUS_MODELS = "tests/data/central_torus_models.json"
 
 # Every command path of the CLI; each one's ``--help`` is pinned with the top-level one.
 COMMAND_PATHS = ("i-number", "elliptic", "sigma", "verify ei", "verify central-quotient",
@@ -50,6 +56,8 @@ def commands() -> list[list[str]]:
     out += [[*path.split(), "--group", PRODUCT] for path in ("sigma", "i-number", "elliptic",
                                                               "verify ei")]
     out += [["sigma", "--group", E8_SC]]
+    out += [[*path.split(), "--group", SL3_SWAP] for path in ("i-number", "elliptic", "verify ei")]
+    out += [["stabilize", "verify", "--models", CENTRAL_TORUS_MODELS, "--trials", "2"]]
     return out
 
 

@@ -474,6 +474,9 @@ CLOSURE_DATA = POSITIVE_DATA + [
     (f"{label}-{form}", labelled_datum(label, "given", form))
     for label in ("F4", "G2", "E6") for form in ("sc", "ad")] + [
     ("G2xB3-sc", direct_sum(labelled_datum("G2", "given", "sc"), classical_datum("B", 3, "sc")))]
+# Past rank 32 a root's coefficient vector and the simple roots are mostly zeros.
+CLOSURE_DATA += [(f"{kind}{n}-sc", classical_datum(kind, n, "sc"))
+                 for kind, n in (("B", 33), ("C", 33), ("D", 34))]
 
 
 @pytest.mark.parametrize("name,d", CLOSURE_DATA, ids=[n for n, _ in CLOSURE_DATA])

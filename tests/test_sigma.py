@@ -30,8 +30,9 @@ sigma_module = importlib.import_module("tracestab.sigma")
 
 
 def _empty_memos(monkeypatch) -> SigmaTable:
-    """Empty both process-wide σ memos: the datum cache and the adjoint table."""
+    """Empty the process-wide σ memos: the datum cache, the adjoint table and the e = i reports."""
     sigma.cache_clear()
+    verify_ei.cache_clear()
     table = SigmaTable()
     monkeypatch.setattr(sigma_module, "_ADJOINT", table)
     return table
@@ -39,9 +40,10 @@ def _empty_memos(monkeypatch) -> SigmaTable:
 
 @pytest.fixture
 def cold(monkeypatch):
-    """Cold σ memos for the test; the datum cache is emptied again afterwards."""
+    """Cold σ memos for the test; the datum cache and the reports are emptied again afterwards."""
     yield _empty_memos(monkeypatch)
     sigma.cache_clear()
+    verify_ei.cache_clear()
 
 
 @pytest.mark.parametrize("name,expected", [

@@ -28,7 +28,12 @@ from tracestab.packets import (
     TwoGroup,
     with_flipped_pairing,
 )
-from tracestab.rootdata import build_root_datum, central_subgroup, simple_reflection_matrix
+from tracestab.rootdata import (
+    build_root_datum,
+    central_subgroup,
+    classical_weyl_order,
+    simple_reflection_matrix,
+)
 from tracestab.stabilize import (
     DiscreteModelSet,
     coefficient_report,
@@ -45,7 +50,7 @@ from tracestab.stabilize import (
     stable_form,
     verify_coefficients,
 )
-from tracestab.weylcoset import untwisted_component, weyl_set
+from tracestab.weylcoset import component, untwisted_component, weyl_set
 
 stabilize_module = importlib.import_module("tracestab.stabilize")
 
@@ -76,11 +81,46 @@ UNTWISTED_DATA = catalog_and_ladder_data() + [
     ("sl3xgl1", build_root_datum(3, [(2, -1, 0), (-1, 2, 0)], [(1, 0, 0), (0, 1, 0)]))]
 
 
-@pytest.mark.parametrize("name,d", UNTWISTED_DATA, ids=[n for n, _ in UNTWISTED_DATA])
-def test_untwisted_coset_has_a_regular_element_exactly_on_semisimple_data(name, d):
-    c = untwisted_component(d)
-    assert (stabilize_module._has_regular_element(c)
-            == any(e.regular for e in weyl_set(c)) == d.is_semisimple())
+def _model_components(models):
+    return tuple({m.component_at(x): None for m in models for x in m.s_elements()})
+
+
+def _twisted_inputs():
+    """(id, components) for the twisted side of the regular-element test."""
+    def minus_one(n):
+        return tuple(tuple(-x for x in row) for row in identity_matrix(n))
+
+    swap = catalog.SWAP2
+    sl3, pgl3 = catalog.datum("sl3"), catalog.datum("pgl3")
+    s1 = simple_reflection_matrix(sl3, 0)
+    gl2 = build_root_datum(2, [(1, -1)], [(1, -1)])
+    sl2xgl1 = build_root_datum(2, [(2, 0)], [(1, 0)])
+    rng = Random(5)
+    inputs = [(name, (catalog.named_component(name),)) for name in ("o2_twist", "a1a1_swap")]
+    inputs += [("fixture-models", _model_components(catalog.fixture_models())),
+               ("bank-200", _model_components(catalog.random_model(rng, i) for i in range(200)))]
+    inputs += [(f"{name}-minus-one", (component(d, minus_one(d.rank)),))
+               for name, d in catalog_and_ladder_data() if classical_weyl_order(d) <= 2000]
+    twists = [("sl3-swap", sl3, swap), ("pgl3-swap", pgl3, swap), ("sl3-s1", sl3, s1),
+              ("sl3-s1-swap", sl3, mat_mul(s1, swap)), ("gl2-swap", gl2, swap),
+              ("gl2-minus-one", gl2, ((-1, 0), (0, -1))), ("gl2-minus-swap", gl2, ((0, -1), (-1, 0))),
+              ("sl2xgl1-gl1-inverted", sl2xgl1, ((1, 0), (0, -1)))]
+    return inputs + [(name, (component(d, theta),)) for name, d, theta in twists]
+
+
+REGULAR_ELEMENT_INPUTS = [(name, (untwisted_component(d),)) for name, d in UNTWISTED_DATA]
+REGULAR_ELEMENT_INPUTS += _twisted_inputs()
+
+
+@pytest.mark.parametrize("name,components", REGULAR_ELEMENT_INPUTS,
+                         ids=[n for n, _ in REGULAR_ELEMENT_INPUTS])
+def test_untwisted_coset_has_a_regular_element_exactly_on_semisimple_data(name, components):
+    """The central-torus test agrees with the coset walk; on θ = 1 it is semisimplicity."""
+    for c in components:
+        has_regular = stabilize_module._has_regular_element(c)
+        assert has_regular == any(e.regular for e in weyl_set(c)), c
+        if c.untwisted:
+            assert has_regular == c.base.is_semisimple()
 
 
 def test_i_phi_trivial_model():
