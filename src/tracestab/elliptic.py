@@ -15,11 +15,12 @@ orbit–stabilizer, π₀ = |W_t| / |W(Φ_t)| with |W_t| = |W| / |W·t|.
 extended-diagram node deletion) is an independent enumerator, not used by
 the class list; the tests build their search-based reference from it.
 
-Two twisted shapes are supported in closed form: any twist of a torus
-datum (one class, with π₀ = |det(θ − 1)|, or none if θ fixes a direction),
-and a factor swap of a doubled datum, folded to its diagonal.  One reduction,
-``_reduction``, tells the shapes apart and does the fold; ``elliptic_classes``
-and ``is_elliptic`` both read it.  Everything else raises TwistedUnsupported.
+A coset with no regular element (``weylcoset.has_regular_element``) has no
+elliptic class.  Two twisted shapes are supported in closed form: any twist of
+a torus datum (one class, with π₀ = |det(θ − 1)|), and a factor swap of a
+doubled datum, folded to its diagonal.  One reduction, ``_reduction``, tells
+the shapes apart and does the fold; ``elliptic_classes`` and ``is_elliptic``
+both read it.  Everything else raises TwistedUnsupported.
 
 ``elliptic_classes`` and the reduction are memoized on the component's value
 (base datum, θ and its order), never on a canonical key; the cached tuple of
@@ -61,7 +62,7 @@ from .rootdata import (
     simple_factors,
     weyl_group,
 )
-from .weylcoset import TwistedComponent
+from .weylcoset import TwistedComponent, has_regular_element
 
 
 class TorusPoint(NamedTuple):
@@ -253,13 +254,13 @@ def elliptic_classes(c: TwistedComponent) -> tuple[SemisimpleClass, ...]:
 
     Untwisted components are enumerated from alcove vertices; supported
     twists are reduced in closed form.  The list is never silently partial:
-    unsupported twists raise.
+    unsupported twists raise.  A coset with no regular element has none.
     """
+    if not has_regular_element(c):
+        return ()
     reduced = _reduction(c)
     if reduced is None:
         raise TwistedUnsupported("no enumeration for this twist shape")
-    if reduced == 0:
-        return ()  # a torus twist whose fixed subtorus forces an infinite center
     if isinstance(reduced, int):
         trivial = build_root_datum(0, (), ())
         return (SemisimpleClass(torus_point((0,) * c.base.rank), trivial, reduced, True),)
@@ -290,11 +291,6 @@ def _elliptic_classes_untwisted(d: RootDatum) -> tuple[SemisimpleClass, ...]:
     alcove vertices (Bourbaki, Lie Groups, ch. VI §2); the least point of each
     vertex's Weyl orbit mod X∨ names its class, and the orbit's size gives π₀.
     """
-    if not d.is_semisimple():
-        return ()
-    if d.rank == 0:
-        trivial = build_root_datum(0, (), ())
-        return (SemisimpleClass(torus_point(()), trivial, 1, True),)
     vertices = _alcove_vertices(d)
     for t in vertices:  # refuse before any orbit is walked
         _check_orbit_bound(d, t)

@@ -6,8 +6,8 @@ on column vectors (``mat_vec(M, v) == M @ v``).
 
 Elimination over Q has one routine, the fraction-free Gauss–Jordan
 ``_echelon``; ``matrix_rank``, ``invert``, ``coords_in_rows`` and
-``in_integer_row_span`` are built on it.  ``det`` is fraction-free too
-(Bareiss); both scale each row to integers up front with
+``in_integer_row_span`` are built on it.  ``det`` is the last of
+``bareiss_pivots``; both scale each row to integers up front with
 ``clear_denominators``.  Over Z there is one normal form, the row-style
 Hermite ``hnf_rows``: ``int_kernel`` and ``dual_lattice_quotient`` read the
 kernel and the dual-lattice quotient off it (Cohen, *A Course in
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import mul
 from typing import Sequence
 
@@ -71,34 +71,38 @@ def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> tuple:
     return tuple(tuple(dot(row, col) for col in bt) for row in a)
 
 
-def det(m: Sequence[Sequence]) -> Fraction:
-    """Determinant of a rational matrix, as a Fraction; the 0x0 matrix has 1.
+def bareiss_pivots(m: Sequence[Sequence[int]]) -> list[int]:
+    """The pivots of fraction-free (Bareiss) elimination of a square integer matrix.
 
-    Fraction-free (Bareiss) elimination: each row is scaled to integers up
-    front, every division is exact, so the work stays in integers, and the
-    result is divided by the product of the row scales.
+    Up to the first 0 they are its leading principal minors by size.  A 0 is
+    recorded, then its row is exchanged with a lower one that is nonzero in its
+    column, if any; later pivots carry the exchanges' sign, so the last is det.
     """
-    rows, scale = [], 1
-    for row in m:
-        int_row, row_scale = clear_denominators(row)
-        rows.append(list(int_row))
-        scale *= row_scale
-    n = len(rows)
-    sign, prev = 1, 1
-    for k in range(n - 1):
+    rows = [list(row) for row in m]
+    n, sign, prev, out = len(rows), 1, 1, []
+    for k in range(n):
         if rows[k][k] == 0:
+            out.append(0)
             pivot = next((r for r in range(k + 1, n) if rows[r][k] != 0), None)
             if pivot is None:
-                return Fraction(0)
+                return out
             rows[k], rows[pivot] = rows[pivot], rows[k]
             sign = -sign
         pk, row_k = rows[k][k], rows[k]
+        out.append(sign * pk)
         for row in rows[k + 1:]:
             factor = row[k]
             for j in range(k + 1, n):
                 row[j] = (row[j] * pk - factor * row_k[j]) // prev  # exact division
         prev = pk
-    return Fraction(sign * rows[-1][-1] if n else 1, scale)
+    return out
+
+
+def det(m: Sequence[Sequence]) -> Fraction:
+    """Determinant of a rational matrix, as a Fraction; the 0x0 matrix has 1."""
+    rows = [clear_denominators(row) for row in m]
+    pivots = bareiss_pivots([int_row for int_row, _ in rows]) or [1]
+    return Fraction(pivots[-1], prod(scale for _, scale in rows))
 
 
 def _echelon(rows: Sequence[Sequence]) -> tuple[list[list[int]], list[int]]:
@@ -168,11 +172,7 @@ def hnf_rows(rows: Sequence[Sequence[int]]) -> list[IntVec]:
     basis: list[list[int]] = []
     row_idx = 0
     for col in range(ncols):
-        pivot = None
-        for r in range(row_idx, len(work)):
-            if work[r][col] != 0:
-                pivot = r
-                break
+        pivot = next((r for r in range(row_idx, len(work)) if work[r][col] != 0), None)
         if pivot is None:
             continue
         work[row_idx], work[pivot] = work[pivot], work[row_idx]
@@ -185,12 +185,10 @@ def hnf_rows(rows: Sequence[Sequence[int]]) -> list[IntVec]:
         if work[row_idx][col] < 0:
             work[row_idx] = [-a for a in work[row_idx]]
         row_idx += 1
-    work = [row for row in work[:row_idx]]
+    work = work[:row_idx]
     # Reduce entries above each pivot.
-    pivots = []
     for r, row in enumerate(work):
         col = next(i for i, a in enumerate(row) if a != 0)
-        pivots.append(col)
         for above in range(r):
             q = work[above][col] // row[col]
             if q:

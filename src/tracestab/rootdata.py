@@ -30,8 +30,8 @@ from .linalg import (
     IntMat,
     IntVec,
     QVec,
+    bareiss_pivots,
     clear_denominators,
-    det,
     dot,
     dual_lattice_quotient,
     hnf_rows,
@@ -150,8 +150,8 @@ def _validate_cartan(simple_roots, simple_coroots) -> IntMat:
     for i, j in combinations(range(k), 2):
         if scale[j] * cartan[i][j] != scale[i] * cartan[j][i]:
             raise NonCartan(f"Cartan matrix is not symmetrizable at ({i},{j})")
-    for size in range(1, k + 1):
-        if det(tuple(row[:size] for row in cartan[:size])) <= 0:
+    for size, minor in enumerate(bareiss_pivots(cartan), 1):
+        if minor <= 0:
             raise NonCartan(f"non-positive principal minor on {tuple(range(size))}")
     return cartan
 

@@ -18,8 +18,8 @@ of ``rootdata.simple_factors``, which is not asked to split the adjoint
 datum again.  No class list enters σ, so ``verify_ei`` is an independent
 check of e = i, simple adjoint types included.  The values are kept
 process-wide by Cartan label ("A1", "B4", …); ``sigma`` itself is memoized
-on the datum's value.  ``verify_ei`` is the one place e(S) is summed, memoized
-on the component's value; ``stabilize`` reads e_φ off its report.
+on the datum's value.  e(S) is summed only in ``e_number``, memoized on the
+component's value, which ``verify_ei`` compares with i and ``stabilize`` reads.
 """
 
 from __future__ import annotations
@@ -95,17 +95,19 @@ class EIReport(NamedTuple):
 
 
 @cache
-def verify_ei(c: TwistedComponent) -> EIReport:
-    """Evaluate both sides of e(S) = i(S) independently and compare exactly."""
-    i_value = i_number(c)
+def e_number(c: TwistedComponent) -> tuple[Fraction, tuple[ClassTerm, ...]]:
+    """e(S) = Σ |π₀(S_s)|⁻¹·σ(S°_s) over the elliptic classes, and its terms."""
     terms = []
-    e_value = Fraction(0)
     for cls in elliptic.elliptic_classes(c):
         s_value = sigma(cls.centralizer_datum)
-        term = Fraction(1, cls.pi0) * s_value
-        e_value += term
-        terms.append(ClassTerm(cls.rep.coords, cls.pi0, s_value, term))
-    return EIReport(e_value, i_value, e_value == i_value, tuple(terms))
+        terms.append(ClassTerm(cls.rep.coords, cls.pi0, s_value, Fraction(1, cls.pi0) * s_value))
+    return sum((t.term for t in terms), Fraction(0)), tuple(terms)
+
+
+def verify_ei(c: TwistedComponent) -> EIReport:
+    """Evaluate both sides of e(S) = i(S) independently and compare exactly."""
+    i_value, (e_value, terms) = i_number(c), e_number(c)
+    return EIReport(e_value, i_value, e_value == i_value, terms)
 
 
 def verify_central_quotient(d: RootDatum, z: CentralSubgroup) -> bool:

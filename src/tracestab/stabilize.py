@@ -11,9 +11,9 @@ Each form is a fixed bilinear kernel: its weights are built once per
 ``DiscreteModelSet`` as integers over one denominator, and each evaluation
 is one integer sum over the test vectors' integer views.
 
-e_φ is read off ``sigma.verify_ei``, the one place e is summed.  The discrete
-set and φ's discreteness are one test on the central torus: whether the
-twists fix a nonzero central cocharacter.  No Weyl coset is walked for them.
+e_φ is ``sigma.e_number``, which never asks for i.  The discrete set and φ's
+discreteness are one test, ``weylcoset.fixes_a_central_cocharacter``: whether
+the twists fix a nonzero central cocharacter.  No Weyl coset is walked for them.
 """
 
 from __future__ import annotations
@@ -29,14 +29,9 @@ from .linalg import (
     clear_denominators,
     dot,
     hnf_rows,
-    identity_matrix,
     in_integer_row_span,
-    int_kernel,
-    mat_mul,
     mat_vec,
-    matrix_rank,
     minus_identity,
-    transpose,
 )
 from .packets import (
     GaussianRational,
@@ -47,31 +42,13 @@ from .packets import (
     theta_numerator,
 )
 from .rootdata import CentralSubgroup, RootDatum, subgroup_mod1
-from .sigma import sigma, verify_ei
-from .weylcoset import TwistedComponent, i_number
-
-
-def _fixes_a_central_cocharacter(base: RootDatum, thetas) -> bool:
-    """Whether every θ fixes one nonzero v in X∨ ⊗ Q with ⟨α, v⟩ = 0 for every root α."""
-    # Only the dimension of the twist-fixed part counts, so any basis will do.
-    central = int_kernel(base.simple_roots) if base.simple_roots else identity_matrix(base.rank)
-    # v = Σ c_j b_j is fixed by every twist iff (θ − 1)·B·c = 0 for each, B = (b_j).
-    rows = [row for theta in thetas for row in mat_mul(minus_identity(theta), transpose(central))]
-    return matrix_rank(rows) < len(central)
-
-
-def _has_regular_element(c: TwistedComponent) -> bool:
-    """Whether some w in Wθ has det(w − 1) ≠ 0: exactly when θ fixes no central cocharacter.
-
-    W is 1 on the central cocharacters, and a twisted Coxeter element fixes no
-    nonzero vector of the coroot span (Springer, Invent. Math. 25, 1974).
-    """
-    return not _fixes_a_central_cocharacter(c.base, (c.theta,))
+from .sigma import e_number, sigma
+from .weylcoset import TwistedComponent, fixes_a_central_cocharacter, has_regular_element, i_number
 
 
 def s_disc_set(m: ParameterModel) -> frozenset[SElement]:
     """Components whose Weyl coset contains a regular element."""
-    return frozenset(x for x in m.s_elements() if _has_regular_element(m.component_at(x)))
+    return frozenset(x for x in m.s_elements() if has_regular_element(m.component_at(x)))
 
 
 def i_phi(m: ParameterModel, x: SElement) -> Fraction:
@@ -83,14 +60,14 @@ def i_phi(m: ParameterModel, x: SElement) -> Fraction:
 
 
 def e_phi(m: ParameterModel, x: SElement) -> Fraction:
-    """Elliptic-class sum Σ |π₀|⁻¹·σ(centralizer) on the component of x, from ``verify_ei``."""
-    return verify_ei(m.component_at(x)).e
+    """Elliptic-class sum Σ |π₀|⁻¹·σ(centralizer) on the component of x, from ``e_number``."""
+    return e_number(m.component_at(x))[0]
 
 
 def phi_disc(m: ParameterModel) -> bool:
     """Whether the attachment has no twist-stable central torus directions."""
-    return not _fixes_a_central_cocharacter(m.component_at((0, 0)).base,
-                                            [m.component_at(x).theta for x in m.s_elements()])
+    return not fixes_a_central_cocharacter(m.component_at((0, 0)).base,
+                                           [m.component_at(x).theta for x in m.s_elements()])
 
 
 def phi_s_disc(m: ParameterModel) -> bool:

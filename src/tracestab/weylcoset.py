@@ -9,17 +9,21 @@ an element is regular when det(w − 1) ≠ 0 on X∨ ⊗ Q, and
 summed with exact rationals.  There are two routes to it:
 
 * θ ≠ 1: ``weyl_set`` builds the coset one element at a time.
-* θ = 1: no W is built.  i is 0 with a central torus, and otherwise the
-  product over ``rootdata.simple_factors`` of ``simple_i_number``,
-  (−1)ⁿ·E_W(1)/|W|, where E_W(q) sums 1/det(1 − qw) over the elliptic w
-  (for those det w = (−1)ⁿ).  E_W comes from Molien's series
-  |W|/Π(1 − q^{dᵢ}) minus the contributions of the proper flats of the
-  Coxeter arrangement, which are counted by W-orbit with simple reflections
-  acting on root indices.  E is kept per Cartan label in one table.
+* θ = 1: no W is built.  i is the product over ``rootdata.simple_factors``
+  of ``simple_i_number``, (−1)ⁿ·E_W(1)/|W|, where E_W(q) sums 1/det(1 − qw)
+  over the elliptic w (for those det w = (−1)ⁿ).  E_W comes from Molien's
+  series |W|/Π(1 − q^{dᵢ}) minus the contributions of the proper flats of
+  the Coxeter arrangement, which are counted by W-orbit with simple
+  reflections acting on root indices.  E is kept per Cartan label in one table.
 
-``weyl_set`` and ``i_number`` are memoized on the component's value (base
-datum, θ and its order), never on a canonical key; the cached tuples of
-immutable elements and Fractions are shared by every caller.
+Neither runs if ``has_regular_element`` says no: then i is 0, ``elliptic``
+lists no class and ``stabilize`` leaves the component out of the discrete set.
+That is when θ fixes a nonzero central cocharacter: W is 1 on those, and a
+twisted Coxeter element fixes no nonzero vector of the coroot span (Springer,
+Invent. Math. 25, 1974).
+
+``weyl_set``, ``has_regular_element`` and ``i_number`` are memoized on the
+component's value (base datum, θ and its order), never on a canonical key.
 
 The named components (``named_component``) are the named data, untwisted,
 plus ``o2_twist`` (GL1 inverted) and ``a1a1_swap`` (SL2 × SL2 swapped).
@@ -34,7 +38,16 @@ from math import comb, prod
 from typing import NamedTuple
 
 from .errors import InconsistentFlats, InfiniteOrder, NotAutomorphism, WeylGroupTooLarge
-from .linalg import IntMat, det, identity_matrix, integer_rows, mat_mul, mat_vec, minus_identity
+from .linalg import (
+    IntMat,
+    det,
+    identity_matrix,
+    integer_rows,
+    mat_mul,
+    mat_vec,
+    matrix_rank,
+    minus_identity,
+)
 from .rootdata import (
     MAX_FLAT_WEYL_ORDER,
     RootDatum,
@@ -128,10 +141,9 @@ def component_names() -> tuple[str, ...]:
     return datum_names() + ("a1a1_swap", "o2_twist")
 
 
-def coset_sign(d: RootDatum, total: IntMat, positive_roots=None) -> int:
+def coset_sign(d: RootDatum, total: IntMat) -> int:
     """(−1)^{#positive roots sent to negative} for the X-side action."""
-    if positive_roots is None:
-        positive_roots = d.positive_roots()
+    positive_roots = d.positive_roots()
     action = contragredient(total)
     positives = set(positive_roots)
     inversions = sum(1 for alpha in positive_roots
@@ -266,15 +278,30 @@ def simple_i_number(t: SimpleType) -> Fraction:
     return (-1) ** len(t.cartan) * elliptic_series(t, 1)[0] / t.order
 
 
+def fixes_a_central_cocharacter(base: RootDatum, thetas) -> bool:
+    """Whether every θ fixes one nonzero v in X∨ ⊗ Q with ⟨α, v⟩ = 0 for every root α."""
+    if base.is_semisimple():  # the roots span, so no such v exists
+        return False
+    # Such v form the common kernel of the simple roots and of every θ − 1.
+    rows = [row for theta in thetas for row in minus_identity(theta)]
+    return matrix_rank(base.simple_roots + tuple(rows)) < base.rank
+
+
+@cache
+def has_regular_element(c: TwistedComponent) -> bool:
+    """Whether some w in Wθ has det(w − 1) ≠ 0: exactly when θ fixes no central cocharacter."""
+    return not fixes_a_central_cocharacter(c.base, (c.theta,))
+
+
 @cache
 def i_number(c: TwistedComponent) -> Fraction:
     """i(S): the signed average over the coset's regular part, or per simple factor if θ = 1."""
+    if not has_regular_element(c):
+        return Fraction(0)
     if not c.untwisted:
         elements = weyl_set(c)
         return sum((Fraction(e.sign) / abs(e.det_w_minus_1) for e in elements if e.regular),
                    Fraction(0)) / len(elements)
-    if not c.base.is_semisimple():
-        return Fraction(0)
     # The factors too large for their flats go first, in diagram order, so one
     # refuses before any other factor's flats are walked.
     factors = sorted(simple_factors(c.base), key=lambda t: t.order <= MAX_FLAT_WEYL_ORDER)

@@ -11,7 +11,7 @@ import pytest
 from helpers_oracle import classical_datum, datum_from_cartan, e_cartan, oracle_packet_checks
 from tracestab import catalog, cli_packets, stabilize
 from tracestab.packets import ParameterModel, TwoGroup, with_flipped_pairing
-from tracestab.sigma import verify_ei
+from tracestab.sigma import e_number
 from tracestab.cli import (
     EXIT_MALFORMED,
     EXIT_MISSING_FILE,
@@ -114,7 +114,7 @@ def test_stabilize_verify_computes_each_value_once(monkeypatch, capsys):
             calls[_name] += 1
             return _original(*args)
         monkeypatch.setattr(stabilize, name, counted)
-    verify_ei.cache_clear()
+    e_number.cache_clear()
     assert main(["stabilize", "verify", "--trials", "3"]) == EXIT_OK
     assert json.loads(capsys.readouterr().out)["pass"]
     models = catalog.fixture_models()
@@ -122,7 +122,7 @@ def test_stabilize_verify_computes_each_value_once(monkeypatch, capsys):
     # discrete_weights reads i_φ at ι(τ) for each of the |S| rows τ; the report once per x.
     assert calls["i_phi"] == sum(2 * m.s_size for m in models)
     components = {m.component_at(x) for m in models for x in m.s_elements()}
-    assert verify_ei.cache_info().misses == len(components)
+    assert e_number.cache_info().misses == len(components)
 
 
 def test_unknown_subcommand_exits_2():

@@ -155,24 +155,54 @@ def test_no_function_imports_and_no_type_checking_blocks():
     assert offenders == []
 
 
-def test_only_weyl_set_and_full_rank_subsystems_reach_weyl_group():
-    """W is built element by element, so its callers are pinned: no other code may reach it."""
+def _places(name: str) -> set[str]:
+    """module.scope for every top-level statement of the package that names ``name``."""
     places = set()
     for path in sorted((SRC / "tracestab").glob("*.py")):
         for top in ast.parse(path.read_text(encoding="utf-8")).body:
             scope = (top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef))
                      else "import" if isinstance(top, (ast.Import, ast.ImportFrom)) else "module")
-            if any(isinstance(node, ast.Name) and node.id == "weyl_group"
-                   or isinstance(node, ast.Attribute) and node.attr == "weyl_group"
-                   or isinstance(node, ast.alias) and node.name == "weyl_group"
+            if any(isinstance(node, ast.Name) and node.id == name
+                   or isinstance(node, ast.Attribute) and node.attr == name
+                   or isinstance(node, ast.alias) and node.name == name
                    for node in ast.walk(top)):
                 places.add(f"{path.stem}.{scope}")
-    assert places == {"elliptic.import", "elliptic.full_rank_subsystems",
-                      "weylcoset.import", "weylcoset.weyl_set"}
+    return places
 
 
-def test_only_verify_ei_reaches_elliptic_from_sigma():
-    """σ is read off the affine diagram; only ``verify_ei`` sums the class list.
+def test_only_weyl_set_and_full_rank_subsystems_reach_weyl_group():
+    """W is built element by element, so its callers are pinned: no other code may reach it."""
+    assert _places("weyl_group") == {"elliptic.import", "elliptic.full_rank_subsystems",
+                                     "weylcoset.import", "weylcoset.weyl_set"}
+
+
+def test_only_weylcoset_forms_the_central_cocharacter_test():
+    """Whether a coset has a regular element is decided in one place, ``weylcoset``.
+
+    i, the elliptic class list and the discrete set take their zero case from
+    it, so none of them reads semisimplicity or forms the test again.
+    """
+    defined = {f"{path.stem}.{top.name}" for path in (SRC / "tracestab").glob("*.py")
+               for top in ast.parse(path.read_text(encoding="utf-8")).body
+               if isinstance(top, ast.FunctionDef)
+               and ("central_cocharacter" in top.name or "regular_element" in top.name)}
+    assert defined == {"weylcoset.fixes_a_central_cocharacter", "weylcoset.has_regular_element"}
+    # stabilize forms θ − 1 only for the image basis, and no rank or kernel at all.
+    linear_algebra = set().union(*map(_places, ("int_kernel", "matrix_rank", "minus_identity")))
+    assert {p for p in linear_algebra if p.startswith("stabilize.")} == {
+        "stabilize.import", "stabilize._twist_image"}
+    assert _places("fixes_a_central_cocharacter") == {
+        "weylcoset.has_regular_element", "stabilize.import", "stabilize.phi_disc"}
+    assert _places("has_regular_element") == {
+        "weylcoset.i_number", "elliptic.import",
+        "elliptic.elliptic_classes", "stabilize.import", "stabilize.s_disc_set"}
+    assert _places("is_semisimple") == {
+        "rootdata.central_torsion_points", "weylcoset.fixes_a_central_cocharacter",
+        "elliptic.full_rank_subsystems", "sigma.sigma", "stabilize.phi_s_disc"}
+
+
+def test_only_e_number_reaches_elliptic_from_sigma():
+    """σ is read off the affine diagram; only ``e_number`` sums the class list.
 
     ``elliptic`` is bound as a lazy module, so the ``sigma`` command never runs it.
     """
@@ -189,4 +219,4 @@ def test_only_verify_ei_reaches_elliptic_from_sigma():
                or isinstance(node, ast.Attribute) and node.attr == "elliptic"
                for node in ast.walk(top)):
             places.add(scope)
-    assert places == {"module binding", "verify_ei"}
+    assert places == {"module binding", "e_number"}

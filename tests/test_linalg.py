@@ -26,6 +26,7 @@ from helpers_oracle import (
     fraction_rank,
 )
 from tracestab.linalg import (
+    bareiss_pivots,
     clear_denominators,
     coords_in_rows,
     det,
@@ -110,6 +111,16 @@ def test_det_matches_fraction_elimination(entries, data):
     n = data.draw(st.integers(0, 4))
     m = data.draw(matrices(entries, st.just(n), st.just(n)))
     assert det(m) == fraction_det(m)
+
+
+@PROPERTY
+@given(m=st.integers(0, 5).flatmap(lambda n: matrices(INTS, st.just(n), st.just(n))))
+def test_bareiss_pivots_are_leading_minors_up_to_the_first_zero_and_end_at_det(m):
+    minors = [fraction_det([row[:k] for row in m[:k]]) for k in range(1, len(m) + 1)]
+    leading = minors[:next((k + 1 for k, x in enumerate(minors) if x == 0), len(minors))]
+    pivots = bareiss_pivots(m)
+    assert pivots[:len(leading)] == leading
+    assert (pivots[-1] if pivots else 1) == fraction_det(m)
 
 
 @ENTRIES

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from math import factorial
 from random import Random
@@ -94,6 +95,23 @@ def test_rejects_affine_cartan():
     # The A1~ matrix [[2,-2],[-2,2]] has a vanishing principal minor.
     with pytest.raises(NonCartan):
         build_root_datum(2, [(2, -2), (-2, 2)], [(1, -1), (-1, 1)])
+
+
+@pytest.mark.parametrize("cartan, size", [
+    (((2, -2), (-2, 2)), 2),  # A1~: the minor vanishes
+    (((2, -3), (-3, 2)), 2),  # hyperbolic: the minor is negative
+    (((2, -1, 0), (-1, 2, -3), (0, -3, 2)), 3),  # the first two minors are positive
+    (((2, -2, 0, 0), (-2, 2, -1, 0), (0, -1, 2, -1), (0, 0, -1, 2)), 2),  # A1~ then A2
+])
+def test_the_first_non_positive_leading_minor_is_named(cartan, size):
+    """Each root carries a unit vector of its own, so the roots are independent even where
+    the Cartan matrix is singular, and only the minors can refuse."""
+    k = len(cartan)
+    unit = [[int(i == j) for j in range(k)] for i in range(k)]
+    roots = [[row[j] for row in cartan] + unit[j] for j in range(k)]
+    message = f"non-positive principal minor on {tuple(range(size))}"
+    with pytest.raises(NonCartan, match=f"^{re.escape(message)}$"):
+        build_root_datum(2 * k, roots, [u + [0] * k for u in unit])
 
 
 @pytest.mark.parametrize("kind, n, count", [

@@ -8,6 +8,8 @@ from helpers_oracle import (
     catalog_and_ladder_data,
     classical_datum,
     datum_from_cartan,
+    direct_sum,
+    e_cartan,
     labelled_datum,
     oracle_sigma,
 )
@@ -22,17 +24,17 @@ from tracestab.rootdata import (
     central_torsion_points,
     quotient_by_central,
 )
-from tracestab.sigma import SigmaTable, sigma, verify_central_quotient, verify_ei
-from tracestab.weylcoset import untwisted_component
+from tracestab.sigma import SigmaTable, e_number, sigma, verify_central_quotient, verify_ei
+from tracestab.weylcoset import component, i_number, untwisted_component
 
 # The package re-exports the function ``sigma``, which shadows the submodule.
 sigma_module = importlib.import_module("tracestab.sigma")
 
 
 def _empty_memos(monkeypatch) -> SigmaTable:
-    """Empty the process-wide σ memos: the datum cache, the adjoint table and the e = i reports."""
+    """Empty the process-wide σ memos: the datum cache, the adjoint table and the e sums."""
     sigma.cache_clear()
-    verify_ei.cache_clear()
+    e_number.cache_clear()
     table = SigmaTable()
     monkeypatch.setattr(sigma_module, "_ADJOINT", table)
     return table
@@ -40,10 +42,10 @@ def _empty_memos(monkeypatch) -> SigmaTable:
 
 @pytest.fixture
 def cold(monkeypatch):
-    """Cold σ memos for the test; the datum cache and the reports are emptied again afterwards."""
+    """Cold σ memos for the test; the datum cache and the e sums are emptied again afterwards."""
     yield _empty_memos(monkeypatch)
     sigma.cache_clear()
-    verify_ei.cache_clear()
+    e_number.cache_clear()
 
 
 @pytest.mark.parametrize("name,expected", [
@@ -277,3 +279,18 @@ def test_e_equals_i_on_every_isogeny_form(kind, n):
         report = verify_ei(untwisted_component(form))
         assert report.equal, (z.generators, report.e, report.i)
         assert verify_central_quotient(sc, z), z.generators
+
+
+def test_a_twist_fixing_a_central_direction_has_e_and_i_zero_without_w():
+    """E7 × GL1 × GL1 with θ = 1 on E7 and the GL1 swapped: θ fixes the central (1, 1).
+
+    So the coset has no regular element, i = 0 and there is no elliptic class,
+    although W(E7) is above the walk's limit and the shape has no enumeration.
+    """
+    gl1 = build_root_datum(1, (), ())
+    base = direct_sum(direct_sum(datum_from_cartan(e_cartan(7), "sc"), gl1), gl1)
+    theta = tuple(tuple(int(j == i) for j in range(9)) for i in range(7))
+    c = component(base, theta + ((0,) * 8 + (1,), (0,) * 7 + (1, 0)))
+    assert i_number(c) == 0
+    assert elliptic_classes(c) == ()
+    assert verify_ei(c).equal

@@ -6,6 +6,9 @@ import pytest
 
 from helpers_oracle import (
     catalog_and_ladder_data,
+    datum_from_cartan,
+    direct_sum,
+    e_cartan,
     fraction_splus,
     oracle_discrete_part,
     oracle_endoscopic_form,
@@ -18,6 +21,7 @@ from tracestab.errors import (
     InconsistentDescriptor,
     MissingDualGroup,
     TwistedUnsupported,
+    WeylGroupTooLarge,
 )
 from tracestab.linalg import hnf_rows, identity_matrix, mat_mul
 from tracestab.packets import (
@@ -50,7 +54,13 @@ from tracestab.stabilize import (
     stable_form,
     verify_coefficients,
 )
-from tracestab.weylcoset import component, untwisted_component, weyl_set
+from tracestab.weylcoset import (
+    component,
+    has_regular_element,
+    i_number,
+    untwisted_component,
+    weyl_set,
+)
 
 stabilize_module = importlib.import_module("tracestab.stabilize")
 
@@ -115,12 +125,17 @@ REGULAR_ELEMENT_INPUTS += _twisted_inputs()
 @pytest.mark.parametrize("name,components", REGULAR_ELEMENT_INPUTS,
                          ids=[n for n, _ in REGULAR_ELEMENT_INPUTS])
 def test_untwisted_coset_has_a_regular_element_exactly_on_semisimple_data(name, components):
-    """The central-torus test agrees with the coset walk; on θ = 1 it is semisimplicity."""
+    """The central-torus test agrees with the coset walk; on θ = 1 it is semisimplicity.
+
+    Without a regular element a component has i = 0 and no elliptic class.
+    """
     for c in components:
-        has_regular = stabilize_module._has_regular_element(c)
+        has_regular = has_regular_element(c)
         assert has_regular == any(e.regular for e in weyl_set(c)), c
         if c.untwisted:
             assert has_regular == c.base.is_semisimple()
+        if not has_regular:
+            assert i_number(c) == 0 and elliptic_classes(c) == (), c
 
 
 def test_i_phi_trivial_model():
@@ -140,6 +155,18 @@ def test_e_phi_examples():
     assert e_phi(o2, (0, 0)) == 0  # empty elliptic set
     sl2 = catalog.model_sl2()
     assert e_phi(sl2, (0, 0)) == Fraction(-1, 4)
+
+
+def test_e_phi_on_an_e6_factor_swap_never_asks_for_i():
+    """e_φ sums the folded E6 classes; i_φ still walks W(E6, E6) and refuses."""
+    e6 = datum_from_cartan(e_cartan(6), "sc")
+    swap = tuple(tuple(int(j == (i + 6) % 12) for j in range(12)) for i in range(12))
+    dual = DualGroupModel(direct_sum(e6, e6), {(0, 0): identity_matrix(12), (0, 1): swap})
+    m = ParameterModel("e6e6-swap", TwoGroup(0), TwoGroup(1), dual)
+    assert e_phi(m, (0, 1)) == Fraction(2513, 34992)
+    with pytest.raises(WeylGroupTooLarge,
+                       match=r"^W\(E6,E6\) has order 2687385600, above the limit 51840$"):
+        i_phi(m, (0, 1))
 
 
 def test_e_equals_i_componentwise():
