@@ -145,6 +145,8 @@ def centralizer(c: TwistedComponent, t: TorusPoint) -> tuple[RootDatum, int]:
 
 def is_elliptic(c: TwistedComponent, t: TorusPoint) -> bool:
     """Whether the centralizer of exp(2πi·t)·θ has finite center."""
+    if not has_regular_element(c):  # θ fixes a central cocharacter at every point
+        return False
     reduced = _reduction(c)
     if reduced is None:
         raise TwistedUnsupported("ellipticity test for this twist shape")

@@ -10,7 +10,12 @@ Every orbit and closure in the package, here, in ``elliptic`` and in
 built only for ``weyl_set`` and ``full_rank_subsystems``: ``in_weyl_group``
 reflects a regular coweight back to the dominant chamber.  ``simple_factors``
 alone splits a datum into ``SimpleType``s; the Cartan type, |W|, i, σ and
-the alcove vertices all read that split.
+the alcove vertices all read that split.  The roots of a Cartan matrix, as
+simple-root and simple-coroot coefficients, come from ``root_closure``,
+memoized on the matrix: a datum maps them into its lattice, and a
+``SimpleType`` reads its positive roots there, so a diagram piece needs no
+datum.  ``extended_cartan`` adds −θ to a simple type's diagram; σ reads
+every centralizer it needs off that matrix.
 The named data (``NAMED_DATA``, ``named_datum``) live here, so a command
 that takes a group by name needs no other module.
 """
@@ -182,6 +187,32 @@ def datum_names() -> tuple[str, ...]:
     return tuple(sorted(NAMED_DATA))
 
 
+@cache
+def root_closure(cartan: IntMat) -> dict[IntVec, IntVec]:
+    """Every root of a finite-type Cartan matrix, memoized on the matrix.
+
+    ``cartan[i][j]`` is ⟨α_j, α_i∨⟩.  Each root's simple-root coefficients c
+    map to its coroot's simple-coroot coefficients k, found by closing the
+    simple roots under reflections: s_j changes only c_j, by
+    ⟨α, α_j∨⟩ = Σᵢ cᵢ·A_ji, and k_j, by ⟨α_j, α∨⟩ = Σᵢ kᵢ·A_ij.  The dict is
+    shared by every caller.
+    """
+    rows = [[(i, a) for i, a in enumerate(row) if a] for row in cartan]
+    cols = [[(i, row[j]) for i, row in enumerate(cartan) if row[j]] for j in range(len(cartan))]
+
+    def images(coeffs, co_coeffs):
+        yield tuple(-c for c in coeffs), tuple(-k for k in co_coeffs)
+        for j, (row, col) in enumerate(zip(rows, cols)):
+            p = sum(coeffs[i] * a for i, a in row)
+            if p:
+                q = sum(co_coeffs[i] * a for i, a in col)
+                yield (coeffs[:j] + (coeffs[j] - p,) + coeffs[j + 1:],
+                       co_coeffs[:j] + (co_coeffs[j] - q,) + co_coeffs[j + 1:])
+
+    unit = identity_matrix(len(cartan))
+    return closure(dict(zip(unit, unit)), images)
+
+
 def build_root_datum(rank: int, simple_roots, simple_coroots) -> RootDatum:
     """Validate a based datum and close the simple roots under reflections.
 
@@ -208,25 +239,8 @@ def _build_root_datum(rank: int, simple_roots: tuple[IntVec, ...],
         raise NonCartan("simple roots are linearly dependent")
     if simple_coroots and matrix_rank(simple_coroots) != len(simple_coroots):
         raise NonCartan("simple coroots are linearly dependent")
-    cartan = _validate_cartan(simple_roots, simple_coroots)
-
-    # The closure runs on simple-root coefficients c and coroot coefficients k:
-    # s_j changes only c_j, by ⟨α, α_j∨⟩ = Σᵢ cᵢ·A_ji, and k_j, by ⟨α_j, α∨⟩ = Σᵢ kᵢ·A_ij.
-    rows = [[(i, a) for i, a in enumerate(row) if a] for row in cartan]
-    cols = [[(i, row[j]) for i, row in enumerate(cartan) if row[j]] for j in range(len(cartan))]
-
-    def images(coeffs, co_coeffs):
-        yield tuple(-c for c in coeffs), tuple(-k for k in co_coeffs)
-        for j, (row, col) in enumerate(zip(rows, cols)):
-            p = sum(coeffs[i] * a for i, a in row)
-            if p:
-                q = sum(co_coeffs[i] * a for i, a in col)
-                yield (coeffs[:j] + (coeffs[j] - p,) + coeffs[j + 1:],
-                       co_coeffs[:j] + (co_coeffs[j] - q,) + co_coeffs[j + 1:])
-
     # _validate_cartan has proven finite type, so the closure ends.
-    unit = identity_matrix(len(simple_roots))
-    found = closure(dict(zip(unit, unit)), images)
+    found = root_closure(_validate_cartan(simple_roots, simple_coroots))
 
     # A coefficient vector and the simple (co)roots are mostly zeros: sum only nonzero terms.
     def in_lattice(entries, coeffs):
@@ -334,7 +348,7 @@ class SimpleType(NamedTuple):
         return prod(1 + m for m in exponents(self.positives))
 
 
-def simple_types(cartan: IntMat, nodes, positives) -> tuple[SimpleType, ...]:
+def simple_types(cartan: IntMat, nodes) -> tuple[SimpleType, ...]:
     """The diagram's connected pieces on ``nodes``, by least index, with their positive roots."""
     types = []
     unvisited = set(nodes)
@@ -344,8 +358,7 @@ def simple_types(cartan: IntMat, nodes, positives) -> tuple[SimpleType, ...]:
         unvisited -= piece.keys()
         piece = tuple(sorted(piece))
         own_cartan = tuple(tuple(cartan[i][j] for j in piece) for i in piece)
-        own = tuple(tuple(c[i] for i in piece) for c in positives
-                    if sum(c[i] for i in piece) == sum(c))
+        own = tuple(c for c in root_closure(own_cartan) if sum(c) > 0)
         types.append(SimpleType(component_label(own_cartan, len(own)), own_cartan, own, piece,
                                 max(own, key=sum)))
     return tuple(types)
@@ -354,8 +367,18 @@ def simple_types(cartan: IntMat, nodes, positives) -> tuple[SimpleType, ...]:
 @cache
 def simple_factors(d: RootDatum) -> tuple[SimpleType, ...]:
     """The simple factors of ``d``, the one place a datum is split; memoized on its value."""
-    return simple_types(d.cartan_matrix(), range(d.semisimple_rank),
-                        [c for c in d.coefficients if sum(c) > 0])
+    return simple_types(d.cartan_matrix(), range(d.semisimple_rank))
+
+
+def extended_cartan(t: SimpleType) -> IntMat:
+    """Ĉ, the Cartan matrix on Δ ∪ {−θ} with −θ last: ``t.cartan`` plus ⟨−θ, αᵢ∨⟩ and ⟨αⱼ, −θ∨⟩.
+
+    (marks, 1) is a right null vector and (θ∨'s coefficients, 1) a left one.
+    Deleting any node leaves a finite-type matrix, so Ĉ has rank n.
+    """
+    theta_v = root_closure(t.cartan)[t.highest]
+    bottom = tuple(-dot(theta_v, col) for col in zip(*t.cartan)) + (2,)
+    return tuple(row + (-dot(row, t.highest),) for row in t.cartan) + (bottom,)
 
 
 def cartan_type(d: RootDatum) -> tuple[str, ...]:

@@ -13,13 +13,17 @@ included, are one Ω-orbit with centralizer G, and |Ω| = det C, so e = i reads
 
     σ(G_ad) = i(G) − det(C)⁻¹ · Σ_{k : m_k ≥ 2} σ(C_k),
 
-a recursion on strictly fewer roots.  i(G) and θ are read off the factors
-of ``rootdata.simple_factors``, which is not asked to split the adjoint
-datum again.  No class list enters σ, so ``verify_ei`` is an independent
-check of e = i, simple adjoint types included.  The values are kept
-process-wide by Cartan label ("A1", "B4", …); ``sigma`` itself is memoized
-on the datum's value.  e(S) is summed only in ``e_number``, memoized on the
-component's value, which ``verify_ei`` compares with i and ``stabilize`` reads.
+a recursion on strictly fewer roots that reads Cartan matrices alone.  The
+Cartan matrix of C_k is Ĉ (``rootdata.extended_cartan``, the matrix on
+Δ ∪ {−θ}) with node k deleted, and σ(C_k) is the product of σ over the
+adjoint groups of its pieces divided by m_k, so no root datum is built on
+the way down and ``sigma`` is not re-entered.  i(G) and θ are read off the
+factors of ``rootdata.simple_factors``.  No class list enters σ, so
+``verify_ei`` is an independent check of e = i, simple adjoint types
+included.  The values are kept process-wide by Cartan label ("A1", "B4", …);
+``sigma`` itself is memoized on the datum's value.  e(S) is summed only in
+``e_number``, memoized on the component's value, which ``verify_ei``
+compares with i and ``stabilize`` reads.
 """
 
 from __future__ import annotations
@@ -30,14 +34,15 @@ from math import prod
 from typing import NamedTuple
 
 from . import elliptic
-from .linalg import det, identity_matrix
+from .linalg import det
 from .rootdata import (
     CentralSubgroup,
     RootDatum,
     SimpleType,
-    build_root_datum,
+    extended_cartan,
     quotient_by_central,
     simple_factors,
+    simple_types,
 )
 from .weylcoset import TwistedComponent, i_number, simple_i_number, untwisted_component
 
@@ -56,16 +61,13 @@ def _simple_adjoint_sigma(t: SimpleType) -> Fraction:
     if value is None:
         # i first: past |W(E7)| it refuses at once, before any smaller σ is solved.
         value = simple_i_number(t)
-        n = len(t.cartan)
-        d = build_root_datum(n, identity_matrix(n), t.cartan)
-        theta = t.highest  # on X = Q a root is its coefficient vector
-        roots = d.simple_roots + (tuple(-x for x in theta),)
-        coroots = d.simple_coroots + (tuple(-x for x in d.coroot_of(theta)),)
+        extended = extended_cartan(t)
         omega = det(t.cartan)
-        for k, mark in enumerate(theta):
+        for k, mark in enumerate(t.highest):
             if mark >= 2:
-                c_k = build_root_datum(n, roots[:k] + roots[k + 1:], coroots[:k] + coroots[k + 1:])
-                value -= sigma(c_k) / omega
+                # σ(C_k) = Π σ(adjoint pieces) / |Z(C_k)|, and |Z(C_k)| = m_k on X = Q.
+                c_k = simple_types(extended, (j for j in range(len(extended)) if j != k))
+                value -= prod(map(_simple_adjoint_sigma, c_k), start=Fraction(1)) / (mark * omega)
         _ADJOINT[t.label] = value
     return value
 

@@ -244,8 +244,7 @@ def elliptic_series(t: SimpleType, terms: int) -> tuple[Fraction, ...]:
     if len(known) >= terms:
         return known[:terms]
     if flats is None:
-        flats = tuple((size, len(k), simple_types(t.cartan, k, t.positives))
-                      for size, k in flat_orbits(t))
+        flats = tuple((size, len(k), simple_types(t.cartan, k)) for size, k in flat_orbits(t))
     n = len(t.cartan)
     length = n + terms
     # x^n·|W|/Π(1 − q^d), where 1 − q^d = 1 − (1 − x)^d = x·Σ_{k≥1} (−1)^{k+1}·C(d, k)·x^{k−1}.

@@ -30,6 +30,10 @@ det(vθ − 1) for every v, the reference for the Weyl sets.  Likewise
 ``fraction_in_integer_row_span`` are the Fraction eliminations that the
 fraction-free ``linalg._echelon`` replaced.
 
+``vertex_centralizer`` builds the datum of an alcove vertex's centralizer
+C_k (Δ ∖ {α_k} ∪ {−θ} on X = Q) as σ did before it read C_k's Cartan
+matrix off the extended one; the tests compare the two.
+
 ``oracle_sigma`` is the σ recursion before the simple-adjoint shortcut:
 e = i solved on the datum itself, over every centralizer, with no product
 or central-quotient rule.
@@ -63,6 +67,7 @@ from tracestab.linalg import (
     dot,
     dual_lattice_quotient,
     hnf_rows,
+    identity_matrix,
     int_kernel,
     mat_mul,
     mat_vec,
@@ -220,6 +225,11 @@ def brute_i(d):
 
 def classical_datum(kind, n, form):
     """Simply connected ("sc") or adjoint ("ad") datum of type A, B, C or D."""
+    return datum_from_cartan(classical_cartan(kind, n), form)
+
+
+def classical_cartan(kind, n):
+    """Cartan matrix of A_n, B_n, C_n or D_n, Bourbaki numbering."""
     c = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
     chain = n - 1 if kind != "D" else n - 2
     for i in range(chain):
@@ -230,7 +240,7 @@ def classical_datum(kind, n, form):
         c[n - 1][n - 2] = -2
     elif kind == "D":
         c[n - 3][n - 1] = c[n - 1][n - 3] = -1
-    return datum_from_cartan(c, form)
+    return tuple(map(tuple, c))
 
 
 LADDER = (("A", 3), ("B", 3), ("C", 3), ("A", 4), ("D", 4), ("B", 4))
@@ -266,13 +276,35 @@ def datum_from_cartan(c, form):
 G2_CARTAN = ((2, -1), (-3, 2))
 
 
-def labelled_datum(label, orientation, form):
-    """The datum of a simple type, built from its Cartan matrix or its transpose."""
+def labelled_cartan(label):
+    """The Cartan matrix of a simple type, as ``classical_cartan`` or ``e_cartan`` numbers it."""
     family, n = label[0], int(label[1:])
     if family in "ABCD":
-        return classical_datum(family, n, form)
-    cartan = e_cartan(n) if family == "E" else F4_CARTAN if family == "F" else G2_CARTAN
+        return classical_cartan(family, n)
+    if family == "E":
+        return tuple(map(tuple, e_cartan(n)))
+    return F4_CARTAN if family == "F" else G2_CARTAN
+
+
+def labelled_datum(label, orientation, form):
+    """The datum of a simple type, built from its Cartan matrix or its transpose."""
+    if label[0] in "ABCD":
+        return classical_datum(label[0], int(label[1:]), form)
+    cartan = labelled_cartan(label)
     return datum_from_cartan(transpose(cartan) if orientation == "transposed" else cartan, form)
+
+
+def vertex_centralizer(t, k):
+    """C_k of the adjoint group of type ``t``: simple roots Δ ∖ {α_k} ∪ {−θ} on X = Q.
+
+    This is the datum σ built for every vertex with m_k ≥ 2 before it read
+    C_k off the extended Cartan matrix.
+    """
+    n = len(t.cartan)
+    d = build_root_datum(n, identity_matrix(n), t.cartan)
+    roots = d.simple_roots + (tuple(-x for x in t.highest),)
+    coroots = d.simple_coroots + (tuple(-x for x in d.coroot_of(t.highest)),)
+    return build_root_datum(n, roots[:k] + roots[k + 1:], coroots[:k] + coroots[k + 1:])
 
 
 def direct_sum(a, b):

@@ -234,6 +234,19 @@ def test_swap_points_are_read_in_folded_coordinates():
     assert str(raised.value) == "swap-component points use folded coordinates"
 
 
+def test_is_elliptic_is_false_where_no_element_is_regular():
+    # GL2 with its coordinates swapped fixes the central (1, 1): the coset has no
+    # regular element, so no point is elliptic, though the twist shape has no reduction.
+    c = component(build_root_datum(2, [(1, -1)], [(1, -1)]), ((0, 1), (1, 0)))
+    assert elliptic_classes(c) == ()
+    assert not any(is_elliptic(c, torus_point(t)) for t in TORUS_POINTS)
+    o2 = catalog.named_component("o2_twist")
+    assert all(is_elliptic(o2, torus_point(t[:1])) for t in TORUS_POINTS)
+    swap = catalog.named_component("a1a1_swap")
+    assert [is_elliptic(swap, torus_point((x,))) for x in (0, Fraction(1, 2), Fraction(1, 4))] == [
+        True, True, False]
+
+
 def test_is_elliptic_refuses_an_unsupported_twist():
     # The coordinate swap on SL3 is its diagram automorphism: an outer twist.
     c = component(catalog.datum("sl3"), ((0, 1), (1, 0)))

@@ -28,8 +28,10 @@ DIGESTS = Path(__file__).with_name("golden_digests.json")
 ROOT = Path(__file__).resolve().parent.parent
 
 # Datum files under tests/data: a B2 × G2 × A2 whose factors' simple roots interleave
-# (0,3 / 1,4 / 2,5), and E8 simply connected, which σ refuses.
+# (0,3 / 1,4 / 2,5); F4, E6 and E7 simply connected, whose σ recurses through marks
+# 2 to 4; and E8 simply connected, which σ refuses.
 PRODUCT = "tests/data/b2_g2_a2_interleaved.json"
+EXCEPTIONAL = ("tests/data/f4.json", "tests/data/e6_sc.json", "tests/data/e7_sc.json")
 E8_SC = "tests/data/e8_sc.json"
 # SL3 under the coordinate swap, an outer twist that ``elliptic`` and ``verify ei``
 # refuse; and a model set whose discrete sets come from the central torus: GL1
@@ -55,7 +57,7 @@ def commands() -> list[list[str]]:
     out += [[*path.split(), "--help"] for path in COMMAND_PATHS]
     out += [[*path.split(), "--group", PRODUCT] for path in ("sigma", "i-number", "elliptic",
                                                               "verify ei")]
-    out += [["sigma", "--group", E8_SC]]
+    out += [["sigma", "--group", path] for path in (*EXCEPTIONAL, E8_SC)]
     out += [[*path.split(), "--group", SL3_SWAP] for path in ("i-number", "elliptic", "verify ei")]
     out += [["stabilize", "verify", "--models", CENTRAL_TORUS_MODELS, "--trials", "2"]]
     return out

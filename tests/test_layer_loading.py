@@ -194,11 +194,17 @@ def test_only_weylcoset_forms_the_central_cocharacter_test():
     assert _places("fixes_a_central_cocharacter") == {
         "weylcoset.has_regular_element", "stabilize.import", "stabilize.phi_disc"}
     assert _places("has_regular_element") == {
-        "weylcoset.i_number", "elliptic.import",
+        "weylcoset.i_number", "elliptic.import", "elliptic.is_elliptic",
         "elliptic.elliptic_classes", "stabilize.import", "stabilize.s_disc_set"}
     assert _places("is_semisimple") == {
         "rootdata.central_torsion_points", "weylcoset.fixes_a_central_cocharacter",
         "elliptic.full_rank_subsystems", "sigma.sigma", "stabilize.phi_s_disc"}
+
+
+def test_sigma_builds_no_root_datum():
+    """σ reads its centralizers off the extended Cartan matrix, so it builds no datum."""
+    assert not {place for name in ("build_root_datum", "identity_matrix")
+                for place in _places(name) if place.startswith("sigma.")}
 
 
 def test_only_e_number_reaches_elliptic_from_sigma():

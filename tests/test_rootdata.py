@@ -15,14 +15,17 @@ from helpers_oracle import (
     direct_sum,
     e_cartan,
     expansion_positive_roots,
+    fraction_coords_in_rows,
     interleaved_product,
+    labelled_cartan,
     labelled_datum,
+    vertex_centralizer,
 )
 from tracestab import catalog
 from tracestab.elliptic import elliptic_classes
 from tracestab import rootdata as rootdata_module
 from tracestab.errors import NonCartan, NotCentral, WeylGroupTooLarge
-from tracestab.linalg import dot, mat_mul, mat_vec, transpose
+from tracestab.linalg import det, dot, identity_matrix, mat_mul, mat_vec, matrix_rank, transpose
 from tracestab.rootdata import (
     build_root_datum,
     canonical_key,
@@ -32,8 +35,10 @@ from tracestab.rootdata import (
     MAX_WEYL_ORDER,
     classical_weyl_order,
     contragredient,
+    extended_cartan,
     quotient_by_central,
     simple_factors,
+    simple_types,
     weyl_group,
 )
 from tracestab.weylcoset import component, i_number, untwisted_component, weyl_set
@@ -500,3 +505,31 @@ CLOSURE_DATA += [(f"{kind}{n}-sc", classical_datum(kind, n, "sc"))
 @pytest.mark.parametrize("name,d", CLOSURE_DATA, ids=[n for n, _ in CLOSURE_DATA])
 def test_coefficient_closure_matches_lattice_closure(name, d):
     assert tuple(zip(d.roots, d.coroots)) == _lattice_closure(d)
+
+
+EXTENDED_LABELS = ([f"A{n}" for n in range(1, 9)] + [f"B{n}" for n in range(2, 8)]
+                   + [f"C{n}" for n in range(3, 8)] + [f"D{n}" for n in range(4, 8)]
+                   + ["E6", "E7", "F4", "G2"])
+
+
+@pytest.mark.parametrize("orientation", ["given", "transposed"])
+@pytest.mark.parametrize("label", EXTENDED_LABELS)
+def test_extended_cartan_is_the_affine_diagram(label, orientation):
+    cartan = labelled_cartan(label)
+    if orientation == "transposed":
+        cartan = transpose(cartan)
+    n = len(cartan)
+    (t,) = simple_types(cartan, range(n))
+    extended = extended_cartan(t)
+    assert matrix_rank(extended) == n
+    assert mat_vec(extended, t.highest + (1,)) == (0,) * (n + 1)
+    # θ∨ from the lattice closure of the adjoint datum, whose simple coroots are C's rows.
+    adjoint = build_root_datum(n, identity_matrix(n), cartan)
+    theta_v = fraction_coords_in_rows(cartan, dict(_lattice_closure(adjoint))[t.highest])
+    assert mat_vec(transpose(extended), tuple(theta_v) + (1,)) == (0,) * (n + 1)
+    for k, mark in enumerate(t.highest):
+        if mark >= 2:
+            pieces = simple_types(extended, [j for j in range(n + 1) if j != k])
+            c_k = vertex_centralizer(t, k)
+            assert tuple(sorted(piece.label for piece in pieces)) == cartan_type(c_k)
+            assert abs(det(c_k.simple_roots)) == mark

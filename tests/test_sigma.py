@@ -14,6 +14,8 @@ from helpers_oracle import (
     oracle_sigma,
 )
 from tracestab import catalog
+from tracestab import rootdata as rootdata_module
+from tracestab import weylcoset as weylcoset_module
 from tracestab.elliptic import elliptic_classes
 from tracestab.errors import WeylGroupTooLarge
 from tracestab.rootdata import (
@@ -229,6 +231,33 @@ def test_past_w_e7_sigma_refuses_before_any_smaller_sigma(cold, label, order):
         sigma(labelled_datum(label, "standard", "ad"))
     assert str(refusal.value) == f"W({label}) has order {order}, above the limit 2903040"
     assert cold == {}
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_sigma_of_sl_and_pgl(n):
+    # Every mark of A_n is 1, so σ(PGL_{n+1}) = i(A_n) and σ(SL_{n+1}) = i(A_n)/(n+1).
+    assert sigma(classical_datum("A", n, "sc")) == Fraction((-1) ** n, (n + 1) ** 3)
+    adjoint = classical_datum("A", n, "ad")
+    assert sigma(adjoint) == i_number(untwisted_component(adjoint))
+
+
+@pytest.mark.parametrize("d, expected", [
+    (classical_datum("B", 4, "ad"), Fraction(613, 8192)),
+    (datum_from_cartan(F4_CARTAN, "sc"), Fraction(493013, 3981312)),
+    (datum_from_cartan(e_cartan(7), "sc"), Fraction(-24826523, 509607936)),
+], ids=["B4-ad", "F4", "E7-sc"])
+def test_sigma_builds_no_root_datum(cold, monkeypatch, d, expected):
+    # σ reads every centralizer C_k off the extended Cartan matrix: with σ, i and
+    # E_W computed afresh, not one datum is built or looked up on the way down.
+    i_number.cache_clear()
+    monkeypatch.setattr(weylcoset_module, "_ELLIPTIC", {})
+    built = []
+    build = rootdata_module._build_root_datum
+    monkeypatch.setattr(rootdata_module, "_build_root_datum",
+                        lambda *args: built.append(args) or build(*args))
+    assert sigma(d) == expected
+    assert built == []
+    assert cold
 
 
 def test_e_equals_i_on_isogeny_quotients():
