@@ -30,7 +30,7 @@ from typing import Mapping
 
 from . import rootdata, weylcoset
 from .errors import InvalidDimension, MismatchedModel, MissingDualGroup
-from .linalg import IntMat, clear_denominators, identity_matrix, invert, mat_mul
+from .linalg import IntMat, clear_denominators, identity_matrix, mat_mul
 
 Tau = tuple[int, int]  # (character of S_M, element of R)
 SElement = tuple[int, int]  # (S_M part, R part), bitmask coordinates
@@ -154,6 +154,9 @@ class DualGroupModel(_Record):
     """Disconnected-group attachment: one twisted component per x in S.
 
     ``validate`` builds each component once; ``component_at`` looks it up.
+    Each twist is θ = w·τ (``rootdata.pinned_part``) and τ normalizes W, so
+    the cocycle θ_x·θ_y ∈ W·θ_{x⊕y} holds exactly when τ_x·τ_y = τ_{x⊕y}:
+    W is never built.
     Immutable and equal by (base, thetas); a dict of twists makes it unhashable.
     """
 
@@ -175,13 +178,11 @@ class DualGroupModel(_Record):
         zero = (0, 0)
         if tuple(self.thetas[zero]) != ident:
             raise MismatchedModel("identity component must be untwisted")
-        inverses = {x: tuple(tuple(int(v) for v in row) for row in invert(self.thetas[x]))
-                    for x in s_elements}
+        taus = {x: rootdata.pinned_part(self.base, self.component_at(x).theta)[0]
+                for x in s_elements}
         for x in s_elements:
             for y in s_elements:
-                z = (x[0] ^ y[0], x[1] ^ y[1])
-                prod = mat_mul(self.thetas[x], self.thetas[y])
-                if not rootdata.in_weyl_group(self.base, mat_mul(prod, inverses[z])):
+                if mat_mul(taus[x], taus[y]) != taus[(x[0] ^ y[0], x[1] ^ y[1])]:
                     raise MismatchedModel(f"twist cocycle fails at {x}, {y}")
 
 

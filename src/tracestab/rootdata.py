@@ -7,15 +7,18 @@ the coordinates alone.  All derived data — the full root system, the Weyl
 group, display labels — is computed by exact integer/rational arithmetic.
 Every orbit and closure in the package, here, in ``elliptic`` and in
 ``weylcoset``'s flat count, is one breadth-first ``closure``.  W itself is
-built only for ``weyl_set`` and ``full_rank_subsystems``: ``in_weyl_group``
-reflects a regular coweight back to the dominant chamber.  ``simple_factors``
-alone splits a datum into ``SimpleType``s; the Cartan type, |W|, i, σ and
-the alcove vertices all read that split.  The roots of a Cartan matrix, as
-simple-root and simple-coroot coefficients, come from ``root_closure``,
-memoized on the matrix: a datum maps them into its lattice, and a
-``SimpleType`` reads its positive roots there, so a diagram piece needs no
-datum.  ``extended_cartan`` adds −θ to a simple type's diagram; σ reads
-every centralizer it needs off that matrix.
+built only for ``weyl_set`` and ``full_rank_subsystems``.  ``pinned_part``
+writes a matrix m as w·τ by reflecting m·2ρ∨ back to the dominant chamber;
+whether a twist is an automorphism, its sign, W-membership and the twist
+cocycle all read that one descent.  ``simple_factors`` alone splits a datum
+into ``SimpleType``s; the Cartan type, |W|, i, σ and the alcove vertices all
+read that split.  The roots of a Cartan matrix, as simple-root and
+simple-coroot coefficients, come from ``root_closure``, memoized on the
+matrix: a datum maps them into its lattice, and a ``SimpleType`` reads its
+positive roots there, so a diagram piece needs no datum.
+``extended_cartan`` adds −θ to a simple type's diagram; σ reads every
+centralizer it needs off that matrix.  A central subgroup's order is read
+off the Hermite basis of X∨ + Σ Z·g that its quotient also uses.
 The named data (``NAMED_DATA``, ``named_datum``) live here, so a command
 that takes a group by name needs no other module.
 """
@@ -386,24 +389,37 @@ def cartan_type(d: RootDatum) -> tuple[str, ...]:
     return tuple(sorted(t.label for t in simple_factors(d)))
 
 
-def in_weyl_group(d: RootDatum, m: IntMat) -> bool:
-    """Whether the integral matrix ``m`` on X∨ is a Weyl element, without building W.
+@cache
+def pinned_part(d: RootDatum, m: IntMat) -> tuple[IntMat, int]:
+    """(τ, ℓ) with m = w·τ, w ∈ W of length ℓ and τ·2ρ∨ dominant; memoized on d and m.
 
     Each simple reflection s_i with ⟨α_i, u⟩ < 0 takes u = m·2ρ∨ one step
     back towards the dominant chamber (one fewer positive root is negative on
-    u), and is applied to m as well.  2ρ∨, the sum of the positive coroots,
-    pairs to 2 with every simple root, so it is regular and only 1 ∈ W fixes
-    it: the reflected m is the identity exactly when m lies in W.
+    u), and is applied to m as the rank-one update s_i·m = m − α_i∨·(α_iᵀ·m).
+    2ρ∨, the sum of the positive coroots, pairs to 2 with every simple root,
+    so it is regular and only 1 ∈ W fixes it.  On an automorphism m, τ then
+    fixes the chamber, permutes the simple roots and is the only such element
+    of Wm (Kottwitz–Shelstad, *Foundations of twisted endoscopy*, §1.2–1.3):
+    m lies in W exactly when τ = 1.
     """
+    roots, coroots = ([[(k, x) for k, x in enumerate(v) if x] for v in basis]
+                      for basis in (d.simple_roots, d.simple_coroots))
+    bonds = [[(j, a) for j, a in enumerate(row) if a] for row in d.cartan_matrix()]
     two_rho = tuple(sum(coroot[k] for coroot, c in zip(d.coroots, d.coefficients) if sum(c) > 0)
                     for k in range(d.rank))
-    u = mat_vec(m, two_rho)
-    while True:
-        negative = [i for i, alpha in enumerate(d.simple_roots) if dot(alpha, u) < 0]
-        if not negative:
-            return m == identity_matrix(d.rank)
-        s = simple_reflection_matrix(d, negative[0])
-        m, u = mat_mul(s, m), mat_vec(s, u)
+    rows = [list(row) for row in m]
+    u = [dot(row, two_rho) for row in rows]
+    pairings = [sum(x * u[k] for k, x in alpha) for alpha in roots]
+    length = 0
+    while (i := next((i for i, p in enumerate(pairings) if p < 0), None)) is not None:
+        moved = [sum(x * rows[k][c] for k, x in roots[i]) for c in range(d.rank)]
+        for k, x in coroots[i]:
+            rows[k] = [a - x * b for a, b in zip(rows[k], moved)]
+        p = pairings[i]  # ⟨α_j, s_i·u⟩ = ⟨α_j, u⟩ − p·⟨α_j, α_i∨⟩
+        for j, a in bonds[i]:
+            pairings[j] -= p * a
+        length += 1
+    return tuple(map(tuple, rows)), length
 
 
 class CentralSubgroup(NamedTuple):
@@ -421,8 +437,23 @@ def subgroup_mod1(gens, rank: int) -> tuple[QVec, ...]:
     return tuple(sorted(elems))
 
 
+def _enlarged_basis(gens, rank: int) -> tuple[list[IntVec], int]:
+    """Hermite basis of D·(X∨ + Σ Z·g), with D the common denominator of the generators.
+
+    The scaled identity rows D·X∨ make it full rank, so row i has its pivot in column i.
+    """
+    _, denom = clear_denominators(tuple(x for g in gens for x in g))
+    scaled = [tuple(x * denom for x in row) for row in identity_matrix(rank)]
+    scaled += [tuple(int(Fraction(x) * denom) for x in g) for g in gens]
+    return hnf_rows(scaled), denom
+
+
 def central_subgroup(d: RootDatum, generators) -> CentralSubgroup:
-    """Build a central subgroup, checking integrality against every root."""
+    """Build a central subgroup, checking integrality against every root.
+
+    |Z| is the index of X∨ in L = X∨ + Σ Z·g: [Z^n : D·L] is the product of
+    the Hermite diagonal and [Z^n : D·X∨] = Dⁿ, so no element is listed.
+    """
     gens = tuple(normalize_mod1(tuple(Fraction(x) for x in g)) for g in generators)
     for g in gens:
         if len(g) != d.rank:
@@ -430,8 +461,8 @@ def central_subgroup(d: RootDatum, generators) -> CentralSubgroup:
         for alpha in d.simple_roots:
             if dot(alpha, g) % 1 != 0:
                 raise NotCentral(f"<{alpha}, {g}> is not integral")
-    elems = subgroup_mod1(gens, d.rank)
-    return CentralSubgroup(gens, len(elems))
+    basis, denom = _enlarged_basis(gens, d.rank)
+    return CentralSubgroup(gens, denom ** d.rank // prod(row[i] for i, row in enumerate(basis)))
 
 
 def quotient_by_central(d: RootDatum, z: CentralSubgroup) -> RootDatum:
@@ -447,12 +478,7 @@ def quotient_with_map(d: RootDatum, z: CentralSubgroup) -> tuple[RootDatum, tupl
             if dot(alpha, g) % 1 != 0:
                 raise NotCentral(f"<{alpha}, {g}> is not integral")
     n = d.rank
-    _, denom = clear_denominators(tuple(x for g in gens for x in g))
-    scaled = [tuple(x * denom for x in row) for row in identity_matrix(n)]
-    scaled += [tuple(int(Fraction(x) * denom) for x in g) for g in gens]
-    basis_rows = hnf_rows(scaled)
-    if len(basis_rows) != n:
-        raise NotCentral("degenerate central subgroup")
+    basis_rows, denom = _enlarged_basis(gens, n)
     # Columns of m are the new basis vectors in old coordinates.
     m = transpose(tuple(tuple(Fraction(x, denom) for x in row) for row in basis_rows))
     m_inv = invert(m)

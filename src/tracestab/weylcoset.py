@@ -22,6 +22,10 @@ That is when θ fixes a nonzero central cocharacter: W is 1 on those, and a
 twisted Coxeter element fixes no nonzero vector of the coroot span (Springer,
 Invent. Math. 25, 1974).
 
+A twist θ is written θ = w·τ by ``rootdata.pinned_part``: θ is an
+automorphism of the datum exactly when τ preserves the pinning, and
+sign(θ) = (−1)^ℓ(w), so no matrix is inverted here.
+
 ``weyl_set``, ``has_regular_element`` and ``i_number`` are memoized on the
 component's value (base datum, θ and its order), never on a canonical key.
 
@@ -47,6 +51,7 @@ from .linalg import (
     mat_vec,
     matrix_rank,
     minus_identity,
+    transpose,
 )
 from .rootdata import (
     MAX_FLAT_WEYL_ORDER,
@@ -54,10 +59,10 @@ from .rootdata import (
     SimpleType,
     WeylElement,
     closure,
-    contragredient,
     datum_names,
     exponents,
     named_datum,
+    pinned_part,
     simple_factors,
     simple_types,
     weyl_group,
@@ -85,7 +90,11 @@ class CosetElement(NamedTuple):
 
 
 def component(base: RootDatum, theta) -> TwistedComponent:
-    """Validate a twist and wrap it as a component of a disconnected group."""
+    """Validate a twist and wrap it as a component of a disconnected group.
+
+    θ = w·τ (``pinned_part``) is an automorphism of the datum exactly when τ
+    is: when τ sends each simple coroot α_i∨ to some α_j∨ with τᵀ·α_j = α_i.
+    """
     theta = integer_rows(theta, NotAutomorphism)
     n = base.rank
     if len(theta) != n or any(len(row) != n for row in theta):
@@ -93,22 +102,14 @@ def component(base: RootDatum, theta) -> TwistedComponent:
     d = det(theta)
     if d not in (1, -1):
         raise NotAutomorphism(f"det(theta) = {d} is not a unit")
-    coroot_set = set(base.coroots)
-    images = {}
-    for root, coroot in zip(base.roots, base.coroots):
-        image = mat_vec(theta, coroot)
-        if image not in coroot_set:
-            raise NotAutomorphism(f"theta({coroot}) is not a coroot")
-        images[root] = image
-    if images:
-        theta_x = contragredient(theta)
-        root_set = set(base.roots)
-        for root, coroot_image in images.items():
-            root_image = mat_vec(theta_x, root)
-            if root_image not in root_set:
-                raise NotAutomorphism(f"dual action breaks on {root}")
-            if base.coroot_of(tuple(root_image)) != tuple(coroot_image):
-                raise NotAutomorphism("theta is incompatible with the root-coroot bijection")
+    tau, _ = pinned_part(base, theta)
+    tau_t = transpose(tau)
+    pinning = dict(zip(base.simple_coroots, base.simple_roots))
+    for alpha_v, alpha in pinning.items():
+        image = mat_vec(tau, alpha_v)
+        if image not in pinning or mat_vec(tau_t, pinning[image]) != alpha:
+            raise NotAutomorphism(f"theta is not an automorphism: its pinned part moves the "
+                                  f"simple coroot {alpha_v} off the pinning")
     power = theta
     order = 1
     ident = identity_matrix(n)
@@ -142,13 +143,8 @@ def component_names() -> tuple[str, ...]:
 
 
 def coset_sign(d: RootDatum, total: IntMat) -> int:
-    """(−1)^{#positive roots sent to negative} for the X-side action."""
-    positive_roots = d.positive_roots()
-    action = contragredient(total)
-    positives = set(positive_roots)
-    inversions = sum(1 for alpha in positive_roots
-                     if tuple(int(x) for x in mat_vec(action, alpha)) not in positives)
-    return -1 if inversions % 2 else 1
+    """(−1)^ℓ(w) for total = w·τ (``pinned_part``): the parity of its inversions of Φ⁺."""
+    return -1 if pinned_part(d, total)[1] % 2 else 1
 
 
 def _coset_element(c: TwistedComponent, v: WeylElement, theta_sign: int) -> CosetElement:

@@ -30,6 +30,11 @@ det(vθ − 1) for every v, the reference for the Weyl sets.  Likewise
 ``fraction_in_integer_row_span`` are the Fraction eliminations that the
 fraction-free ``linalg._echelon`` replaced.
 
+``oracle_component``, ``oracle_coset_sign`` and ``oracle_cocycle_holds`` are
+the definition checks that ``rootdata.pinned_part`` replaced: every coroot
+and root image with the root-coroot bijection, an inversion count on Φ⁺
+through the contragredient, and θ_x·θ_y·θ_z⁻¹ looked up in the listed W.
+
 ``vertex_centralizer`` builds the datum of an alcove vertex's centralizer
 C_k (Δ ∖ {α_k} ∪ {−θ} on X = Q) as σ did before it read C_k's Cartan
 matrix off the extended one; the tests compare the two.
@@ -62,7 +67,12 @@ from random import Random
 
 from tracestab import catalog, packets
 from tracestab.elliptic import _bds_children, elliptic_classes, torus_point
-from tracestab.errors import InconsistentDescriptor, TwistedUnsupported
+from tracestab.errors import (
+    InconsistentDescriptor,
+    InfiniteOrder,
+    NotAutomorphism,
+    TwistedUnsupported,
+)
 from tracestab.linalg import (
     dot,
     dual_lattice_quotient,
@@ -79,7 +89,7 @@ from tracestab.packets import GR_ZERO, TwoGroup
 from tracestab.rootdata import build_root_datum, contragredient, weyl_group
 from tracestab.sigma import sigma
 from tracestab.stabilize import coefficient_report, iota_coefficient, s_disc_set
-from tracestab.weylcoset import i_number, untwisted_component
+from tracestab.weylcoset import MAX_TWIST_ORDER, i_number, untwisted_component
 
 GRID_N = lcm(*range(1, 13))
 
@@ -553,6 +563,47 @@ def fraction_coset_dets(c):
     totals = sorted(mat_mul(v.matrix, c.theta) for v in weyl_group(c.base))
     return [fraction_det(tuple(tuple(t[i][j] - (i == j) for j in range(n)) for i in range(n)))
             for t in totals]
+
+
+def oracle_component(base, theta):
+    """``weylcoset.component``'s verdict from the definition: order θ, or the error it raises.
+
+    θ must be a unimodular matrix sending every coroot to a coroot whose
+    contragredient sends every root to a root, compatibly with the
+    root-coroot bijection; then the order of θ is found by powering.
+    """
+    n = base.rank
+    theta = tuple(map(tuple, theta))
+    if len(theta) != n or any(len(row) != n for row in theta) or fraction_det(theta) not in (1, -1):
+        return NotAutomorphism
+    theta_x = contragredient(theta)
+    for root, coroot in zip(base.roots, base.coroots):
+        image = mat_vec(theta, coroot)
+        if image not in base.coroots or mat_vec(theta_x, root) not in base.roots:
+            return NotAutomorphism
+        if base.coroot_of(mat_vec(theta_x, root)) != image:
+            return NotAutomorphism
+    power, order = theta, 1
+    while power != identity_matrix(n):
+        power, order = mat_mul(power, theta), order + 1
+        if order > MAX_TWIST_ORDER:
+            return InfiniteOrder
+    return order
+
+
+def oracle_coset_sign(d, total):
+    """(−1)^(positive roots sent to negative ones by total's contragredient), counted one by one."""
+    action = contragredient(total)
+    positives = set(d.positive_roots())
+    return (-1) ** sum(1 for alpha in positives if mat_vec(action, alpha) not in positives)
+
+
+def oracle_cocycle_holds(base, thetas):
+    """Whether θ_x·θ_y·θ_{x⊕y}⁻¹ lies in the listed ``weyl_group`` for every x, y."""
+    group = {w.matrix for w in weyl_group(base)}
+    inverses = {x: fraction_invert(theta) for x, theta in thetas.items()}
+    return all(mat_mul(mat_mul(thetas[x], thetas[y]), inverses[(x[0] ^ y[0], x[1] ^ y[1])])
+               in group for x in thetas for y in thetas)
 
 
 @cache

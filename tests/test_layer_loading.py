@@ -201,6 +201,21 @@ def test_only_weylcoset_forms_the_central_cocharacter_test():
         "elliptic.full_rank_subsystems", "sigma.sigma", "stabilize.phi_s_disc"}
 
 
+def test_one_descent_owns_a_twists_weyl_coset():
+    """θ = w·τ from ``rootdata.pinned_part`` decides validity, the sign and the cocycle.
+
+    No other code reflects a matrix back to the chamber, and neither
+    ``weylcoset`` nor ``packets`` inverts a matrix.
+    """
+    assert _places("pinned_part") == {"weylcoset.import", "weylcoset.component",
+                                      "weylcoset.coset_sign", "packets.DualGroupModel"}
+    for name in ("contragredient", "invert"):
+        assert not {place for place in _places(name)
+                    if place.split(".")[0] in ("weylcoset", "packets")}, name
+    assert _places("in_weyl_group") == set()
+    assert not hasattr(sys.modules["tracestab.rootdata"], "in_weyl_group")
+
+
 def test_sigma_builds_no_root_datum():
     """σ reads its centralizers off the extended Cartan matrix, so it builds no datum."""
     assert not {place for name in ("build_root_datum", "identity_matrix")

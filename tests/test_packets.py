@@ -305,7 +305,7 @@ def test_component_table_keeps_model_checks():
 
 
 # ---------------------------------------------------------------------------
-# The twist cocycle is checked with rootdata.in_weyl_group; W is never built.
+# The twist cocycle compares pinned parts (rootdata.pinned_part); W is never built.
 # ---------------------------------------------------------------------------
 
 MEMBERSHIP_DATA = catalog_and_ladder_data()
@@ -313,14 +313,16 @@ MEMBERSHIP_DATA = catalog_and_ladder_data()
 
 @pytest.mark.parametrize("name, d", MEMBERSHIP_DATA, ids=[n for n, _ in MEMBERSHIP_DATA])
 def test_in_weyl_group_matches_weyl_group_membership(name, d):
+    """m lies in W exactly when its pinned part is 1; on w ∈ W the descent takes ℓ(w) steps."""
     group = {w.matrix for w in rootdata.weyl_group(d)}
-    minus_one = tuple(tuple(-x for x in row) for row in identity_matrix(d.rank))
+    one = identity_matrix(d.rank)
+    minus_one = tuple(tuple(-x for x in row) for row in one)
     twists = [minus_one] + ([((0, 1), (1, 0))] if name == "sl2xsl2" else [])
-    for w in group:
-        assert rootdata.in_weyl_group(d, w)
+    for w in rootdata.weyl_group(d):
+        assert rootdata.pinned_part(d, w.matrix) == (one, len(w.word))
         for twist in twists:
-            product = mat_mul(w, twist)
-            assert rootdata.in_weyl_group(d, product) == (product in group)
+            product = mat_mul(w.matrix, twist)
+            assert (rootdata.pinned_part(d, product)[0] == one) == (product in group)
 
 
 def test_models_validate_without_building_w(monkeypatch):

@@ -1,6 +1,8 @@
+import json
 import re
 from fractions import Fraction
 from math import factorial
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -36,6 +38,7 @@ from tracestab.rootdata import (
     classical_weyl_order,
     contragredient,
     extended_cartan,
+    pinned_part,
     quotient_by_central,
     simple_factors,
     simple_types,
@@ -383,6 +386,58 @@ def test_central_subgroup_order_matches_closure(p, q):
         elems.add(cur)
         cur = tuple((a + b) % 1 for a, b in zip(cur, gen))
     assert z.order == len(elems)
+
+
+@pytest.mark.parametrize("name, gens", [
+    ("gl1", [(Fraction(1, 6),), (Fraction(1, 4),)]),
+    ("gl1", [(Fraction(1, 6),)]),
+    ("sl2", [(Fraction(1, 2),)]),
+    ("sl3", [(Fraction(1, 3), Fraction(2, 3))]),
+    ("sl2xsl2", [(Fraction(1, 2), Fraction(1, 2))]),
+    ("sl2xsl2", [(Fraction(1, 2), Fraction(0)), (Fraction(0), Fraction(1, 2))]),
+])
+def test_central_subgroup_order_matches_the_listed_elements(name, gens):
+    d = catalog.datum(name)
+    z = central_subgroup(d, gens)
+    assert z.order == len(rootdata_module.subgroup_mod1(z.generators, d.rank))
+
+
+def test_central_subgroup_order_is_read_off_the_hermite_basis(monkeypatch):
+    """|Z| = Dⁿ / Π hᵢᵢ: a subgroup of order 300 007 is never listed element by element."""
+    def refuse(gens, rank):
+        raise AssertionError("subgroup_mod1 was called")
+
+    monkeypatch.setattr(rootdata_module, "subgroup_mod1", refuse)
+    assert central_subgroup(GL1, [(Fraction(1, 300007),)]).order == 300007
+
+
+# ---------------------------------------------------------------------------
+# pinned_part writes m = w·τ by simple reflections; τ preserves the pinning.
+# ---------------------------------------------------------------------------
+
+def _twists():
+    """(id, datum, θ): 1 and −1 on every catalog and ladder datum, and the two swaps."""
+    cases = [(f"{name}-{sign}", d, tuple(tuple(x if sign == "one" else -x for x in row)
+                                         for row in identity_matrix(d.rank)))
+             for name, d in catalog_and_ladder_data() if d.rank for sign in ("one", "minus_one")]
+    swap = catalog.named_component("a1a1_swap")
+    spec = json.loads((Path(__file__).with_name("data") / "sl3_swap.json").read_text())
+    sl3_swap = component(catalog.datum(spec["group"]), spec["theta"])
+    return cases + [("a1a1_swap", swap.base, swap.theta), ("sl3_swap", sl3_swap.base, sl3_swap.theta)]
+
+
+TWISTS = _twists()
+
+
+@pytest.mark.parametrize("name,d,theta", TWISTS, ids=[n for n, _, _ in TWISTS])
+def test_pinned_part_is_one_pinned_automorphism_per_weyl_coset(name, d, theta):
+    """Every w·θ has the pinned part of θ, and it permutes the simple (coroot, root) pairs."""
+    tau, _ = pinned_part(d, theta)
+    for w in weyl_group(d):
+        assert pinned_part(d, mat_mul(w.matrix, theta))[0] == tau
+    tau_x = contragredient(tau)
+    pinning = set(zip(d.simple_coroots, d.simple_roots))
+    assert {(mat_vec(tau, v), mat_vec(tau_x, a)) for v, a in pinning} == pinning
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import permutations, product
 from math import prod
 from random import Random
 
@@ -10,6 +11,9 @@ from helpers_oracle import (
     fraction_coset_dets,
     fraction_det,
     labelled_datum,
+    oracle_cocycle_holds,
+    oracle_component,
+    oracle_coset_sign,
 )
 
 from tracestab import catalog
@@ -17,15 +21,19 @@ from tracestab import weylcoset as weylcoset_module
 from tracestab.errors import (
     InconsistentFlats,
     InfiniteOrder,
+    MismatchedModel,
     NotAutomorphism,
     TraceStabError,
     WeylGroupTooLarge,
 )
-from tracestab.linalg import det, invert, mat_mul, mat_vec
+from tracestab.linalg import det, identity_matrix, invert, mat_mul, mat_vec
+from tracestab.packets import DualGroupModel, ParameterModel, TwoGroup
 from tracestab.rootdata import (
     build_root_datum,
+    central_subgroup,
     contragredient,
     exponents,
+    quotient_by_central,
     simple_factors,
     weyl_group,
 )
@@ -173,7 +181,7 @@ SIGN_CASES = _sign_cases()
 @pytest.mark.parametrize("name,c", SIGN_CASES, ids=[n for n, _ in SIGN_CASES])
 def test_reduced_word_sign_equals_inversion_count(name, c):
     for e in weyl_set(c):
-        assert e.sign == coset_sign(c.base, e.total)
+        assert e.sign == coset_sign(c.base, e.total) == oracle_coset_sign(c.base, e.total)
 
 
 DET_CASES = SIGN_CASES + [(f"{kind}3-ad", untwisted_component(classical_datum(kind, 3, "ad")))
@@ -300,3 +308,70 @@ def test_untwisted_i_builds_no_weyl_group(monkeypatch):
     monkeypatch.setattr(weylcoset_module, "weyl_set", refuse)
     monkeypatch.setattr(weylcoset_module, "weyl_group", refuse)
     assert _fresh_i(monkeypatch, classical_datum("B", 4, "ad")) == Fraction(195, 2048)
+
+
+# ---------------------------------------------------------------------------
+# component, coset_sign and the model cocycle read θ = w·τ off pinned_part;
+# the definition checks of helpers_oracle are the reference.
+# ---------------------------------------------------------------------------
+
+def _equivalence_data():
+    sl2, pgl2, sl3, gl1, sl2xsl2 = map(catalog.datum, ("sl2", "pgl2", "sl3", "gl1", "sl2xsl2"))
+    half = Fraction(1, 2)
+    return [(name, catalog.datum(name)) for name in catalog.datum_names()] + [
+        ("gl2", build_root_datum(2, [(1, -1)], [(1, -1)])),
+        ("gl3", build_root_datum(3, [(1, -1, 0), (0, 1, -1)], [(1, -1, 0), (0, 1, -1)])),
+        ("so4", quotient_by_central(sl2xsl2, central_subgroup(sl2xsl2, [(half, half)]))),
+        ("sl2xpgl2", direct_sum(sl2, pgl2)),
+        ("sl3xgl1", direct_sum(sl3, gl1)),
+        ("B3-sc", classical_datum("B", 3, "sc")),
+    ]
+
+
+def _signed_permutations(n):
+    for perm in permutations(range(n)):
+        for signs in product((1, -1), repeat=n):
+            yield tuple(tuple(signs[i] if j == perm[i] else 0 for j in range(n))
+                        for i in range(n))
+
+
+def _verdict(d, theta):
+    try:
+        return component(d, theta).order_theta
+    except (NotAutomorphism, InfiniteOrder) as exc:
+        return type(exc)
+
+
+EQUIVALENCE_DATA = _equivalence_data()
+
+
+@pytest.mark.parametrize("name,d", EQUIVALENCE_DATA, ids=[n for n, _ in EQUIVALENCE_DATA])
+def test_pinned_part_agrees_with_the_definition_checks(name, d):
+    """Acceptance, order θ, the coset sign and the model cocycle, against the oracle."""
+    rng = Random(f"pinned-{name}")
+    n = d.rank
+    group = [w.matrix for w in weyl_group(d)]
+    candidates = list(_signed_permutations(n))
+    candidates += [tuple(tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(n))
+                   for _ in range(250)]
+    accepted = []
+    for theta in candidates + [mat_mul(rng.choice(group), t) for t in candidates[:60]]:
+        verdict = _verdict(d, theta)
+        assert verdict == oracle_component(d, theta), theta
+        if isinstance(verdict, int):
+            accepted.append(theta)
+            assert coset_sign(d, theta) == oracle_coset_sign(d, theta), theta
+    assert accepted
+    for _ in range(80):
+        sm = rng.randint(0, 2)
+        r = rng.randint(0, 2 - sm)
+        elements = [(xm, xr) for xm in range(1 << sm) for xr in range(1 << r)]
+        thetas = {x: rng.choice(accepted) for x in elements}
+        thetas[(0, 0)] = identity_matrix(n)
+        try:
+            ParameterModel("m", TwoGroup(sm), TwoGroup(r), DualGroupModel(d, thetas))
+            holds = True
+        except MismatchedModel as exc:
+            assert "cocycle" in str(exc)
+            holds = False
+        assert holds == oracle_cocycle_holds(d, thetas), thetas
