@@ -73,7 +73,7 @@ def _splus(m: packets.ParameterModel, x, cls) -> int:
         a, n = clear_denominators(cls.rep.coords)
         orbit = elliptic._weyl_orbit(comp.base, a, n)
         return sum(1 for y in m.s_elements()
-                   if tuple(v % n for v in mat_vec(m.dual_group.thetas[y], a)) in orbit)
+                   if tuple(v % n for v in mat_vec(m.component_at(y).theta, a)) in orbit)
     if m.s_size == 2:
         return 2
     raise TwistedUnsupported("splus is only derived for untwisted classes or |S| = 2")

@@ -5,12 +5,12 @@ Matrices are tuples of row tuples, vectors are flat tuples, and matrices act
 on column vectors (``mat_vec(M, v) == M @ v``).
 
 Elimination over Q has one routine, the fraction-free Gauss–Jordan
-``_echelon``; ``matrix_rank``, ``invert``, ``coords_in_rows`` and
-``in_integer_row_span`` are built on it.  ``det`` is the last of
-``bareiss_pivots``; both scale each row to integers up front with
-``clear_denominators``.  Over Z there is one normal form, the row-style
-Hermite ``hnf_rows``: ``int_kernel`` and ``dual_lattice_quotient`` read the
-kernel and the dual-lattice quotient off it (Cohen, *A Course in
+``_echelon``; ``matrix_rank``, ``invert`` and ``coords_in_rows`` are built
+on it.  ``det`` is the last of ``bareiss_pivots``; both scale each row to
+integers up front with ``clear_denominators``.  Over Z there is one normal
+form, the row-style Hermite ``hnf_rows``: ``int_kernel`` and
+``dual_lattice_quotient`` read the kernel and the dual-lattice quotient off
+it, and ``pivot_product`` every lattice index (Cohen, *A Course in
 Computational Algebraic Number Theory*, §2.4).
 """
 
@@ -196,6 +196,15 @@ def hnf_rows(rows: Sequence[Sequence[int]]) -> list[IntVec]:
     return [tuple(row) for row in work]
 
 
+def pivot_product(basis: Sequence[Sequence[int]]) -> int:
+    """The product of a Hermite basis's pivots, its rows' first nonzero entries.
+
+    Lattices M ⊆ M′ with the same Q-span have their pivots in the same
+    columns, so [M′ : M] = pivot_product(M) / pivot_product(M′).
+    """
+    return prod(next(x for x in row if x) for row in basis)
+
+
 def dual_lattice_quotient(a: Sequence[Sequence[int]]) -> list[QVec]:
     """Coset representatives of {v : a @ v integral} modulo Z^n, sorted.
 
@@ -223,16 +232,6 @@ def int_kernel(m: Sequence[Sequence[int]]) -> list[IntVec]:
     r = len(m)
     rows = [col + unit for col, unit in zip(transpose(m), identity_matrix(len(m[0])))]
     return [row[r:] for row in hnf_rows(rows) if not any(row[:r])]
-
-
-def in_integer_row_span(basis: Sequence[Sequence[int]], target: Sequence) -> bool:
-    """Whether a rational vector lies in the Z-row-span of a lattice basis.
-
-    The rows must be linearly independent, as ``coords_in_rows`` requires;
-    ``hnf_rows`` turns any generating set into such a basis.
-    """
-    coeffs = coords_in_rows(basis, target)
-    return coeffs is not None and all(c.denominator == 1 for c in coeffs)
 
 
 def clear_denominators(v: Sequence) -> tuple[IntVec, int]:

@@ -30,7 +30,7 @@ from typing import Mapping
 
 from . import rootdata, weylcoset
 from .errors import InvalidDimension, MismatchedModel, MissingDualGroup
-from .linalg import IntMat, clear_denominators, identity_matrix, mat_mul
+from .linalg import IntMat, clear_denominators, mat_mul
 
 Tau = tuple[int, int]  # (character of S_M, element of R)
 SElement = tuple[int, int]  # (S_M part, R part), bitmask coordinates
@@ -170,13 +170,11 @@ class DualGroupModel(_Record):
         return self._components[x]
 
     def validate(self, s_elements) -> None:
-        ident = identity_matrix(self.base.rank)
         for x in s_elements:
             if x not in self.thetas:
                 raise MismatchedModel(f"missing twist for component {x}")
             self._components[x] = weylcoset.component(self.base, self.thetas[x])
-        zero = (0, 0)
-        if tuple(self.thetas[zero]) != ident:
+        if not self.component_at((0, 0)).untwisted:
             raise MismatchedModel("identity component must be untwisted")
         taus = {x: rootdata.pinned_part(self.base, self.component_at(x).theta)[0]
                 for x in s_elements}

@@ -14,11 +14,15 @@ cocycle all read that one descent.  ``simple_factors`` alone splits a datum
 into ``SimpleType``s; the Cartan type, |W|, i, σ and the alcove vertices all
 read that split.  The roots of a Cartan matrix, as simple-root and
 simple-coroot coefficients, come from ``root_closure``, memoized on the
-matrix: a datum maps them into its lattice, and a ``SimpleType`` reads its
-positive roots there, so a diagram piece needs no datum.
+matrix, which is also the one finite-type check: a datum maps them into its
+lattice, and a ``SimpleType`` reads its positive roots there, so a diagram
+piece needs no datum.
 ``extended_cartan`` adds −θ to a simple type's diagram; σ reads every
-centralizer it needs off that matrix.  A central subgroup's order is read
-off the Hermite basis of X∨ + Σ Z·g that its quotient also uses.
+centralizer it needs off that matrix.  ``enlarged_basis`` forms the Hermite
+basis of L = X∨ + Σ Z·g for a central subgroup, or of its image under a
+matrix: the quotient datum reads L, the order |Z| = [L : X∨] is a ratio of
+pivot products, and so is the index [(θ−1)·L : (θ−1)·X∨] that
+``stabilize`` divides |Z| by.
 The named data (``NAMED_DATA``, ``named_datum``) live here, so a command
 that takes a group by name needs no other module.
 """
@@ -48,8 +52,8 @@ from .linalg import (
     invert,
     mat_mul,
     mat_vec,
-    matrix_rank,
     normalize_mod1,
+    pivot_product,
     transpose,
 )
 
@@ -132,38 +136,6 @@ class RootDatum(NamedTuple):
                      for av in self.simple_coroots)
 
 
-def _validate_cartan(simple_roots, simple_coroots) -> IntMat:
-    k = len(simple_roots)
-    cartan = tuple(tuple(dot(simple_roots[j], simple_coroots[i]) for j in range(k))
-                   for i in range(k))
-    for i in range(k):
-        if cartan[i][i] != 2:
-            raise NonCartan(f"<alpha_{i}, alpha_{i}^> = {cartan[i][i]} != 2")
-        for j in range(k):
-            if i == j:
-                continue
-            if cartan[i][j] > 0:
-                raise NonCartan(f"positive off-diagonal Cartan entry at ({i},{j})")
-            if (cartan[i][j] == 0) != (cartan[j][i] == 0):
-                raise NonCartan(f"asymmetric zero pattern at ({i},{j})")
-    # Finite type iff every principal minor is positive (Kac, Thm 4.3).  Such a
-    # matrix is symmetrizable, dⱼ·aᵢⱼ = dᵢ·aⱼᵢ with d > 0, and det A_I =
-    # det S_I·Π dᵢ for the symmetric S = D⁻¹A: by Sylvester, the leading minors decide.
-    scale: dict[int, Fraction] = {}
-    for start in range(k):
-        if start not in scale:
-            scale |= closure({start: Fraction(1)},
-                             lambda i, d_i: ((j, d_i * cartan[j][i] / cartan[i][j])
-                                             for j in range(k) if j != i and cartan[i][j]))
-    for i, j in combinations(range(k), 2):
-        if scale[j] * cartan[i][j] != scale[i] * cartan[j][i]:
-            raise NonCartan(f"Cartan matrix is not symmetrizable at ({i},{j})")
-    for size, minor in enumerate(bareiss_pivots(cartan), 1):
-        if minor <= 0:
-            raise NonCartan(f"non-positive principal minor on {tuple(range(size))}")
-    return cartan
-
-
 # The named data: (rank, simple roots, simple coroots).  A name is read before a
 # file of the same name wherever the CLI takes a group.
 NAMED_DATA = {
@@ -198,10 +170,37 @@ def root_closure(cartan: IntMat) -> dict[IntVec, IntVec]:
     map to its coroot's simple-coroot coefficients k, found by closing the
     simple roots under reflections: s_j changes only c_j, by
     ⟨α, α_j∨⟩ = Σᵢ cᵢ·A_ji, and k_j, by ⟨α_j, α∨⟩ = Σᵢ kᵢ·A_ij.  The dict is
-    shared by every caller.
+    shared by every caller.  A matrix not of finite type raises ``NonCartan``
+    before anything is closed, so the closure always ends.
     """
+    k = len(cartan)
+    for i in range(k):
+        if cartan[i][i] != 2:
+            raise NonCartan(f"<alpha_{i}, alpha_{i}^> = {cartan[i][i]} != 2")
+        for j in range(k):
+            if i == j:
+                continue
+            if cartan[i][j] > 0:
+                raise NonCartan(f"positive off-diagonal Cartan entry at ({i},{j})")
+            if (cartan[i][j] == 0) != (cartan[j][i] == 0):
+                raise NonCartan(f"asymmetric zero pattern at ({i},{j})")
+    # Finite type iff every principal minor is positive (Kac, Thm 4.3).  Such a
+    # matrix is symmetrizable, dⱼ·aᵢⱼ = dᵢ·aⱼᵢ with d > 0, and det A_I =
+    # det S_I·Π dᵢ for the symmetric S = D⁻¹A: by Sylvester, the leading minors decide.
+    scale: dict[int, Fraction] = {}
+    for start in range(k):
+        if start not in scale:
+            scale |= closure({start: Fraction(1)},
+                             lambda i, d_i: ((j, d_i * cartan[j][i] / cartan[i][j])
+                                             for j in range(k) if j != i and cartan[i][j]))
+    for i, j in combinations(range(k), 2):
+        if scale[j] * cartan[i][j] != scale[i] * cartan[j][i]:
+            raise NonCartan(f"Cartan matrix is not symmetrizable at ({i},{j})")
+    for size, minor in enumerate(bareiss_pivots(cartan), 1):
+        if minor <= 0:
+            raise NonCartan(f"non-positive principal minor on {tuple(range(size))}")
     rows = [[(i, a) for i, a in enumerate(row) if a] for row in cartan]
-    cols = [[(i, row[j]) for i, row in enumerate(cartan) if row[j]] for j in range(len(cartan))]
+    cols = [[(i, row[j]) for i, row in enumerate(cartan) if row[j]] for j in range(k)]
 
     def images(coeffs, co_coeffs):
         yield tuple(-c for c in coeffs), tuple(-k for k in co_coeffs)
@@ -212,7 +211,7 @@ def root_closure(cartan: IntMat) -> dict[IntVec, IntVec]:
                 yield (coeffs[:j] + (coeffs[j] - p,) + coeffs[j + 1:],
                        co_coeffs[:j] + (co_coeffs[j] - q,) + co_coeffs[j + 1:])
 
-    unit = identity_matrix(len(cartan))
+    unit = identity_matrix(k)
     return closure(dict(zip(unit, unit)), images)
 
 
@@ -238,12 +237,10 @@ def _build_root_datum(rank: int, simple_roots: tuple[IntVec, ...],
     for v in simple_roots + simple_coroots:
         if len(v) != rank:
             raise NonCartan("vector length does not match the rank")
-    if simple_roots and matrix_rank(simple_roots) != len(simple_roots):
-        raise NonCartan("simple roots are linearly dependent")
-    if simple_coroots and matrix_rank(simple_coroots) != len(simple_coroots):
-        raise NonCartan("simple coroots are linearly dependent")
-    # _validate_cartan has proven finite type, so the closure ends.
-    found = root_closure(_validate_cartan(simple_roots, simple_coroots))
+    # root_closure refuses a Cartan matrix with det ≤ 0.  With det > 0, C·c = 0
+    # forces c = 0, so the simple roots, and likewise the coroots, are independent.
+    found = root_closure(tuple(tuple(dot(b, av) for b in simple_roots)
+                               for av in simple_coroots))
 
     # A coefficient vector and the simple (co)roots are mostly zeros: sum only nonzero terms.
     def in_lattice(entries, coeffs):
@@ -437,22 +434,25 @@ def subgroup_mod1(gens, rank: int) -> tuple[QVec, ...]:
     return tuple(sorted(elems))
 
 
-def _enlarged_basis(gens, rank: int) -> tuple[list[IntVec], int]:
-    """Hermite basis of D·(X∨ + Σ Z·g), with D the common denominator of the generators.
+def enlarged_basis(gens, m) -> tuple[list[IntVec], int]:
+    """Hermite basis of D·m·L for L = X∨ + Σ Z·g, with D the common denominator of the generators.
 
-    The scaled identity rows D·X∨ make it full rank, so row i has its pivot in column i.
+    m is an integer matrix on X∨.  With m = 1 the scaled identity rows D·X∨
+    make the basis full rank, so row i has its pivot in column i; with
+    m = θ − 1 it spans D·(θ−1)·L, and with no generators (D = 1) m·X∨.
     """
     _, denom = clear_denominators(tuple(x for g in gens for x in g))
-    scaled = [tuple(x * denom for x in row) for row in identity_matrix(rank)]
-    scaled += [tuple(int(Fraction(x) * denom) for x in g) for g in gens]
-    return hnf_rows(scaled), denom
+    rows = [tuple(x * denom for x in col) for col in transpose(m)]
+    rows += [tuple(int(x * denom) for x in mat_vec(m, g)) for g in gens]
+    return hnf_rows(rows), denom
 
 
 def central_subgroup(d: RootDatum, generators) -> CentralSubgroup:
     """Build a central subgroup, checking integrality against every root.
 
-    |Z| is the index of X∨ in L = X∨ + Σ Z·g: [Z^n : D·L] is the product of
-    the Hermite diagonal and [Z^n : D·X∨] = Dⁿ, so no element is listed.
+    |Z| is the index of X∨ in L = X∨ + Σ Z·g: [Z^n : D·L] is the
+    ``pivot_product`` of its Hermite basis and [Z^n : D·X∨] = Dⁿ, so no
+    element is listed.
     """
     gens = tuple(normalize_mod1(tuple(Fraction(x) for x in g)) for g in generators)
     for g in gens:
@@ -461,8 +461,8 @@ def central_subgroup(d: RootDatum, generators) -> CentralSubgroup:
         for alpha in d.simple_roots:
             if dot(alpha, g) % 1 != 0:
                 raise NotCentral(f"<{alpha}, {g}> is not integral")
-    basis, denom = _enlarged_basis(gens, d.rank)
-    return CentralSubgroup(gens, denom ** d.rank // prod(row[i] for i, row in enumerate(basis)))
+    basis, denom = enlarged_basis(gens, identity_matrix(d.rank))
+    return CentralSubgroup(gens, denom ** d.rank // pivot_product(basis))
 
 
 def quotient_by_central(d: RootDatum, z: CentralSubgroup) -> RootDatum:
@@ -478,7 +478,7 @@ def quotient_with_map(d: RootDatum, z: CentralSubgroup) -> tuple[RootDatum, tupl
             if dot(alpha, g) % 1 != 0:
                 raise NotCentral(f"<{alpha}, {g}> is not integral")
     n = d.rank
-    basis_rows, denom = _enlarged_basis(gens, n)
+    basis_rows, denom = enlarged_basis(gens, identity_matrix(n))
     # Columns of m are the new basis vectors in old coordinates.
     m = transpose(tuple(tuple(Fraction(x, denom) for x in row) for row in basis_rows))
     m_inv = invert(m)
@@ -512,13 +512,13 @@ def canonical_key(d: RootDatum) -> bytes:
 
     ``types`` is the Cartan type, ``central`` the central torus rank and
     ``z`` = |π₀ Z| the torsion of X / ZΦ: the gcd of the maximal minors of
-    the simple roots (|det| on semisimple data), read off as the product of
-    the Hermite diagonal of their columns.  All three are isomorphism
-    invariants, but together they do not classify: SO4 = (SL2×SL2)/μ2 and
+    the simple roots (|det| on semisimple data), read off as the
+    ``pivot_product`` of the Hermite basis of their columns.  All three are
+    isomorphism invariants, but together they do not classify: SO4 = (SL2×SL2)/μ2 and
     SL2×PGL2 share the label ``types=A1,A1;z=2;central=0``.  The label only
     names rows of ``sigma --catalog``.
     """
-    z = prod(row[i] for i, row in enumerate(hnf_rows(transpose(d.simple_roots))))
+    z = pivot_product(hnf_rows(transpose(d.simple_roots)))
     return (f"datum;v2;types={','.join(cartan_type(d))};z={z};"
             f"central={d.rank - d.semisimple_rank}").encode()
 

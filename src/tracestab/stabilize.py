@@ -19,20 +19,12 @@ the twists fix a nonzero central cocharacter.  No Weyl coset is walked for them.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cached_property
 from typing import NamedTuple
 
 from .elliptic import SemisimpleClass, elliptic_classes
 from .errors import DuplicateModelId, InconsistentDescriptor, MissingDualGroup
-from .linalg import (
-    IntMat,
-    clear_denominators,
-    dot,
-    hnf_rows,
-    in_integer_row_span,
-    mat_vec,
-    minus_identity,
-)
+from .linalg import clear_denominators, dot, minus_identity, pivot_product
 from .packets import (
     GaussianRational,
     ParameterModel,
@@ -41,9 +33,9 @@ from .packets import (
     _Record,
     theta_numerator,
 )
-from .rootdata import CentralSubgroup, RootDatum, subgroup_mod1
+from .rootdata import CentralSubgroup, RootDatum, enlarged_basis
 from .sigma import e_number, sigma
-from .weylcoset import TwistedComponent, fixes_a_central_cocharacter, has_regular_element, i_number
+from .weylcoset import fixes_a_central_cocharacter, has_regular_element, i_number
 
 
 def s_disc_set(m: ParameterModel) -> frozenset[SElement]:
@@ -175,24 +167,22 @@ def iota_coefficient(out_card: int, zbar_card: int) -> Fraction:
     return Fraction(1, out_card) * Fraction(1, zbar_card)
 
 
-@cache
-def _twist_image(comp: TwistedComponent) -> tuple[IntMat, IntMat]:
-    """θ − 1 on a component and the Hermite basis of its image (θ−1)·X∨."""
-    delta = minus_identity(comp.theta)
-    return delta, hnf_rows(tuple(zip(*delta)))
-
-
 def fixed_intersection_order(m: ParameterModel, x: SElement, zbar: CentralSubgroup) -> int:
     """|S̄° ∩ Z̄| for the class component: elements with a θ_x-fixed lift.
 
-    A torsion point lies in the connected centralizer's maximal torus exactly
-    when some rational representative is fixed by the twist, i.e. when
-    (θ−1)·z lands in (θ−1)·X∨.
+    A torsion point z ∈ Z̄ = L/X∨ lies in the connected centralizer's maximal
+    torus exactly when some rational representative is fixed by the twist,
+    i.e. when (θ−1)·z lands in (θ−1)·X∨.  Those z are the kernel of
+    z ↦ (θ−1)·z from Z̄ onto (θ−1)·L / (θ−1)·X∨, so they number
+    |Z̄| / [(θ−1)·L : (θ−1)·X∨].  Scaled by D, both lattices have Hermite
+    bases from ``enlarged_basis``, and D·(θ−1)·X∨ = D^r·(θ−1)·X∨ for r the
+    rank of θ − 1: the index is a ratio of pivot products, and no z is listed.
     """
-    comp = m.component_at(x)
-    delta, image_basis = _twist_image(comp)
-    return sum(1 for z in subgroup_mod1(zbar.generators, comp.base.rank)
-               if in_integer_row_span(image_basis, mat_vec(delta, z)))
+    delta = minus_identity(m.component_at(x).theta)
+    image_l, denom = enlarged_basis(zbar.generators, delta)
+    image_x, _ = enlarged_basis((), delta)
+    return (zbar.order * pivot_product(image_l)
+            // (denom ** len(image_x) * pivot_product(image_x)))
 
 
 class CoefficientReport(NamedTuple):
@@ -222,11 +212,18 @@ def verify_coefficients(m: ParameterModel, d: EndoscopicDescriptor) -> Coefficie
     (c) the cardinality bookkeeping behind |S_{φ'}|, and
     (d) integrality sanity: the parameter-orbit size |Out|/|Out(φ')| is whole.
     """
+    rank = m.component_at(d.x).base.rank
+    if any(len(g) != rank for g in d.zbar.generators):
+        raise InconsistentDescriptor(f"descriptor {d.group_label}/{d.model_id}: zbar "
+                                     f"generators do not have the base rank {rank}")
     cls = _locate_class(m, d)
-    for alpha in cls.centralizer_datum.simple_roots:
-        for g in d.zbar.generators:
-            if len(g) == len(alpha) and dot(alpha, g) % 1 != 0:
-                raise InconsistentDescriptor("zbar is not central in the class centralizer")
+    # A swap class's centralizer lives on the folded lattice, of lower rank, where
+    # Z̄'s coordinates mean nothing; every centralizer on the base lattice is tested.
+    if cls.centralizer_datum.rank == rank:
+        for alpha in cls.centralizer_datum.simple_roots:
+            for g in d.zbar.generators:
+                if dot(alpha, g) % 1 != 0:
+                    raise InconsistentDescriptor("zbar is not central in the class centralizer")
     intersection = fixed_intersection_order(m, d.x, d.zbar)
     sigma_cent = sigma(cls.centralizer_datum)
     sigma_prime = sigma(d.sprime_datum)

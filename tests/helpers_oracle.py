@@ -30,6 +30,16 @@ det(vθ − 1) for every v, the reference for the Weyl sets.  Likewise
 ``fraction_in_integer_row_span`` are the Fraction eliminations that the
 fraction-free ``linalg._echelon`` replaced.
 
+``oracle_fixed_intersection_order`` is the listing that the lattice index of
+``stabilize.fixed_intersection_order`` replaced: every z of Z̄ from
+``subgroup_mod1``, each tested for (θ−1)·z in (θ−1)·X∨ by
+``fraction_in_integer_row_span``.
+
+``oracle_datum_accepts`` is the validation that ``root_closure``'s finite-type
+check replaced: independent simple roots and coroots by rank, then the
+Cartan-matrix axioms, symmetrizability and Fraction leading minors;
+``random_based_datum`` draws the inputs it is compared on.
+
 ``oracle_component``, ``oracle_coset_sign`` and ``oracle_cocycle_holds`` are
 the definition checks that ``rootdata.pinned_part`` replaced: every coroot
 and root image with the root-coroot bijection, an inversion count on Φ⁺
@@ -86,7 +96,7 @@ from tracestab.linalg import (
     transpose,
 )
 from tracestab.packets import GR_ZERO, TwoGroup
-from tracestab.rootdata import build_root_datum, contragredient, weyl_group
+from tracestab.rootdata import build_root_datum, contragredient, subgroup_mod1, weyl_group
 from tracestab.sigma import sigma
 from tracestab.stabilize import coefficient_report, iota_coefficient, s_disc_set
 from tracestab.weylcoset import MAX_TWIST_ORDER, i_number, untwisted_component
@@ -557,6 +567,13 @@ def fraction_in_integer_row_span(rows, target):
     return all(x == 0 for x in vec)
 
 
+def oracle_fixed_intersection_order(theta, generators, rank):
+    """|S̄° ∩ Z̄| by listing Z̄: the z with (θ−1)·z in the Z-span of θ − 1's columns."""
+    delta = minus_identity(theta)
+    return sum(1 for z in subgroup_mod1(generators, rank)
+               if fraction_in_integer_row_span(transpose(delta), mat_vec(delta, z)))
+
+
 def fraction_coset_dets(c):
     """det(vθ − 1) over v ∈ W by Fraction elimination, sorted by vθ like weyl_set."""
     n = c.base.rank
@@ -604,6 +621,70 @@ def oracle_cocycle_holds(base, thetas):
     inverses = {x: fraction_invert(theta) for x, theta in thetas.items()}
     return all(mat_mul(mat_mul(thetas[x], thetas[y]), inverses[(x[0] ^ y[0], x[1] ^ y[1])])
                in group for x in thetas for y in thetas)
+
+
+def oracle_datum_accepts(rank, simple_roots, simple_coroots):
+    """Whether a based datum passes the checks ``build_root_datum`` made before its
+    Cartan matrix was checked only by ``root_closure``."""
+    k = len(simple_roots)
+    if (rank < 0 or k != len(simple_coroots) or k > rank
+            or any(len(v) != rank for v in simple_roots + simple_coroots)):
+        return False
+    if k and (fraction_rank(simple_roots) != k or fraction_rank(simple_coroots) != k):
+        return False
+    a = [[dot(simple_roots[j], simple_coroots[i]) for j in range(k)] for i in range(k)]
+    if any(a[i][i] != 2 for i in range(k)):
+        return False
+    for i, j in combinations(range(k), 2):
+        if a[i][j] > 0 or a[j][i] > 0 or (a[i][j] == 0) != (a[j][i] == 0):
+            return False
+    # Symmetrizable: d_j·a_ij = d_i·a_ji, with d spread along the nonzero bonds.
+    scale = {}
+    for start in range(k):
+        if start in scale:
+            continue
+        scale[start], stack = Fraction(1), [start]
+        while stack:
+            i = stack.pop()
+            for j in range(k):
+                if j != i and a[i][j] and j not in scale:
+                    scale[j] = scale[i] * a[j][i] / a[i][j]
+                    stack.append(j)
+    if any(scale[j] * a[i][j] != scale[i] * a[j][i] for i, j in combinations(range(k), 2)):
+        return False
+    return all(fraction_det([row[:size] for row in a[:size]]) > 0 for size in range(1, k + 1))
+
+
+def random_based_datum(rng):
+    """(rank, simple roots, simple coroots) with rank ≤ 4.
+
+    Half the draws are raw vectors with entries in [−3, 3].  The rest draw a
+    Cartan-like A with entries in [−3, 3] (diagonal mostly 2, off-diagonal
+    mostly ≤ 0) and put it on the lattice by a random unimodular U: coroots
+    U·eᵢ and roots U⁻ᵀ·(A's column, random tail), so that ⟨α_j, α_i∨⟩ = A_ij;
+    now and then a root or coroot is copied onto another.
+    """
+    n = rng.randint(1, 4)
+    k = rng.randint(0, n)
+    if rng.random() < 0.5:
+        roots, coroots = (tuple(tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(k))
+                          for _ in range(2))
+        return n, roots, coroots
+    u = [list(row) for row in identity_matrix(n)]
+    for _ in range(3 * n if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        u[i] = [x + rng.choice((-1, 1)) * y for x, y in zip(u[i], u[j])]
+    a = [[(2 if rng.random() < 0.9 else rng.choice((1, 3))) if i == j
+          else rng.choice((0, 0, -1, -1, -2, -3, 1)) for j in range(k)] for i in range(k)]
+    u_inv_t = contragredient(tuple(map(tuple, u)))
+    coroots = [mat_vec(u, unit) for unit in identity_matrix(n)[:k]]
+    roots = [mat_vec(u_inv_t, tuple(a[i][j] for i in range(k))
+                     + tuple(rng.randint(-2, 2) for _ in range(n - k))) for j in range(k)]
+    if k > 1 and rng.random() < 0.2:
+        i, j = rng.sample(range(k), 2)
+        vectors = rng.choice((roots, coroots))
+        vectors[i] = vectors[j]
+    return n, tuple(roots), tuple(coroots)
 
 
 @cache

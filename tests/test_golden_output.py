@@ -39,6 +39,9 @@ E8_SC = "tests/data/e8_sc.json"
 # swapped.
 SL3_SWAP = "tests/data/sl3_swap.json"
 CENTRAL_TORUS_MODELS = "tests/data/central_torus_models.json"
+# The O2 and SL2 fixtures with a nontrivial Z̄ = ⟨1/2⟩ in every descriptor: |S̄° ∩ Z̄| is 1
+# on the inverted GL1 component and 2 on both untwisted SL2 components.
+ZBAR_DESCRIPTORS = "tests/data/zbar_descriptors.json"
 
 # Every command path of the CLI; each one's ``--help`` is pinned with the top-level one.
 COMMAND_PATHS = ("i-number", "elliptic", "sigma", "verify ei", "verify central-quotient",
@@ -59,7 +62,8 @@ def commands() -> list[list[str]]:
                                                               "verify ei")]
     out += [["sigma", "--group", path] for path in (*EXCEPTIONAL, E8_SC)]
     out += [[*path.split(), "--group", SL3_SWAP] for path in ("i-number", "elliptic", "verify ei")]
-    out += [["stabilize", "verify", "--models", CENTRAL_TORUS_MODELS, "--trials", "2"]]
+    out += [["stabilize", "verify", "--models", path, "--trials", "2"]
+            for path in (CENTRAL_TORUS_MODELS, ZBAR_DESCRIPTORS)]
     return out
 
 

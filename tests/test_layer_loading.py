@@ -187,10 +187,10 @@ def test_only_weylcoset_forms_the_central_cocharacter_test():
                if isinstance(top, ast.FunctionDef)
                and ("central_cocharacter" in top.name or "regular_element" in top.name)}
     assert defined == {"weylcoset.fixes_a_central_cocharacter", "weylcoset.has_regular_element"}
-    # stabilize forms θ − 1 only for the image basis, and no rank or kernel at all.
+    # stabilize forms θ − 1 only to count S̄° ∩ Z̄, and no rank or kernel at all.
     linear_algebra = set().union(*map(_places, ("int_kernel", "matrix_rank", "minus_identity")))
     assert {p for p in linear_algebra if p.startswith("stabilize.")} == {
-        "stabilize.import", "stabilize._twist_image"}
+        "stabilize.import", "stabilize.fixed_intersection_order"}
     assert _places("fixes_a_central_cocharacter") == {
         "weylcoset.has_regular_element", "stabilize.import", "stabilize.phi_disc"}
     assert _places("has_regular_element") == {
@@ -241,3 +241,22 @@ def test_only_e_number_reaches_elliptic_from_sigma():
                for node in ast.walk(top)):
             places.add(scope)
     assert places == {"module binding", "e_number"}
+
+
+def test_one_hermite_index_counts_central_subgroups():
+    """|Z̄|, |S̄° ∩ Z̄| and canonical_key's z are ratios of ``pivot_product``s: nothing lists Z̄.
+
+    ``subgroup_mod1`` stays public, but no code in the package calls it.
+    """
+    assert _places("pivot_product") == {
+        "rootdata.import", "rootdata.central_subgroup",
+        "rootdata.canonical_key", "stabilize.import", "stabilize.fixed_intersection_order"}
+    assert not _places("subgroup_mod1") | _places("in_integer_row_span") | _places("_twist_image")
+
+
+def test_root_closure_owns_the_finite_type_check():
+    """The datum build checks its Cartan matrix through ``root_closure`` and forms no rank."""
+    assert not {p for p in _places("matrix_rank") if p.startswith("rootdata.")}
+    assert not _places("_validate_cartan")
+    assert {p for p in _places("bareiss_pivots") if p.startswith("rootdata.")} == {
+        "rootdata.import", "rootdata.root_closure"}

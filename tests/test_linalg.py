@@ -2,10 +2,10 @@
 
 Rank, inverse and coordinates come from one fraction-free routine, and the
 determinant from Bareiss elimination; the Fraction eliminations they replaced
-are the references (``helpers_oracle``).  The integer kernel and the
-dual-lattice quotient are read off Hermite normal forms, and are checked
-against what they claim: saturation by maximal minors, and a complete set of
-distinct cosets.
+are the references (``helpers_oracle``).  The integer kernel, the
+dual-lattice quotient and lattice indices are read off Hermite normal forms,
+and are checked against what they claim: saturation by maximal minors, a
+complete set of distinct cosets, and |det A| for the index of A·M in M.
 Matrices have int, Fraction or mixed entries, zero rows, and wide and tall
 shapes.
 """
@@ -33,12 +33,12 @@ from tracestab.linalg import (
     dual_lattice_quotient,
     hnf_rows,
     identity_matrix,
-    in_integer_row_span,
     int_kernel,
     invert,
     mat_mul,
     mat_vec,
     matrix_rank,
+    pivot_product,
 )
 
 INTS = st.integers(-3, 3)
@@ -144,7 +144,7 @@ def test_coords_in_rows(entries, data):
 
 @PROPERTY
 @given(data=st.data())
-def test_in_integer_row_span_brute_force(data):
+def test_fraction_in_integer_row_span_brute_force(data):
     n = data.draw(st.integers(1, 4))
     k = data.draw(st.integers(0, min(n, 3)))
     basis = tuple(data.draw(st.lists(st.tuples(*[INTS] * n), min_size=k, max_size=k)))
@@ -166,8 +166,24 @@ def test_in_integer_row_span_brute_force(data):
         target[off] += 1
     expected = any(combination(c, basis, n) == tuple(target)
                    for c in product(range(-3, 4), repeat=k))
-    assert in_integer_row_span(hnf_rows(rows), target) is expected
     assert fraction_in_integer_row_span(rows, target) is expected
+
+
+@PROPERTY
+@given(data=st.data())
+def test_pivot_product_ratio_is_the_lattice_index(data):
+    """M = A·M′ lies in M′ with the same Q-span and index |det A|: a ratio of pivot products."""
+    n = data.draw(st.integers(1, 4))
+    k = data.draw(st.integers(0, min(n, 3)))
+    basis = tuple(data.draw(st.lists(st.tuples(*[INTS] * n), min_size=k, max_size=k)))
+    assume(fraction_rank(basis) == k)
+    a = data.draw(st.lists(st.tuples(*[INTS] * k), min_size=k, max_size=k))
+    index = abs(fraction_det(a))
+    assume(index != 0)
+    sub = [tuple(sum(c * row[j] for c, row in zip(coeffs, basis)) for j in range(n))
+           for coeffs in a]
+    outer, inner = pivot_product(hnf_rows(basis)), pivot_product(hnf_rows(sub))
+    assert inner == index * outer
 
 
 @PROPERTY

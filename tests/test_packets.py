@@ -285,6 +285,23 @@ def test_dual_group_cocycle_enforced(monkeypatch):
                        DualGroupModel(base, {(0, 0): ((-1,),), (0, 1): ((1,),)}))
 
 
+def test_list_twists_are_read_through_their_components():
+    sl2 = catalog.datum("sl2")
+    as_lists = ParameterModel("m", TwoGroup(0), TwoGroup(1),
+                              DualGroupModel(sl2, {(0, 0): [[1]], (0, 1): [[-1]]}))
+    as_tuples = ParameterModel("m", TwoGroup(0), TwoGroup(1),
+                               DualGroupModel(sl2, {(0, 0): ((1,),), (0, 1): ((-1,),)}))
+    for x in as_tuples.s_elements():
+        assert as_lists.component_at(x) == as_tuples.component_at(x)
+    o2_lists = ParameterModel("o2", TwoGroup(0), TwoGroup(1), DualGroupModel(
+        catalog.datum("gl1"), {(0, 0): [[1]], (0, 1): [[-1]]}))
+    assert (catalog.principal_descriptors(o2_lists)
+            == catalog.principal_descriptors(catalog.model_o2()))
+    with pytest.raises(MismatchedModel, match="identity component must be untwisted"):
+        ParameterModel("bad", TwoGroup(0), TwoGroup(1),
+                       DualGroupModel(catalog.datum("gl1"), {(0, 0): [[-1]], (0, 1): [[1]]}))
+
+
 def test_dual_group_cocycle_failure_names_the_pair(monkeypatch):
     _refuse_weyl_group(monkeypatch)
     # theta(0,1)·theta(0,2) = 1 is not a Weyl element times theta(0,3)^-1 = swap.

@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
 from math import factorial
 from pathlib import Path
@@ -21,6 +24,8 @@ from helpers_oracle import (
     interleaved_product,
     labelled_cartan,
     labelled_datum,
+    oracle_datum_accepts,
+    random_based_datum,
     vertex_centralizer,
 )
 from tracestab import catalog
@@ -135,6 +140,45 @@ def test_classical_data_past_rank_32_build(kind, n, count):
 def test_rejects_dependent_simples():
     with pytest.raises(NonCartan):
         build_root_datum(2, [(2, 0), (2, 0)], [(1, 0), (1, 0)])
+
+
+def test_root_closure_refuses_what_is_not_finite_type():
+    """A1~ and [[2, −3], [−3, 2]] raise ``NonCartan`` from ``simple_types`` and ``root_closure``.
+
+    A closure that does not check its matrix never ends on them, so the calls
+    run in a child process under a timeout.
+    """
+    code = """
+from tracestab.errors import NonCartan
+from tracestab.rootdata import root_closure, simple_types
+for cartan in (((2, -2), (-2, 2)), ((2, -3), (-3, 2))):
+    for call in (lambda: simple_types(cartan, range(2)), lambda: root_closure(cartan)):
+        try:
+            call()
+        except NonCartan as exc:
+            print(type(exc).__name__)
+"""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=20)
+    assert proc.stdout.split() == ["NonCartan"] * 4, proc.stderr
+
+
+def test_build_root_datum_accepts_what_the_rank_and_cartan_checks_accepted():
+    """Without its two rank eliminations, the build accepts exactly the same inputs."""
+    rng = Random(29)
+    accepted = 0
+    for _ in range(3000):
+        rank, roots, coroots = random_based_datum(rng)
+        expected = oracle_datum_accepts(rank, roots, coroots)
+        try:
+            build_root_datum(rank, roots, coroots)
+        except NonCartan:
+            assert not expected, (rank, roots, coroots)
+        else:
+            assert expected, (rank, roots, coroots)
+            accepted += 1
+    assert 1000 < accepted < 2000
 
 
 @pytest.mark.parametrize("name,expected", [

@@ -1,5 +1,7 @@
 import importlib
+import json
 from fractions import Fraction
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -12,6 +14,7 @@ from helpers_oracle import (
     fraction_splus,
     oracle_discrete_part,
     oracle_endoscopic_form,
+    oracle_fixed_intersection_order,
     oracle_stable_form,
 )
 from tracestab import catalog
@@ -23,7 +26,7 @@ from tracestab.errors import (
     TwistedUnsupported,
     WeylGroupTooLarge,
 )
-from tracestab.linalg import hnf_rows, identity_matrix, mat_mul
+from tracestab.linalg import identity_matrix, mat_mul
 from tracestab.packets import (
     DualGroupModel,
     GaussianRational,
@@ -35,6 +38,7 @@ from tracestab.packets import (
 from tracestab.rootdata import (
     build_root_datum,
     central_subgroup,
+    central_torsion_points,
     classical_weyl_order,
     simple_reflection_matrix,
 )
@@ -62,6 +66,7 @@ from tracestab.weylcoset import (
     weyl_set,
 )
 
+rootdata_module = importlib.import_module("tracestab.rootdata")
 stabilize_module = importlib.import_module("tracestab.stabilize")
 
 
@@ -411,29 +416,95 @@ def test_iota_coefficient():
 
 def test_fixed_intersection_orders():
     o2 = catalog.model_o2()
-    zbar = central_subgroup(catalog.datum("gl1"), ((Fraction(1, 2),),))
+    gl1 = catalog.datum("gl1")
+    zbar = central_subgroup(gl1, ((Fraction(1, 2),),))
     # Untwisted component: the whole subgroup has fixed lifts.
     assert fixed_intersection_order(o2, (0, 0), zbar) == 2
     # Inverted component: only the identity.
     assert fixed_intersection_order(o2, (0, 1), zbar) == 1
-
-
-def test_fixed_intersection_order_builds_one_basis_per_component(monkeypatch):
-    calls = []
-
-    def counted(rows):
-        calls.append(rows)
-        return hnf_rows(rows)
-
-    monkeypatch.setattr(stabilize_module, "hnf_rows", counted)
-    stabilize_module._twist_image.cache_clear()
-    o2 = catalog.model_o2()
-    gl1 = catalog.datum("gl1")
     subgroups = [central_subgroup(gl1, ((Fraction(1, k),),)) for k in (2, 3, 4)]
     orders = [[fixed_intersection_order(o2, x, z) for z in subgroups] for x in o2.s_elements()]
     assert orders == [[2, 3, 4], [1, 1, 1]]
-    assert len(calls) == 2
-    stabilize_module._twist_image.cache_clear()
+
+
+def _signed_involution(rng: Random, n: int):
+    """A random signed permutation matrix θ with θ² = 1."""
+    while True:
+        perm = rng.sample(range(n), n)
+        theta = tuple(tuple(rng.choice((-1, 1)) if perm[i] == j else 0 for j in range(n))
+                      for i in range(n))
+        if mat_mul(theta, theta) == identity_matrix(n):
+            return theta
+
+
+def _count_cases(rng: Random, tori: int):
+    """(model, Z̄): S = R = Z/2 with θ on the far component, Z̄ on the base.
+
+    First ``tori`` seeded tori of rank ≤ 3 under signed-permutation
+    involutions, with one or two generators of denominator ≤ 12; then
+    semisimple bases, inner and outer, with Z̄ each central point and the
+    whole center.
+    """
+    for _ in range(tori):
+        n = rng.randint(1, 3)
+        base = build_root_datum(n, (), ())
+        gens = [tuple(Fraction(rng.randrange(q), q) for _ in range(n))
+                for q in (rng.randint(1, 12) for _ in range(rng.randint(1, 2)))]
+        yield _two_component_model(base, _signed_involution(rng, n)), central_subgroup(base, gens)
+    sl3_swap = json.loads((Path(__file__).with_name("data") / "sl3_swap.json").read_text())
+    for name, theta in (("sl2xsl2", catalog.SWAP2), ("sl3", sl3_swap["theta"]),
+                        ("sp4", ((-1, 0), (0, -1))), ("pgl3", ((-1, 0), (0, -1))),
+                        ("sl2", ((-1,),))):
+        base = catalog.datum(name)
+        m = _two_component_model(base, tuple(map(tuple, theta)))
+        points = central_torsion_points(base)
+        for gens in [(p,) for p in points] + [points]:
+            yield m, central_subgroup(base, gens)
+
+
+def _two_component_model(base, theta) -> ParameterModel:
+    twists = {(0, 0): identity_matrix(base.rank), (0, 1): theta}
+    return ParameterModel("zbar", TwoGroup(0), TwoGroup(1), DualGroupModel(base, twists))
+
+
+def test_fixed_intersection_order_matches_the_listing():
+    below = 0
+    for m, zbar in _count_cases(Random(30), 600):
+        rank = m.dual_group.base.rank
+        for x in m.s_elements():
+            got = fixed_intersection_order(m, x, zbar)
+            theta = m.component_at(x).theta
+            assert got == oracle_fixed_intersection_order(theta, zbar.generators, rank), (
+                theta, zbar)
+            below += got < zbar.order
+    assert below > 200
+
+
+def test_fixed_intersection_order_lists_no_element(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("subgroup_mod1 was called")
+
+    monkeypatch.setattr(rootdata_module, "subgroup_mod1", refuse)
+    monkeypatch.setattr(stabilize_module, "subgroup_mod1", refuse, raising=False)
+    o2 = catalog.model_o2()
+    zbar = central_subgroup(catalog.datum("gl1"), ((Fraction(1, 300007),),))
+    assert [fixed_intersection_order(o2, x, zbar) for x in o2.s_elements()] == [300007, 1]
+
+
+def test_zbar_of_another_rank_is_refused_not_skipped():
+    (d,) = catalog.descriptors_o2()
+    zbar = central_subgroup(build_root_datum(2, (), ()), ((Fraction(1, 2), Fraction(1, 3)),))
+    assert zbar.order == 6
+    with pytest.raises(InconsistentDescriptor, match="u1/o2"):
+        verify_coefficients(catalog.model_o2(), d._replace(zbar=zbar))
+    # A swap class's centralizer lives on the folded rank-1 lattice: a Z̄ of the base
+    # rank is not tested against it, and its report is still made.
+    swap = catalog.model_swap()
+    center = central_subgroup(catalog.datum("sl2xsl2"), ((Fraction(1, 2), Fraction(1, 2)),))
+    for d in catalog.principal_descriptors(swap):
+        if d.x == (0, 1):
+            assert len(verify_coefficients(swap, d._replace(zbar=center)).checks) == 4
+    assert fixed_intersection_order(swap, (0, 1), center) == 2
 
 
 def _splus_models():
