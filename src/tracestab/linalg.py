@@ -138,8 +138,10 @@ def matrix_rank(m: Sequence[Sequence]) -> int:
 
 
 def invert(m: Sequence[Sequence]) -> tuple[QVec, ...]:
-    """Inverse over Q; raises ValueError on a singular matrix."""
+    """Inverse over Q; raises ValueError on a singular or non-square matrix."""
     n = len(m)
+    if any(len(row) != n for row in m):
+        raise ValueError("matrix is not square")
     reduced, pivots = _echelon([list(row) + [int(i == j) for j in range(n)]
                                 for i, row in enumerate(m)])
     if pivots != list(range(n)):

@@ -16,9 +16,9 @@ with Δ(τ, φ^x) = N/|S| and Δ(φ^x, τ) = N/|R|.  For fixed (η, x) the sums
 over all r are the Walsh–Hadamard transform of χ ↦ pairing((η, χ), x), so
 ``ParameterModel.transfer_numerators`` builds the whole |S| × |S| table
 with one length-|R| fast transform per (η, x) column, once per model.  The
-adjoint relations are then the integer identities N·Nᵀ = NᵀN = |R|·|S|·I.
-The ``_closed`` forms evaluate the same factors without the table and serve
-as the independent cross-check.
+adjoint relations are then the integer identities N·Nᵀ = NᵀN = |R|·|S|·I,
+and the closed form N = |R|·δ(r, x_R)·η(x_M) is checked on the table itself
+by ``packets verify`` (``cli_packets._packet_checks``).
 """
 
 from __future__ import annotations
@@ -279,35 +279,9 @@ def transfer_factor(m: ParameterModel, tau: Tau, x: SElement) -> Fraction:
     return Fraction(_numerator(m, tau, x), m.s_size)
 
 
-def transfer_factor_closed(m: ParameterModel, tau: Tau, x: SElement) -> Fraction:
-    m._check_tau(tau)
-    m._check_x(x)
-    eta, r = tau
-    if r != x[1]:
-        return Fraction(0)
-    return Fraction(m.r.size, m.s_size) * TwoGroup.char(eta, x[0])
-
-
 def adjoint_factor(m: ParameterModel, x: SElement, tau: Tau) -> Fraction:
     """Δ(φ^x, τ) = N[τ][x]/|R|, the |R|⁻¹-weighted character sum."""
     return Fraction(_numerator(m, tau, x), m.r.size)
-
-
-def adjoint_factor_closed(m: ParameterModel, x: SElement, tau: Tau) -> Fraction:
-    m._check_tau(tau)
-    m._check_x(x)
-    eta, r = tau
-    if r != x[1]:
-        return Fraction(0)
-    return Fraction(TwoGroup.char(eta, x[0]))
-
-
-def transfer_factor_tagged(m: ParameterModel, tagged_tau: tuple[str, Tau], x: SElement) -> Fraction:
-    """Out-of-packet vanishing: triples from another model pair to zero."""
-    model_id, tau = tagged_tau
-    if model_id != m.model_id:
-        return Fraction(0)
-    return transfer_factor(m, tau, x)
 
 
 class TestVector(_Record):

@@ -22,7 +22,8 @@ centralizer it needs off that matrix.  ``enlarged_basis`` forms the Hermite
 basis of L = X∨ + Σ Z·g for a central subgroup, or of its image under a
 matrix: the quotient datum reads L, the order |Z| = [L : X∨] is a ratio of
 pivot products, and so is the index [(θ−1)·L : (θ−1)·X∨] that
-``stabilize`` divides |Z| by.
+``stabilize`` divides |Z| by; ``root_lattice_index`` reads [X : ZΦ] off the
+Hermite basis of the simple roots.
 The named data (``NAMED_DATA``, ``named_datum``) live here, so a command
 that takes a group by name needs no other module.
 """
@@ -34,10 +35,9 @@ from fractions import Fraction
 from functools import cache
 from itertools import combinations
 from math import prod
-from operator import add
 from typing import NamedTuple
 
-from .errors import MalformedInput, NonCartan, NotCentral, WeylGroupTooLarge
+from .errors import MalformedInput, NonCartan, NotAutomorphism, NotCentral, WeylGroupTooLarge
 from .linalg import (
     IntMat,
     IntVec,
@@ -45,7 +45,6 @@ from .linalg import (
     bareiss_pivots,
     clear_denominators,
     dot,
-    dual_lattice_quotient,
     hnf_rows,
     identity_matrix,
     integer_rows,
@@ -221,8 +220,8 @@ def build_root_datum(rank: int, simple_roots, simple_coroots) -> RootDatum:
     The root list is frozen in lexicographic order so that every downstream
     sum and report is reproducible.  One datum is built per normalized input.
     """
-    if rank < 0:
-        raise NonCartan("negative rank")
+    if type(rank) is not int or rank < 0:
+        raise NonCartan(f"rank {rank!r} is not a non-negative integer")
     return _build_root_datum(rank, integer_rows(simple_roots, NonCartan),
                              integer_rows(simple_coroots, NonCartan))
 
@@ -426,14 +425,6 @@ class CentralSubgroup(NamedTuple):
     order: int
 
 
-def subgroup_mod1(gens, rank: int) -> tuple[QVec, ...]:
-    """Closure of rational generators under addition mod Z^rank."""
-    norm_gens = [normalize_mod1(g) for g in gens]
-    elems = closure({tuple(Fraction(0) for _ in range(rank)): None},
-                    lambda e, _: ((normalize_mod1(tuple(map(add, e, g))), None) for g in norm_gens))
-    return tuple(sorted(elems))
-
-
 def enlarged_basis(gens, m) -> tuple[list[IntVec], int]:
     """Hermite basis of D·m·L for L = X∨ + Σ Z·g, with D the common denominator of the generators.
 
@@ -472,13 +463,11 @@ def quotient_by_central(d: RootDatum, z: CentralSubgroup) -> RootDatum:
 
 def quotient_with_map(d: RootDatum, z: CentralSubgroup) -> tuple[RootDatum, tuple]:
     """Quotient datum plus the matrix sending old X∨⊗Q coordinates to new."""
-    gens = list(z.generators) if z.order > 1 else []
-    for g in gens:
-        for alpha in d.simple_roots:
-            if dot(alpha, g) % 1 != 0:
-                raise NotCentral(f"<{alpha}, {g}> is not integral")
+    # ``central_subgroup`` checked z on its own datum; ``to_new_root`` refuses a non-central z.
+    if any(len(g) != d.rank for g in z.generators):
+        raise NotCentral("generator length does not match the rank")
     n = d.rank
-    basis_rows, denom = enlarged_basis(gens, identity_matrix(n))
+    basis_rows, denom = enlarged_basis(z.generators, identity_matrix(n))
     # Columns of m are the new basis vectors in old coordinates.
     m = transpose(tuple(tuple(Fraction(x, denom) for x in row) for row in basis_rows))
     m_inv = invert(m)
@@ -495,35 +484,37 @@ def quotient_with_map(d: RootDatum, z: CentralSubgroup) -> tuple[RootDatum, tupl
     return build_root_datum(n, new_roots, new_coroots), m_inv
 
 
-def central_torsion_points(d: RootDatum) -> tuple[QVec, ...]:
-    """All torus points pairing integrally with every root (semisimple only)."""
-    if not d.is_semisimple():
-        raise ValueError("central torsion enumeration needs a semisimple datum")
-    if d.rank == 0:
-        return ((),)
-    basis = hnf_rows(list(d.roots))
-    reps = dual_lattice_quotient(tuple(basis))
-    return tuple(sorted(normalize_mod1(t) for t in reps))
-
-
 @cache
 def canonical_key(d: RootDatum) -> bytes:
     """Display label ``datum;v2;types=…;z=…;central=…``, memoized on the datum's value.
 
     ``types`` is the Cartan type, ``central`` the central torus rank and
-    ``z`` = |π₀ Z| the torsion of X / ZΦ: the gcd of the maximal minors of
-    the simple roots (|det| on semisimple data), read off as the
-    ``pivot_product`` of the Hermite basis of their columns.  All three are
-    isomorphism invariants, but together they do not classify: SO4 = (SL2×SL2)/μ2 and
+    ``z`` = |π₀ Z| (``root_lattice_index``).  All three are isomorphism
+    invariants, but together they do not classify: SO4 = (SL2×SL2)/μ2 and
     SL2×PGL2 share the label ``types=A1,A1;z=2;central=0``.  The label only
     names rows of ``sigma --catalog``.
     """
-    z = pivot_product(hnf_rows(transpose(d.simple_roots)))
-    return (f"datum;v2;types={','.join(cartan_type(d))};z={z};"
+    return (f"datum;v2;types={','.join(cartan_type(d))};z={root_lattice_index(d)};"
             f"central={d.rank - d.semisimple_rank}").encode()
 
 
+def root_lattice_index(d: RootDatum) -> int:
+    """|π₀ Z|, the order of the torsion of X / ZΦ: [X : ZΦ] = |Z| on semisimple data.
+
+    It is the gcd of the maximal minors of the simple roots (|det| when they
+    span), read off as the ``pivot_product`` of the Hermite basis of their
+    columns; the empty product is 1.
+    """
+    return pivot_product(hnf_rows(transpose(d.simple_roots)))
+
+
 def contragredient(m: IntMat) -> IntMat:
-    """Action on X induced by an integral automorphism of X∨."""
-    inv = invert(m)
-    return tuple(tuple(int(x) for x in row) for row in transpose(inv))
+    """Action on X induced by an integral automorphism of X∨.
+
+    A matrix that is not integral or has no inverse over Z raises ``NotAutomorphism``.
+    """
+    try:
+        inv = invert(integer_rows(m, NotAutomorphism))
+    except ValueError as e:
+        raise NotAutomorphism(f"{m}: {e}") from None
+    return integer_rows(transpose(inv), NotAutomorphism)

@@ -41,6 +41,7 @@ from .rootdata import (
     SimpleType,
     extended_cartan,
     quotient_by_central,
+    root_lattice_index,
     simple_factors,
     simple_types,
 )
@@ -77,9 +78,8 @@ def sigma(d: RootDatum) -> Fraction:
     """σ of the connected group with the given datum, memoized on its value."""
     if not d.is_semisimple():
         return Fraction(0)
-    # |Z(G)| = [X : ZΦ]; the empty determinant and the empty product are 1.
     return (prod(map(_simple_adjoint_sigma, simple_factors(d)), start=Fraction(1))
-            / abs(det(d.simple_roots)))
+            / root_lattice_index(d))
 
 
 class ClassTerm(NamedTuple):

@@ -236,7 +236,7 @@ def verify_coefficients(m: ParameterModel, d: EndoscopicDescriptor) -> Coefficie
     lhs_b = (Fraction(m.s_size, d.splus_over_s_card)
              * Fraction(d.out_phi_card, d.out_card)
              * Fraction(1, m.s_size * cls.pi0) * sigma_cent)
-    rhs_b = (Fraction(1, d.out_card) * Fraction(1, d.zbar.order)
+    rhs_b = (iota_coefficient(d.out_card, d.zbar.order)
              * Fraction(1, d.s_phi_prime_card) * sigma_prime)
     checks.append(("coefficient_product", str(lhs_b), str(rhs_b), lhs_b == rhs_b))
 

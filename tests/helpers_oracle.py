@@ -53,9 +53,17 @@ matrix off the extended one; the tests compare the two.
 e = i solved on the datum itself, over every centralizer, with no product
 or central-quotient rule.
 
+``subgroup_mod1`` lists a central subgroup element by element, the
+reference for ``central_subgroup``'s order, and ``central_torsion_points``
+lists every central torsion point of a semisimple datum from a Hermite
+lattice quotient; the tests draw their central subgroups from it.
+
 The packet character sums are the reference for the Walsh–Hadamard
 transfer table: one O(|R|) loop over the R-group characters per entry,
-straight from ``ParameterModel.pairing``.
+straight from ``ParameterModel.pairing``.  ``transfer_factor_closed`` and
+``adjoint_factor_closed`` are the closed forms (|R|/|S|)·δ(r, x_R)·η(x_M)
+and δ(r, x_R)·η(x_M) that ``packets verify``'s route check tests the table
+against.
 
 ``oracle_packet_checks`` is the Fraction ``packets verify`` that the
 integer checks of ``cli._packet_checks`` replaced: every factor is rebuilt
@@ -96,7 +104,7 @@ from tracestab.linalg import (
     transpose,
 )
 from tracestab.packets import GR_ZERO, TwoGroup
-from tracestab.rootdata import build_root_datum, contragredient, subgroup_mod1, weyl_group
+from tracestab.rootdata import build_root_datum, closure, contragredient, weyl_group
 from tracestab.sigma import sigma
 from tracestab.stabilize import coefficient_report, iota_coefficient, s_disc_set
 from tracestab.weylcoset import MAX_TWIST_ORDER, i_number, untwisted_component
@@ -567,6 +575,25 @@ def fraction_in_integer_row_span(rows, target):
     return all(x == 0 for x in vec)
 
 
+def subgroup_mod1(gens, rank):
+    """Closure of rational generators under addition mod Z^rank."""
+    norm_gens = [normalize_mod1(g) for g in gens]
+    elems = closure({tuple(Fraction(0) for _ in range(rank)): None},
+                    lambda e, _: ((normalize_mod1(tuple(a + b for a, b in zip(e, g))), None)
+                                  for g in norm_gens))
+    return tuple(sorted(elems))
+
+
+def central_torsion_points(d):
+    """All torus points pairing integrally with every root (semisimple only)."""
+    if not d.is_semisimple():
+        raise ValueError("central torsion enumeration needs a semisimple datum")
+    if d.rank == 0:
+        return ((),)
+    reps = dual_lattice_quotient(tuple(hnf_rows(list(d.roots))))
+    return tuple(sorted(normalize_mod1(t) for t in reps))
+
+
 def oracle_fixed_intersection_order(theta, generators, rank):
     """|S̄° ∩ Z̄| by listing Z̄: the z with (θ−1)·z in the Z-span of θ − 1's columns."""
     delta = minus_identity(theta)
@@ -673,7 +700,8 @@ def random_based_datum(rng):
     u = [list(row) for row in identity_matrix(n)]
     for _ in range(3 * n if n > 1 else 0):
         i, j = rng.sample(range(n), 2)
-        u[i] = [x + rng.choice((-1, 1)) * y for x, y in zip(u[i], u[j])]
+        c = rng.choice((-1, 1))
+        u[i] = [x + c * y for x, y in zip(u[i], u[j])]
     a = [[(2 if rng.random() < 0.9 else rng.choice((1, 3))) if i == j
           else rng.choice((0, 0, -1, -1, -2, -3, 1)) for j in range(k)] for i in range(k)]
     u_inv_t = contragredient(tuple(map(tuple, u)))
@@ -707,6 +735,26 @@ def oracle_sigma(d):
 def _packet_character_sum(m, tau, x):
     eta, r = tau
     return sum(TwoGroup.char(chi, r) * m.pairing((eta, chi), x) for chi in m.r.elements())
+
+
+def transfer_factor_closed(m, tau, x):
+    """Δ(τ, φ^x) in closed form: (|R|/|S|)·δ(r, x_R)·η(x_M)."""
+    m._check_tau(tau)
+    m._check_x(x)
+    eta, r = tau
+    if r != x[1]:
+        return Fraction(0)
+    return Fraction(m.r.size, m.s_size) * TwoGroup.char(eta, x[0])
+
+
+def adjoint_factor_closed(m, x, tau):
+    """Δ(φ^x, τ) in closed form: δ(r, x_R)·η(x_M)."""
+    m._check_tau(tau)
+    m._check_x(x)
+    eta, r = tau
+    if r != x[1]:
+        return Fraction(0)
+    return Fraction(TwoGroup.char(eta, x[0]))
 
 
 def oracle_transfer_factor(m, tau, x):
@@ -744,8 +792,8 @@ def oracle_packet_checks(m, seed, trials):
     """
     rng = Random(seed)
     route_ok = all(
-        packets.transfer_factor(m, tau, x) == packets.transfer_factor_closed(m, tau, x)
-        and packets.adjoint_factor(m, x, tau) == packets.adjoint_factor_closed(m, x, tau)
+        packets.transfer_factor(m, tau, x) == transfer_factor_closed(m, tau, x)
+        and packets.adjoint_factor(m, x, tau) == adjoint_factor_closed(m, x, tau)
         for tau in m.taus() for x in m.s_elements())
     scaling_ok = all(
         packets.transfer_factor(m, tau, x) ==

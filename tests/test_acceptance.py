@@ -11,7 +11,7 @@ import sys
 from fractions import Fraction
 from random import Random
 
-from helpers_oracle import brute_i, oracle_classes
+from helpers_oracle import adjoint_factor_closed, brute_i, oracle_classes, transfer_factor_closed
 
 from tracestab import catalog
 from tracestab.elliptic import elliptic_classes
@@ -20,11 +20,9 @@ from tracestab.packets import (
     TestVector,
     TwoGroup,
     adjoint_factor,
-    adjoint_factor_closed,
     invert_transfer,
     theta_transfer,
     transfer_factor,
-    transfer_factor_closed,
     verify_adjoint,
     with_flipped_pairing,
 )

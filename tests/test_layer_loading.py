@@ -1,6 +1,7 @@
 """Which layer modules a command loads, and the package surface that lazy loading keeps."""
 
 import ast
+import importlib.util
 import json
 import subprocess
 import sys
@@ -197,7 +198,7 @@ def test_only_weylcoset_forms_the_central_cocharacter_test():
         "weylcoset.i_number", "elliptic.import", "elliptic.is_elliptic",
         "elliptic.elliptic_classes", "stabilize.import", "stabilize.s_disc_set"}
     assert _places("is_semisimple") == {
-        "rootdata.central_torsion_points", "weylcoset.fixes_a_central_cocharacter",
+        "weylcoset.fixes_a_central_cocharacter",
         "elliptic.full_rank_subsystems", "sigma.sigma", "stabilize.phi_s_disc"}
 
 
@@ -244,14 +245,19 @@ def test_only_e_number_reaches_elliptic_from_sigma():
 
 
 def test_one_hermite_index_counts_central_subgroups():
-    """|Z̄|, |S̄° ∩ Z̄| and canonical_key's z are ratios of ``pivot_product``s: nothing lists Z̄.
+    """|Z̄|, |S̄° ∩ Z̄| and [X : ZΦ] are ratios of ``pivot_product``s: nothing lists Z̄.
 
-    ``subgroup_mod1`` stays public, but no code in the package calls it.
+    ``root_lattice_index`` is the one copy of [X : ZΦ], which σ divides by and
+    ``canonical_key`` prints; ``subgroup_mod1`` is a test oracle.
     """
     assert _places("pivot_product") == {
         "rootdata.import", "rootdata.central_subgroup",
-        "rootdata.canonical_key", "stabilize.import", "stabilize.fixed_intersection_order"}
+        "rootdata.root_lattice_index", "stabilize.import", "stabilize.fixed_intersection_order"}
+    assert _places("root_lattice_index") == {"rootdata.canonical_key", "sigma.import",
+                                             "sigma.sigma"}
     assert not _places("subgroup_mod1") | _places("in_integer_row_span") | _places("_twist_image")
+    assert _places("iota_coefficient") == {"stabilize.verify_coefficients",
+                                           "stabilize._fold_descriptors"}
 
 
 def test_root_closure_owns_the_finite_type_check():
@@ -260,3 +266,42 @@ def test_root_closure_owns_the_finite_type_check():
     assert not _places("_validate_cartan")
     assert {p for p in _places("bareiss_pivots") if p.startswith("rootdata.")} == {
         "rootdata.import", "rootdata.root_closure"}
+
+
+# Documented entry points that nothing in the package calls.
+ENTRY_POINTS = {"elliptic.centralizer", "packets.with_flipped_pairing", "catalog.random_model",
+                "catalog.descriptors_sl2_central"}
+
+
+def test_every_top_level_name_is_used_exported_traced_or_an_entry_point():
+    """A top-level function or class that nothing reaches is dead code.
+
+    It passes if another top-level statement of the package names it (a
+    ``COMMANDS`` runner string counts), if ``tracestab.__all__`` exports it,
+    if ``bench/tracer.py``'s ``LAYERS`` wraps it, or if it is a documented
+    entry point.  Dunder functions are exempt.
+    """
+    spec = importlib.util.spec_from_file_location("bench_tracer",
+                                                  SRC.parent / "bench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    traced = {f"{module}.{name.split('.')[0]}" for module, names in tracer.LAYERS.items()
+              for name in names}
+    tops = [(path.stem, top) for path in sorted((SRC / "tracestab").glob("*.py"))
+            for top in ast.parse(path.read_text(encoding="utf-8")).body]
+
+    def named_elsewhere(name, own):
+        return any(isinstance(node, ast.Name) and node.id == name
+                   or isinstance(node, ast.Attribute) and node.attr == name
+                   or isinstance(node, ast.alias) and node.name == name
+                   or isinstance(node, ast.Constant) and isinstance(node.value, str)
+                   and node.value.rpartition(".")[2] == name and "." in node.value
+                   for _, top in tops if top is not own for node in ast.walk(top))
+
+    dead = [f"{stem}.{top.name}" for stem, top in tops
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef))
+            and not (top.name.startswith("__") and top.name.endswith("__"))
+            and top.name not in tracestab.__all__
+            and f"{stem}.{top.name}" not in traced | ENTRY_POINTS
+            and not named_elsewhere(top.name, top)]
+    assert dead == []

@@ -89,6 +89,13 @@ def test_invert_is_inverse_and_singular_exactly_when_det_vanishes(entries, data)
     assert mat_mul(inv, m) == identity_matrix(n) == mat_mul(m, inv)
 
 
+@pytest.mark.parametrize("m", [((1, 2),), ((1,), (2,)), ((1, 0), (0,))])
+def test_invert_refuses_a_non_square_matrix(m):
+    # Elimination on the augmented rows would return ((2, 1),) for ((1, 2),).
+    with pytest.raises(ValueError, match="not square"):
+        invert(m)
+
+
 def test_det_of_fraction_matrices():
     half = Fraction(1, 2)
     assert det(((half, 0), (0, half))) == Fraction(1, 4)

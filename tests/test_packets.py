@@ -7,12 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers_oracle import (
+    adjoint_factor_closed,
     catalog_and_ladder_data,
     datum_from_cartan,
     e_cartan,
     oracle_adjoint_factor,
     oracle_theta,
     oracle_transfer_factor,
+    transfer_factor_closed,
 )
 from tracestab import catalog, rootdata, weylcoset
 from tracestab.errors import InvalidDimension, MismatchedModel, TraceStabError
@@ -25,12 +27,9 @@ from tracestab.packets import (
     TestVector,
     TwoGroup,
     adjoint_factor,
-    adjoint_factor_closed,
     invert_transfer,
     theta_transfer,
     transfer_factor,
-    transfer_factor_closed,
-    transfer_factor_tagged,
     verify_adjoint,
     with_flipped_pairing,
 )
@@ -240,12 +239,6 @@ def test_roundtrip_single_point_mass(p, q, r, s):
     theta = {tau: theta_transfer(m, tau, f) for tau in m.taus()}
     assert invert_transfer(m, (1, 0), theta) == value
     assert invert_transfer(m, (0, 1), theta) == GR_ZERO
-
-
-def test_out_of_packet_vanishing():
-    m = _model(1, 1)
-    assert transfer_factor_tagged(m, ("another-model", (0, 0)), (0, 0)) == 0
-    assert transfer_factor_tagged(m, (m.model_id, (0, 0)), (0, 0)) != 0
 
 
 def test_mismatched_model_rejected():

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from helpers_oracle import (
     F4_CARTAN,
     catalog_and_ladder_data,
+    central_torsion_points,
     classical_datum,
     datum_from_cartan,
     direct_sum,
@@ -26,19 +27,20 @@ from helpers_oracle import (
     labelled_datum,
     oracle_datum_accepts,
     random_based_datum,
+    subgroup_mod1,
     vertex_centralizer,
 )
 from tracestab import catalog
 from tracestab.elliptic import elliptic_classes
 from tracestab import rootdata as rootdata_module
-from tracestab.errors import NonCartan, NotCentral, WeylGroupTooLarge
+from tracestab.errors import NonCartan, NotAutomorphism, NotCentral, WeylGroupTooLarge
 from tracestab.linalg import det, dot, identity_matrix, mat_mul, mat_vec, matrix_rank, transpose
 from tracestab.rootdata import (
+    CentralSubgroup,
     build_root_datum,
     canonical_key,
     cartan_type,
     central_subgroup,
-    central_torsion_points,
     MAX_WEYL_ORDER,
     classical_weyl_order,
     contragredient,
@@ -49,6 +51,7 @@ from tracestab.rootdata import (
     simple_types,
     weyl_group,
 )
+from tracestab.sigma import verify_central_quotient
 from tracestab.weylcoset import component, i_number, untwisted_component, weyl_set
 
 SL2 = catalog.datum("sl2")
@@ -83,6 +86,16 @@ def test_build_root_datum_is_built_once_per_normalized_input():
             build_root_datum(1, [[1]], [[1]])
     with pytest.raises(NonCartan):
         build_root_datum(-1, [], [])
+
+
+@pytest.mark.parametrize("rank", [True, False, 1.0, "1", None])
+def test_a_rank_that_is_not_an_int_is_refused(rank):
+    with pytest.raises(NonCartan, match="is not a non-negative integer"):
+        build_root_datum(rank, [], [])
+    with pytest.raises(NonCartan, match="is not a non-negative integer"):
+        build_root_datum(rank, ((2,),), ((1,),))
+    # Nothing was memoized under a bool: the int rank builds its own datum.
+    assert type(build_root_datum(1, ((2,),), ((1,),)).rank) is int
 
 
 def test_rejects_non_integral_entries():
@@ -351,6 +364,19 @@ def test_quotient_by_trivial_is_identity_up_to_basis():
 def test_noncentral_generator_rejected():
     with pytest.raises(NotCentral):
         central_subgroup(PGL2, [(Fraction(1, 2),)])
+    # A hand-built subgroup skips central_subgroup's check; the quotient still
+    # refuses it, whatever order it claims.
+    for order in (1, 2):
+        with pytest.raises(NotCentral):
+            quotient_by_central(PGL2, CentralSubgroup(((Fraction(1, 2),),), order))
+
+
+def test_a_central_subgroup_of_another_rank_is_refused():
+    z = central_subgroup(catalog.datum("sl2xsl2"), [(Fraction(1, 2), Fraction(1, 2))])
+    with pytest.raises(NotCentral, match="generator length does not match the rank"):
+        quotient_by_central(SL2, z)
+    with pytest.raises(NotCentral, match="generator length does not match the rank"):
+        verify_central_quotient(SL2, z)
 
 
 def test_central_torsion_points():
@@ -443,15 +469,12 @@ def test_central_subgroup_order_matches_closure(p, q):
 def test_central_subgroup_order_matches_the_listed_elements(name, gens):
     d = catalog.datum(name)
     z = central_subgroup(d, gens)
-    assert z.order == len(rootdata_module.subgroup_mod1(z.generators, d.rank))
+    assert z.order == len(subgroup_mod1(z.generators, d.rank))
 
 
-def test_central_subgroup_order_is_read_off_the_hermite_basis(monkeypatch):
+def test_central_subgroup_order_is_read_off_the_hermite_basis():
     """|Z| = Dⁿ / Π hᵢᵢ: a subgroup of order 300 007 is never listed element by element."""
-    def refuse(gens, rank):
-        raise AssertionError("subgroup_mod1 was called")
-
-    monkeypatch.setattr(rootdata_module, "subgroup_mod1", refuse)
+    assert not hasattr(rootdata_module, "subgroup_mod1")
     assert central_subgroup(GL1, [(Fraction(1, 300007),)]).order == 300007
 
 
@@ -552,12 +575,19 @@ def test_twist_is_part_of_the_component_memo_key():
             == {mat_mul(e.total, swapped.theta) for e in weyl_set(untwisted)})
 
 
-@pytest.mark.parametrize("name", ["sl2", "sp4", "g2", "sl2xsl2"])
+@pytest.mark.parametrize("name", catalog.datum_names())
 def test_x_matrices_are_contragredient(name):
     # full_rank_subsystems takes W's action on X from transposes: transpose(w)
     # is the contragredient of w⁻¹, so the two sets agree (not element by element).
     group = weyl_group(catalog.datum(name))
     assert {transpose(w.matrix) for w in group} == {contragredient(w.matrix) for w in group}
+
+
+@pytest.mark.parametrize("m", [((2,),), ((1, 1), (0, 2)), ((0,),), ((1, 2), (2, 4)), ((1, 2),),
+                               ((Fraction(1, 2),),)])
+def test_contragredient_refuses_a_matrix_outside_gl_n_z(m):
+    with pytest.raises(NotAutomorphism):
+        contragredient(m)
 
 
 POSITIVE_DATA = catalog_and_ladder_data()

@@ -6,6 +6,7 @@ import pytest
 from helpers_oracle import (
     F4_CARTAN,
     catalog_and_ladder_data,
+    central_torsion_points,
     classical_datum,
     datum_from_cartan,
     direct_sum,
@@ -23,7 +24,6 @@ from tracestab.rootdata import (
     canonical_key,
     cartan_type,
     central_subgroup,
-    central_torsion_points,
     quotient_by_central,
 )
 from tracestab.sigma import SigmaTable, e_number, sigma, verify_central_quotient, verify_ei
