@@ -35,6 +35,10 @@ EXIT_MISSING_FILE = 3
 EXIT_MALFORMED = 4
 EXIT_MODULE_ERROR = 5
 
+# Largest rank of a group read from a file: memory grows as rank², and A64 is
+# the largest rank in use.
+MAX_FILE_RANK = 256
+
 
 def fmt_q(x: Fraction) -> str:
     x = Fraction(x)
@@ -114,6 +118,8 @@ def _datum_from_obj(obj) -> rootdata.RootDatum:
     _require_keys(obj, ("rank", "simple_roots", "simple_coroots"))
     if type(obj["rank"]) is not int:
         raise MalformedInput("rank must be an integer")
+    if obj["rank"] > MAX_FILE_RANK:
+        raise MalformedInput(f"rank {obj['rank']} is above the limit {MAX_FILE_RANK}")
     return rootdata.build_root_datum(obj["rank"], _int_matrix(obj["simple_roots"]),
                                      _int_matrix(obj["simple_coroots"]))
 

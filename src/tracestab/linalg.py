@@ -48,9 +48,12 @@ def minus_identity(m: Sequence[Sequence]) -> tuple:
 
 
 def integer_rows(m, error: type[Exception]) -> IntMat:
-    """``m`` as rows of ints; an entry whose value is not an integer raises ``error``."""
-    m = tuple(tuple(row) for row in m)
-    out = tuple(tuple(int(x) for x in row) for row in m)
+    """``m`` as rows of ints; a row or entry that is not an integer raises ``error``."""
+    try:
+        m = tuple(tuple(row) for row in m)
+        out = tuple(tuple(int(x) for x in row) for row in m)
+    except (TypeError, ValueError, ArithmeticError) as exc:
+        raise error(f"not a matrix of integers: {exc}") from None
     if out != m:
         raise error(f"entry {next(x for row in m for x in row if int(x) != x)} is not an integer")
     return out

@@ -167,7 +167,10 @@ class DualGroupModel(_Record):
         return self.base, self.thetas
 
     def component_at(self, x: SElement) -> weylcoset.TwistedComponent:
-        return self._components[x]
+        try:
+            return self._components[x]
+        except (KeyError, TypeError):
+            raise MismatchedModel(f"component {x} has no validated twist in this model") from None
 
     def validate(self, s_elements) -> None:
         for x in s_elements:

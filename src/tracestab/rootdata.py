@@ -6,8 +6,9 @@ isogeny question (SL2 vs PGL2, quotients by central subgroups) is carried by
 the coordinates alone.  All derived data — the full root system, the Weyl
 group, display labels — is computed by exact integer/rational arithmetic.
 Every orbit and closure in the package, here, in ``elliptic`` and in
-``weylcoset``'s flat count, is one breadth-first ``closure``.  W itself is
-built only for ``weyl_set`` and ``full_rank_subsystems``.  ``pinned_part``
+``weylcoset``'s flat count, is one breadth-first ``closure``.  One sparse
+update applies s_i to a matrix; ``coset_walk`` walks a coset Wθ with it from
+θ (W itself from 1, for ``full_rank_subsystems``), and ``pinned_part``
 writes a matrix m as w·τ by reflecting m·2ρ∨ back to the dominant chamber;
 whether a twist is an automorphism, its sign, W-membership and the twist
 cocycle all read that one descent.  ``simple_factors`` alone splits a datum
@@ -49,15 +50,14 @@ from .linalg import (
     identity_matrix,
     integer_rows,
     invert,
-    mat_mul,
     mat_vec,
     normalize_mod1,
     pivot_product,
     transpose,
 )
 
-# Largest |W| that ``weyl_group`` builds: |W(E6)|.  W is stored element by
-# element (E6 already takes seconds), so E7 (|W| = 2 903 040) and E8 are refused.
+# Largest |W| that ``coset_walk`` walks: |W(E6)|.  It keeps every element of a
+# coset Wθ (E6 takes seconds), so E7 (|W| = 2 903 040) and E8 are refused.
 MAX_WEYL_ORDER = 51_840
 
 # Largest |W| of a simple factor whose flats ``weylcoset.i_number`` walks:
@@ -88,7 +88,7 @@ class WeylElement(NamedTuple):
     """Lattice automorphism of X∨ induced by a Weyl group element.
 
     Only the X∨ side is stored; ``contragredient(matrix)`` is its action on X.
-    The reduced ``word`` is fixed by the matrix within one datum's ``weyl_group``.
+    ``word`` is a reduced word for the matrix, read left to right (``coset_walk``).
     """
 
     matrix: IntMat
@@ -261,32 +261,42 @@ def _build_root_datum(rank: int, simple_roots: tuple[IntVec, ...],
     return RootDatum(rank, simple_roots, simple_coroots, roots, coroots, coefficients, positives)
 
 
-def simple_reflection_matrix(d: RootDatum, i: int) -> IntMat:
-    """Matrix of s_i acting on X∨ (columns are images of basis vectors)."""
-    alpha = d.simple_roots[i]
-    alpha_v = d.simple_coroots[i]
-    n = d.rank
-    return tuple(tuple((1 if r == c else 0) - alpha[c] * alpha_v[r] for c in range(n))
-                 for r in range(n))
+def _simple_reflections(d: RootDatum):
+    """reflect(i, m) = s_i·m = m − α_i∨·(α_iᵀ·m), summed over the nonzero entries of α_i, α_i∨."""
+    roots, coroots = ([[(k, x) for k, x in enumerate(v) if x] for v in basis]
+                      for basis in (d.simple_roots, d.simple_coroots))
+
+    def reflect(i: int, m: IntMat) -> IntMat:
+        moved = [sum(col) for col in zip(*[[x * a for a in m[k]] for k, x in roots[i]])]
+        rows = list(m)
+        for k, x in coroots[i]:
+            rows[k] = tuple([a - x * b for a, b in zip(rows[k], moved)])
+        return tuple(rows)
+
+    return reflect
 
 
-@cache
-def weyl_group(d: RootDatum) -> tuple[WeylElement, ...]:
-    """All Weyl elements, found by breadth-first closure over the generators.
+def coset_walk(d: RootDatum, start: IntMat) -> dict[IntMat, tuple[int, ...]]:
+    """{v·start: a reduced word of v} over v ∈ W, walked breadth first by m ↦ s_i·m.
 
-    Elements carry their X∨ matrices and reduced words (BFS depth equals
-    Coxeter length); no X-side matrices are built.  The result is memoized on
-    the datum's value and sorted by matrix for reproducibility.  A datum with
-    |W| > ``MAX_WEYL_ORDER`` raises ``WeylGroupTooLarge`` before anything is built.
+    The word (i₁, …, i_k) reads v = s_{i₁}···s_{i_k}; breadth-first depth is
+    Coxeter length, so it is reduced.  A datum with |W| > ``MAX_WEYL_ORDER``
+    raises ``WeylGroupTooLarge`` before the first step.
     """
     order = classical_weyl_order(d)
     if order > MAX_WEYL_ORDER:
         raise WeylGroupTooLarge(f"W({','.join(cartan_type(d))}) has order {order}, "
                                 f"above the limit {MAX_WEYL_ORDER}")
-    gens = [simple_reflection_matrix(d, i) for i in range(d.semisimple_rank)]
-    seen = closure({identity_matrix(d.rank): ()},
-                   lambda m, word: ((mat_mul(m, g), word + (i,)) for i, g in enumerate(gens)))
-    return tuple(WeylElement(m, w) for m, w in sorted(seen.items()))
+    reflect = _simple_reflections(d)
+    return closure({start: ()}, lambda m, word: ((reflect(i, m), (i,) + word)
+                                                 for i in range(d.semisimple_rank)))
+
+
+@cache
+def weyl_group(d: RootDatum) -> tuple[WeylElement, ...]:
+    """All Weyl elements on X∨ with reduced words, ``coset_walk`` from 1 sorted; memoized on d."""
+    walk = coset_walk(d, identity_matrix(d.rank))
+    return tuple(WeylElement(m, w) for m, w in sorted(walk.items()))
 
 
 def exponents(positive_coefficients) -> tuple[int, ...]:
@@ -391,31 +401,27 @@ def pinned_part(d: RootDatum, m: IntMat) -> tuple[IntMat, int]:
 
     Each simple reflection s_i with ⟨α_i, u⟩ < 0 takes u = m·2ρ∨ one step
     back towards the dominant chamber (one fewer positive root is negative on
-    u), and is applied to m as the rank-one update s_i·m = m − α_i∨·(α_iᵀ·m).
+    u), and is applied to m as the sparse update s_i·m = m − α_i∨·(α_iᵀ·m).
     2ρ∨, the sum of the positive coroots, pairs to 2 with every simple root,
     so it is regular and only 1 ∈ W fixes it.  On an automorphism m, τ then
     fixes the chamber, permutes the simple roots and is the only such element
     of Wm (Kottwitz–Shelstad, *Foundations of twisted endoscopy*, §1.2–1.3):
     m lies in W exactly when τ = 1.
     """
-    roots, coroots = ([[(k, x) for k, x in enumerate(v) if x] for v in basis]
-                      for basis in (d.simple_roots, d.simple_coroots))
+    reflect = _simple_reflections(d)
     bonds = [[(j, a) for j, a in enumerate(row) if a] for row in d.cartan_matrix()]
     two_rho = tuple(sum(coroot[k] for coroot, c in zip(d.coroots, d.coefficients) if sum(c) > 0)
                     for k in range(d.rank))
-    rows = [list(row) for row in m]
-    u = [dot(row, two_rho) for row in rows]
-    pairings = [sum(x * u[k] for k, x in alpha) for alpha in roots]
+    u = mat_vec(m, two_rho)
+    pairings = [dot(alpha, u) for alpha in d.simple_roots]
     length = 0
     while (i := next((i for i, p in enumerate(pairings) if p < 0), None)) is not None:
-        moved = [sum(x * rows[k][c] for k, x in roots[i]) for c in range(d.rank)]
-        for k, x in coroots[i]:
-            rows[k] = [a - x * b for a, b in zip(rows[k], moved)]
+        m = reflect(i, m)
         p = pairings[i]  # ⟨α_j, s_i·u⟩ = ⟨α_j, u⟩ − p·⟨α_j, α_i∨⟩
         for j, a in bonds[i]:
             pairings[j] -= p * a
         length += 1
-    return tuple(map(tuple, rows)), length
+    return m, length
 
 
 class CentralSubgroup(NamedTuple):
@@ -445,7 +451,10 @@ def central_subgroup(d: RootDatum, generators) -> CentralSubgroup:
     ``pivot_product`` of its Hermite basis and [Z^n : D·X∨] = Dⁿ, so no
     element is listed.
     """
-    gens = tuple(normalize_mod1(tuple(Fraction(x) for x in g)) for g in generators)
+    try:
+        gens = tuple(normalize_mod1(tuple(Fraction(x) for x in g)) for g in generators)
+    except (TypeError, ValueError, ArithmeticError) as exc:
+        raise NotCentral(f"generators are not rational vectors: {exc}") from None
     for g in gens:
         if len(g) != d.rank:
             raise NotCentral("generator length does not match the rank")
@@ -458,20 +467,13 @@ def central_subgroup(d: RootDatum, generators) -> CentralSubgroup:
 
 def quotient_by_central(d: RootDatum, z: CentralSubgroup) -> RootDatum:
     """Datum of the quotient group: X∨ grows by z, X shrinks to its dual."""
-    return quotient_with_map(d, z)[0]
-
-
-def quotient_with_map(d: RootDatum, z: CentralSubgroup) -> tuple[RootDatum, tuple]:
-    """Quotient datum plus the matrix sending old X∨⊗Q coordinates to new."""
     # ``central_subgroup`` checked z on its own datum; ``to_new_root`` refuses a non-central z.
     if any(len(g) != d.rank for g in z.generators):
         raise NotCentral("generator length does not match the rank")
-    n = d.rank
-    basis_rows, denom = enlarged_basis(z.generators, identity_matrix(n))
-    # Columns of m are the new basis vectors in old coordinates.
-    m = transpose(tuple(tuple(Fraction(x, denom) for x in row) for row in basis_rows))
-    m_inv = invert(m)
-    mt = transpose(m)
+    basis_rows, denom = enlarged_basis(z.generators, identity_matrix(d.rank))
+    # Rows of mt are the new basis vectors in old coordinates.
+    mt = tuple(tuple(Fraction(x, denom) for x in row) for row in basis_rows)
+    m_inv = invert(transpose(mt))
 
     def to_new_root(v: IntVec) -> IntVec:
         image = mat_vec(mt, v)
@@ -481,7 +483,7 @@ def quotient_with_map(d: RootDatum, z: CentralSubgroup) -> tuple[RootDatum, tupl
 
     new_roots = tuple(to_new_root(a) for a in d.simple_roots)
     new_coroots = tuple(tuple(int(x) for x in mat_vec(m_inv, a)) for a in d.simple_coroots)
-    return build_root_datum(n, new_roots, new_coroots), m_inv
+    return build_root_datum(d.rank, new_roots, new_coroots)
 
 
 @cache

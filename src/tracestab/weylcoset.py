@@ -8,7 +8,7 @@ an element is regular when det(w − 1) ≠ 0 on X∨ ⊗ Q, and
 
 summed with exact rationals.  There are two routes to it:
 
-* θ ≠ 1: ``weyl_set`` builds the coset one element at a time.
+* θ ≠ 1: ``weyl_set`` walks the coset from θ, one simple reflection at a time.
 * θ = 1: no W is built.  i is the product over ``rootdata.simple_factors``
   of ``simple_i_number``, (−1)ⁿ·E_W(1)/|W|, where E_W(q) sums 1/det(1 − qw)
   over the elliptic w (for those det w = (−1)ⁿ).  E_W comes from Molien's
@@ -57,15 +57,14 @@ from .rootdata import (
     MAX_FLAT_WEYL_ORDER,
     RootDatum,
     SimpleType,
-    WeylElement,
     closure,
+    coset_walk,
     datum_names,
     exponents,
     named_datum,
     pinned_part,
     simple_factors,
     simple_types,
-    weyl_group,
 )
 
 # A twist with no power up to this order equal to the identity is refused.
@@ -147,22 +146,19 @@ def coset_sign(d: RootDatum, total: IntMat) -> int:
     return -1 if pinned_part(d, total)[1] % 2 else 1
 
 
-def _coset_element(c: TwistedComponent, v: WeylElement, theta_sign: int) -> CosetElement:
-    total = v.matrix if c.untwisted else mat_mul(v.matrix, c.theta)
-    d = det(minus_identity(total))
-    return CosetElement(total, d, -theta_sign if len(v.word) % 2 else theta_sign, d != 0)
-
-
 @cache
 def weyl_set(c: TwistedComponent) -> tuple[CosetElement, ...]:
-    """The full coset {vθ}, annotated and sorted by total matrix.
+    """The coset {vθ}, walked from θ (``rootdata.coset_walk``), annotated and sorted by total.
 
     The inversion sign is a character of Aut(Φ), and on W it is (−1)^ℓ(v)
     with ℓ(v) the length of the reduced word, so sign(vθ) = (−1)^ℓ(v)·sign(θ).
     """
     theta_sign = coset_sign(c.base, c.theta)
-    elements = [_coset_element(c, v, theta_sign) for v in weyl_group(c.base)]
-    return tuple(sorted(elements, key=lambda e: e.total))
+    elements = []
+    for total, word in sorted(coset_walk(c.base, c.theta).items()):
+        d = det(minus_identity(total))
+        elements.append(CosetElement(total, d, theta_sign * (-1) ** len(word), d != 0))
+    return tuple(elements)
 
 
 def flat_orbits(t: SimpleType) -> tuple[tuple[int, tuple[int, ...]], ...]:

@@ -23,6 +23,12 @@ on a twisted component by brute force: pairwise non-conjugacy under W
 combined with (1−θ)-translation, which ``left_int_kernel`` gives as
 integrality against the annihilator of the image of θ − 1.
 
+``simple_reflection_matrix`` is the dense matrix of s_i on X∨, and
+``oracle_weyl_group`` the W it generates by right multiplication, each
+element with its breadth-first depth: the walk ``rootdata.coset_walk``
+replaced.  ``oracle_weyl_set`` is ``weylcoset.weyl_set`` as it was built from
+that W, one product vθ per element.
+
 ``fraction_det`` is the Fraction-elimination determinant that the
 fraction-free ``linalg.det`` replaced; ``fraction_coset_dets`` applies it to
 det(vθ − 1) for every v, the reference for the Weyl sets.  Likewise
@@ -107,7 +113,7 @@ from tracestab.packets import GR_ZERO, TwoGroup
 from tracestab.rootdata import build_root_datum, closure, contragredient, weyl_group
 from tracestab.sigma import sigma
 from tracestab.stabilize import coefficient_report, iota_coefficient, s_disc_set
-from tracestab.weylcoset import MAX_TWIST_ORDER, i_number, untwisted_component
+from tracestab.weylcoset import MAX_TWIST_ORDER, CosetElement, i_number, untwisted_component
 
 GRID_N = lcm(*range(1, 13))
 
@@ -601,10 +607,34 @@ def oracle_fixed_intersection_order(theta, generators, rank):
                if fraction_in_integer_row_span(transpose(delta), mat_vec(delta, z)))
 
 
+def simple_reflection_matrix(d, i):
+    """Matrix of s_i acting on X∨ (columns are images of basis vectors)."""
+    alpha, alpha_v, n = d.simple_roots[i], d.simple_coroots[i], d.rank
+    return tuple(tuple(int(r == c) - alpha[c] * alpha_v[r] for c in range(n)) for r in range(n))
+
+
+def oracle_weyl_group(d):
+    """{w: breadth-first depth} for w ∈ W, closed under right multiplication by the dense s_i."""
+    gens = [simple_reflection_matrix(d, i) for i in range(d.semisimple_rank)]
+    return closure({identity_matrix(d.rank): 0},
+                   lambda m, depth: ((mat_mul(m, g), depth + 1) for g in gens))
+
+
+def oracle_weyl_set(c):
+    """The coset {vθ} from the oracle W, one product per v, sorted by total like weyl_set."""
+    theta_sign = oracle_coset_sign(c.base, c.theta)
+    elements = []
+    for v, depth in oracle_weyl_group(c.base).items():
+        total = mat_mul(v, c.theta)
+        d = fraction_det(minus_identity(total))
+        elements.append(CosetElement(total, d, theta_sign * (-1) ** depth, d != 0))
+    return sorted(elements)
+
+
 def fraction_coset_dets(c):
     """det(vθ − 1) over v ∈ W by Fraction elimination, sorted by vθ like weyl_set."""
     n = c.base.rank
-    totals = sorted(mat_mul(v.matrix, c.theta) for v in weyl_group(c.base))
+    totals = sorted(mat_mul(v, c.theta) for v in oracle_weyl_group(c.base))
     return [fraction_det(tuple(tuple(t[i][j] - (i == j) for j in range(n)) for i in range(n)))
             for t in totals]
 

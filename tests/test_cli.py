@@ -17,6 +17,8 @@ from tracestab.cli import (
     EXIT_MISSING_FILE,
     EXIT_MODULE_ERROR,
     EXIT_OK,
+    MAX_FILE_RANK,
+    _datum_from_obj,
     fmt_q,
     main,
     parse_args,
@@ -455,6 +457,19 @@ def test_sigma_past_rank_32_refuses_the_weyl_group_not_the_datum(tmp_path, capsy
     assert out == "" and error["kind"] == "WeylGroupTooLarge"
     assert error["detail"] == (f"W(B33) has order {2 ** 33 * factorial(33)}, "
                                "above the limit 2903040")
+
+
+def test_group_file_rank_above_the_limit_is_malformed(tmp_path, capsys):
+    """A rank above 256 is refused as it is read, before any rank² matrix is formed."""
+    spec = {"rank": MAX_FILE_RANK, "simple_roots": [], "simple_coroots": []}
+    assert MAX_FILE_RANK == 256 and _datum_from_obj(spec).rank == 256
+    group = tmp_path / "torus.json"
+    group.write_text(json.dumps(dict(spec, rank=MAX_FILE_RANK + 1)))
+    assert main(["i-number", "--group", str(group)]) == EXIT_MALFORMED
+    out, err = capsys.readouterr()
+    error = json.loads(err)["error"]
+    assert out == "" and error["kind"] == "malformed-input"
+    assert error["detail"] == "rank 257 is above the limit 256"
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,6 +1,7 @@
 """Which layer modules a command loads, and the package surface that lazy loading keeps."""
 
 import ast
+import importlib
 import importlib.util
 import json
 import subprocess
@@ -171,10 +172,22 @@ def _places(name: str) -> set[str]:
     return places
 
 
-def test_only_weyl_set_and_full_rank_subsystems_reach_weyl_group():
-    """W is built element by element, so its callers are pinned: no other code may reach it."""
-    assert _places("weyl_group") == {"elliptic.import", "elliptic.full_rank_subsystems",
-                                     "weylcoset.import", "weylcoset.weyl_set"}
+def test_one_sparse_reflection_walks_w_and_its_cosets():
+    """W and Wθ are walked element by element, so their callers are pinned.
+
+    W itself is read only by ``full_rank_subsystems``; a coset is walked only
+    for ``weyl_group`` and ``weyl_set``; and one helper applies a simple
+    reflection to a matrix, for the walk and for ``pinned_part``'s descent.
+    """
+    assert _places("weyl_group") == {"elliptic.import", "elliptic.full_rank_subsystems"}
+    assert _places("coset_walk") == {"rootdata.weyl_group", "weylcoset.import",
+                                     "weylcoset.weyl_set"}
+    assert _places("_simple_reflections") == {"rootdata.pinned_part", "rootdata.coset_walk"}
+    for name in ("simple_reflection_matrix", "_coset_element", "quotient_with_map"):
+        assert _places(name) == set(), name
+        assert not any(hasattr(importlib.import_module(f"tracestab.{module}"), name)
+                       for module in ("rootdata", "weylcoset")), name
+    assert not {place for place in _places("WeylElement") if place.startswith("weylcoset.")}
 
 
 def test_only_weylcoset_forms_the_central_cocharacter_test():

@@ -262,11 +262,13 @@ def test_iota_is_bijective():
 
 
 def _refuse_weyl_group(monkeypatch):
-    def refuse(d):
-        raise AssertionError("weyl_group was called")
+    """No W and no coset Wθ may be walked."""
+    def refuse(*_):
+        raise AssertionError("the Weyl group was walked")
 
     monkeypatch.setattr(rootdata, "weyl_group", refuse)
-    monkeypatch.setattr(weylcoset, "weyl_group", refuse)
+    monkeypatch.setattr(rootdata, "coset_walk", refuse)
+    monkeypatch.setattr(weylcoset, "coset_walk", refuse)
 
 
 def test_dual_group_cocycle_enforced(monkeypatch):
@@ -276,6 +278,12 @@ def test_dual_group_cocycle_enforced(monkeypatch):
     with pytest.raises(MismatchedModel):
         ParameterModel("bad", TwoGroup(0), TwoGroup(1),
                        DualGroupModel(base, {(0, 0): ((-1,),), (0, 1): ((1,),)}))
+
+
+def test_component_at_before_validation_names_the_component():
+    model = DualGroupModel(catalog.datum("sl2"), {(0, 0): ((1,),)})
+    with pytest.raises(MismatchedModel, match=r"component \(0, 0\) has no validated twist"):
+        model.component_at((0, 0))
 
 
 def test_list_twists_are_read_through_their_components():

@@ -26,7 +26,10 @@ from helpers_oracle import (
     labelled_cartan,
     labelled_datum,
     oracle_datum_accepts,
+    oracle_weyl_group,
+    oracle_weyl_set,
     random_based_datum,
+    simple_reflection_matrix,
     subgroup_mod1,
     vertex_centralizer,
 )
@@ -44,6 +47,7 @@ from tracestab.rootdata import (
     MAX_WEYL_ORDER,
     classical_weyl_order,
     contragredient,
+    coset_walk,
     extended_cartan,
     pinned_part,
     quotient_by_central,
@@ -245,10 +249,10 @@ def test_weyl_order_from_root_heights_matches_family_table(label):
 
 @pytest.mark.parametrize("n, order", [(7, 2903040), (8, 696729600)])
 def test_weyl_group_refuses_e7_and_e8_before_building(monkeypatch, n, order):
-    def no_generators(d, i):
+    def no_generators(d):
         raise AssertionError("a generator was built for an oversized Weyl group")
 
-    monkeypatch.setattr(rootdata_module, "simple_reflection_matrix", no_generators)
+    monkeypatch.setattr(rootdata_module, "_simple_reflections", no_generators)
     d = datum_from_cartan(e_cartan(n), "sc")
     with pytest.raises(WeylGroupTooLarge, match=f"W\\(E{n}\\) has order {order}"):
         weyl_group(d)
@@ -280,7 +284,6 @@ def test_weyl_permutes_coroots(name):
 
 
 def test_weyl_words_are_consistent():
-    from tracestab.rootdata import simple_reflection_matrix
     d = catalog.datum("sp4")
     gens = [simple_reflection_matrix(d, i) for i in range(2)]
     for w in weyl_group(d):
@@ -419,16 +422,32 @@ def test_canonical_key_invariant_under_basis_change(name, u):
     assert canonical_key(changed) == canonical_key(d)
 
 
-def test_double_quotient_composes():
-    # (SL2 x SL2) / diagonal, then / image of the full center, equals the
-    # one-step quotient by the full center.
-    from tracestab.rootdata import quotient_with_map
+SL2 = catalog.datum("sl2")
 
+
+@pytest.mark.parametrize("call,error", [
+    (lambda: build_root_datum(1, [["a"]], [[1]]), NonCartan),
+    (lambda: build_root_datum(1, [[None]], [[1]]), NonCartan),
+    (lambda: component(SL2, [[None]]), NotAutomorphism),
+    (lambda: component(SL2, 5), NotAutomorphism),
+    (lambda: central_subgroup(SL2, [("a",)]), NotCentral),
+    (lambda: central_subgroup(SL2, [(None,)]), NotCentral),
+    (lambda: central_subgroup(SL2, [1]), NotCentral),
+], ids=["root-str", "root-none", "theta-none", "theta-int", "gen-str", "gen-none", "gen-int"])
+def test_non_numeric_input_raises_a_package_error(call, error):
+    with pytest.raises(error):
+        call()
+
+
+def test_double_quotient_composes():
+    # (SL2 x SL2) / diagonal, then / its center, the image of the full center,
+    # equals the one-step quotient by the full center.
     d = catalog.datum("sl2xsl2")
     half = Fraction(1, 2)
-    once, push = quotient_with_map(d, central_subgroup(d, [(half, half)]))
-    image_gen = tuple(Fraction(x) % 1 for x in mat_vec(push, (half, Fraction(0))))
-    twice = quotient_by_central(once, central_subgroup(once, [image_gen]))
+    once = quotient_by_central(d, central_subgroup(d, [(half, half)]))
+    center = central_subgroup(once, central_torsion_points(once))
+    assert center.order == 2
+    twice = quotient_by_central(once, center)
     full = quotient_by_central(d, central_subgroup(d, [(half, Fraction(0)),
                                                        (Fraction(0), half)]))
     assert canonical_key(twice) == canonical_key(full)
@@ -505,6 +524,38 @@ def test_pinned_part_is_one_pinned_automorphism_per_weyl_coset(name, d, theta):
     tau_x = contragredient(tau)
     pinning = set(zip(d.simple_coroots, d.simple_roots))
     assert {(mat_vec(tau, v), mat_vec(tau_x, a)) for v, a in pinning} == pinning
+
+
+def _a_n_swap(n):
+    """A_n sc with its diagram automorphism, which reverses the simple coroots."""
+    return component(classical_datum("A", n, "sc"),
+                     tuple(tuple(int(j == n - 1 - i) for j in range(n)) for i in range(n)))
+
+
+WALKS = ([("trivial", untwisted_component(catalog.datum("trivial"))),
+          ("o2_twist", catalog.named_component("o2_twist"))]
+         + [(name, component(d, theta)) for name, d, theta in TWISTS]
+         + [(f"A{n}-sc-tau", _a_n_swap(n)) for n in (3, 4, 5)])
+
+
+@pytest.mark.parametrize("name,c", WALKS, ids=[n for n, _ in WALKS])
+def test_coset_walk_is_the_dense_weyl_group_times_theta(name, c):
+    """The sparse walk from θ reaches the oracle's vθ, each with a word of v of its BFS depth.
+
+    ``weyl_set`` read off the walk equals the reference built one product vθ at a time.
+    """
+    oracle = oracle_weyl_group(c.base)
+    depths = {mat_mul(v, c.theta): depth for v, depth in oracle.items()}
+    walk = coset_walk(c.base, c.theta)
+    assert walk.keys() == depths.keys()
+    gens = [simple_reflection_matrix(c.base, i) for i in range(c.base.semisimple_rank)]
+    for total, word in walk.items():
+        assert len(word) == depths[total]
+        product = c.theta
+        for i in reversed(word):
+            product = mat_mul(gens[i], product)
+        assert product == total
+    assert list(weyl_set(c)) == oracle_weyl_set(c)
 
 
 # ---------------------------------------------------------------------------

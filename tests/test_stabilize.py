@@ -17,6 +17,7 @@ from helpers_oracle import (
     oracle_endoscopic_form,
     oracle_fixed_intersection_order,
     oracle_stable_form,
+    simple_reflection_matrix,
 )
 from tracestab import catalog
 from tracestab.elliptic import elliptic_classes
@@ -40,7 +41,6 @@ from tracestab.rootdata import (
     build_root_datum,
     central_subgroup,
     classical_weyl_order,
-    simple_reflection_matrix,
 )
 from tracestab.stabilize import (
     DiscreteModelSet,

@@ -17,6 +17,7 @@ from helpers_oracle import (
 )
 
 from tracestab import catalog
+from tracestab import rootdata as rootdata_module
 from tracestab import weylcoset as weylcoset_module
 from tracestab.errors import (
     InconsistentFlats,
@@ -306,7 +307,9 @@ def test_untwisted_i_builds_no_weyl_group(monkeypatch):
         raise AssertionError("the Weyl group was built")
 
     monkeypatch.setattr(weylcoset_module, "weyl_set", refuse)
-    monkeypatch.setattr(weylcoset_module, "weyl_group", refuse)
+    monkeypatch.setattr(rootdata_module, "weyl_group", refuse)
+    monkeypatch.setattr(rootdata_module, "coset_walk", refuse)
+    monkeypatch.setattr(weylcoset_module, "coset_walk", refuse)
     assert _fresh_i(monkeypatch, classical_datum("B", 4, "ad")) == Fraction(195, 2048)
 
 
