@@ -118,6 +118,8 @@ def _datum_from_obj(obj) -> rootdata.RootDatum:
     _require_keys(obj, ("rank", "simple_roots", "simple_coroots"))
     if type(obj["rank"]) is not int:
         raise MalformedInput("rank must be an integer")
+    if obj["rank"] < 0:
+        raise MalformedInput(f"rank {obj['rank']} is negative")
     if obj["rank"] > MAX_FILE_RANK:
         raise MalformedInput(f"rank {obj['rank']} is above the limit {MAX_FILE_RANK}")
     return rootdata.build_root_datum(obj["rank"], _int_matrix(obj["simple_roots"]),

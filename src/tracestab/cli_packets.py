@@ -54,7 +54,7 @@ def _model_from_obj(obj, fallback_id: str) -> packets.ParameterModel:
             raise MalformedInput("group dimensions must be non-negative integers")
     if sm_dim + r_dim > MAX_PACKET_DIM:
         raise MalformedInput(f"sM_dim + r_dim = {sm_dim + r_dim} is above the limit {MAX_PACKET_DIM}")
-    dual = None
+    base = None
     if "dual_group" in obj and obj["dual_group"] is not None:
         dobj = obj["dual_group"]
         _require_keys(dobj, ("base", "thetas"))
@@ -64,10 +64,11 @@ def _model_from_obj(obj, fallback_id: str) -> packets.ParameterModel:
         thetas = {}
         for key, mat in sorted(dobj["thetas"].items()):
             thetas[_bits_to_pair(key, sm_dim, r_dim)] = _int_matrix(mat)
-        dual = packets.DualGroupModel(base, thetas)
     model_id = obj.get("id", fallback_id)
     if not isinstance(model_id, str):
         raise MalformedInput("model id must be a string")
+    # The twists are checked, as computation errors, only once the whole file has parsed.
+    dual = None if base is None else packets.DualGroupModel(base, thetas)
     return packets.ParameterModel(model_id, packets.TwoGroup(sm_dim), packets.TwoGroup(r_dim),
                                   dual)
 

@@ -70,10 +70,13 @@ def _load_datum(config: argparse.Namespace) -> rootdata.RootDatum:
     if spec in rootdata.datum_names():
         return rootdata.named_datum(spec)
     obj = _load_json(spec)
-    if isinstance(obj, dict) and "group" in obj:
-        _require_keys(obj, ("group",), ("theta",))
-        obj = obj["group"]
-    return _datum_from_obj(obj)
+    if not (isinstance(obj, dict) and "group" in obj):
+        return _datum_from_obj(obj)
+    _require_keys(obj, ("group",), ("theta",))
+    d = _datum_from_obj(obj["group"])
+    if "theta" in obj:
+        _int_matrix(obj["theta"])  # read as ``_load_component`` reads it; σ does not use θ
+    return d
 
 
 def run_i_number(config: argparse.Namespace) -> int:

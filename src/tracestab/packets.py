@@ -153,38 +153,23 @@ def _walsh_hadamard(values: list[int]) -> list[int]:
 class DualGroupModel(_Record):
     """Disconnected-group attachment: one twisted component per x in S.
 
-    ``validate`` builds each component once; ``component_at`` looks it up.
-    Each twist is θ = w·τ (``rootdata.pinned_part``) and τ normalizes W, so
-    the cocycle θ_x·θ_y ∈ W·θ_{x⊕y} holds exactly when τ_x·τ_y = τ_{x⊕y}:
-    W is never built.
-    Immutable and equal by (base, thetas); a dict of twists makes it unhashable.
+    Each twist is read once, by ``weylcoset.component``, as the attachment is
+    built.  Immutable, equal and hashed by (base, integer twists in label order).
     """
 
     def __init__(self, base: rootdata.RootDatum, thetas: Mapping[SElement, IntMat]):
-        vars(self).update(base=base, thetas=thetas, _components={})
+        components = {x: weylcoset.component(base, thetas[x]) for x in sorted(thetas)}
+        vars(self).update(base=base, thetas={x: c.theta for x, c in components.items()},
+                          _components=components)
 
     def _key(self) -> tuple:
-        return self.base, self.thetas
+        return self.base, tuple(self.thetas.items())
 
     def component_at(self, x: SElement) -> weylcoset.TwistedComponent:
         try:
             return self._components[x]
         except (KeyError, TypeError):
-            raise MismatchedModel(f"component {x} has no validated twist in this model") from None
-
-    def validate(self, s_elements) -> None:
-        for x in s_elements:
-            if x not in self.thetas:
-                raise MismatchedModel(f"missing twist for component {x}")
-            self._components[x] = weylcoset.component(self.base, self.thetas[x])
-        if not self.component_at((0, 0)).untwisted:
-            raise MismatchedModel("identity component must be untwisted")
-        taus = {x: rootdata.pinned_part(self.base, self.component_at(x).theta)[0]
-                for x in s_elements}
-        for x in s_elements:
-            for y in s_elements:
-                if mat_mul(taus[x], taus[y]) != taus[(x[0] ^ y[0], x[1] ^ y[1])]:
-                    raise MismatchedModel(f"twist cocycle fails at {x}, {y}")
+            raise MismatchedModel(f"component {x} has no twist in this model") from None
 
 
 class ParameterModel(_Record):
@@ -192,14 +177,29 @@ class ParameterModel(_Record):
 
     Immutable, equal and hashed by its five fields; ``pairing_flips`` is a
     test hook, the pairing entries ((cm, cr), (xm, xr)) whose sign is flipped.
+    An attachment needs a twist per x in S, untwisted at (0, 0).  Each twist is
+    θ = w·τ (``rootdata.pinned_part``) and τ normalizes W, so the cocycle
+    θ_x·θ_y ∈ W·θ_{x⊕y} holds exactly when τ_x·τ_y = τ_{x⊕y}: W is never built.
     """
 
     def __init__(self, model_id: str, s_m: TwoGroup, r: TwoGroup,
                  dual_group: DualGroupModel | None = None, pairing_flips: frozenset = frozenset()):
         vars(self).update(model_id=model_id, s_m=s_m, r=r, dual_group=dual_group,
                           pairing_flips=pairing_flips)
-        if dual_group is not None:
-            dual_group.validate(tuple(self.s_elements()))
+        if dual_group is None:
+            return
+        s_elements = self.s_elements()
+        for x in s_elements:
+            if x not in dual_group.thetas:
+                raise MismatchedModel(f"missing twist for component {x}")
+        if not dual_group.component_at((0, 0)).untwisted:
+            raise MismatchedModel("identity component must be untwisted")
+        taus = {x: rootdata.pinned_part(dual_group.base, dual_group.thetas[x])[0]
+                for x in s_elements}
+        for x in s_elements:
+            for y in s_elements:
+                if mat_mul(taus[x], taus[y]) != taus[(x[0] ^ y[0], x[1] ^ y[1])]:
+                    raise MismatchedModel(f"twist cocycle fails at {x}, {y}")
 
     def _key(self) -> tuple:
         return self.model_id, self.s_m, self.r, self.dual_group, self.pairing_flips

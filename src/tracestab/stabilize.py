@@ -9,7 +9,10 @@ twist families of the analytic theory are collapsed to one representative
 per orbit, which turns every integral into the finite sum evaluated here.
 Each form is a fixed bilinear kernel: its weights are built once per
 ``DiscreteModelSet`` as integers over one denominator, and each evaluation
-is one integer sum over the test vectors' integer views.
+is one integer sum over the test vectors' integer views.  The endoscopic
+weights also depend on the descriptors.  Models and model sets hash by
+value, so those weights and each descriptor's coefficient report are
+memoized by ``functools.cache``, for the life of the process.
 
 e_φ is ``sigma.e_number``, which never asks for i.  The discrete set and φ's
 discreteness are one test, ``weylcoset.fixes_a_central_cocharacter``: whether
@@ -19,7 +22,7 @@ the twists fix a nonzero central cocharacter.  No Weyl coset is walked for them.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from typing import NamedTuple
 
 from .elliptic import SemisimpleClass, elliptic_classes
@@ -127,11 +130,6 @@ class DiscreteModelSet(_Record):
             {(k, t): Fraction(i_phi(m, m.iota(tau)), m.r.size * m.s_size ** 2)
              for k, m in enumerate(self.models) for t, tau in enumerate(m.taus())})
 
-    @cached_property
-    def endoscopic_weights(self) -> dict[tuple, tuple[dict, int]]:
-        """Per descriptor tuple, its validated weights per (model id, x)."""
-        return {}
-
 
 def discrete_part(ms: DiscreteModelSet, f1: TestVector, f2: TestVector) -> GaussianRational:
     """Triple-indexed form: Σ_τ i_φ(ι(τ))·Θ(τ,f₁)·conj(Θ(τ,f₂))·|R|⁻¹."""
@@ -177,7 +175,10 @@ def fixed_intersection_order(m: ParameterModel, x: SElement, zbar: CentralSubgro
     |Z̄| / [(θ−1)·L : (θ−1)·X∨].  Scaled by D, both lattices have Hermite
     bases from ``enlarged_basis``, and D·(θ−1)·X∨ = D^r·(θ−1)·X∨ for r the
     rank of θ − 1: the index is a ratio of pivot products, and no z is listed.
+    A trivial Z̄ needs no basis, since |S̄° ∩ Z̄| divides |Z̄|.
     """
+    if zbar.order == 1:
+        return 1
     delta = minus_identity(m.component_at(x).theta)
     image_l, denom = enlarged_basis(zbar.generators, delta)
     image_x, _ = enlarged_basis((), delta)
@@ -252,19 +253,14 @@ def verify_coefficients(m: ParameterModel, d: EndoscopicDescriptor) -> Coefficie
     return CoefficientReport(tuple(checks))
 
 
-_REPORTS: dict[tuple, CoefficientReport] = {}
-
-
+@cache
 def coefficient_report(m: ParameterModel, d: EndoscopicDescriptor) -> CoefficientReport:
-    """``verify_coefficients``, run once per (component of d.x, |S|, d) value.
+    """``verify_coefficients``, run once per (model, descriptor) value in a process.
 
-    Those three values fix every input of the checks, so a descriptor met
-    again, by another form, trial or CLI section, reuses its report.
+    Models hash by value, so a descriptor met again, by another form, trial
+    or CLI section, reuses its report.
     """
-    key = (m.component_at(d.x), m.s_size, d)
-    if key not in _REPORTS:
-        _REPORTS[key] = verify_coefficients(m, d)
-    return _REPORTS[key]
+    return verify_coefficients(m, d)
 
 
 def endoscopic_form(ms: DiscreteModelSet, descriptors, f1: TestVector,
@@ -276,14 +272,12 @@ def endoscopic_form(ms: DiscreteModelSet, descriptors, f1: TestVector,
     the weight (out·splus)/(out_phi·|S|).  Descriptors are validated first;
     an inconsistent one is a hard error, never a silent wrong sum.
     """
-    key = tuple(descriptors)
-    if key not in ms.endoscopic_weights:
-        ms.endoscopic_weights[key] = _fold_descriptors(ms, key)
-    return _vector_form(ms.endoscopic_weights[key], f1, f2)
+    return _vector_form(_fold_descriptors(ms, tuple(descriptors)), f1, f2)
 
 
-def _fold_descriptors(ms: DiscreteModelSet, descriptors) -> tuple[dict, int]:
-    """Check every descriptor, then sum their coefficients per (model id, x)."""
+@cache
+def _fold_descriptors(ms: DiscreteModelSet, descriptors: tuple) -> tuple[dict, int]:
+    """Check every descriptor, then sum their coefficients per (model id, x), once per value."""
     by_model = {m.model_id: m for m in ms.models}
     by_group: dict[str, list[EndoscopicDescriptor]] = {}
     for d in descriptors:

@@ -222,9 +222,13 @@ MODEL = {"id": "m", "sM_dim": 1, "r_dim": 0,
     # A list of one bitstring is not a bitstring.
     (["stabilize", "verify", "--models"], "m.json", {"models": [MODEL], "descriptors": [
         {**DESCRIPTOR, "x": ["1"]}]}),
+    (["i-number", "--group"], "g.json", {"rank": -1, "simple_roots": [], "simple_coroots": []}),
+    (["stabilize", "verify", "--models"], "m.json", {"models": [MODEL], "descriptors": [
+        {**DESCRIPTOR, "sprime": {"rank": -2, "simple_roots": [], "simple_coroots": []}}]}),
 ], ids=["missing-rank", "models-not-a-list", "generators-not-a-list", "missing-sprime",
         "generators-int", "bad-rational", "thetas-not-an-object", "descriptor-without-dual",
-        "rank-bool", "matrix-bool", "generator-bool", "theta-bool", "x-list"])
+        "rank-bool", "matrix-bool", "generator-bool", "theta-bool", "x-list",
+        "negative-rank", "negative-sprime-rank"])
 def test_wrongly_shaped_input_exits_4_without_traceback(tmp_path, args, name, content):
     path = tmp_path / name
     path.write_text(json.dumps(content))
@@ -300,6 +304,26 @@ def test_i_number_group_file_with_theta(tmp_path):
     }))
     rc, out, _ = _run_cli(["i-number", "--group", str(spec)])
     assert rc == EXIT_OK and json.loads(out)["i"] == "+1/2"
+
+
+@pytest.mark.parametrize("command", ["sigma", "verify central-quotient"])
+def test_a_combined_files_theta_is_read_then_ignored(tmp_path, capsys, command):
+    """σ does not depend on θ; a θ that is not an integer matrix is still malformed input."""
+    z = tmp_path / "z.json"
+    z.write_text(json.dumps({"generators": [["1/2"]]}))
+    argv = command.split() + ([] if command == "sigma" else ["--z", str(z)])
+    assert main([*argv, "--group", "sl2"]) == EXIT_OK
+    plain = capsys.readouterr().out
+    spec = tmp_path / "combined.json"
+    for theta in ([[-1]], [[1, 0], [0, 1]]):  # the shape is not checked
+        spec.write_text(json.dumps({"group": "sl2", "theta": theta}))
+        assert main([*argv, "--group", str(spec)]) == EXIT_OK
+        assert capsys.readouterr().out == plain
+    for theta in ("junk", [1], [["1"]], [[True]]):
+        spec.write_text(json.dumps({"group": "sl2", "theta": theta}))
+        assert main([*argv, "--group", str(spec)]) == EXIT_MALFORMED
+        out, err = capsys.readouterr()
+        assert out == "" and json.loads(err)["error"]["kind"] == "malformed-input"
 
 
 def test_separate_theta_file(tmp_path):

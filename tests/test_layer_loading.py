@@ -222,12 +222,34 @@ def test_one_descent_owns_a_twists_weyl_coset():
     ``weylcoset`` nor ``packets`` inverts a matrix.
     """
     assert _places("pinned_part") == {"weylcoset.import", "weylcoset.component",
-                                      "weylcoset.coset_sign", "packets.DualGroupModel"}
+                                      "weylcoset.coset_sign", "packets.ParameterModel"}
     for name in ("contragredient", "invert"):
         assert not {place for place in _places(name)
                     if place.split(".")[0] in ("weylcoset", "packets")}, name
     assert _places("in_weyl_group") == set()
     assert not hasattr(sys.modules["tracestab.rootdata"], "in_weyl_group")
+
+
+def test_one_memo_mechanism():
+    """Memos are ``functools.cache``; the two per-label tables are the only module-level dicts.
+
+    ``sigma._ADJOINT`` (σ of the adjoint quotient per Cartan label, whose hits
+    the benchmark counts) and ``weylcoset._ELLIPTIC`` (the elliptic series per
+    label) are filled as they are read.  Any other empty dict bound at module
+    level would be a hand-kept memo beside ``functools.cache``.
+    """
+    def empty_dict(node) -> bool:
+        return (isinstance(node, ast.Dict) and not node.keys
+                or isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in ("dict", "SigmaTable") and not node.args and not node.keywords)
+
+    bound = set()
+    for path in sorted((SRC / "tracestab").glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(top, (ast.Assign, ast.AnnAssign)) and top.value and empty_dict(top.value):
+                targets = top.targets if isinstance(top, ast.Assign) else [top.target]
+                bound |= {f"{path.stem}.{ast.unparse(t)}" for t in targets}
+    assert bound == {"sigma._ADJOINT", "weylcoset._ELLIPTIC"}
 
 
 def test_sigma_builds_no_root_datum():

@@ -1,3 +1,4 @@
+import re
 import time
 from fractions import Fraction
 from random import Random
@@ -17,7 +18,7 @@ from helpers_oracle import (
     transfer_factor_closed,
 )
 from tracestab import catalog, rootdata, weylcoset
-from tracestab.errors import InvalidDimension, MismatchedModel, TraceStabError
+from tracestab.errors import InvalidDimension, MismatchedModel, NotAutomorphism, TraceStabError
 from tracestab.linalg import identity_matrix, mat_mul
 from tracestab.packets import (
     GR_ZERO,
@@ -280,10 +281,35 @@ def test_dual_group_cocycle_enforced(monkeypatch):
                        DualGroupModel(base, {(0, 0): ((-1,),), (0, 1): ((1,),)}))
 
 
-def test_component_at_before_validation_names_the_component():
-    model = DualGroupModel(catalog.datum("sl2"), {(0, 0): ((1,),)})
-    with pytest.raises(MismatchedModel, match=r"component \(0, 0\) has no validated twist"):
-        model.component_at((0, 0))
+def test_components_exist_from_construction():
+    sl2 = catalog.datum("sl2")
+    model = DualGroupModel(sl2, {(0, 1): [[-1]], (0, 0): ((1,),)})
+    assert model.component_at((0, 0)) == weylcoset.untwisted_component(sl2)
+    assert model.component_at((0, 1)) == weylcoset.component(sl2, ((-1,),))
+    assert list(model.thetas.items()) == [((0, 0), ((1,),)), ((0, 1), ((-1,),))]
+    with pytest.raises(NotAutomorphism):  # a bad twist raises before any model is built
+        DualGroupModel(sl2, {(0, 0): ((1,),), (0, 1): ((2,),)})
+
+
+@pytest.mark.parametrize("x", [(0, 2), (1, 0), "00", [0, 0]], ids=repr)
+def test_component_at_without_a_twist_names_the_component(x):
+    model = DualGroupModel(catalog.datum("sl2"), {(0, 0): ((1,),), (0, 1): ((-1,),)})
+    with pytest.raises(MismatchedModel, match=rf"component {re.escape(str(x))} has no twist"):
+        model.component_at(x)
+
+
+def test_a_shared_dual_group_is_not_changed_by_the_models_built_on_it():
+    sl2 = catalog.datum("sl2")
+    shared = DualGroupModel(sl2, {(xm, xr): ((1,),) for xm in range(2) for xr in range(2)})
+    before = {name: dict(value) if isinstance(value, dict) else value
+              for name, value in vars(shared).items()}
+    small = ParameterModel("small", TwoGroup(0), TwoGroup(1), shared)
+    large = ParameterModel("large", TwoGroup(1), TwoGroup(1), shared)
+    with pytest.raises(MismatchedModel, match=r"missing twist for component \(0, 2\)"):
+        ParameterModel("too-large", TwoGroup(0), TwoGroup(2), shared)
+    assert vars(shared) == before
+    for m in (small, large):
+        assert all(m.component_at(x) is shared.component_at(x) for x in m.s_elements())
 
 
 def test_list_twists_are_read_through_their_components():

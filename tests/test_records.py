@@ -18,6 +18,7 @@ from helpers_oracle import catalog_and_ladder_data
 from tracestab import catalog
 from tracestab.elliptic import elliptic_classes
 from tracestab.packets import (
+    DualGroupModel,
     GaussianRational,
     ParameterModel,
     TestVector,
@@ -25,7 +26,7 @@ from tracestab.packets import (
     with_flipped_pairing,
 )
 from tracestab.rootdata import _build_root_datum, build_root_datum
-from tracestab.stabilize import DiscreteModelSet
+from tracestab.stabilize import DiscreteModelSet, _fold_descriptors, endoscopic_form
 from tracestab.weylcoset import component, untwisted_component
 
 SRC = Path(tracestab.__file__).resolve().parent.parent
@@ -110,6 +111,30 @@ def test_records_replace_through_their_own_constructors():
     m = catalog.model_o2()
     assert ParameterModel(m.model_id, m.s_m, m.r, m.dual_group) == m
     assert ParameterModel("other", m.s_m, m.r, m.dual_group) != m
+
+
+def test_equal_models_hash_equal_and_share_one_fold():
+    sl2 = catalog.datum("sl2")
+    as_tuples = ParameterModel("m", TwoGroup(0), TwoGroup(1),
+                               DualGroupModel(sl2, {(0, 0): ((1,),), (0, 1): ((-1,),)}))
+    as_lists = ParameterModel("m", TwoGroup(0), TwoGroup(1),
+                              DualGroupModel(sl2, {(0, 1): [[-1]], (0, 0): [[1]]}))
+    for m in (as_lists, copy.copy(as_tuples), copy.deepcopy(as_tuples),
+              pickle.loads(pickle.dumps(as_tuples))):
+        assert m == as_tuples and hash(m) == hash(as_tuples)
+        assert m.dual_group == as_tuples.dual_group
+        assert hash(m.dual_group) == hash(as_tuples.dual_group)
+    assert as_lists.dual_group != DualGroupModel(sl2, {(0, 0): ((1,),), (0, 1): ((1,),)})
+    assert hash(DiscreteModelSet((as_lists,))) == hash(DiscreteModelSet((as_tuples,)))
+    descriptors = tuple(d for _, ds in sorted(catalog.fixture_descriptors().items()) for d in ds)
+    first, second = (DiscreteModelSet(catalog.fixture_models()) for _ in range(2))
+    assert first is not second and first == second and hash(first) == hash(second)
+    ones = TestVector.constant(first.models, 1)
+    _fold_descriptors.cache_clear()
+    assert endoscopic_form(first, descriptors, ones, ones) == endoscopic_form(
+        second, list(descriptors), ones, ones)
+    fold = _fold_descriptors.cache_info()
+    assert (fold.misses, fold.hits, fold.currsize) == (1, 1, 1)
 
 
 def test_flipped_pairing_gets_its_own_transfer_table():

@@ -352,6 +352,7 @@ def test_forms_match_oracles_on_sparse_and_foreign_vectors():
 
 def test_weights_are_built_once_per_model_set(monkeypatch):
     ms, descriptors = _fixture_set()
+    stabilize_module._fold_descriptors.cache_clear()
     calls = {"e_phi": 0, "i_phi": 0}
     for name in calls:
         original = getattr(stabilize_module, name)
@@ -370,7 +371,8 @@ def test_weights_are_built_once_per_model_set(monkeypatch):
         endoscopic_form(ms, descriptors, f1, f2)
     assert calls["e_phi"] == sum(m.s_size for m in ms.models)
     assert calls["i_phi"] == sum(m.s_size for m in ms.models)  # once per τ; ι is a bijection
-    assert list(ms.endoscopic_weights) == [tuple(descriptors)]
+    fold = stabilize_module._fold_descriptors.cache_info()
+    assert (fold.misses, fold.hits, fold.currsize) == (1, 2, 1)
 
 
 @pytest.mark.parametrize("model", [catalog.model_o2(), catalog.model_sl2(),
@@ -398,10 +400,11 @@ def test_corrupted_descriptor_raises_before_any_sum(field, delta):
     bad = list(descriptors)
     bad[1] = bad[1]._replace(**{field: getattr(bad[1], field) + delta})
     ones = TestVector.constant(ms.models, 1)
+    stabilize_module._fold_descriptors.cache_clear()
     for form in (endoscopic_form, oracle_endoscopic_form):
         with pytest.raises(InconsistentDescriptor):
             form(ms, bad, ones, ones)
-    assert tuple(bad) not in ms.endoscopic_weights
+    assert stabilize_module._fold_descriptors.cache_info().currsize == 0
 
 
 # ---------------------------------------------------------------------------
@@ -425,6 +428,17 @@ def test_fixed_intersection_orders():
     subgroups = [central_subgroup(gl1, ((Fraction(1, k),),)) for k in (2, 3, 4)]
     orders = [[fixed_intersection_order(o2, x, z) for z in subgroups] for x in o2.s_elements()]
     assert orders == [[2, 3, 4], [1, 1, 1]]
+
+
+def test_a_trivial_zbar_forms_no_hermite_basis(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("enlarged_basis called for a trivial zbar")
+
+    monkeypatch.setattr(stabilize_module, "enlarged_basis", refuse)
+    for m in (catalog.model_o2(), catalog.model_swap(), catalog.model_trivial()):
+        trivial = central_subgroup(m.dual_group.base, ())
+        assert trivial.order == 1
+        assert {fixed_intersection_order(m, x, trivial) for x in m.s_elements()} == {1}
 
 
 def _signed_involution(rng: Random, n: int):
@@ -637,7 +651,8 @@ def test_each_descriptor_is_checked_once(monkeypatch):
         return verify_coefficients(m, d)
 
     monkeypatch.setattr(stabilize_module, "verify_coefficients", counted)
-    monkeypatch.setattr(stabilize_module, "_REPORTS", {})
+    coefficient_report.cache_clear()
+    stabilize_module._fold_descriptors.cache_clear()
     ones = TestVector.constant(ms.models, 1)
     first = endoscopic_form(ms, descriptors, ones, ones)
     assert endoscopic_form(ms, descriptors, ones, ones) == first
