@@ -12,8 +12,10 @@ vertices that Ω_X = X∨/Q∨ identifies merge, and its size gives π₀ by
 orbit–stabilizer, π₀ = |W_t| / |W(Φ_t)| with |W_t| = |W| / |W·t|.
 
 ``full_rank_subsystems`` (closed full-rank subsystems by iterated
-extended-diagram node deletion) is an independent enumerator, not used by
-the class list; the tests build their search-based reference from it.
+extended-diagram node deletion, named up to W by the least positive-root
+mask of their orbit under ``rootdata.mask_reflections``) is an independent
+enumerator, not used by the class list; the tests build their search-based
+reference from it.
 
 A coset with no regular element (``weylcoset.has_regular_element``) has no
 elliptic class.  Two twisted shapes are supported in closed form: any twist of
@@ -59,8 +61,8 @@ from .rootdata import (
     cartan_type,
     classical_weyl_order,
     closure,
+    mask_reflections,
     simple_factors,
-    weyl_group,
 )
 from .weylcoset import TwistedComponent, has_regular_element
 
@@ -203,36 +205,23 @@ def full_rank_subsystems(d: RootDatum) -> list[tuple[IntVec, ...]]:
     """Closed full-rank root subsystems up to Weyl conjugacy.
 
     Starts from Φ itself and iterates extended-diagram node deletion on each
-    irreducible component until no new conjugacy class appears.  Not used by
-    ``elliptic_classes``; kept as the search side of its cross-check.
+    irreducible component until no new conjugacy class appears.  A class is
+    named by the least positive-root mask of its W-orbit, so no W is built.
+    Not used by ``elliptic_classes``; kept as the search side of its cross-check.
     """
     if not d.is_semisimple() or d.rank == 0:
         return [] if not d.is_semisimple() else [()]
-    index = {r: k for k, r in enumerate(d.roots)}
-    # transpose(w) is the X-side action of w⁻¹, so these are all of W's root permutations.
-    perms = [tuple(index[mat_vec(x_m, r)] for r in d.roots)
-             for x_m in (transpose(w.matrix) for w in weyl_group(d))]
+    index, step = mask_reflections(d.cartan_matrix(),
+                                   [c for c in d.coefficients if sum(c) > 0])
+    bit = {r: 1 << index[c] for r, c in zip(d.roots, d.coefficients) if c in index}
 
     def canon(roots: tuple[IntVec, ...]) -> int:
-        """Least W-image of the subsystem, as a bitmask over root indices."""
-        ids = [index[r] for r in roots]
-        return min(sum(1 << p[k] for k in ids) for p in perms)
+        return min(closure({sum(bit.get(r, 0) for r in roots): None}, step))
 
     full = tuple(sorted(d.roots))
     seen = closure({canon(full): full},
                    lambda _, roots: ((canon(child), child) for child in _bds_children(d, roots)))
     return sorted(seen.values())
-
-
-def _closure_under_reflections(d: RootDatum, seeds) -> tuple[IntVec, ...]:
-    """The root subsystem generated by ``seeds``: their orbit under their own reflections."""
-    pairs = [(tuple(beta), d.coroot_of(tuple(beta))) for beta in seeds]
-
-    def reflections(alpha, _):
-        for beta, coroot in pairs:
-            yield tuple(a - dot(alpha, coroot) * b for a, b in zip(alpha, beta)), None
-
-    return tuple(sorted(closure(dict.fromkeys(beta for beta, _ in pairs), reflections)))
 
 
 def _bds_children(d: RootDatum, roots: tuple[IntVec, ...]) -> list[tuple[IntVec, ...]]:
@@ -244,9 +233,7 @@ def _bds_children(d: RootDatum, roots: tuple[IntVec, ...]) -> list[tuple[IntVec,
         rest = [s for s in psi.simple_roots if s not in simples]
         for drop in range(len(extended) - 1):  # dropping the affine node is a no-op
             seeds = rest + [r for k, r in enumerate(extended) if k != drop]
-            child = _closure_under_reflections(d, seeds)
-            if matrix_rank(child) == d.rank:
-                children.append(child)
+            children.append(build_root_datum(d.rank, seeds, [d.coroot_of(s) for s in seeds]).roots)
     return children
 
 

@@ -6,15 +6,16 @@ isogeny question (SL2 vs PGL2, quotients by central subgroups) is carried by
 the coordinates alone.  All derived data — the full root system, the Weyl
 group, display labels — is computed by exact integer/rational arithmetic.
 Every orbit and closure in the package, here, in ``elliptic`` and in
-``weylcoset``'s flat count, is one breadth-first ``closure``.  One sparse
-update applies s_i to a matrix; ``coset_walk`` walks a coset Wθ with it from
-θ (W itself from 1, for ``full_rank_subsystems``), and ``pinned_part``
-writes a matrix m as w·τ by reflecting m·2ρ∨ back to the dominant chamber;
-whether a twist is an automorphism, its sign, W-membership and the twist
-cocycle all read that one descent.  ``simple_factors`` alone splits a datum
-into ``SimpleType``s; the Cartan type, |W|, i, σ and the alcove vertices all
-read that split.  The roots of a Cartan matrix, as simple-root and
-simple-coroot coefficients, come from ``root_closure``, memoized on the
+``weylcoset``'s flat count, is one breadth-first ``closure``, and W acts on
+root subsets, as masks of positive roots, in one place: ``mask_reflections``.
+One sparse update applies s_i to a matrix; ``coset_walk`` walks a coset Wθ
+with it from θ (W itself from 1 for ``weyl_group``, which no module reads),
+and ``pinned_part`` writes a matrix m as w·τ by reflecting m·2ρ∨ back to the
+dominant chamber; whether a twist is an automorphism, its sign, W-membership
+and the twist cocycle all read that one descent.  ``simple_factors`` alone
+splits a datum into ``SimpleType``s; the Cartan type, |W|, i, σ and the alcove
+vertices all read that split.  The roots of a Cartan matrix, as simple-root
+and simple-coroot coefficients, come from ``root_closure``, memoized on the
 matrix, which is also the one finite-type check: a datum maps them into its
 lattice, and a ``SimpleType`` reads its positive roots there, so a diagram
 piece needs no datum.
@@ -214,6 +215,35 @@ def root_closure(cartan: IntMat) -> dict[IntVec, IntVec]:
     return closure(dict(zip(unit, unit)), images)
 
 
+def mask_reflections(cartan: IntMat, positives):
+    """(index, step): W acting by simple reflections on root sets closed under negation.
+
+    Such a set is the mask of its positive roots, bit ``index[c]`` for the
+    root with simple-root coefficients c.  s_j permutes the positive roots
+    but α_j, which it negates, so it maps masks to masks; ``step(mask, _)``
+    yields (s_j·mask, None) for each j, as ``closure`` takes it, by byte tables.
+    """
+    index = {c: k for k, c in enumerate(positives)}
+    width = (len(index) + 7) // 8
+    tables = []
+    for j, row in enumerate(cartan):  # s_j changes c_j by ⟨α, α_j∨⟩ = Σᵢ cᵢ·A_ji
+        bits = [1 << index.get(c[:j] + (c[j] - dot(c, row),) + c[j + 1:], k)
+                for c, k in index.items()]
+        per_byte = []
+        for b in range(width):
+            table = [0]
+            for image in bits[8 * b:8 * b + 8]:
+                table += [v | image for v in table]
+            per_byte.append(table)
+        tables.append(per_byte)
+
+    def step(mask: int, _):
+        octets = mask.to_bytes(width, "little")
+        return ((sum(map(list.__getitem__, per_byte, octets)), None) for per_byte in tables)
+
+    return index, step
+
+
 def build_root_datum(rank: int, simple_roots, simple_coroots) -> RootDatum:
     """Validate a based datum and close the simple roots under reflections.
 
@@ -280,8 +310,9 @@ def coset_walk(d: RootDatum, start: IntMat) -> dict[IntMat, tuple[int, ...]]:
     """{v·start: a reduced word of v} over v ∈ W, walked breadth first by m ↦ s_i·m.
 
     The word (i₁, …, i_k) reads v = s_{i₁}···s_{i_k}; breadth-first depth is
-    Coxeter length, so it is reduced.  A datum with |W| > ``MAX_WEYL_ORDER``
-    raises ``WeylGroupTooLarge`` before the first step.
+    Coxeter length, so it is reduced.  The package walks only from θ, for
+    ``weyl_set``; the walk from 1 is ``weyl_group``, which no module reads.  A
+    datum with |W| > ``MAX_WEYL_ORDER`` raises ``WeylGroupTooLarge`` first.
     """
     order = classical_weyl_order(d)
     if order > MAX_WEYL_ORDER:

@@ -13,8 +13,8 @@ summed with exact rationals.  There are two routes to it:
   of ``simple_i_number``, (−1)ⁿ·E_W(1)/|W|, where E_W(q) sums 1/det(1 − qw)
   over the elliptic w (for those det w = (−1)ⁿ).  E_W comes from Molien's
   series |W|/Π(1 − q^{dᵢ}) minus the contributions of the proper flats of
-  the Coxeter arrangement, which are counted by W-orbit with simple
-  reflections acting on root indices.  E is kept per Cartan label in one table.
+  the Coxeter arrangement, counted by W-orbit on positive-root masks
+  (``rootdata.mask_reflections``).  E is kept per Cartan label in one table.
 
 Neither runs if ``has_regular_element`` says no: then i is 0, ``elliptic``
 lists no class and ``stabilize`` leaves the component out of the discrete set.
@@ -61,6 +61,7 @@ from .rootdata import (
     coset_walk,
     datum_names,
     exponents,
+    mask_reflections,
     named_datum,
     pinned_part,
     simple_factors,
@@ -164,31 +165,13 @@ def weyl_set(c: TwistedComponent) -> tuple[CosetElement, ...]:
 def flat_orbits(t: SimpleType) -> tuple[tuple[int, tuple[int, ...]], ...]:
     """(size, K) for each W-orbit of proper flats; K ⊊ S spans a standard member L_K.
 
-    A flat L is stored as the indices of the positive roots that vanish on
-    it: L_K has Φ_K⁺.  Up to sign, s_j permutes the positive roots, fixing
-    α_j, and every flat is W-conjugate to some L_K (its pointwise stabilizer
-    is a parabolic subgroup, by Steinberg), so the orbits of the Φ_K⁺ hold
-    all the flats.  A K whose Φ_K⁺ an earlier orbit reached is skipped.
+    A flat L is the mask of the positive roots that vanish on it, walked by
+    ``rootdata.mask_reflections``: L_K has Φ_K⁺.  Every flat is W-conjugate to
+    some L_K (its pointwise stabilizer is parabolic, by Steinberg), so the
+    orbits of the Φ_K⁺ hold all the flats; a K an earlier orbit reached is skipped.
     """
     n = len(t.cartan)
-    index = {c: k for k, c in enumerate(t.positives)}
-
-    def reflected(c, j):
-        p = sum(c[i] * a for i, a in enumerate(t.cartan[j]))
-        return index.get(c[:j] + (c[j] - p,) + c[j + 1:], index[c])
-
-    # Masks are ints over root indices; s_j maps a mask byte by byte through tables.
-    width = (len(t.positives) + 7) // 8
-    tables = []
-    for j in range(n):
-        bits = [1 << reflected(c, j) for c in t.positives]
-        per_byte = []
-        for b in range(width):
-            table = [0]
-            for image in bits[8 * b:8 * b + 8]:
-                table += [v | image for v in table]
-            per_byte.append(table)
-        tables.append(per_byte)
+    index, step = mask_reflections(t.cartan, t.positives)
     reached: set[int] = set()
     orbits = []
     for size in range(n):
@@ -196,9 +179,7 @@ def flat_orbits(t: SimpleType) -> tuple[tuple[int, tuple[int, ...]], ...]:
             mask = sum(1 << index[c] for c in t.positives if sum(c[i] for i in k) == sum(c))
             if mask in reached:
                 continue
-            orbit = closure({mask: None}, lambda m, _: (
-                (sum(map(list.__getitem__, per_byte, m.to_bytes(width, "little"))), None)
-                for per_byte in tables))
+            orbit = closure({mask: None}, step)
             reached |= orbit.keys()
             orbits.append((len(orbit), k))
     return tuple(orbits)

@@ -353,10 +353,15 @@ def direct_sum(a, b):
                             stack(a.simple_coroots, b.simple_coroots))
 
 
+def data_file_datum(stem):
+    """The datum that ``tests/data/<stem>.json`` spells out."""
+    spec = Path(__file__).with_name("data") / f"{stem}.json"
+    return build_root_datum(**json.loads(spec.read_text()))
+
+
 def interleaved_product():
     """B2 × G2 × A2 whose factors' simple roots interleave (0,3 / 1,4 / 2,5), from tests/data."""
-    spec = Path(__file__).with_name("data") / "b2_g2_a2_interleaved.json"
-    return build_root_datum(**json.loads(spec.read_text()))
+    return data_file_datum("b2_g2_a2_interleaved")
 
 
 def expansion_positive_roots(d):

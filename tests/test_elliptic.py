@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from helpers_oracle import (
     catalog_and_ladder_data,
     classical_datum,
+    data_file_datum,
     datum_from_cartan,
     e_cartan,
     fraction_elliptic_classes,
@@ -32,6 +33,7 @@ from tracestab.elliptic import (
     elliptic_classes,
     full_rank_subsystems,
     is_elliptic,
+    sub_datum,
     torus_point,
 )
 from tracestab.errors import TwistedUnsupported
@@ -105,11 +107,28 @@ def test_untwisted_classes_and_descriptors_never_build_w(monkeypatch):
         raise AssertionError("weyl_group was called")
 
     monkeypatch.setattr(rootdata, "weyl_group", refuse)
-    monkeypatch.setattr(elliptic_module, "weyl_group", refuse)
     try:
         assert _class_and_descriptor_values(models) == expected
     finally:
         elliptic_classes.cache_clear()
+
+
+@pytest.mark.parametrize("stem,types", [
+    ("f4", [("A1", "A1", "A1", "A1"), ("A1", "A1", "B2"), ("A1", "A3"), ("A1", "C3"),
+            ("A2", "A2"), ("B4",), ("D4",), ("F4",)]),
+    ("e6_sc", [("A1", "A5"), ("A2", "A2", "A2"), ("E6",)]),
+    ("e7_sc", [("A1",) * 7, ("A1", "A1", "A1", "D4"), ("A1", "A3", "A3"), ("A1", "D6"),
+               ("A2", "A5"), ("A7",), ("E7",)]),
+], ids=["f4", "e6_sc", "e7_sc"])
+def test_full_rank_subsystems_walk_masks_without_w(monkeypatch, stem, types):
+    # E7 is past MAX_WEYL_ORDER: the classes come from positive-root masks, never from W.
+    def refuse(*_):
+        raise AssertionError("the Weyl group was built")
+
+    monkeypatch.setattr(rootdata, "weyl_group", refuse)
+    monkeypatch.setattr(rootdata, "coset_walk", refuse)
+    d = data_file_datum(stem)
+    assert sorted(cartan_type(sub_datum(d, s)) for s in full_rank_subsystems(d)) == types
 
 
 def test_e7_classes_regression():
@@ -322,7 +341,8 @@ def _invariants(d):
     c = untwisted_component(d)
     classes = elliptic_classes(c)
     return (len(classes), sorted((k.pi0, cartan_type(k.centralizer_datum)) for k in classes),
-            i_number(c), sigma(d))
+            i_number(c), sigma(d),
+            sorted(cartan_type(sub_datum(d, s)) for s in full_rank_subsystems(d)))
 
 
 @settings(max_examples=40, deadline=None)

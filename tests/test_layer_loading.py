@@ -175,11 +175,16 @@ def _places(name: str) -> set[str]:
 def test_one_sparse_reflection_walks_w_and_its_cosets():
     """W and Wθ are walked element by element, so their callers are pinned.
 
-    W itself is read only by ``full_rank_subsystems``; a coset is walked only
-    for ``weyl_group`` and ``weyl_set``; and one helper applies a simple
-    reflection to a matrix, for the walk and for ``pinned_part``'s descent.
+    Nothing in the package reads W itself; a coset is walked only for
+    ``weyl_group`` and ``weyl_set``; one helper applies a simple reflection
+    to a matrix, for the walk and for ``pinned_part``'s descent; and one
+    helper lets W act on root subsets as positive-root masks, for the flats
+    and the full-rank subsystems.
     """
-    assert _places("weyl_group") == {"elliptic.import", "elliptic.full_rank_subsystems"}
+    assert _places("weyl_group") == set()
+    assert _places("mask_reflections") == {"weylcoset.import", "weylcoset.flat_orbits",
+                                           "elliptic.import", "elliptic.full_rank_subsystems"}
+    assert _places("_closure_under_reflections") == set()
     assert _places("coset_walk") == {"rootdata.weyl_group", "weylcoset.import",
                                      "weylcoset.weyl_set"}
     assert _places("_simple_reflections") == {"rootdata.pinned_part", "rootdata.coset_walk"}

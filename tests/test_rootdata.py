@@ -628,8 +628,8 @@ def test_twist_is_part_of_the_component_memo_key():
 
 @pytest.mark.parametrize("name", catalog.datum_names())
 def test_x_matrices_are_contragredient(name):
-    # full_rank_subsystems takes W's action on X from transposes: transpose(w)
-    # is the contragredient of w⁻¹, so the two sets agree (not element by element).
+    # W's action on X can be read from transposes: transpose(w) is the
+    # contragredient of w⁻¹, so the two sets agree (not element by element).
     group = weyl_group(catalog.datum(name))
     assert {transpose(w.matrix) for w in group} == {contragredient(w.matrix) for w in group}
 

@@ -6,7 +6,9 @@ from random import Random
 import pytest
 
 from helpers_oracle import (
+    catalog_and_ladder_data,
     classical_datum,
+    data_file_datum,
     direct_sum,
     fraction_coset_dets,
     fraction_det,
@@ -36,6 +38,7 @@ from tracestab.rootdata import (
     exponents,
     quotient_by_central,
     simple_factors,
+    simple_types,
     weyl_group,
 )
 from tracestab.weylcoset import (
@@ -277,6 +280,32 @@ def test_flat_counts_satisfy_the_orlik_solomon_factorization(label, flats):
         expected = [(expected[k - 1] if k else 0) - m * (expected[k] if k < len(expected) else 0)
                     for k in range(len(expected) + 1)]
     assert by_dim == expected
+
+
+OS_TYPES = {f"{name}-{t.label}-{t.nodes[0]}": t
+            for name, d in catalog_and_ladder_data() + [
+                (stem, data_file_datum(stem)) for stem in ("f4", "e6_sc", "e7_sc")]
+            for t in simple_factors(d)}
+
+
+@pytest.mark.parametrize("t", list(OS_TYPES.values()), ids=list(OS_TYPES))
+def test_flat_orbits_satisfy_orlik_solomon_by_parabolic_mobius(t):
+    """Π(s − mᵢ) = (−1)ⁿ·Π mᵢ + Σ_{(size, K)} size·μ(L_K)·s^{n−|K|}, μ(L_K) = (−1)^{|K|}·Π m(W_K).
+
+    The Möbius value of L_K is read off the parabolic W_K, the diagram's
+    pieces on K, so the flat counts are checked apart from the E-series.
+    """
+    n = len(t.cartan)
+    got = [(-1) ** n * prod(exponents(t.positives))] + [0] * n  # constant term first
+    for size, k in flat_orbits(t):
+        got[n - len(k)] += size * (-1) ** len(k) * prod(
+            prod(exponents(p.positives)) for p in simple_types(t.cartan, k))
+    expected = [1]
+    for m in exponents(t.positives):  # times (s − m)
+        expected = [a - m * b for a, b in zip([0] + expected, expected + [0])]
+    assert got == expected
+    if t.label == "E7":
+        assert got == [-765765, 1286963, -663957, 162939, -21735, 1617, -63, 1]
 
 
 def _fresh_i(monkeypatch, d):
