@@ -110,6 +110,13 @@ def _int_matrix(obj) -> tuple:
     return tuple(out)
 
 
+def _rational_rows(obj) -> tuple:
+    """Central-subgroup generators: a list of lists of exact rationals (``parse_q``)."""
+    if not isinstance(obj, list) or not all(isinstance(row, list) for row in obj):
+        raise MalformedInput("generators must be a list of lists of rationals")
+    return tuple(tuple(parse_q(v) for v in row) for row in obj)
+
+
 def _datum_from_obj(obj) -> rootdata.RootDatum:
     if isinstance(obj, str):
         return rootdata.named_datum(obj)

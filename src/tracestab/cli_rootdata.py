@@ -1,11 +1,10 @@
 """The root-data commands: ``i-number``, ``elliptic``, ``sigma``, ``verify ei`` and
 ``verify central-quotient``.
 
-Each takes ``--group`` as a name (``rootdata.NAMED_DATA`` or
-``weylcoset.named_component``), a datum file or a combined ``{"group",
+Each takes ``--group``, read by ``_read_group`` alone, as a name
+(``weylcoset.named_component``), a datum file or a combined ``{"group",
 "theta"}`` file; a name is read before a file of the same name.  Names are
-resolved where the data are built, so these commands never compile
-``catalog``.
+resolved where the data are built, so these commands never compile ``catalog``.
 """
 
 from __future__ import annotations
@@ -23,9 +22,9 @@ from .cli import (
     _int_matrix,
     _load_json,
     _parsing,
+    _rational_rows,
     _require_keys,
     fmt_q,
-    parse_q,
 )
 from .errors import MalformedInput
 
@@ -33,24 +32,24 @@ sigma = sys.modules[f"{__package__}.sigma"]  # the package attribute ``sigma`` i
 
 
 @_parsing()
-def _load_component(config: argparse.Namespace) -> weylcoset.TwistedComponent:
-    """Resolve --group (catalog name, datum file, or combined file) + --theta."""
-    spec = config.group
+def _read_group(spec: str | None, names) -> tuple[rootdata.RootDatum, tuple | None]:
+    """(base, θ or None) from --group: a name in ``names``, a datum file or a combined file."""
     if spec is None:
         raise MalformedInput("--group is required")
-    theta = None
-    if spec in weylcoset.component_names():
+    if spec in names:
         comp = weylcoset.named_component(spec)
-        base, theta = comp.base, comp.theta
-    else:
-        obj = _load_json(spec)
-        if isinstance(obj, dict) and "group" in obj:
-            _require_keys(obj, ("group",), ("theta",))
-            base = _datum_from_obj(obj["group"])
-            if "theta" in obj:
-                theta = _int_matrix(obj["theta"])
-        else:
-            base = _datum_from_obj(obj)
+        return comp.base, comp.theta
+    obj = _load_json(spec)
+    if not (isinstance(obj, dict) and "group" in obj):
+        return _datum_from_obj(obj), None
+    _require_keys(obj, ("group",), ("theta",))
+    return _datum_from_obj(obj["group"]), _int_matrix(obj["theta"]) if "theta" in obj else None
+
+
+@_parsing()
+def _load_component(config: argparse.Namespace) -> weylcoset.TwistedComponent:
+    """--group (``_read_group``) with --theta, which replaces the group's θ."""
+    base, theta = _read_group(config.group, weylcoset.component_names())
     if config.theta is not None:
         tobj = _load_json(config.theta)
         if isinstance(tobj, dict):
@@ -60,23 +59,6 @@ def _load_component(config: argparse.Namespace) -> weylcoset.TwistedComponent:
     if theta is None:
         return weylcoset.untwisted_component(base)
     return weylcoset.component(base, theta)
-
-
-@_parsing()
-def _load_datum(config: argparse.Namespace) -> rootdata.RootDatum:
-    spec = config.group
-    if spec is None:
-        raise MalformedInput("--group is required")
-    if spec in rootdata.datum_names():
-        return rootdata.named_datum(spec)
-    obj = _load_json(spec)
-    if not (isinstance(obj, dict) and "group" in obj):
-        return _datum_from_obj(obj)
-    _require_keys(obj, ("group",), ("theta",))
-    d = _datum_from_obj(obj["group"])
-    if "theta" in obj:
-        _int_matrix(obj["theta"])  # read as ``_load_component`` reads it; σ does not use θ
-    return d
 
 
 def run_i_number(config: argparse.Namespace) -> int:
@@ -117,7 +99,7 @@ def run_sigma(config: argparse.Namespace) -> int:
             items.append({"name": name, "key": key, "type": ctype, "sigma": fmt_q(value)})
         _emit(config, {"catalog": items}, rows)
         return EXIT_OK
-    d = _load_datum(config)
+    d, _ = _read_group(config.group, rootdata.datum_names())  # σ takes no twist
     value = sigma.sigma(d)
     _emit(config, {"sigma": fmt_q(value)}, [("sigma", fmt_q(value))])
     return EXIT_OK
@@ -140,13 +122,13 @@ def run_verify_ei(config: argparse.Namespace) -> int:
 
 
 def run_verify_central_quotient(config: argparse.Namespace) -> int:
-    d = _load_datum(config)
+    d, _ = _read_group(config.group, rootdata.datum_names())
     if config.z is None:
         raise MalformedInput("--z FILE is required for central-quotient verification")
     with _parsing():
         zobj = _load_json(config.z)
         _require_keys(zobj, ("generators",))
-        gens = tuple(tuple(parse_q(v) for v in g) for g in zobj["generators"])
+        gens = _rational_rows(zobj["generators"])
     z = rootdata.central_subgroup(d, gens)
     ok = sigma.verify_central_quotient(d, z)
     sys.stdout.write(_dump({"order": z.order, "pass": ok}))

@@ -22,9 +22,9 @@ from .cli import (
     _dump,
     _load_json,
     _parsing,
+    _rational_rows,
     _require_keys,
     fmt_q,
-    parse_q,
 )
 from .cli_packets import _bits_to_pair, _model_from_obj, _packet_checks, _pair_to_bits
 from .errors import MalformedInput
@@ -51,8 +51,7 @@ def _descriptor_from_obj(obj, models_by_id) -> stabilize.EndoscopicDescriptor:
     if m.dual_group is None:
         raise MalformedInput(f"descriptor model {obj['model_id']!r} has no dual group")
     x = _bits_to_pair(obj["x"], m.s_m.dim, m.r.dim)
-    gens = tuple(tuple(parse_q(v) for v in g) for g in obj["zbar_generators"])
-    zbar = rootdata.central_subgroup(m.dual_group.base, gens)
+    zbar = rootdata.central_subgroup(m.dual_group.base, _rational_rows(obj["zbar_generators"]))
     return stabilize.EndoscopicDescriptor(
         x=x, zbar=zbar, sprime_datum=_datum_from_obj(obj["sprime"]),
         **{k: obj[k] for k in ("group_label", "model_id", "class_index") + cards})

@@ -12,10 +12,9 @@ vertices that Ω_X = X∨/Q∨ identifies merge, and its size gives π₀ by
 orbit–stabilizer, π₀ = |W_t| / |W(Φ_t)| with |W_t| = |W| / |W·t|.
 
 ``full_rank_subsystems`` (closed full-rank subsystems by iterated
-extended-diagram node deletion, named up to W by the least positive-root
-mask of their orbit under ``rootdata.mask_reflections``) is an independent
-enumerator, not used by the class list; the tests build their search-based
-reference from it.
+extended-diagram node deletion, told apart up to W by ``rootdata.mask_orbits``
+on positive-root masks, as the flats are) is an independent enumerator, not
+used by the class list; the tests build their search-based reference from it.
 
 A coset with no regular element (``weylcoset.has_regular_element``) has no
 elliptic class.  Two twisted shapes are supported in closed form: any twist of
@@ -33,6 +32,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
+from itertools import chain
 from math import lcm
 from operator import add
 from typing import NamedTuple
@@ -61,6 +61,7 @@ from .rootdata import (
     cartan_type,
     classical_weyl_order,
     closure,
+    mask_orbits,
     mask_reflections,
     simple_factors,
 )
@@ -205,8 +206,9 @@ def full_rank_subsystems(d: RootDatum) -> list[tuple[IntVec, ...]]:
     """Closed full-rank root subsystems up to Weyl conjugacy.
 
     Starts from Φ itself and iterates extended-diagram node deletion on each
-    irreducible component until no new conjugacy class appears.  A class is
-    named by the least positive-root mask of its W-orbit, so no W is built.
+    class, breadth first, until no new class appears.  A subsystem is its
+    positive-root mask and ``mask_orbits`` walks each W-orbit of masks once,
+    so no W is built and a repeat child costs one lookup.
     Not used by ``elliptic_classes``; kept as the search side of its cross-check.
     """
     if not d.is_semisimple() or d.rank == 0:
@@ -214,14 +216,14 @@ def full_rank_subsystems(d: RootDatum) -> list[tuple[IntVec, ...]]:
     index, step = mask_reflections(d.cartan_matrix(),
                                    [c for c in d.coefficients if sum(c) > 0])
     bit = {r: 1 << index[c] for r, c in zip(d.roots, d.coefficients) if c in index}
-
-    def canon(roots: tuple[IntVec, ...]) -> int:
-        return min(closure({sum(bit.get(r, 0) for r in roots): None}, step))
-
-    full = tuple(sorted(d.roots))
-    seen = closure({canon(full): full},
-                   lambda _, roots: ((canon(child), child) for child in _bds_children(d, roots)))
-    return sorted(seen.values())
+    classes: list[tuple[IntVec, ...]] = []
+    # Φ, then the children of each class, read from ``classes`` as it grows: breadth first.
+    found = chain([tuple(sorted(d.roots))],
+                  (child for roots in classes for child in _bds_children(d, roots)))
+    masked = ((sum(bit.get(r, 0) for r in roots), roots) for roots in found)
+    for _, roots in mask_orbits(masked, step):
+        classes.append(roots)
+    return sorted(classes)
 
 
 def _bds_children(d: RootDatum, roots: tuple[IntVec, ...]) -> list[tuple[IntVec, ...]]:

@@ -6,8 +6,9 @@ isogeny question (SL2 vs PGL2, quotients by central subgroups) is carried by
 the coordinates alone.  All derived data — the full root system, the Weyl
 group, display labels — is computed by exact integer/rational arithmetic.
 Every orbit and closure in the package, here, in ``elliptic`` and in
-``weylcoset``'s flat count, is one breadth-first ``closure``, and W acts on
-root subsets, as masks of positive roots, in one place: ``mask_reflections``.
+``weylcoset``'s flat count, is one breadth-first ``closure``; W acts on root
+subsets, as masks of positive roots, in one place, ``mask_reflections``, and
+``mask_orbits`` lists their orbits, walking each once.
 One sparse update applies s_i to a matrix; ``coset_walk`` walks a coset Wθ
 with it from θ (W itself from 1 for ``weyl_group``, which no module reads),
 and ``pinned_part`` writes a matrix m as w·τ by reflecting m·2ρ∨ back to the
@@ -242,6 +243,19 @@ def mask_reflections(cartan: IntMat, positives):
         return ((sum(map(list.__getitem__, per_byte, octets)), None) for per_byte in tables)
 
     return index, step
+
+
+def mask_orbits(candidates, step):
+    """(size, value) for each (mask, value) of ``candidates`` whose mask no earlier orbit reached.
+
+    Each orbit under ``step`` (``mask_reflections``) is walked once, by ``closure``.
+    """
+    reached: set[int] = set()
+    for mask, value in candidates:
+        if mask not in reached:
+            orbit = closure({mask: None}, step)
+            reached |= orbit.keys()
+            yield len(orbit), value
 
 
 def build_root_datum(rank: int, simple_roots, simple_coroots) -> RootDatum:

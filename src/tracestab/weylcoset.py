@@ -57,10 +57,10 @@ from .rootdata import (
     MAX_FLAT_WEYL_ORDER,
     RootDatum,
     SimpleType,
-    closure,
     coset_walk,
     datum_names,
     exponents,
+    mask_orbits,
     mask_reflections,
     named_datum,
     pinned_part,
@@ -168,21 +168,14 @@ def flat_orbits(t: SimpleType) -> tuple[tuple[int, tuple[int, ...]], ...]:
     A flat L is the mask of the positive roots that vanish on it, walked by
     ``rootdata.mask_reflections``: L_K has Φ_K⁺.  Every flat is W-conjugate to
     some L_K (its pointwise stabilizer is parabolic, by Steinberg), so the
-    orbits of the Φ_K⁺ hold all the flats; a K an earlier orbit reached is skipped.
+    orbits of the Φ_K⁺ hold all the flats; ``rootdata.mask_orbits`` skips a K
+    an earlier orbit reached.
     """
     n = len(t.cartan)
     index, step = mask_reflections(t.cartan, t.positives)
-    reached: set[int] = set()
-    orbits = []
-    for size in range(n):
-        for k in combinations(range(n), size):
-            mask = sum(1 << index[c] for c in t.positives if sum(c[i] for i in k) == sum(c))
-            if mask in reached:
-                continue
-            orbit = closure({mask: None}, step)
-            reached |= orbit.keys()
-            orbits.append((len(orbit), k))
-    return tuple(orbits)
+    masks = ((sum(1 << index[c] for c in t.positives if sum(c[i] for i in k) == sum(c)), k)
+             for size in range(n) for k in combinations(range(n), size))
+    return tuple(mask_orbits(masks, step))
 
 
 def _times(a, b, terms: int) -> list[Fraction]:

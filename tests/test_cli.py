@@ -225,10 +225,19 @@ MODEL = {"id": "m", "sM_dim": 1, "r_dim": 0,
     (["i-number", "--group"], "g.json", {"rank": -1, "simple_roots": [], "simple_coroots": []}),
     (["stabilize", "verify", "--models"], "m.json", {"models": [MODEL], "descriptors": [
         {**DESCRIPTOR, "sprime": {"rank": -2, "simple_roots": [], "simple_coroots": []}}]}),
+    # Generators are a list of lists: a string is not read one character at a time.
+    (["verify", "central-quotient", "--group", "sl2", "--z"], "z.json", {"generators": "12"}),
+    (["verify", "central-quotient", "--group", "sl3", "--z"], "z.json", {"generators": ["12"]}),
+    (["verify", "central-quotient", "--group", "sl2", "--z"], "z.json", {"generators": [1]}),
+    (["stabilize", "verify", "--models"], "m.json", {"models": [MODEL], "descriptors": [
+        {**DESCRIPTOR, "zbar_generators": "1"}]}),
+    (["stabilize", "verify", "--models"], "m.json", {"models": [MODEL], "descriptors": [
+        {**DESCRIPTOR, "zbar_generators": ["1"]}]}),
 ], ids=["missing-rank", "models-not-a-list", "generators-not-a-list", "missing-sprime",
         "generators-int", "bad-rational", "thetas-not-an-object", "descriptor-without-dual",
         "rank-bool", "matrix-bool", "generator-bool", "theta-bool", "x-list",
-        "negative-rank", "negative-sprime-rank"])
+        "negative-rank", "negative-sprime-rank", "generators-string", "generator-string",
+        "generator-int", "zbar-generators-string", "zbar-generator-string"])
 def test_wrongly_shaped_input_exits_4_without_traceback(tmp_path, args, name, content):
     path = tmp_path / name
     path.write_text(json.dumps(content))

@@ -119,9 +119,14 @@ def test_untwisted_classes_and_descriptors_never_build_w(monkeypatch):
     ("e6_sc", [("A1", "A5"), ("A2", "A2", "A2"), ("E6",)]),
     ("e7_sc", [("A1",) * 7, ("A1", "A1", "A1", "D4"), ("A1", "A3", "A3"), ("A1", "D6"),
                ("A2", "A5"), ("A7",), ("E7",)]),
-], ids=["f4", "e6_sc", "e7_sc"])
+    ("e8_sc", [("A1",) * 8, ("A1", "A1", "A1", "A1", "D4"), ("A1", "A1", "A3", "A3"),
+               ("A1", "A1", "D6"), ("A1", "A2", "A5"), ("A1", "A7"), ("A1", "E7"),
+               ("A2", "A2", "A2", "A2"), ("A2", "E6"), ("A3", "D5"), ("A4", "A4"), ("A8",),
+               ("D4", "D4"), ("D8",), ("E8",)]),
+], ids=["f4", "e6_sc", "e7_sc", "e8_sc"])
 def test_full_rank_subsystems_walk_masks_without_w(monkeypatch, stem, types):
-    # E7 is past MAX_WEYL_ORDER: the classes come from positive-root masks, never from W.
+    # E7 and E8 are past MAX_WEYL_ORDER: the classes come from positive-root masks, never
+    # from W, and each orbit of masks is walked once (E8 yields 120 children in 15 classes).
     def refuse(*_):
         raise AssertionError("the Weyl group was built")
 

@@ -178,12 +178,17 @@ def test_one_sparse_reflection_walks_w_and_its_cosets():
     Nothing in the package reads W itself; a coset is walked only for
     ``weyl_group`` and ``weyl_set``; one helper applies a simple reflection
     to a matrix, for the walk and for ``pinned_part``'s descent; and one
-    helper lets W act on root subsets as positive-root masks, for the flats
-    and the full-rank subsystems.
+    helper lets W act on root subsets as positive-root masks, and one loop
+    (``mask_orbits``) lists their orbits, for the flats and the full-rank
+    subsystems, neither of which walks a ``closure`` of its own.
     """
     assert _places("weyl_group") == set()
-    assert _places("mask_reflections") == {"weylcoset.import", "weylcoset.flat_orbits",
-                                           "elliptic.import", "elliptic.full_rank_subsystems"}
+    for name in ("mask_reflections", "mask_orbits"):
+        assert _places(name) == {"weylcoset.import", "weylcoset.flat_orbits",
+                                 "elliptic.import", "elliptic.full_rank_subsystems"}, name
+    assert {place for place in _places("closure")
+            if place.split(".")[0] in ("weylcoset", "elliptic")} == {"elliptic.import",
+                                                                     "elliptic._weyl_orbit"}
     assert _places("_closure_under_reflections") == set()
     assert _places("coset_walk") == {"rootdata.weyl_group", "weylcoset.import",
                                      "weylcoset.weyl_set"}
@@ -193,6 +198,24 @@ def test_one_sparse_reflection_walks_w_and_its_cosets():
         assert not any(hasattr(importlib.import_module(f"tracestab.{module}"), name)
                        for module in ("rootdata", "weylcoset")), name
     assert not {place for place in _places("WeylElement") if place.startswith("weylcoset.")}
+
+
+def test_one_reader_per_input_shape():
+    """``_read_group`` alone turns ``--group`` into data, and ``_rational_rows`` generators.
+
+    The twisted commands add ``--theta`` to what it reads; ``sigma`` and
+    ``verify central-quotient`` take its base.
+    """
+    assert _places("_read_group") == {"cli_rootdata._load_component", "cli_rootdata.run_sigma",
+                                      "cli_rootdata.run_verify_central_quotient"}
+    assert _places("_load_datum") == set()
+    assert {place for place in _places("_datum_from_obj") | _places("named_component")
+            if place.startswith("cli_rootdata.")} == {"cli_rootdata.import",
+                                                      "cli_rootdata._read_group"}
+    assert _places("parse_q") == {"cli._rational_rows"}
+    assert _places("_rational_rows") == {
+        "cli_rootdata.import", "cli_rootdata.run_verify_central_quotient",
+        "cli_stabilize.import", "cli_stabilize._descriptor_from_obj"}
 
 
 def test_only_weylcoset_forms_the_central_cocharacter_test():
