@@ -3,13 +3,17 @@
 
 Each takes ``--group``, read by ``_read_group`` alone, as a name
 (``weylcoset.named_component``), a datum file or a combined ``{"group",
-"theta"}`` file; a name is read before a file of the same name.  Names are
+"theta"}`` file; a name is read before a file of the same name.  ``sigma``
+and ``verify central-quotient`` take no twist: a datum name is built by
+``rootdata`` alone, and a twisted name gives its base, read only when no file
+of that name exists, so a datum input never runs ``weylcoset``.  Names are
 resolved where the data are built, so these commands never compile ``catalog``.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import elliptic, rootdata, weylcoset
@@ -33,10 +37,16 @@ sigma = sys.modules[f"{__package__}.sigma"]  # the package attribute ``sigma`` i
 
 @_parsing()
 def _read_group(spec: str | None, names) -> tuple[rootdata.RootDatum, tuple | None]:
-    """(base, θ or None) from --group: a name in ``names``, a datum file or a combined file."""
+    """(base, θ or None) from --group: a name, a datum file or a combined file.
+
+    The names in ``names`` are read before a file of the same name, and the
+    other catalog names only when no such file exists.
+    """
     if spec is None:
         raise MalformedInput("--group is required")
-    if spec in names:
+    if spec in rootdata.datum_names():
+        return rootdata.named_datum(spec), None
+    if spec in names or not os.path.isfile(spec) and spec in weylcoset.component_names():
         comp = weylcoset.named_component(spec)
         return comp.base, comp.theta
     obj = _load_json(spec)

@@ -17,11 +17,12 @@ on positive-root masks, as the flats are) is an independent enumerator, not
 used by the class list; the tests build their search-based reference from it.
 
 A coset with no regular element (``weylcoset.has_regular_element``) has no
-elliptic class.  Two twisted shapes are supported in closed form: any twist of
-a torus datum (one class, with π₀ = |det(θ − 1)|), and a factor swap of a
-doubled datum, folded to its diagonal.  One reduction, ``_reduction``, tells
-the shapes apart and does the fold; ``elliptic_classes`` and ``is_elliptic``
-both read it.  Everything else raises TwistedUnsupported.
+elliptic class.  An inner twist (θ ∈ W) has the untwisted classes, and two
+twisted shapes are supported in closed form: any twist of a torus datum (one
+class, with π₀ = |det(θ − 1)|), and a factor swap of a doubled datum, folded
+to its diagonal.  One reduction, ``_reduction``, tells the shapes apart and
+does the fold; ``elliptic_classes`` and ``is_elliptic`` both read it.
+Everything else raises TwistedUnsupported.
 
 ``elliptic_classes`` and the reduction are memoized on the component's value
 (base datum, θ and its order), never on a canonical key; the cached tuple of
@@ -45,6 +46,7 @@ from .linalg import (
     coords_in_rows,
     det,
     dot,
+    identity_matrix,
     int_kernel,
     invert,
     mat_vec,
@@ -63,6 +65,7 @@ from .rootdata import (
     closure,
     mask_orbits,
     mask_reflections,
+    pinned_part,
     simple_factors,
 )
 from .weylcoset import TwistedComponent, has_regular_element
@@ -164,12 +167,14 @@ def is_elliptic(c: TwistedComponent, t: TorusPoint) -> bool:
 def _reduction(c: TwistedComponent) -> RootDatum | int | None:
     """What the classes of a component are read from, memoized on its value.
 
-    An untwisted component gives its base datum, and a factor swap the
-    diagonal datum of its fold: the classes are that datum's untwisted ones.
-    A twist of a torus gives |det(θ − 1)|, the π₀ of its one class (none if
-    0).  Any other twist gives None.
+    An untwisted component gives its base datum, and so does an inner twist:
+    θ ∈ W exactly when its pinned part is 1 (``rootdata.pinned_part``), and
+    then Wθ = W.  A factor swap gives the diagonal datum of its fold: the
+    classes are that datum's untwisted ones.  A twist of a torus gives
+    |det(θ − 1)|, the π₀ of its one class (none if 0).  Any other twist gives
+    None.
     """
-    if c.untwisted:
+    if c.untwisted or pinned_part(c.base, c.theta)[0] == identity_matrix(c.base.rank):
         return c.base
     delta = minus_identity(c.theta)
     if not c.base.roots:

@@ -15,7 +15,8 @@ and ``pinned_part`` writes a matrix m as w·τ by reflecting m·2ρ∨ back to t
 dominant chamber; whether a twist is an automorphism, its sign, W-membership
 and the twist cocycle all read that one descent.  ``simple_factors`` alone
 splits a datum into ``SimpleType``s; the Cartan type, |W|, i, σ and the alcove
-vertices all read that split.  The roots of a Cartan matrix, as simple-root
+vertices all read that split, and ``classical_i_number`` gives i of a type
+A–D in closed form.  The roots of a Cartan matrix, as simple-root
 and simple-coroot coefficients, come from ``root_closure``, memoized on the
 matrix, which is also the one finite-type check: a datum maps them into its
 lattice, and a ``SimpleType`` reads its positive roots there, so a diagram
@@ -63,7 +64,8 @@ from .linalg import (
 MAX_WEYL_ORDER = 51_840
 
 # Largest |W| of a simple factor whose flats ``weylcoset.i_number`` walks:
-# |W(E7)|.  E7 has 90 408 flats; E8 has 5 506 504 and is refused.
+# |W(E7)|.  Only E, F and G walk them; E7 has 90 408 flats, and E8 has
+# 5 506 504 and is refused.
 MAX_FLAT_WEYL_ORDER = 2_903_040
 
 
@@ -400,6 +402,29 @@ class SimpleType(NamedTuple):
     @property
     def order(self) -> int:
         return prod(1 + m for m in exponents(self.positives))
+
+
+def classical_i_number(t: SimpleType) -> Fraction | None:
+    """i of the untwisted factor ``t`` in closed form for A, B, C and D; None for E, F and G.
+
+    i = |W|⁻¹·Σ sign(w)/|det(w − 1)| over the elliptic w, read by cycle type.
+    In Sₙ₊₁ they are the n! long cycles, with |det(w − 1)| = n + 1, so
+    i(Aₙ) = (−1)ⁿ/(n + 1)².  A signed permutation is elliptic when every cycle
+    is negative: 2^{k−1} sign choices on a k-cycle, |det(w − 1)| = 2 per cycle
+    and det w = (−1)ⁿ.  Summing 4^{−cycles} over Sₙ gives the rising factorial
+    of 1/4, so i(Bₙ) = i(Cₙ) = (−1)ⁿ·Π_{k≤n}(4k − 3)/(4k), the coefficient of sⁿ
+    in (−1)ⁿ(1 − s)^{−1/4}.  W(Dₙ) keeps an even number of negative cycles,
+    which adds the same sum at −1/4: i(Dₙ) = i(Bₙ) + (−1)ⁿ·Π_{k≤n}(4k − 5)/(4k).
+    """
+    family, n = t.label[0], len(t.cartan)
+    if family == "A":
+        return Fraction((-1) ** n, (n + 1) ** 2)
+    if family not in "BCD":
+        return None
+    value = prod(Fraction(4 * k - 3, 4 * k) for k in range(1, n + 1))
+    if family == "D":
+        value += prod(Fraction(4 * k - 5, 4 * k) for k in range(1, n + 1))
+    return (-1) ** n * value
 
 
 def simple_types(cartan: IntMat, nodes) -> tuple[SimpleType, ...]:

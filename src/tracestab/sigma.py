@@ -18,10 +18,15 @@ Cartan matrix of C_k is Ĉ (``rootdata.extended_cartan``, the matrix on
 Δ ∪ {−θ}) with node k deleted, and σ(C_k) is the product of σ over the
 adjoint groups of its pieces divided by m_k, so no root datum is built on
 the way down and ``sigma`` is not re-entered.  i(G) and θ are read off the
-factors of ``rootdata.simple_factors``.  No class list enters σ, so
-``verify_ei`` is an independent check of e = i, simple adjoint types
-included.  The values are kept process-wide by Cartan label ("A1", "B4", …);
-``sigma`` itself is memoized on the datum's value.  e(S) is summed only in
+factors of ``rootdata.simple_factors``.  For Aₙ, Bₙ, Cₙ and Dₙ, i is the
+closed form ``rootdata.classical_i_number``, (−1)ⁿ/(n + 1)² on Aₙ and a
+product over k ≤ n on the others.  Every C_k of a classical type is
+classical, so σ of a classical group walks no flats and never runs
+``weylcoset``, bound here as a lazy module; only an exceptional type reads
+``weylcoset.simple_i_number``.  No class list enters σ, so ``verify_ei``
+is an independent check of e = i, simple adjoint types included.  The
+values are kept process-wide by Cartan label ("A1", "B4", …); ``sigma``
+itself is memoized on the datum's value.  e(S) is summed only in
 ``e_number``, memoized on the component's value, which ``verify_ei``
 compares with i and ``stabilize`` reads.
 """
@@ -33,19 +38,19 @@ from functools import cache
 from math import prod
 from typing import NamedTuple
 
-from . import elliptic
+from . import elliptic, weylcoset
 from .linalg import det
 from .rootdata import (
     CentralSubgroup,
     RootDatum,
     SimpleType,
+    classical_i_number,
     extended_cartan,
     quotient_by_central,
     root_lattice_index,
     simple_factors,
     simple_types,
 )
-from .weylcoset import TwistedComponent, i_number, simple_i_number, untwisted_component
 
 
 class SigmaTable(dict):
@@ -60,8 +65,11 @@ def _simple_adjoint_sigma(t: SimpleType) -> Fraction:
     """σ of the adjoint group of type ``t``: X = Q with ⟨α_j, α_i∨⟩ = t.cartan[i][j]."""
     value = _ADJOINT.get(t.label)
     if value is None:
-        # i first: past |W(E7)| it refuses at once, before any smaller σ is solved.
-        value = simple_i_number(t)
+        # i first: past |W(E7)| an exceptional type refuses at once, before any
+        # smaller σ is solved.  A classical one reads its closed form, no flats.
+        value = classical_i_number(t)
+        if value is None:
+            value = weylcoset.simple_i_number(t)
         extended = extended_cartan(t)
         omega = det(t.cartan)
         for k, mark in enumerate(t.highest):
@@ -97,7 +105,7 @@ class EIReport(NamedTuple):
 
 
 @cache
-def e_number(c: TwistedComponent) -> tuple[Fraction, tuple[ClassTerm, ...]]:
+def e_number(c: weylcoset.TwistedComponent) -> tuple[Fraction, tuple[ClassTerm, ...]]:
     """e(S) = Σ |π₀(S_s)|⁻¹·σ(S°_s) over the elliptic classes, and its terms."""
     terms = []
     for cls in elliptic.elliptic_classes(c):
@@ -106,9 +114,9 @@ def e_number(c: TwistedComponent) -> tuple[Fraction, tuple[ClassTerm, ...]]:
     return sum((t.term for t in terms), Fraction(0)), tuple(terms)
 
 
-def verify_ei(c: TwistedComponent) -> EIReport:
+def verify_ei(c: weylcoset.TwistedComponent) -> EIReport:
     """Evaluate both sides of e(S) = i(S) independently and compare exactly."""
-    i_value, (e_value, terms) = i_number(c), e_number(c)
+    i_value, (e_value, terms) = weylcoset.i_number(c), e_number(c)
     return EIReport(e_value, i_value, e_value == i_value, terms)
 
 
@@ -122,4 +130,4 @@ def verify_central_quotient(d: RootDatum, z: CentralSubgroup) -> bool:
     """
     quotient = quotient_by_central(d, z)
     return (sigma(d) == sigma(quotient) / z.order
-            and all(verify_ei(untwisted_component(g)).equal for g in (d, quotient)))
+            and all(verify_ei(weylcoset.untwisted_component(g)).equal for g in (d, quotient)))

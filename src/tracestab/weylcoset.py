@@ -10,11 +10,17 @@ summed with exact rationals.  There are two routes to it:
 
 * θ ≠ 1: ``weyl_set`` walks the coset from θ, one simple reflection at a time.
 * θ = 1: no W is built.  i is the product over ``rootdata.simple_factors``
-  of ``simple_i_number``, (−1)ⁿ·E_W(1)/|W|, where E_W(q) sums 1/det(1 − qw)
+  of ``simple_i_number``.  A classical factor takes the closed form
+  ``rootdata.classical_i_number``: i(Aₙ) = (−1)ⁿ/(n + 1)²,
+  i(Bₙ) = i(Cₙ) = (−1)ⁿ·Π_{k≤n}(4k − 3)/(4k) and
+  i(Dₙ) = i(Bₙ) + (−1)ⁿ·Π_{k≤n}(4k − 5)/(4k), read off cycle types.  An
+  exceptional one takes (−1)ⁿ·E_W(1)/|W|, where E_W(q) sums 1/det(1 − qw)
   over the elliptic w (for those det w = (−1)ⁿ).  E_W comes from Molien's
   series |W|/Π(1 − q^{dᵢ}) minus the contributions of the proper flats of
   the Coxeter arrangement, counted by W-orbit on positive-root masks
-  (``rootdata.mask_reflections``).  E is kept per Cartan label in one table.
+  (``rootdata.mask_reflections``); the flats of a classical type are walked
+  only as pieces of an exceptional one's, or by the tests, which check the
+  closed forms against them.  E is kept per Cartan label in one table.
 
 Neither runs if ``has_regular_element`` says no: then i is 0, ``elliptic``
 lists no class and ``stabilize`` leaves the component out of the discrete set.
@@ -57,6 +63,7 @@ from .rootdata import (
     MAX_FLAT_WEYL_ORDER,
     RootDatum,
     SimpleType,
+    classical_i_number,
     coset_walk,
     datum_names,
     exponents,
@@ -232,11 +239,15 @@ def elliptic_series(t: SimpleType, terms: int) -> tuple[Fraction, ...]:
 
 
 def simple_i_number(t: SimpleType) -> Fraction:
-    """i of the untwisted simple factor ``t``: (−1)ⁿ·E_W(1)/|W|.
+    """i of the untwisted simple factor ``t``: its closed form, else (−1)ⁿ·E_W(1)/|W|.
 
-    A factor with |W| above ``MAX_FLAT_WEYL_ORDER`` raises ``WeylGroupTooLarge``
-    before any flat is walked.
+    A classical factor reads ``rootdata.classical_i_number``.  Only an
+    exceptional factor walks its flats, and one with |W| above
+    ``MAX_FLAT_WEYL_ORDER`` (E8) raises ``WeylGroupTooLarge`` before any is walked.
     """
+    value = classical_i_number(t)
+    if value is not None:
+        return value
     if t.order > MAX_FLAT_WEYL_ORDER:
         raise WeylGroupTooLarge(f"W({t.label}) has order {t.order}, "
                                 f"above the limit {MAX_FLAT_WEYL_ORDER}")
@@ -267,7 +278,7 @@ def i_number(c: TwistedComponent) -> Fraction:
         elements = weyl_set(c)
         return sum((Fraction(e.sign) / abs(e.det_w_minus_1) for e in elements if e.regular),
                    Fraction(0)) / len(elements)
-    # The factors too large for their flats go first, in diagram order, so one
-    # refuses before any other factor's flats are walked.
+    # The factors past the flat limit go first, in diagram order: a classical one
+    # walks no flats, so E8 refuses before any other factor's flats are walked.
     factors = sorted(simple_factors(c.base), key=lambda t: t.order <= MAX_FLAT_WEYL_ORDER)
     return prod(map(simple_i_number, factors), start=Fraction(1))

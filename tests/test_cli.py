@@ -4,7 +4,6 @@ import sys
 import time
 from fractions import Fraction
 from itertools import product
-from math import factorial
 
 import pytest
 
@@ -335,6 +334,30 @@ def test_a_combined_files_theta_is_read_then_ignored(tmp_path, capsys, command):
         assert out == "" and json.loads(err)["error"]["kind"] == "malformed-input"
 
 
+@pytest.mark.parametrize("name,base,z,expected", [
+    ("a1a1_swap", "sl2xsl2", [["1/2", "1/2"]], "+1/64"),
+    ("o2_twist", "gl1", [["1/2"]], "0/1"),
+], ids=["a1a1_swap", "o2_twist"])
+def test_a_twisted_catalog_name_gives_its_base(tmp_path, capsys, monkeypatch, name, base, z,
+                                              expected):
+    """σ takes no twist, so a twisted name reads as its base unless a file has that name."""
+    def out(*argv):
+        assert main(list(argv)) == EXIT_OK
+        return capsys.readouterr().out
+
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "z.json").write_text(json.dumps({"generators": z}))
+    assert json.loads(out("sigma", "--group", name)) == {"sigma": expected}
+    for argv in (["sigma"], ["verify", "central-quotient", "--z", "z.json"]):
+        assert out(*argv, "--group", name) == out(*argv, "--group", base)
+    classes = out("elliptic", "--group", name)
+    (tmp_path / name).write_text(json.dumps(
+        {"rank": 2, "simple_roots": [[2, -1], [-1, 2]], "simple_coroots": [[1, 0], [0, 1]]}))
+    assert out("sigma", "--group", name) == out("sigma", "--group", "sl3")
+    assert out("elliptic", "--group", name) == classes  # a twisted command reads the name first
+    assert classes != out("elliptic", "--group", "sl3")
+
+
 def test_separate_theta_file(tmp_path):
     group = tmp_path / "gl1.json"
     group.write_text(json.dumps({"rank": 1, "simple_roots": [],
@@ -465,31 +488,43 @@ def test_verify_ei_passes_on_e7(tmp_path, capsys, form):
     assert report["equal"] and report["e"] == report["i"] == fmt_q(Fraction(-1150651, 10616832))
 
 
-@pytest.mark.parametrize("name,d,label,order", [
-    ("e8", datum_from_cartan(e_cartan(8), "sc"), "E8", 696729600),
-    ("b8", classical_datum("B", 8, "sc"), "B8", 10321920),
+@pytest.mark.parametrize("name,d,outcome", [
+    ("e8", datum_from_cartan(e_cartan(8), "sc"),
+     {"kind": "WeylGroupTooLarge", "detail": "W(E8) has order 696729600, above the limit 2903040"}),
+    ("b8", classical_datum("B", 8, "sc"), {"i": "+480675/8388608"}),
 ], ids=["E8", "B8"])
-def test_i_number_past_w_e7_exits_5_quickly(tmp_path, name, d, label, order):
+def test_i_number_past_w_e7_exits_5_quickly(tmp_path, name, d, outcome):
+    """Past |W(E7)| = 2 903 040 E8 exits 5, and B8 answers in closed form; both within 2 s.
+
+    i(B8) = Π_{k≤8}(4k − 3)/(4k); |W(B8)| = 10 321 920 is never walked.
+    """
     start = time.perf_counter()
     proc = subprocess.run([sys.executable, "-m", "tracestab.cli", "i-number", "--group",
                            _datum_file(tmp_path / f"{name}.json", d)],
                           capture_output=True, timeout=60)
     assert time.perf_counter() - start < 2
+    if "i" in outcome:
+        assert proc.returncode == EXIT_OK and json.loads(proc.stdout) == outcome
+        return
     assert proc.returncode == EXIT_MODULE_ERROR and proc.stdout == b""
-    error = json.loads(proc.stderr)["error"]
-    assert error["kind"] == "WeylGroupTooLarge"
-    assert error["detail"] == f"W({label}) has order {order}, above the limit 2903040"
+    assert json.loads(proc.stderr)["error"] == outcome
 
 
 def test_sigma_past_rank_32_refuses_the_weyl_group_not_the_datum(tmp_path, capsys):
-    """B33 is of finite type; σ refuses it for the order of W(B33), as it does B8."""
-    group = _datum_file(tmp_path / "b33.json", classical_datum("B", 33, "sc"))
-    assert main(["sigma", "--group", group]) == EXIT_MODULE_ERROR
-    out, err = capsys.readouterr()
-    error = json.loads(err)["error"]
-    assert out == "" and error["kind"] == "WeylGroupTooLarge"
-    assert error["detail"] == (f"W(B33) has order {2 ** 33 * factorial(33)}, "
-                               "above the limit 2903040")
+    """B33 is read as a finite-type datum, and σ answers although |W(B33)| = 2³³·33!.
+
+    σ(B33 ad) = σ(B33 sc)·2, the order of the center, with the adjoint value
+    read off the closed forms of i(Bₖ) and i(Dₖ).
+    """
+    values = {}
+    for form in ("sc", "ad"):
+        group = _datum_file(tmp_path / f"b33_{form}.json", classical_datum("B", 33, form))
+        assert main(["sigma", "--group", group]) == EXIT_OK
+        out, err = capsys.readouterr()
+        assert err == ""
+        values[form] = Fraction(json.loads(out)["sigma"])
+    assert values["ad"] == 2 * values["sc"] == Fraction(
+        -105798249578494421672892780375075, 10384593717069655257060992658440192)
 
 
 def test_group_file_rank_above_the_limit_is_malformed(tmp_path, capsys):
@@ -655,6 +690,16 @@ def test_stabilize_verify_models_file(tmp_path):
     first = obj["identities"][0]
     assert first["lhs"] == {"im": "0/1", "re": "+1/4"}
     assert first["rhs"] == {"im": "0/1", "re": "+1/4"}
+
+
+def test_stabilize_verify_answers_on_an_inner_twist(tmp_path, capsys):
+    """``MODEL``'s θ = −1 on SL2 lies in W, so its component has SL2's classes and e = i."""
+    models = tmp_path / "models.json"
+    models.write_text(json.dumps({"models": [MODEL]}))
+    assert main(["stabilize", "verify", "--models", str(models), "--trials", "2"]) == EXIT_OK
+    obj = json.loads(capsys.readouterr().out)
+    assert obj["pass"] and [(row["x"], row["e"], row["i"]) for row in obj["e_equals_i"]] == [
+        ("0", "-1/4", "-1/4"), ("1", "-1/4", "-1/4")]
 
 
 def test_determinism_byte_identical():

@@ -45,7 +45,7 @@ from tracestab.rootdata import (
     simple_factors,
     weyl_group,
 )
-from tracestab.sigma import sigma
+from tracestab.sigma import sigma, verify_ei
 from tracestab.weylcoset import component, i_number, untwisted_component
 
 RANK_LE_2 = ["trivial", "gl1", "sl2", "pgl2", "sl3", "pgl3", "sp4", "so5", "g2", "sl2xsl2"]
@@ -193,12 +193,29 @@ def test_torus_twist_with_fixed_directions_is_empty():
 
 
 def test_unsupported_twist_raises():
-    # Order-2 twist with a fixed root: not a torus twist, not a clean swap.
-    d = catalog.datum("sl2xsl2")
-    theta = ((1, 0), (0, -1))
-    c = component(d, theta)
+    # SL3 ⋊ swap (tests/data/sl3_swap.json): outer, not a torus twist, not a factor swap.
+    c = component(catalog.datum("sl3"), ((0, 1), (1, 0)))
     with pytest.raises(TwistedUnsupported):
         elliptic_classes(c)
+
+
+def test_inner_twists_have_the_untwisted_classes():
+    """θ ∈ W has pinned part 1 and Wθ = W, so the classes are the untwisted ones and e = i.
+
+    Every w ∈ W of every catalog datum with roots, 48 components, is checked,
+    among them SL2 with θ = −1 and s₁ = diag(1, −1) on SL2 × SL2.
+    """
+    count = 0
+    for name in catalog.datum_names():
+        d = catalog.datum(name)
+        plain = untwisted_component(d)
+        for w in weyl_group(d) if d.roots else ():
+            c = component(d, w.matrix)
+            report = verify_ei(c)
+            assert elliptic_classes(c) == elliptic_classes(plain), (name, w.word)
+            assert report.equal and report.i == i_number(plain), (name, w.word)
+            count += 1
+    assert count == 48
 
 
 def test_centralizer_examples():

@@ -21,7 +21,7 @@ LAYERS = ("errors", "linalg", "rootdata", "weylcoset", "elliptic", "sigma", "pac
 COMMAND_MODULES = ("cli_rootdata", "cli_packets", "cli_stabilize")
 EVERYTHING = frozenset(LAYERS + COMMAND_MODULES) | {"cli"}
 ROOT_DATA_COMMAND = {"cli", "errors", "cli_rootdata", "linalg", "rootdata", "weylcoset"}
-SIGMA_COMMAND = ROOT_DATA_COMMAND | {"sigma"}
+SIGMA_COMMAND = ROOT_DATA_COMMAND - {"weylcoset"} | {"sigma"}  # a classical σ reads no flats
 
 # Runs main(argv) in a fresh interpreter, then prints its exit code and the
 # tracestab modules whose code ran (a registered but unread layer is still lazy).
@@ -59,8 +59,10 @@ def _loaded_by(argv, cwd):
     (["elliptic", "--group", "group.json"], ROOT_DATA_COMMAND | {"elliptic"}),
     (["i-number", "--group", "group.json"], ROOT_DATA_COMMAND),
     (["verify", "central-quotient", "--group", "group.json", "--z", "z.json"],
-     SIGMA_COMMAND | {"elliptic"}),
+     ROOT_DATA_COMMAND | {"sigma", "elliptic"}),
     (["report"], EVERYTHING - {"cli_rootdata"}),
+    (["sigma", "--group", "g2"], SIGMA_COMMAND | {"weylcoset"}),
+    (["sigma", "--group", "a1a1_swap"], SIGMA_COMMAND | {"weylcoset"}),
 ])
 def test_each_command_runs_only_the_layers_it_calls(tmp_path, argv, expected):
     (tmp_path / "model.json").write_text(json.dumps({"sM_dim": 1, "r_dim": 2}))
@@ -250,7 +252,8 @@ def test_one_descent_owns_a_twists_weyl_coset():
     ``weylcoset`` nor ``packets`` inverts a matrix.
     """
     assert _places("pinned_part") == {"weylcoset.import", "weylcoset.component",
-                                      "weylcoset.coset_sign", "packets.ParameterModel"}
+                                      "weylcoset.coset_sign", "packets.ParameterModel",
+                                      "elliptic.import", "elliptic._reduction"}
     for name in ("contragredient", "invert"):
         assert not {place for place in _places(name)
                     if place.split(".")[0] in ("weylcoset", "packets")}, name
@@ -284,6 +287,16 @@ def test_sigma_builds_no_root_datum():
     """σ reads its centralizers off the extended Cartan matrix, so it builds no datum."""
     assert not {place for name in ("build_root_datum", "identity_matrix")
                 for place in _places(name) if place.startswith("sigma.")}
+
+
+def test_one_closed_form_per_classical_i():
+    """i of Aₙ, Bₙ, Cₙ and Dₙ is read from ``rootdata.classical_i_number`` alone.
+
+    ``weylcoset.simple_i_number`` reads it before any flat, and σ reads it
+    before it reaches ``weylcoset`` at all.
+    """
+    assert _places("classical_i_number") == {"weylcoset.import", "weylcoset.simple_i_number",
+                                             "sigma.import", "sigma._simple_adjoint_sigma"}
 
 
 def test_only_e_number_reaches_elliptic_from_sigma():

@@ -34,6 +34,7 @@ from tracestab.packets import DualGroupModel, ParameterModel, TwoGroup
 from tracestab.rootdata import (
     build_root_datum,
     central_subgroup,
+    classical_i_number,
     contragredient,
     exponents,
     quotient_by_central,
@@ -333,8 +334,32 @@ def test_a_wrong_flat_count_raises_the_library_error(monkeypatch):
 
     monkeypatch.setattr(weylcoset_module, "flat_orbits", one_too_many)
     with pytest.raises(InconsistentFlats, match="minus its flats leaves a pole"):
-        _fresh_i(monkeypatch, classical_datum("B", 3, "sc"))
+        _fresh_i(monkeypatch, labelled_datum("G2", "given", "sc"))  # a classical i walks none
     assert issubclass(InconsistentFlats, TraceStabError)
+
+
+CLASSICAL_LABELS = ([f"A{n}" for n in range(1, 9)] + [f"B{n}" for n in range(2, 8)]
+                    + [f"C{n}" for n in range(3, 8)] + [f"D{n}" for n in range(4, 8)])
+
+
+@pytest.mark.parametrize("form", ["sc", "ad"])
+@pytest.mark.parametrize("label", CLASSICAL_LABELS)
+def test_classical_closed_forms_equal_the_flats(label, form):
+    """i(Aₙ), i(Bₙ) = i(Cₙ) and i(Dₙ) in closed form equal (−1)ⁿ·E_W(1)/|W| read off the flats.
+
+    ``elliptic_series`` still walks the flats of any type, so it is the oracle.
+    """
+    d = labelled_datum(label, "given", form)
+    (t,) = simple_factors(d)
+    flats = (-1) ** len(t.cartan) * weylcoset_module.elliptic_series(t, 1)[0] / t.order
+    assert t.label == label
+    assert classical_i_number(t) == flats == i_number(untwisted_component(d))
+
+
+def test_exceptional_types_have_no_closed_form():
+    for label in ("E6", "E7", "E8", "F4", "G2"):
+        (t,) = simple_factors(labelled_datum(label, "given", "sc"))
+        assert classical_i_number(t) is None, label
 
 
 def test_untwisted_i_builds_no_weyl_group(monkeypatch):
