@@ -17,12 +17,12 @@ on positive-root masks, as the flats are) is an independent enumerator, not
 used by the class list; the tests build their search-based reference from it.
 
 A coset with no regular element (``weylcoset.has_regular_element``) has no
-elliptic class.  An inner twist (θ ∈ W) has the untwisted classes, and two
-twisted shapes are supported in closed form: any twist of a torus datum (one
-class, with π₀ = |det(θ − 1)|), and a factor swap of a doubled datum, folded
-to its diagonal.  One reduction, ``_reduction``, tells the shapes apart and
-does the fold; ``elliptic_classes`` and ``is_elliptic`` both read it.
-Everything else raises TwistedUnsupported.
+elliptic class.  Any other twist θ = w·τ is read through its pinned part τ
+(``rootdata.pinned_part``), since G°θ = G°τ: τ = 1 (θ ∈ W) gives the untwisted
+classes, a twist of a torus datum one class with π₀ = |det(θ − 1)|, and a τ
+that swaps simple factors in pairs the classes of its fold, the diagonal.
+``_reduction`` tells the shapes apart for ``elliptic_classes`` and
+``is_elliptic``.  Any other τ, such as SL3 ⋊ swap, raises TwistedUnsupported.
 
 ``elliptic_classes`` and the reduction are memoized on the component's value
 (base datum, θ and its order), never on a canonical key; the cached tuple of
@@ -40,6 +40,7 @@ from typing import NamedTuple
 
 from .errors import TwistedUnsupported, WeylGroupTooLarge
 from .linalg import (
+    IntMat,
     IntVec,
     QVec,
     clear_denominators,
@@ -150,7 +151,10 @@ def centralizer(c: TwistedComponent, t: TorusPoint) -> tuple[RootDatum, int]:
 
 
 def is_elliptic(c: TwistedComponent, t: TorusPoint) -> bool:
-    """Whether the centralizer of exp(2πi·t)·θ has finite center."""
+    """Whether exp(2πi·t)·τ, τ the pinned part of θ, has a centralizer with finite center.
+
+    It lies in G°θ = G°τ.  On a factor swap t is a point of the fold's torus.
+    """
     if not has_regular_element(c):  # θ fixes a central cocharacter at every point
         return False
     reduced = _reduction(c)
@@ -167,44 +171,38 @@ def is_elliptic(c: TwistedComponent, t: TorusPoint) -> bool:
 def _reduction(c: TwistedComponent) -> RootDatum | int | None:
     """What the classes of a component are read from, memoized on its value.
 
-    An untwisted component gives its base datum, and so does an inner twist:
-    θ ∈ W exactly when its pinned part is 1 (``rootdata.pinned_part``), and
-    then Wθ = W.  A factor swap gives the diagonal datum of its fold: the
-    classes are that datum's untwisted ones.  A twist of a torus gives
-    |det(θ − 1)|, the π₀ of its one class (none if 0).  Any other twist gives
-    None.
+    Wθ = Wτ for the pinned part τ of θ (``rootdata.pinned_part``), so τ
+    decides.  τ = 1, on an untwisted or inner component, gives the base datum;
+    a twist of a torus gives |det(θ − 1)|, the π₀ of its one class (none if
+    0); a τ that swaps simple factors in pairs gives its fold, whose untwisted
+    classes are the classes.  Any other twist gives None.
     """
-    if c.untwisted or pinned_part(c.base, c.theta)[0] == identity_matrix(c.base.rank):
+    tau = c.theta if c.untwisted else pinned_part(c.base, c.theta)[0]
+    if tau == identity_matrix(c.base.rank):
         return c.base
-    delta = minus_identity(c.theta)
     if not c.base.roots:
-        return int(abs(det(delta)))
-    if c.order_theta != 2:
+        return int(abs(det(minus_identity(c.theta))))
+    return _fold(c.base, tau)
+
+
+def _fold(d: RootDatum, tau: IntMat) -> RootDatum | None:
+    """The diagonal datum of τ, or None unless τ swaps simple factors in pairs.
+
+    τ permutes the simple coroots, α_i∨ ↦ α_π(i)∨, and swaps factors in pairs
+    exactly when no node is fixed by π or bonded to its image and ker(τ − 1)
+    has half the rank.  On that fixed lattice the fold has one simple root,
+    α_i restricted, and one coroot, α_i∨ + α_π(i)∨, per pair {i, π(i)}.
+    """
+    pi = [d.simple_coroots.index(mat_vec(tau, v)) for v in d.simple_coroots]
+    fixed = int_kernel(minus_identity(tau))
+    if 2 * len(fixed) != d.rank or any(
+            j == i or dot(d.simple_roots[i], d.simple_coroots[j]) for i, j in enumerate(pi)):
         return None
-    for root, coroot in zip(c.base.roots, c.base.coroots):
-        image = mat_vec(c.theta, coroot)
-        if image == coroot or dot(root, image) != 0:
-            return None
-    fixed_basis = int_kernel(delta)
-    return _fold(c, fixed_basis) if 2 * len(fixed_basis) == c.base.rank else None
-
-
-def _fold(c: TwistedComponent, fixed_basis: list[IntVec]) -> RootDatum:
-    """Diagonal datum of a factor-swap component, on the θ-fixed lattice ``fixed_basis``."""
-    folded_pairs = {}
-    for root, coroot in zip(c.base.roots, c.base.coroots):
-        bar_root = tuple(dot(root, b) for b in fixed_basis)
-        summed = tuple(x + y for x, y in zip(coroot, mat_vec(c.theta, coroot)))
-        coords = coords_in_rows(fixed_basis, summed)
-        if coords is None or any(Fraction(x).denominator != 1 for x in coords):
-            raise TwistedUnsupported("folded coroot leaves the fixed lattice")
-        folded_pairs[bar_root] = tuple(int(x) for x in coords)
-    simples = _indecomposables(sorted(r for r in folded_pairs
-                                      if next((x for x in r if x), 0) > 0))
-    folded = build_root_datum(len(fixed_basis), simples, tuple(folded_pairs[a] for a in simples))
-    if set(folded.roots) != set(folded_pairs):
-        raise TwistedUnsupported("twist is not a clean factor swap")
-    return folded
+    pairs = [(i, j) for i, j in enumerate(pi) if i < j]
+    return build_root_datum(len(fixed), [mat_vec(fixed, d.simple_roots[i]) for i, _ in pairs],
+                            [coords_in_rows(fixed, tuple(map(add, d.simple_coroots[i],
+                                                             d.simple_coroots[j])))
+                             for i, j in pairs])
 
 
 def full_rank_subsystems(d: RootDatum) -> list[tuple[IntVec, ...]]:

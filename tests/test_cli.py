@@ -702,6 +702,36 @@ def test_stabilize_verify_answers_on_an_inner_twist(tmp_path, capsys):
         ("0", "-1/4", "-1/4"), ("1", "-1/4", "-1/4")]
 
 
+S0_SWAP = [[0, -1], [1, 0]]  # s₀·swap on SL2 × SL2: same pinned part as the swap, order 4
+
+
+def test_a_composite_factor_swap_answers(tmp_path, capsys):
+    """θ = s₀·swap lies in G°·swap, so ``elliptic`` and ``verify ei`` read the swap's fold."""
+    spec = tmp_path / "composite.json"
+    spec.write_text(json.dumps({"group": "sl2xsl2", "theta": S0_SWAP}))
+    assert main(["elliptic", "--group", str(spec)]) == EXIT_OK
+    classes = json.loads(capsys.readouterr().out)
+    assert main(["elliptic", "--group", "a1a1_swap"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out) == classes and classes["count"] == 2
+    assert main(["verify", "ei", "--group", str(spec)]) == EXIT_OK
+    obj = json.loads(capsys.readouterr().out)
+    assert (obj["e"], obj["i"], obj["equal"]) == ("-1/4", "-1/4", True)
+
+
+def test_stabilize_verify_reads_a_composite_swap_as_the_swap(tmp_path, capsys):
+    """A model whose R-component is s₀·swap prints what the pure-swap model prints."""
+    def verify(theta):
+        models = tmp_path / "models.json"
+        models.write_text(json.dumps({"models": [{
+            "id": "a1a1", "sM_dim": 0, "r_dim": 1,
+            "dual_group": {"base": "sl2xsl2", "thetas": {"0": [[1, 0], [0, 1]], "1": theta}}}]}))
+        assert main(["stabilize", "verify", "--models", str(models), "--trials", "3"]) == EXIT_OK
+        return capsys.readouterr().out
+
+    swapped = verify([[0, 1], [1, 0]])
+    assert json.loads(swapped)["pass"] and verify(S0_SWAP) == swapped
+
+
 def test_determinism_byte_identical():
     rc1, out1, _ = _run_cli(["stabilize", "verify", "--seed", "42", "--trials", "10"])
     rc2, out2, _ = _run_cli(["stabilize", "verify", "--seed", "42", "--trials", "10"])

@@ -11,6 +11,7 @@ from helpers_oracle import (
     classical_datum,
     data_file_datum,
     datum_from_cartan,
+    direct_sum,
     e_cartan,
     fraction_elliptic_classes,
     fraction_stabilizer_order,
@@ -37,7 +38,7 @@ from tracestab.elliptic import (
     torus_point,
 )
 from tracestab.errors import TwistedUnsupported
-from tracestab.linalg import clear_denominators, det, identity_matrix, mat_vec
+from tracestab.linalg import clear_denominators, det, identity_matrix, mat_mul, mat_vec
 from tracestab.rootdata import (
     build_root_datum,
     cartan_type,
@@ -194,9 +195,36 @@ def test_torus_twist_with_fixed_directions_is_empty():
 
 def test_unsupported_twist_raises():
     # SL3 ⋊ swap (tests/data/sl3_swap.json): outer, not a torus twist, not a factor swap.
-    c = component(catalog.datum("sl3"), ((0, 1), (1, 0)))
-    with pytest.raises(TwistedUnsupported):
-        elliptic_classes(c)
+    # Its composites w·swap, such as s₁·swap, have the same pinned part and refuse too.
+    sl3 = catalog.datum("sl3")
+    swap = ((0, 1), (1, 0))
+    for w in weyl_group(sl3):
+        with pytest.raises(TwistedUnsupported):
+            elliptic_classes(component(sl3, mat_mul(w.matrix, swap)))
+
+
+def _factor_swap(a):
+    """a × a with the factor swap on X∨ ⊕ X∨."""
+    n = a.rank
+    return direct_sum(a, a), tuple(tuple(int(j == (i + n) % (2 * n)) for j in range(2 * n))
+                                   for i in range(2 * n))
+
+
+@pytest.mark.parametrize("name", ["sl2", "sl3", "sp4", "g2"])
+def test_every_composite_of_a_factor_swap_has_its_classes(name):
+    """G°·w·τ = G°·τ, so each w·swap has the classes of the swap, and e = i on it.
+
+    The swap of a × a folds to the diagonal a, so those are the untwisted
+    classes of a.  The fold is read off the pinned part τ, so every w ∈ W
+    answers, not only those whose w·swap is itself an involution.
+    """
+    a = catalog.datum(name)
+    d, swap = _factor_swap(a)
+    classes = elliptic_classes(untwisted_component(a))
+    for w in weyl_group(d):
+        c = component(d, mat_mul(w.matrix, swap))
+        assert elliptic_classes(c) == classes, w.word
+        assert verify_ei(c).equal, w.word
 
 
 def test_inner_twists_have_the_untwisted_classes():

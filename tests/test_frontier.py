@@ -9,22 +9,32 @@ import pytest
 
 from helpers_oracle import labelled_datum
 from tracestab.errors import TraceStabError
-from tracestab.sigma import sigma
-from tracestab.weylcoset import i_number, untwisted_component
+from tracestab.sigma import e_number, sigma
+from tracestab.weylcoset import component, i_number, untwisted_component
 
 ROWS = json.loads((Path(__file__).with_name("data") / "frontier.json").read_text())["rows"]
-CALLS = {"sigma": sigma, "i_number": lambda d: i_number(untwisted_component(d))}
+CALLS = {"sigma": lambda c: sigma(c.base), "i_number": i_number,
+         "e_number": lambda c: e_number(c)[0]}
+
+
+def _component(row):
+    """The row's component: its datum, twisted by its θ if it has one."""
+    d = labelled_datum(row["input"]["type"], "given", row["input"]["form"])
+    theta = row["input"].get("theta")
+    return untwisted_component(d) if theta is None else component(d, theta)
 
 
 @pytest.mark.parametrize("row", ROWS, ids=[f"{row['call']}-{row['input']['type']}-"
-                                           f"{row['input']['form']}" for row in ROWS])
+                                           f"{row['input']['form']}"
+                                           + ("-twisted" if "theta" in row["input"] else "")
+                                           for row in ROWS])
 def test_frontier_row(row):
     """The row's exact value, or, unless the row is strict, its refusal within 1 s."""
     assert row["strict"] == ("refusal" not in row) and row["provenance"]["commit"]
-    d = labelled_datum(row["input"]["type"], "given", row["input"]["form"])
+    c = _component(row)
     start = time.perf_counter()
     try:
-        value = CALLS[row["call"]](d)
+        value = CALLS[row["call"]](c)
     except TraceStabError as refusal:
         assert not row["strict"] and type(refusal).__name__ == row["refusal"], refusal
         assert time.perf_counter() - start < 1

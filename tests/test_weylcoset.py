@@ -371,6 +371,9 @@ def test_untwisted_i_builds_no_weyl_group(monkeypatch):
     monkeypatch.setattr(rootdata_module, "coset_walk", refuse)
     monkeypatch.setattr(weylcoset_module, "coset_walk", refuse)
     assert _fresh_i(monkeypatch, classical_datum("B", 4, "ad")) == Fraction(195, 2048)
+    # B4 reads its closed form; F4 and E6 walk the flats for E_W, and build no W either.
+    for label, value in (("F4", Fraction(30145, 165888)), ("E6", Fraction(2513, 34992))):
+        assert _fresh_i(monkeypatch, labelled_datum(label, "given", "sc")) == value, label
 
 
 # ---------------------------------------------------------------------------
