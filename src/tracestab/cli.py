@@ -12,22 +12,32 @@ The runners live in three command modules, registered lazily like the layers
 (``packets verify``) and ``cli_stabilize`` (``stabilize verify``, ``verify
 stabilization``, ``report``).  The command table names each runner as
 ``module.function`` and ``run`` looks it up only when its command runs, and
-``parse_args`` builds options only for the command named on the command line.
-So importing this module runs only ``errors``, and a command compiles this
-module, its own command module and the layers it calls.
+``parse_args`` reads a well-formed command line straight from the table.
+``argparse`` is bound lazily like the layers and runs only for help and usage
+errors.  So importing this module runs only ``errors``, and a command compiles
+this module, its own command module and the layers it calls.
 """
 
 from __future__ import annotations
 
-import argparse
+import importlib.util
 import json
 import os
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
+from types import SimpleNamespace
 
 from . import rootdata
 from .errors import MalformedInput, TraceStabError
+
+# argparse, with the gettext it imports, runs on first use: only help and usage errors.
+argparse = sys.modules.get("argparse")
+if argparse is None:
+    _spec = importlib.util.find_spec("argparse")
+    _spec.loader = importlib.util.LazyLoader(_spec.loader)
+    argparse = sys.modules["argparse"] = importlib.util.module_from_spec(_spec)
+    _spec.loader.exec_module(argparse)
 
 EXIT_OK = 0
 EXIT_IDENTITY_FAILED = 1
@@ -144,7 +154,7 @@ def _trial_count(text: str) -> int:
     return value
 
 
-def _emit(config: argparse.Namespace, obj, tsv_rows) -> None:
+def _emit(config: SimpleNamespace, obj, tsv_rows) -> None:
     if config.fmt == "tsv":
         for row in tsv_rows:
             sys.stdout.write("\t".join(str(c) for c in row) + "\n")
@@ -152,13 +162,13 @@ def _emit(config: argparse.Namespace, obj, tsv_rows) -> None:
         sys.stdout.write(_dump(obj))
 
 
-# Every option a command may read, as argparse takes it.
+# Every option a command may read, as argparse takes it; ``_read_table`` reads the same keys.
 _OPTIONS = {
     "--group": {}, "--theta": {}, "--z": {}, "--model": {"required": True},
     "--models": {"default": "fixtures"}, "--seed": {"type": int, "default": 0},
     "--trials": {"type": _trial_count, "default": 100},
     "--format": {"dest": "fmt", "choices": ("json", "tsv"), "default": "json"},
-    "--catalog": {"dest": "catalog_flag", "action": "store_true"},
+    "--catalog": {"dest": "catalog_flag", "action": "store_true", "default": False},
 }
 
 # One row per command: its path, its runner as ``module.function`` and the options that
@@ -178,16 +188,60 @@ COMMANDS = (
 )
 
 
-def parse_args(argv) -> argparse.Namespace:
-    """Parse ``argv`` (``sys.argv[1:]`` when None), building options only for its command.
+def _read_table(args: list) -> SimpleNamespace | None:
+    """The namespace argparse gives a well-formed ``args``, read from the table; else None.
 
-    Neither the top-level parser nor ``verify`` takes an option with a value,
-    so the first word not starting with "-" is the subcommand argparse picks,
-    and after ``verify`` the second is the target.  Every parser is built, so
-    usage and choice errors read as before; ``add_argument`` builds a help
-    formatter on every call, which is why the other commands get none.
+    Well formed: a command's words, then each of its options at most once as
+    ``--flag value`` (a switch alone), every value valid and not starting with
+    "-", and every required option given.
     """
-    args = sys.argv[1:] if argv is None else argv
+    for path, runner, options in COMMANDS:
+        words = path.split()
+        if args[:len(words)] == words:
+            break
+    else:
+        return None
+    head, _, tail = path.partition(" ")
+    config = {"subcommand": head, **({"target": tail} if tail else {}), "runner": runner}
+    flags = options.split()
+    config.update((_OPTIONS[flag].get("dest", flag[2:]), _OPTIONS[flag].get("default"))
+                  for flag in flags)
+    rest = iter(args[len(words):])
+    for flag in rest:
+        if flag not in flags:  # unknown, abbreviated, --flag=value or given twice
+            return None
+        flags.remove(flag)
+        spec = _OPTIONS[flag]
+        if "action" in spec:  # the one action in _OPTIONS is store_true
+            value = True
+        else:
+            text = next(rest, "-")
+            try:
+                value = spec.get("type", str)(text)
+            except (ValueError, TypeError, argparse.ArgumentTypeError):
+                return None
+            if text.startswith("-") or value not in spec.get("choices", (value,)):
+                return None
+        config[spec.get("dest", flag[2:])] = value
+    if any(_OPTIONS[flag].get("required") for flag in flags):
+        return None
+    return SimpleNamespace(**config)
+
+
+def parse_args(argv) -> SimpleNamespace:
+    """Parse ``argv`` (``sys.argv[1:]`` when None) into the options its command reads.
+
+    A well-formed command line is read from ``COMMANDS`` and ``_OPTIONS``
+    alone.  Any other goes to argparse, so help and usage errors read as
+    before.  Neither its top-level parser nor ``verify`` takes an option with a
+    value, so the first word not starting with "-" is the subcommand, and after
+    ``verify`` the second is the target.  Every parser is built, but only the
+    named command gets options: ``add_argument`` builds a help formatter.
+    """
+    args = sys.argv[1:] if argv is None else list(argv)
+    config = _read_table(args)
+    if config is not None:
+        return config
     words = [a for a in args if not a.startswith("-")]
     parser = argparse.ArgumentParser(prog="tracestab",
                                      description="Exact spectral coefficients and "
@@ -210,10 +264,10 @@ def parse_args(argv) -> argparse.Namespace:
             for flag in options.split():
                 p.add_argument(flag, **_OPTIONS[flag])
         p.set_defaults(runner=runner)
-    return parser.parse_args(args)
+    return SimpleNamespace(**vars(parser.parse_args(args)))
 
 
-def run(config: argparse.Namespace) -> int:
+def run(config: SimpleNamespace) -> int:
     """Run a parsed configuration's command; returns the process exit code."""
     module, _, name = config.runner.partition(".")
     runner = getattr(sys.modules[f"{__package__}.{module}"], name)  # runs the module's code

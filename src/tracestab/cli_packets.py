@@ -8,9 +8,9 @@ a dual group.
 
 from __future__ import annotations
 
-import argparse
 import sys
 from random import Random
+from types import SimpleNamespace
 
 from . import packets
 from .cli import (
@@ -106,7 +106,7 @@ def _packet_checks(m: packets.ParameterModel, seed: int, trials: int) -> dict:
     }
 
 
-def run_packets_verify(config: argparse.Namespace) -> int:
+def run_packets_verify(config: SimpleNamespace) -> int:
     obj = _load_json(config.model)
     m = _model_from_obj(obj, fallback_id="model")
     checks = _packet_checks(m, config.seed, config.trials)

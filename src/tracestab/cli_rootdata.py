@@ -12,9 +12,9 @@ resolved where the data are built, so these commands never compile ``catalog``.
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
+from types import SimpleNamespace
 
 from . import elliptic, rootdata, weylcoset
 from .cli import (
@@ -57,7 +57,7 @@ def _read_group(spec: str | None, names) -> tuple[rootdata.RootDatum, tuple | No
 
 
 @_parsing()
-def _load_component(config: argparse.Namespace) -> weylcoset.TwistedComponent:
+def _load_component(config: SimpleNamespace) -> weylcoset.TwistedComponent:
     """--group (``_read_group``) with --theta, which replaces the group's θ."""
     base, theta = _read_group(config.group, weylcoset.component_names())
     if config.theta is not None:
@@ -71,14 +71,14 @@ def _load_component(config: argparse.Namespace) -> weylcoset.TwistedComponent:
     return weylcoset.component(base, theta)
 
 
-def run_i_number(config: argparse.Namespace) -> int:
+def run_i_number(config: SimpleNamespace) -> int:
     comp = _load_component(config)
     value = weylcoset.i_number(comp)
     _emit(config, {"i": fmt_q(value)}, [("i", fmt_q(value))])
     return EXIT_OK
 
 
-def run_elliptic(config: argparse.Namespace) -> int:
+def run_elliptic(config: SimpleNamespace) -> int:
     comp = _load_component(config)
     classes = elliptic.elliptic_classes(comp)
     rows = []
@@ -96,7 +96,7 @@ def run_elliptic(config: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def run_sigma(config: argparse.Namespace) -> int:
+def run_sigma(config: SimpleNamespace) -> int:
     if config.catalog_flag or config.group is None:
         rows = []
         items = []
@@ -115,7 +115,7 @@ def run_sigma(config: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def run_verify_ei(config: argparse.Namespace) -> int:
+def run_verify_ei(config: SimpleNamespace) -> int:
     comp = _load_component(config)
     report = sigma.verify_ei(comp)
     obj = {
@@ -131,7 +131,7 @@ def run_verify_ei(config: argparse.Namespace) -> int:
     return EXIT_OK if report.equal else EXIT_IDENTITY_FAILED
 
 
-def run_verify_central_quotient(config: argparse.Namespace) -> int:
+def run_verify_central_quotient(config: SimpleNamespace) -> int:
     d, _ = _read_group(config.group, rootdata.datum_names())
     if config.z is None:
         raise MalformedInput("--z FILE is required for central-quotient verification")

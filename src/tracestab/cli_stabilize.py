@@ -10,9 +10,9 @@ every family.  Only the fixtures compile ``catalog``.
 
 from __future__ import annotations
 
-import argparse
 import sys
 from random import Random
+from types import SimpleNamespace
 
 from . import catalog, packets, rootdata, stabilize
 from .cli import (
@@ -74,7 +74,7 @@ def _load_model_set(spec: str):
     return stabilize.DiscreteModelSet(models), descriptors
 
 
-def run_stabilize_verify(config: argparse.Namespace) -> int:
+def run_stabilize_verify(config: SimpleNamespace) -> int:
     ms, descriptors = _load_model_set(config.models)
     rng = Random(config.seed)
     identities = []
@@ -147,7 +147,7 @@ def run_stabilize_verify(config: argparse.Namespace) -> int:
     return EXIT_OK if all_pass else EXIT_IDENTITY_FAILED
 
 
-def run_report(config: argparse.Namespace) -> int:
+def run_report(config: SimpleNamespace) -> int:
     sections = {}
     ei = []
     for name in catalog.component_names():

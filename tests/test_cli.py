@@ -3,12 +3,12 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
 from helpers_oracle import classical_datum, datum_from_cartan, e_cartan, oracle_packet_checks
-from tracestab import catalog, cli_packets, stabilize
+from tracestab import catalog, cli, cli_packets, stabilize
 from tracestab.packets import ParameterModel, TwoGroup, with_flipped_pairing
 from tracestab.sigma import e_number
 from tracestab.cli import (
@@ -80,6 +80,80 @@ def test_parse_args_examples():
 def test_seed_and_trials_defaults():
     cfg = parse_args(["stabilize", "verify"])
     assert cfg.seed == 0 and cfg.trials == 100 and cfg.models == "fixtures"
+
+
+def _argparse_outcome(monkeypatch, argv):
+    """What the argparse parser alone makes of ``argv``: its options, or its exit code."""
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_read_table", lambda args: None)
+        try:
+            return vars(parse_args(argv))
+        except SystemExit as exc:
+            return exc.code
+
+
+# A valid value for each option that takes one.
+VALID = {"--group": "sl2", "--theta": "theta.json", "--z": "z.json", "--model": "m.json",
+         "--models": "models.json", "--seed": "7", "--trials": "0", "--format": "tsv"}
+
+
+def _well_formed_lines():
+    """Every command path with every subset of its options, in every order."""
+    for path, _runner, options in cli.COMMANDS:
+        flags = options.split()
+        for k in range(len(flags) + 1):
+            for chosen in permutations(flags, k):
+                argv = path.split()
+                for flag in chosen:
+                    argv += [flag, VALID[flag]] if flag in VALID else [flag]
+                yield argv
+    # Values argparse takes as they stand: empty, spaced, a command word, signed, padded.
+    yield from (["sigma", "--group", ""], ["i-number", "--group", "a b", "--theta", "verify"],
+                ["report", "--seed", "+5"], ["stabilize", "verify", "--trials", " 3 "],
+                ["verify", "ei", "--format", "json", "--group", "sigma"])
+
+
+def test_the_table_reader_equals_argparse_on_every_well_formed_line(monkeypatch):
+    checked = 0
+    for argv in _well_formed_lines():
+        expected = _argparse_outcome(monkeypatch, argv)
+        config = cli._read_table(argv)
+        if expected == 2:  # only a line without the required --model
+            assert argv[:2] == ["packets", "verify"] and "--model" not in argv, argv
+            assert config is None, argv
+        else:
+            assert vars(config) == expected, argv
+            checked += 1
+    assert checked == 119
+
+
+# Lines the table reader hands to argparse, with what argparse makes of them: 2, or
+# some of the options it reads.
+HAND_OFF = [
+    (["--help"], 0), (["-h"], 0), (["sigma", "-h"], 0), (["verify", "ei", "--help"], 0),
+    (["stabilize", "verify", "--mod", "m.json"], {"models": "m.json"}),
+    (["sigma", "--format=tsv", "--group", "sl2"], {"fmt": "tsv", "group": "sl2"}),
+    (["sigma", "--group", "sl2", "--group", "pgl2"], {"group": "pgl2"}),
+    (["sigma", "--catalog", "--catalog"], {"catalog_flag": True}),
+    (["report", "--seed", "-3"], {"seed": -3}),
+    (["packets", "--model", "m.json", "verify"], {"target": "verify", "model": "m.json"}),
+    (["packets", "verify", "--model", "m.json", "--trials", "-1"], 2),
+    (["stabilize", "verify", "--trials", "x"], 2), (["report", "--seed", "x"], 2),
+    (["sigma", "--format", "xml"], 2), (["sigma", "--group", "sl2", "--theta", "x"], 2),
+    (["--threads", "2", "sigma", "--group", "sl2"], 2), (["frobnicate"], 2), ([], 2),
+    (["sigma", "--group"], 2), (["sigma", "extra"], 2), (["sigma", "--catalog", "yes"], 2),
+    (["packets", "verify"], 2), (["verify", "nope"], 2), (["verify"], 2),
+]
+
+
+@pytest.mark.parametrize("argv, outcome", HAND_OFF)
+def test_the_table_reader_hands_every_other_line_to_argparse(monkeypatch, argv, outcome):
+    assert cli._read_table(argv) is None
+    got = _argparse_outcome(monkeypatch, argv)
+    if isinstance(outcome, dict):
+        assert {key: got[key] for key in outcome} == outcome
+    else:
+        assert got == outcome
 
 
 @pytest.mark.parametrize("argv", [

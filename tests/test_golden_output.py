@@ -64,6 +64,14 @@ def commands() -> list[list[str]]:
     out += [[*path.split(), "--group", SL3_SWAP] for path in ("i-number", "elliptic", "verify ei")]
     out += [["stabilize", "verify", "--models", path, "--trials", "2"]
             for path in (CENTRAL_TORUS_MODELS, ZBAR_DESCRIPTORS)]
+    # Command lines the table reader hands to argparse: usage errors, a prefix
+    # abbreviation and a --flag=value, each read by argparse alone.
+    out += [["frobnicate"], ["sigma", "--group", "sl2", "--format", "xml"],
+            ["packets", "verify", "--model", CENTRAL_TORUS_MODELS, "--trials", "-1"],
+            ["sigma", "--group", "sl2", "--theta", "x"],
+            ["--threads", "2", "sigma", "--group", "sl2"],
+            ["stabilize", "verify", "--mod", "fixtures", "--trials", "1"],
+            ["sigma", "--format=tsv", "--group", "sl2"]]
     return out
 
 

@@ -23,8 +23,9 @@ EVERYTHING = frozenset(LAYERS + COMMAND_MODULES) | {"cli"}
 ROOT_DATA_COMMAND = {"cli", "errors", "cli_rootdata", "linalg", "rootdata", "weylcoset"}
 SIGMA_COMMAND = ROOT_DATA_COMMAND - {"weylcoset"} | {"sigma"}  # a classical σ reads no flats
 
-# Runs main(argv) in a fresh interpreter, then prints its exit code and the
-# tracestab modules whose code ran (a registered but unread layer is still lazy).
+# Runs main(argv) in a fresh interpreter, then prints its exit code, the tracestab
+# modules whose code ran (a registered but unread layer is still lazy) and which of
+# argparse and the modules it pulls in ran.
 PROBE = """
 import contextlib, io, json, sys, types
 sys.path.insert(0, sys.argv[1])
@@ -34,17 +35,17 @@ with contextlib.redirect_stdout(io.StringIO()):
         code = main(sys.argv[2:])
     except SystemExit as exc:
         code = exc.code
-print(json.dumps([code, sorted(name[len("tracestab."):] for name, m in sys.modules.items()
-                               if name.startswith("tracestab.") and type(m) is types.ModuleType)]))
+ran = sorted(name for name, m in sys.modules.items() if type(m) is types.ModuleType)
+print(json.dumps([code, [name[len("tracestab."):] for name in ran if name.startswith("tracestab.")],
+                  [name for name in ran if name in ("argparse", "gettext", "locale")]]))
 """
 
 
-def _loaded_by(argv, cwd):
+def _probe(argv, cwd):
     proc = subprocess.run([sys.executable, "-I", "-B", "-c", PROBE, str(SRC), *argv],
                           capture_output=True, text=True, timeout=120, cwd=cwd)
     assert proc.returncode == 0, proc.stderr
-    code, loaded = json.loads(proc.stdout)
-    return code, set(loaded)
+    return json.loads(proc.stdout)
 
 
 @pytest.mark.parametrize("argv, expected", [
@@ -72,9 +73,22 @@ def test_each_command_runs_only_the_layers_it_calls(tmp_path, argv, expected):
     (tmp_path / "group.json").write_text(json.dumps(
         {"rank": 2, "simple_roots": [[2, -1], [-1, 2]], "simple_coroots": [[1, 0], [0, 1]]}))
     (tmp_path / "z.json").write_text(json.dumps({"generators": [["1/3", "2/3"]]}))
-    code, loaded = _loaded_by(argv, tmp_path)
+    code, loaded, _ = _probe(argv, tmp_path)
     assert code == 0
-    assert loaded == expected
+    assert set(loaded) == expected
+
+
+@pytest.mark.parametrize("argv, code, ran", [
+    (["sigma", "--group", "sl2"], 0, []),
+    (["packets", "verify", "--model", "model.json", "--trials", "1"], 0, []),
+    (["--help"], 0, ["argparse", "gettext", "locale"]),
+    (["sigma", "--format", "xml"], 2, ["argparse", "gettext", "locale"]),
+])
+def test_only_help_and_usage_errors_run_argparse(tmp_path, argv, code, ran):
+    """A well-formed command line is read from the command table; argparse stays lazy."""
+    (tmp_path / "model.json").write_text(json.dumps({"sM_dim": 1, "r_dim": 1}))
+    exit_code, _, stdlib_run = _probe(argv, tmp_path)
+    assert (exit_code, stdlib_run) == (code, ran)
 
 
 def test_a_catalog_name_wins_over_a_file_of_that_name(tmp_path, monkeypatch, capsys):
